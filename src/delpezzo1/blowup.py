@@ -69,7 +69,7 @@ class BlowupNode:
             yield from child.walk()
 
 
-def _mult(d: PolyDict) -> int:
+def multiplicity(d: PolyDict) -> int:
     """Multiplicity at the origin: minimal total degree of a monomial."""
     return min(a + b for a, b in d)
 
@@ -224,7 +224,7 @@ def _is_snc(polys: list[PolyDict], K: Domain) -> bool:
     product of tangent cones a squarefree binary quadratic (two distinct
     directions: two smooth transverse branches).
     """
-    mults = [_mult(d) for d in polys]
+    mults = [multiplicity(d) for d in polys]
     mu = sum(mults)
     if mu <= 1:
         return True
@@ -251,12 +251,12 @@ def _resolve(
         raise DepthExceededError(f"blowup tree exceeded depth {DEPTH_CAP}")
 
     k_new = 1 + sum(k for _, k, _ in excs)
-    m_new = sum(w * _mult(d) for d, w in curves) + sum(m for _, _, m in excs)
+    m_new = sum(w * multiplicity(d) for d, w in curves) + sum(m for _, _, m in excs)
     node = BlowupNode(k_new, m_new)
 
     # chart x = u, y = u v: the exceptional line is u = 0, points are v-values
-    s_curves = [(_strict1(d, _mult(d)), w) for d, w in curves]
-    s_excs = [(_strict1(d, _mult(d)), k, m) for d, k, m in excs]
+    s_curves = [(_strict1(d, multiplicity(d)), w) for d, w in curves]
+    s_excs = [(_strict1(d, multiplicity(d)), k, m) for d, k, m in excs]
     objects = [d for d, _ in s_curves] + [d for d, _, _ in s_excs]
     factorizations = [dict(_factor_on_line(_restrict1(d), K)) for d in objects]
 
@@ -297,12 +297,12 @@ def _resolve(
     # through its origin iff x divides its tangent cone
     c2_curves = []
     for d, w in curves:
-        t = _strict2(d, _mult(d))
+        t = _strict2(d, multiplicity(d))
         if (0, 0) not in t:
             c2_curves.append((t, w))
     c2_excs = []
     for d, k, m in excs:
-        t = _strict2(d, _mult(d))
+        t = _strict2(d, multiplicity(d))
         if (0, 0) not in t:
             c2_excs.append((t, k, m))
     if c2_curves or c2_excs:
@@ -343,9 +343,9 @@ def blowup_tree(branches: Sequence[tuple[PolyDict, int]]) -> list[BlowupNode]:
 
 def lct_of_branches(branches: Sequence[tuple[PolyDict, int]]) -> Fraction:
     """Log canonical threshold of sum w_i f_i at the origin."""
-    cleaned = _validated(branches)
-    best = min(Fraction(1, w) for _, w in cleaned)
-    for root in blowup_tree(cleaned):
+    roots = blowup_tree(branches)  # validates the branches
+    best = min(Fraction(1, w) for _, w in branches)
+    for root in roots:
         for node in root.walk():
             best = min(best, node.ratio)
     return best

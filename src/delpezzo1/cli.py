@@ -3,7 +3,9 @@
 Results go to stdout (exact fractions, lowest terms), diagnostics to
 stderr.  Exit status 0 on success, 1 on domain errors, 2 on usage errors.
 Every subcommand takes --json for machine-readable output carrying the
-same values as the text form.
+same values as the text form.  Handlers return library results and run()
+alone renders them: the text form is str(result), the JSON form is
+result.as_dict(), or a one-key object for a plain value.
 """
 
 from __future__ import annotations
@@ -14,8 +16,10 @@ import sys
 from typing import Sequence
 
 from .cycles import (
+    POINT_VARIANTS,
     SMOOTH_VARIANTS,
     AnticanonicalConfiguration,
+    allowed_variants,
     attachment_vector,
     build_configuration,
     fundamental_cycle,
@@ -26,7 +30,7 @@ from .errors import DelPezzoError, InvalidSurfaceError
 from .germs import classify_germ
 from .lct import lct_config, lct_germ
 from .rigidity import FibrationSpec, possible_targets, rigidity_gate
-from .surfaces import SurfaceSpec, tlct, validate
+from .surfaces import CUSP_DATA, NO_CUSPIDAL_MEMBER, SurfaceSpec, tlct, validate
 
 
 def _parse_labels(text: str) -> list[str]:
@@ -51,126 +55,18 @@ def _configuration(args) -> AnticanonicalConfiguration:
     if args.type is None:
         raise InvalidSurfaceError("give a singularity type or --smooth")
     t = parse_dynkin(args.type)
-    if args.variant is not None:
-        return build_configuration([(t, args.variant)])
-    return build_configuration([(t, _default_variant(t))])
-
-
-def _default_variant(t) -> str:
-    return {"A1": "transverse", "A2": "two-points"}.get(t.label, "standard")
-
-
-def _cmd_matrix(args) -> str:
-    m = intersection_matrix(parse_dynkin(args.type))
-    if args.json:
-        return json.dumps({"type": args.type, "matrix": m.as_lists()})
-    return "\n".join(" ".join(str(v) for v in row) for row in m.as_lists())
-
-
-def _cmd_cycle(args) -> str:
-    t = parse_dynkin(args.type)
-    if args.attachment:
-        d = attachment_vector(t)
-        if args.json:
-            return json.dumps({"type": t.label, "d": list(d.d)})
-        return " ".join(str(v) for v in d.d)
-    cycle = fundamental_cycle(t)
-    if args.json:
-        return json.dumps(cycle.as_dict())
-    return " ".join(str(v) for v in cycle.coeffs)
-
-
-def _cmd_config(args) -> str:
-    c = _configuration(args)
-    if args.json:
-        return json.dumps(c.as_dict())
-    lines = [
-        f"{comp.id} {comp.multiplicity} {comp.kind}" for comp in c.components
-    ]
-    for meeting in c.incidence:
-        tail = ""
-        if meeting.contact != 1:
-            tail = f" contact={meeting.contact}"
-        if meeting.cuspidal:
-            tail = " cuspidal"
-        lines.append("meet " + " ".join(meeting.members) + tail)
-    return "\n".join(lines)
-
-
-def _cmd_kodaira(args) -> str:
-    label = kodaira_type(_configuration(args))
-    if args.json:
-        return json.dumps({"kodaira": label.text})
-    return label.text
-
-
-def _cmd_lct_germ(args) -> str:
-    value = lct_germ(args.poly)
-    if args.json:
-        return json.dumps({"lct": str(value)})
-    return str(value)
-
-
-def _cmd_lct_config(args) -> str:
-    value = lct_config(_configuration(args))
-    if args.json:
-        return json.dumps({"lct": str(value)})
-    return str(value)
-
-
-def _cmd_classify(args) -> str:
-    kind = classify_germ(args.poly)
-    if args.json:
-        return json.dumps({"class": kind})
-    return kind
+    return build_configuration([(t, args.variant or allowed_variants(t)[0])])
 
 
 def _surface_from_flags(args) -> SurfaceSpec:
     return SurfaceSpec(_parse_labels(args.sings), args.cusp)
 
 
-def _cmd_tlct(args) -> str:
-    result = tlct(_surface_from_flags(args))
-    if args.json:
-        return json.dumps(result.as_dict())
-    return str(result)
-
-
-def _cmd_validate(args) -> str:
-    report = validate(_surface_from_flags(args))
-    if args.json:
-        return json.dumps(report.as_dict())
-    if report.passed:
-        return "pass"
-    reasons = "; ".join(f"({c}) {reason}" for c, reason in report.violations)
-    return f"fail: {reasons}"
-
-
-def _cmd_rigidity(args) -> str:
-    verdict = rigidity_gate(_load_fibration(args.x), _load_fibration(args.y))
-    if args.json:
-        return json.dumps(verdict.as_dict())
-    lines = [f"{verdict.outcome} {verdict.tlct_sum}"]
-    if verdict.missing_assumptions:
-        lines.append("missing: " + ", ".join(verdict.missing_assumptions))
-    lines += [
-        f"{cls.tlct_value} {cls.description}" for cls in verdict.detail
-    ]
-    return "\n".join(lines)
-
-
-def _cmd_targets(args) -> str:
-    classes = possible_targets(_load_fibration(args.x))
-    if args.json:
-        return json.dumps({"targets": [cls.as_dict() for cls in classes]})
-    return "\n".join(f"{cls.tlct_value} {cls.description}" for cls in classes)
-
-
 def _add_config_flags(sub) -> None:
     sub.add_argument("type", nargs="?", help="Dynkin label, e.g. E8")
     sub.add_argument(
         "--variant",
-        choices=["standard", "transverse", "tangential", "two-points", "one-point"],
+        choices=list(POINT_VARIANTS),
         help="contact variant at the point (defaults to the generic one)",
     )
     sub.add_argument(
@@ -187,16 +83,28 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, handler, help_text):
+    def command(name, handler, help_text, key=None):
+        """Register a subcommand; `key` names the --json field of a plain result."""
         sub = subs.add_parser(name, help=help_text)
-        sub.set_defaults(handler=handler)
+        sub.set_defaults(handler=handler, key=key)
         sub.add_argument("--json", action="store_true", help="JSON output")
         return sub
 
-    sub = command("matrix", _cmd_matrix, "intersection matrix of a Dynkin type")
+    sub = command(
+        "matrix",
+        lambda a: intersection_matrix(parse_dynkin(a.type)),
+        "intersection matrix of a Dynkin type",
+        key="matrix",
+    )
     sub.add_argument("type", help="Dynkin label, e.g. D5")
 
-    sub = command("cycle", _cmd_cycle, "fundamental cycle coefficients")
+    sub = command(
+        "cycle",
+        lambda a: (attachment_vector if a.attachment else fundamental_cycle)(
+            parse_dynkin(a.type)
+        ),
+        "fundamental cycle coefficients",
+    )
     sub.add_argument("type", help="Dynkin label, e.g. E8")
     sub.add_argument(
         "--attachment",
@@ -204,42 +112,92 @@ def _build_parser() -> argparse.ArgumentParser:
         help="print the anticanonical attachment numbers instead",
     )
 
-    sub = command("config", _cmd_config, "anticanonical configuration")
+    sub = command("config", _configuration, "anticanonical configuration")
     _add_config_flags(sub)
 
-    sub = command("kodaira", _cmd_kodaira, "Kodaira fiber type of a configuration")
+    sub = command(
+        "kodaira",
+        lambda a: kodaira_type(_configuration(a)),
+        "Kodaira fiber type of a configuration",
+        key="kodaira",
+    )
     _add_config_flags(sub)
 
-    sub = command("lct-germ", _cmd_lct_germ, "threshold of a curve germ")
+    sub = command(
+        "lct-germ", lambda a: lct_germ(a.poly), "threshold of a curve germ", key="lct"
+    )
     sub.add_argument("poly", help='germ polynomial, e.g. "y^2 - x^3"')
 
-    sub = command("lct-config", _cmd_lct_config, "threshold of a configuration")
+    sub = command(
+        "lct-config",
+        lambda a: lct_config(_configuration(a)),
+        "threshold of a configuration",
+        key="lct",
+    )
     _add_config_flags(sub)
 
-    sub = command("classify", _cmd_classify, "smooth/node/cusp/other")
+    sub = command(
+        "classify",
+        lambda a: classify_germ(a.poly),
+        "smooth/node/cusp/other",
+        key="class",
+    )
     sub.add_argument("poly", help='germ polynomial, e.g. "x*y"')
 
-    for name, handler, help_text in (
-        ("tlct", _cmd_tlct, "total threshold of a surface spec"),
-        ("validate", _cmd_validate, "check a singularity multiset"),
+    for name, operation, help_text in (
+        ("tlct", tlct, "total threshold of a surface spec"),
+        ("validate", validate, "check a singularity multiset"),
     ):
-        sub = command(name, handler, help_text)
+        sub = command(
+            name, lambda a, op=operation: op(_surface_from_flags(a)), help_text
+        )
         sub.add_argument("--sings", default="", help="comma list, e.g. E7,A1")
         sub.add_argument(
             "--cusp",
-            default="none",
-            choices=["none", "smooth", "A1", "A2"],
+            default=NO_CUSPIDAL_MEMBER,
+            choices=list(CUSP_DATA),
             help="worst cusp behavior asserted for |-K| members",
         )
 
-    sub = command("rigidity", _cmd_rigidity, "rigidity gate for a fibration pair")
+    sub = command(
+        "rigidity",
+        lambda a: rigidity_gate(_load_fibration(a.x), _load_fibration(a.y)),
+        "rigidity gate for a fibration pair",
+    )
     sub.add_argument("--x", required=True, help="fibration spec JSON")
     sub.add_argument("--y", required=True, help="fibration spec JSON")
 
-    sub = command("targets", _cmd_targets, "admissible partner classes")
+    sub = command(
+        "targets",
+        lambda a: possible_targets(_load_fibration(a.x)),
+        "admissible partner classes",
+        key="targets",
+    )
     sub.add_argument("--x", required=True, help="fibration spec JSON")
 
     return parser
+
+
+def _json_value(value):
+    return value.as_dict() if hasattr(value, "as_dict") else str(value)
+
+
+def _render(args, result) -> str:
+    """Text is str(result), a list one item per line.
+
+    JSON is result.as_dict(), or {key: result} for a subcommand registered
+    with a key.
+    """
+    if not args.json:
+        return "\n".join(map(str, result)) if isinstance(result, list) else str(result)
+    if args.key is None:
+        data = result.as_dict()
+    elif args.key == "matrix":
+        # the label is echoed as typed, before parse_dynkin normalises it
+        data = {"type": args.type, "matrix": result.as_lists()}
+    else:
+        data = {args.key: result}
+    return json.dumps(data, default=_json_value)
 
 
 def run(argv: Sequence[str] | None = None) -> int:
@@ -249,10 +207,11 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        output = args.handler(args)
+        result = args.handler(args)
     except DelPezzoError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    output = _render(args, result)
     if output:
         print(output)
     return 0

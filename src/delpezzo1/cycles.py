@@ -30,6 +30,8 @@ TANGENTIAL = "tangential"
 TWO_POINTS = "two-points"
 ONE_POINT = "one-point"
 
+POINT_VARIANTS = (STANDARD, TRANSVERSE, TANGENTIAL, TWO_POINTS, ONE_POINT)
+
 # variants for a D that misses every singular point
 ELLIPTIC = "elliptic"
 NODAL = "nodal"
@@ -50,6 +52,9 @@ class FundamentalCycle:
     def as_dict(self) -> dict:
         return {"type": self.dynkin.label, "coeffs": list(self.coeffs)}
 
+    def __str__(self) -> str:
+        return " ".join(map(str, self.coeffs))
+
 
 @dataclass(frozen=True)
 class AttachmentVector:
@@ -58,6 +63,9 @@ class AttachmentVector:
 
     def as_dict(self) -> dict:
         return {"type": self.dynkin.label, "d": list(self.d)}
+
+    def __str__(self) -> str:
+        return " ".join(map(str, self.d))
 
 
 def _laufer(entries: Sequence[Sequence[int]], start: int) -> list[int]:
@@ -194,6 +202,16 @@ class AnticanonicalConfiguration:
             "components": [c.as_dict() for c in self.components],
             "incidence": [m.as_dict() for m in self.incidence],
         }
+
+    def __str__(self) -> str:
+        """An `id multiplicity kind` line per component, a `meet` line per meeting."""
+        lines = [f"{c.id} {c.multiplicity} {c.kind}" for c in self.components]
+        for m in self.incidence:
+            tail = " cuspidal" if m.cuspidal else ""
+            if m.contact != 1:
+                tail = f" contact={m.contact}"
+            lines.append("meet " + " ".join(m.members) + tail)
+        return "\n".join(lines)
 
 
 _POINT_VARIANTS = {

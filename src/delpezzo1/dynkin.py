@@ -125,6 +125,9 @@ class IntersectionMatrix:
     def as_lists(self) -> list[list[int]]:
         return [list(row) for row in self.entries]
 
+    def __str__(self) -> str:
+        return "\n".join(" ".join(map(str, row)) for row in self.entries)
+
 
 def intersection_matrix(t: DynkinType) -> IntersectionMatrix:
     """Intersection matrix of the exceptional curves of the minimal resolution.

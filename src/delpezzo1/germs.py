@@ -20,8 +20,9 @@ from sympy.parsing.sympy_parser import (
     standard_transformations,
 )
 
-from .blowup import _mult, _shift_y, _strict1, _strict2
+from .blowup import lct_of_branches, multiplicity
 from .errors import (
+    DepthExceededError,
     InvalidGermError,
     NonSquarefreeError,
     NotAtOriginError,
@@ -83,7 +84,7 @@ class CurveGerm:
 
     @cached_property
     def multiplicity(self) -> int:
-        return _mult(self.native_dict)
+        return multiplicity(self.native_dict)
 
     @cached_property
     def is_squarefree(self) -> bool:
@@ -116,11 +117,13 @@ def ensure_squarefree(g: CurveGerm) -> CurveGerm:
 def classify_germ(g: "CurveGerm | str | sympy.Expr") -> str:
     """Classify the origin of a squarefree germ: smooth, node, cusp or other.
 
-    A node is an ordinary double point (nondegenerate quadratic part); a
-    cusp is a double point with a single tangent direction whose strict
-    transform after one blowup is smooth (the y^2 = x^3 pattern).  Anything
-    of multiplicity >= 3, or a degenerate double point that stays singular
-    after one blowup (tacnodes, rhamphoid cusps), is labeled other.
+    Multiplicity 1 is smooth and multiplicity >= 3 is other.  A reduced
+    double point is analytically A_k (y^2 = x^(k+1) for some k >= 1), and
+    lct(A_k) = 1/2 + 1/(k+1) (Kollár, "Singularities of pairs", 1997, §8).
+    So a double point is a node (A_1, an ordinary double point) exactly
+    when its lct is 1, and a cusp (A_2, the y^2 = x^3 pattern) exactly when
+    its lct is 5/6; tacnodes, rhamphoid cusps and every A_k with k >= 3 are
+    other.  The lct comes from the resolution engine.
     """
     germ = ensure_squarefree(as_germ(g))
     mu = germ.multiplicity
@@ -128,21 +131,11 @@ def classify_germ(g: "CurveGerm | str | sympy.Expr") -> str:
         return SMOOTH
     if mu > 2:
         return OTHER
-    d = germ.native_dict
-    qa = d.get((2, 0), QQ.zero)
-    qb = d.get((1, 1), QQ.zero)
-    qc = d.get((0, 2), QQ.zero)
-    disc = qb * qb - QQ.convert(4) * qa * qc
-    if disc:
-        return NODE
-    if qc:
-        # the unique tangent direction is v0 = -b/(2c) in the chart y = v x
-        v0 = -qb / (qc + qc)
-        strict = _shift_y(_strict1(d, 2), v0, QQ)
-    else:
-        # quadratic part a x^2: tangent direction x = 0, second chart
-        strict = _strict2(d, 2)
-    return CUSP if _mult(strict) == 1 else OTHER
+    try:
+        lct = lct_of_branches([(germ.native_dict, 1)])
+    except DepthExceededError:
+        return OTHER  # a node or a cusp resolves within three blowups
+    return {Fraction(1): NODE, Fraction(5, 6): CUSP}.get(lct, OTHER)
 
 
 def lct_quasihomogeneous(g: "CurveGerm | str | sympy.Expr") -> Fraction:

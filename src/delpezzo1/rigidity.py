@@ -86,6 +86,9 @@ class TargetClass:
     def as_dict(self) -> dict:
         return {"tlct": str(self.tlct_value), "description": self.description}
 
+    def __str__(self) -> str:
+        return f"{self.tlct_value} {self.description}"
+
 
 TARGET_CLASSES = (
     TargetClass(
@@ -161,6 +164,13 @@ class RigidityVerdict:
             out["missing_assumptions"] = list(self.missing_assumptions)
         return out
 
+    def __str__(self) -> str:
+        """`outcome sum`, a `missing:` line if assumptions are withheld, the targets."""
+        lines = [f"{self.outcome} {self.tlct_sum}"]
+        if self.missing_assumptions:
+            lines.append("missing: " + ", ".join(self.missing_assumptions))
+        return "\n".join(lines + [str(cls) for cls in self.detail])
+
 
 def _checked_fiber(side: FibrationSpec | SurfaceSpec, name: str) -> FibrationSpec:
     fib = side if isinstance(side, FibrationSpec) else FibrationSpec(side)
@@ -188,15 +198,13 @@ def rigidity_gate(
     assumption is missing.
     """
     fx, fy = _checked_fiber(x, "x"), _checked_fiber(y, "y")
-    total = tlct(fx.fiber).value + tlct(fy.fiber).value
+    x_value = tlct(fx.fiber).value
+    total = x_value + tlct(fy.fiber).value
     missing = tuple(f"x:{n}" for n in fx.missing_assumptions)
     missing += tuple(f"y:{n}" for n in fy.missing_assumptions)
     if total > 1 and not missing:
         return RigidityVerdict(RIGID, total)
-    if missing:
-        detail = TARGET_CLASSES
-    else:
-        detail = _admissible(tlct(fx.fiber).value)
+    detail = TARGET_CLASSES if missing else _admissible(x_value)
     return RigidityVerdict(INCONCLUSIVE, total, detail, missing)
 
 

@@ -130,6 +130,11 @@ class ValidationReport:
             ],
         }
 
+    def __str__(self) -> str:
+        if self.passed:
+            return "pass"
+        return "fail: " + "; ".join(f"({c}) {reason}" for c, reason in self.violations)
+
 
 def validate(s: SurfaceSpec) -> ValidationReport:
     """Check the necessary conditions on the singularity multiset.

@@ -7,12 +7,12 @@ from sympy import QQ, CRootOf, Poly, Symbol
 from delpezzo1.blowup import (
     _cluster_point,
     _extend_tower,
-    _mult,
     _shift_y,
     _strict1,
     _strict2,
     blowup_tree,
     lct_of_branches,
+    multiplicity,
 )
 from delpezzo1.errors import DepthExceededError, InvalidGermError
 from delpezzo1.germs import CurveGerm
@@ -39,8 +39,8 @@ def test_shift_y_exact():
 
 
 def test_multiplicity_helper():
-    assert _mult(nd("x + y^2")) == 1
-    assert _mult(nd("x*y*(x+y)")) == 3
+    assert multiplicity(nd("x + y^2")) == 1
+    assert multiplicity(nd("x*y*(x+y)")) == 3
 
 
 def test_cusp_tree_bookkeeping():

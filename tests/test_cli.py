@@ -140,3 +140,111 @@ def test_json_and_text_agree(call):
     text = call("lct-config", "E6").out.strip()
     data = json.loads(call("lct-config", "E6", "--json").out)
     assert data["lct"] == text
+
+
+
+# byte-exact stdout of every subcommand in text and --json form
+_FLAGGED_X = json.dumps(
+    {"fiber": {"singularities": ["A5"]}, "assumptions": {"one_complement": False}}
+)
+_E8 = json.dumps({"singularities": ["E8"]})
+_A4 = json.dumps({"singularities": ["A4"]})
+_A1A2 = json.dumps({"singularities": ["A1", "A2"], "cusp": "A1"})
+_CLASS_TEXT = [
+    "1/6 unique singular point, of type E8",
+    "1/4 E7 present, no E8; at most one extra singularity, of type A1",
+    "1/3 E6 present, no E7 or E8; at most one extra singularity, of type A1 or A2",
+    "1/2 some Dn present, no exceptional type",
+    "2/3 only An singularities; a member cusps at an A2 point",
+    "3/4 only An singularities; a member cusps at an A1 point, none at an A2",
+    "5/6 only An singularities; a cuspidal member, none cusping at a singular point",
+    "1 only An singularities; no cuspidal member",
+]
+_CLASS_JSON = [
+    '{"tlct": "%s", "description": "%s"}' % tuple(line.split(" ", 1))
+    for line in _CLASS_TEXT
+]
+
+
+def _case(name, argv, *lines):
+    return pytest.param(argv, "".join(line + "\n" for line in lines), id=name)
+
+
+GOLDEN = [
+    _case("matrix-lowercase", ["matrix", "a2"], "-2 1", "1 -2"),
+    _case("matrix-json", ["matrix", "d4", "--json"],
+          '{"type": "d4", "matrix": [[-2, 1, 0, 0], [1, -2, 1, 1], [0, 1, -2, 0],'
+          ' [0, 1, 0, -2]]}'),
+    _case("cycle", ["cycle", "E8"], "2 3 4 5 6 4 2 3"),
+    _case("cycle-json", ["cycle", "E7", "--json"],
+          '{"type": "E7", "coeffs": [1, 2, 3, 4, 3, 2, 2]}'),
+    _case("attachment", ["cycle", "D6", "--attachment"], "0 1 0 0 0 0"),
+    _case("attachment-json", ["cycle", "D6", "--attachment", "--json"],
+          '{"type": "D6", "d": [0, 1, 0, 0, 0, 0]}'),
+    _case("config-d4", ["config", "D4"],
+          "D 1 strict_transform", "E1 1 exceptional", "E2 2 exceptional",
+          "E3 1 exceptional", "E4 1 exceptional",
+          "meet D E2", "meet E1 E2", "meet E2 E3", "meet E2 E4"),
+    _case("config-tangential", ["config", "A1", "--variant", "tangential"],
+          "D 1 strict_transform", "E1 1 exceptional", "meet D E1 contact=2"),
+    _case("config-cuspidal", ["config", "--smooth", "cuspidal"],
+          "D 1 strict_transform", "meet D cuspidal"),
+    _case("config-json", ["config", "A2", "--variant", "one-point", "--json"],
+          '{"components": [{"id": "D", "multiplicity": 1, "kind": "strict_transform"},'
+          ' {"id": "E1", "multiplicity": 1, "kind": "exceptional"},'
+          ' {"id": "E2", "multiplicity": 1, "kind": "exceptional"}],'
+          ' "incidence": [{"members": ["D", "E1", "E2"], "contact": 1,'
+          ' "cuspidal": false}]}'),
+    _case("kodaira", ["kodaira", "E7"], "III*"),
+    _case("kodaira-json", ["kodaira", "A3", "--json"], '{"kodaira": "I4"}'),
+    _case("lct-germ", ["lct-germ", "y^2 - x^5"], "7/10"),
+    _case("lct-germ-json", ["lct-germ", "y^2 - x^3", "--json"], '{"lct": "5/6"}'),
+    _case("lct-config", ["lct-config", "A1", "--variant", "tangential"], "3/4"),
+    _case("lct-config-json", ["lct-config", "E8", "--json"], '{"lct": "1/6"}'),
+    _case("classify", ["classify", "x^2 + y^3"], "cusp"),
+    _case("classify-json", ["classify", "x*y", "--json"], '{"class": "node"}'),
+    _case("tlct", ["tlct", "--sings", "D5,A2"], "1/2 (I*1)"),
+    _case("tlct-json", ["tlct", "--sings", "A2", "--cusp", "A2", "--json"],
+          '{"value": "2/3", "kodaira": "IV"}'),
+    _case("validate-pass", ["validate", "--sings", "E7,A1"], "pass"),
+    _case("validate-pass-json", ["validate", "--sings", "A1", "--json"],
+          '{"passed": true, "violations": []}'),
+    _case("validate-fail", ["validate", "--sings", "E6,A1,A1,A4"],
+          "fail: (a) rank sum 12 exceeds 8; (d) E6 allows at most one extra"
+          " singularity, of type A1 or A2"),
+    _case("validate-fail-json", ["validate", "--sings", "E6,A1,A1,A4", "--json"],
+          '{"passed": false, "violations": [{"clause": "a", "reason": "rank sum 12'
+          ' exceeds 8"}, {"clause": "d", "reason": "E6 allows at most one extra'
+          ' singularity, of type A1 or A2"}]}'),
+    _case("rigidity-rigid", ["rigidity", "--x", json.dumps({"singularities": ["A5"]}),
+                             "--y", _E8], "rigid 7/6"),
+    _case("rigidity-missing", ["rigidity", "--x", _FLAGGED_X, "--y", _E8],
+          "inconclusive 7/6", "missing: x:one_complement", *_CLASS_TEXT),
+    _case("rigidity-missing-json", ["rigidity", "--x", _FLAGGED_X, "--y", _E8, "--json"],
+          '{"outcome": "inconclusive", "tlct_sum": "7/6", "targets": ['
+          + ", ".join(_CLASS_JSON) + '], "missing_assumptions": ["x:one_complement"]}'),
+    _case("rigidity-json", ["rigidity", "--x", json.dumps({"singularities": [],
+                                                          "cusp": "smooth"}),
+                            "--y", _E8, "--json"],
+          '{"outcome": "inconclusive", "tlct_sum": "1", "targets": ['
+          + _CLASS_JSON[0] + "]}"),
+    _case("targets-empty", ["targets", "--x", _A4]),
+    _case("targets-empty-json", ["targets", "--x", _A4, "--json"], '{"targets": []}'),
+    _case("targets", ["targets", "--x", _A1A2], *_CLASS_TEXT[:2]),
+    _case("targets-json", ["targets", "--x", _A1A2, "--json"],
+          '{"targets": [' + ", ".join(_CLASS_JSON[:2]) + "]}"),
+]
+
+
+@pytest.mark.parametrize("argv, stdout", GOLDEN)
+def test_golden_stdout(call, argv, stdout):
+    captured = call(*argv)
+    assert captured.out == stdout
+    assert captured.err == ""
+
+
+def test_golden_covers_every_subcommand_in_both_forms():
+    commands = ["matrix", "cycle", "config", "kodaira", "lct-germ", "lct-config",
+                "classify", "tlct", "validate", "rigidity", "targets"]
+    pinned = {(p.values[0][0], "--json" in p.values[0]) for p in GOLDEN}
+    assert pinned == {(name, form) for name in commands for form in (False, True)}

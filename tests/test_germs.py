@@ -119,3 +119,35 @@ def test_not_quasihomogeneous():
 def test_quasihomogeneous_rejects_nonsquarefree():
     with pytest.raises(NonSquarefreeError):
         lct_quasihomogeneous("x^2*y")
+
+
+def _swap_xy(text):
+    return text.replace("x", "X").replace("y", "x").replace("X", "y")
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["y-x", "x-y"])
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 7])
+def test_classify_double_point_oracle(k, swap):
+    # y^2 - c x^k is A_(k-1); a coordinate change keeps the class:
+    # node iff k = 2, cusp iff k = 3, other for k >= 4
+    expected = {2: NODE, 3: CUSP}.get(k, OTHER)
+    for c in ["1", "-2", "3/5"]:
+        for s, t in [("0", "0"), ("1", "0"), ("-2", "3"), ("1/2", "-1")]:
+            germ = f"(y + ({s})*x + ({t})*x^2)^2 - ({c})*x^{k}"
+            if swap:
+                germ = _swap_xy(germ)
+            assert classify_germ(germ) == expected, germ
+
+
+@pytest.mark.parametrize("germ", ["y^2 - x^201", "x^2 - y^201"])
+def test_classify_double_point_deeper_than_the_engine_cap_is_other(germ):
+    # A_200 needs about 100 blowups, past the engine's depth cap; it is still other
+    assert classify_germ(germ) == OTHER
+
+
+@pytest.mark.parametrize(
+    "lines",
+    ["x*y*(x+y)", "x*y*(x-y)*(x+2*y)", "y*(y-x)*(y-2*x)*(y+3*x)*(3*x-y/2)"],
+)
+def test_classify_three_or_more_lines_is_other(lines):
+    assert classify_germ(lines) == OTHER
