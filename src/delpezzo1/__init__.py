@@ -5,7 +5,17 @@ curve germs and anticanonical configurations, total thresholds of surface
 specs with Kodaira fiber types, and the birational-rigidity gate for
 fibration pairs.  All arithmetic is exact (integers, fractions, algebraic
 numbers); nothing here floats.
+
+Importing the package loads only the combinatorial core (dynkin, cycles,
+surfaces, rigidity, errors), which needs integers and Fraction alone.  The
+germ engine needs sympy, so its public names -- CurveGerm, classify_germ,
+lct_quasihomogeneous (from germs) and germ_blowup_tree, lct_config, lct_germ,
+lct_weighted_germs (from lct) -- are resolved on first use: reading one of
+them imports its submodule, and sympy with it.  The engine's submodules
+(germs, blowup, lct) are package attributes the same way.
 """
+
+import importlib
 
 from .cycles import (
     AnticanonicalConfiguration,
@@ -45,13 +55,6 @@ from .errors import (
     UnrecognizedConfigurationError,
     UnsupportedClassError,
     VariantMismatchError,
-)
-from .germs import CurveGerm, classify_germ, lct_quasihomogeneous
-from .lct import (
-    germ_blowup_tree,
-    lct_config,
-    lct_germ,
-    lct_weighted_germs,
 )
 from .rigidity import (
     TARGET_CLASSES,
@@ -132,3 +135,32 @@ __all__ = [
     "tlct",
     "validate",
 ]
+
+# the sympy-backed germ engine, and its public names -> the submodule owning them
+_ENGINE_MODULES = ("germs", "blowup", "lct")
+_LAZY = {
+    "CurveGerm": "germs",
+    "classify_germ": "germs",
+    "lct_quasihomogeneous": "germs",
+    "germ_blowup_tree": "lct",
+    "lct_config": "lct",
+    "lct_germ": "lct",
+    "lct_weighted_germs": "lct",
+}
+
+
+def __getattr__(name: str):
+    if name in _ENGINE_MODULES:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # Bind all seven names at once, as the eager imports did: later reads are
+    # plain lookups, and whichever name is read first, a tool that patches one
+    # of them in its submodule afterwards finds the original bound here too.
+    for lazy, module in _LAZY.items():
+        globals()[lazy] = getattr(importlib.import_module(f".{module}", __name__), lazy)
+    return globals()[name]
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_ENGINE_MODULES) | set(_LAZY))

@@ -5,7 +5,9 @@ stderr.  Exit status 0 on success, 1 on domain errors, 2 on usage errors.
 Every subcommand takes --json for machine-readable output carrying the
 same values as the text form.  Handlers return library results and run()
 alone renders them: the text form is str(result), the JSON form is
-result.as_dict(), or a one-key object for a plain value.
+result.as_dict(), or a one-key object for a plain value.  Only lct-germ,
+lct-config and classify import the sympy-backed germ engine, inside their
+handlers, so the other subcommands never load sympy.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ from .cycles import (
 )
 from .dynkin import intersection_matrix, parse_dynkin
 from .errors import DelPezzoError, InvalidSurfaceError
-from .germs import classify_germ
-from .lct import lct_config, lct_germ
 from .rigidity import FibrationSpec, possible_targets, rigidity_gate
 from .surfaces import CUSP_DATA, NO_CUSPIDAL_MEMBER, SurfaceSpec, tlct, validate
 
@@ -60,6 +60,24 @@ def _configuration(args) -> AnticanonicalConfiguration:
 
 def _surface_from_flags(args) -> SurfaceSpec:
     return SurfaceSpec(_parse_labels(args.sings), args.cusp)
+
+
+def _lct_germ(args):
+    from .lct import lct_germ
+
+    return lct_germ(args.poly)
+
+
+def _lct_config(args):
+    from .lct import lct_config
+
+    return lct_config(_configuration(args))
+
+
+def _classify(args):
+    from .germs import classify_germ
+
+    return classify_germ(args.poly)
 
 
 def _add_config_flags(sub) -> None:
@@ -123,25 +141,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_config_flags(sub)
 
-    sub = command(
-        "lct-germ", lambda a: lct_germ(a.poly), "threshold of a curve germ", key="lct"
-    )
+    sub = command("lct-germ", _lct_germ, "threshold of a curve germ", key="lct")
     sub.add_argument("poly", help='germ polynomial, e.g. "y^2 - x^3"')
 
-    sub = command(
-        "lct-config",
-        lambda a: lct_config(_configuration(a)),
-        "threshold of a configuration",
-        key="lct",
-    )
+    sub = command("lct-config", _lct_config, "threshold of a configuration", key="lct")
     _add_config_flags(sub)
 
-    sub = command(
-        "classify",
-        lambda a: classify_germ(a.poly),
-        "smooth/node/cusp/other",
-        key="class",
-    )
+    sub = command("classify", _classify, "smooth/node/cusp/other", key="class")
     sub.add_argument("poly", help='germ polynomial, e.g. "x*y"')
 
     for name, operation, help_text in (

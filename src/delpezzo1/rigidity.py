@@ -63,16 +63,24 @@ class FibrationSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FibrationSpec":
-        if isinstance(data, dict) and "fiber" in data:
-            flags = data.get("assumptions", {})
-            extra = set(flags) - set(ASSUMPTIONS)
-            if extra:
-                raise InvalidSurfaceError(f"unknown assumption flags {sorted(extra)}")
-            return cls(
-                SurfaceSpec.from_dict(data["fiber"]),
-                **{name: bool(flags.get(name, True)) for name in ASSUMPTIONS},
-            )
-        return cls(SurfaceSpec.from_dict(data))
+        """A bare surface spec, or {"fiber": spec, "assumptions": {flag: bool}}.
+
+        A flag left out is asserted; a flag given must be a JSON boolean.
+        """
+        if not (isinstance(data, dict) and "fiber" in data):
+            return cls(SurfaceSpec.from_dict(data))
+        extra = set(data) - {"fiber", "assumptions"}
+        if extra:
+            raise InvalidSurfaceError(f"unknown fibration keys {sorted(extra)}")
+        flags = data.get("assumptions", {})
+        if not isinstance(flags, dict):
+            raise InvalidSurfaceError('"assumptions" must be a JSON object')
+        extra = set(flags) - set(ASSUMPTIONS)
+        if extra:
+            raise InvalidSurfaceError(f"unknown assumption flags {sorted(extra)}")
+        if not all(isinstance(v, bool) for v in flags.values()):
+            raise InvalidSurfaceError("assumption flags must be true or false")
+        return cls(SurfaceSpec.from_dict(data["fiber"]), **flags)
 
 
 @dataclass(frozen=True)

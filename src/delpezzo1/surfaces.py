@@ -95,10 +95,10 @@ class SurfaceSpec:
         extra = set(data) - {"singularities", "cusp"}
         if extra:
             raise InvalidSurfaceError(f"unknown spec keys {sorted(extra)}")
-        return cls(
-            data.get("singularities", ()),
-            data.get("cusp", NO_CUSPIDAL_MEMBER),
-        )
+        labels = data.get("singularities", [])
+        if not isinstance(labels, list) or not all(isinstance(t, str) for t in labels):
+            raise InvalidSurfaceError('"singularities" must be a list of label strings')
+        return cls(labels, data.get("cusp", NO_CUSPIDAL_MEMBER))
 
     def __str__(self) -> str:
         inside = ", ".join(self.labels) if self.labels else "smooth"

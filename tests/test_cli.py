@@ -129,6 +129,29 @@ def test_domain_errors_exit_1(call):
     )
 
 
+MALFORMED_SPECS = [
+    {"singularities": 5},
+    {"singularities": "E8"},
+    {"singularities": {"E8": 1}},
+    {"singularities": [8]},
+    {"fiber": {"singularities": []}, "assumptions": 5},
+    {"fiber": {"singularities": []}, "assumptions": ["surjectivity"]},
+    {"fiber": {"singularities": ["E8"]}, "assumptions": {"surjectivity": "false"}},
+    {"fiber": {"singularities": ["E8"]}, "assumptions": {"surjectivity": 0}},
+    {"fiber": {"singularities": ["E8"]}, "assumption": {"surjectivity": False}},
+]
+
+
+@pytest.mark.parametrize("spec", MALFORMED_SPECS, ids=json.dumps)
+def test_malformed_spec_json_exits_1(call, spec):
+    good = json.dumps({"singularities": ["E8"]})
+    for argv in (
+        ("targets", "--x", json.dumps(spec)),
+        ("rigidity", "--x", good, "--y", json.dumps(spec)),
+    ):
+        assert call(*argv, expect=1).err.startswith("InvalidSurfaceError")
+
+
 def test_usage_errors_exit_2(call):
     call("no-such-command", expect=2)
     call(expect=2)

@@ -1,4 +1,9 @@
-"""Module boundaries: no module of the package imports a private name of another."""
+"""Module boundaries.
+
+No module of the package imports a private name of another, and the
+combinatorial core (with the CLI) imports neither sympy nor the germ engine
+at module level, so that importing it never loads sympy.
+"""
 
 import ast
 from pathlib import Path
@@ -6,6 +11,8 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "delpezzo1"
+CORE = ("__init__", "dynkin", "cycles", "surfaces", "rigidity", "errors", "cli")
+ENGINE = ("sympy", "delpezzo1.germs", "delpezzo1.blowup", "delpezzo1.lct")
 
 
 def _private_imports(path):
@@ -22,3 +29,60 @@ def _private_imports(path):
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_private_names_imported_across_modules(path):
     assert list(_private_imports(path)) == []
+
+
+def _run_at_import(nodes):
+    """The nodes executed when the module is imported: all but function bodies."""
+    for node in nodes:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        yield node
+        yield from _run_at_import(ast.iter_child_nodes(node))
+
+
+def _imported_modules(node):
+    """Absolute names of the modules an import statement of the package loads."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if not isinstance(node, ast.ImportFrom):
+        return []
+    base = ".".join(filter(None, ["delpezzo1" if node.level else None, node.module]))
+    if node.module is None:  # from . import germs
+        return [f"{base}.{alias.name}" for alias in node.names]
+    return [base]
+
+
+def _engine_imports(source, filename):
+    for node in _run_at_import(ast.parse(source, filename=filename).body):
+        for module in _imported_modules(node):
+            if any(module == e or module.startswith(e + ".") for e in ENGINE):
+                yield f"{filename}:{node.lineno} imports {module}"
+
+
+@pytest.mark.parametrize("name", CORE)
+def test_core_imports_no_sympy_at_module_level(name):
+    path = PACKAGE / f"{name}.py"
+    assert list(_engine_imports(path.read_text(), path.name)) == []
+
+
+def test_engine_import_guard_names_the_offending_line():
+    source = "\n".join([
+        "import json",
+        "from .dynkin import parse_dynkin",
+        "import sympy.polys",
+        "from . import germs",
+        "try:",
+        "    from .lct import lct_germ",
+        "except ImportError:",
+        "    pass",
+        "class C:",
+        "    from delpezzo1.blowup import blowup_tree",
+        "def f():",
+        "    from .lct import lct_config",
+    ])
+    assert list(_engine_imports(source, "m.py")) == [
+        "m.py:3 imports sympy.polys",
+        "m.py:4 imports delpezzo1.germs",
+        "m.py:6 imports delpezzo1.lct",
+        "m.py:10 imports delpezzo1.blowup",
+    ]

@@ -60,6 +60,24 @@ def test_fibration_spec_from_dict():
         FibrationSpec.from_dict({"fiber": {}, "assumptions": {"plt": True}})
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"fiber": {}, "assumptions": 5},
+        {"fiber": {}, "assumptions": ["surjectivity"]},
+        {"fiber": {}, "assumptions": {"surjectivity": "false"}},
+        {"fiber": {}, "assumptions": {"one_complement": 1}},
+        {"fiber": {}, "assumptions": {"special_fiber_plt": None}},
+        {"fiber": {}, "assumption": {"surjectivity": False}},
+        {"fiber": {"singularities": "E8"}},
+    ],
+    ids=repr,
+)
+def test_fibration_spec_from_dict_rejects_malformed(data):
+    with pytest.raises(InvalidSurfaceError):
+        FibrationSpec.from_dict(data)
+
+
 def test_target_classes_table():
     values = [cls.tlct_value for cls in TARGET_CLASSES]
     assert values == sorted(values)

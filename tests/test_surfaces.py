@@ -45,6 +45,14 @@ def test_spec_round_trip():
         SurfaceSpec.from_dict(["E8"])
 
 
+@pytest.mark.parametrize(
+    "labels", [5, "E8", {"E8": 1}, ("E8",), [8], ["E8", None]], ids=repr
+)
+def test_from_dict_needs_a_list_of_label_strings(labels):
+    with pytest.raises(InvalidSurfaceError, match="list of label strings"):
+        SurfaceSpec.from_dict({"singularities": labels})
+
+
 def test_spec_rejects_inconsistent_cusp_location():
     with pytest.raises(InvalidSurfaceError):
         spec(["E8"], CUSP_AT_A1)
