@@ -1,24 +1,49 @@
 """Plane curve germs at the origin with exact rational coefficients.
 
 A germ is a nonzero bivariate polynomial in x, y over Q vanishing at the
-origin.  The textual grammar accepts integer or rational coefficients, the
-variables x and y, and the operators + - * ^ (with ** as a synonym), e.g.
-"y^2 - x^3" or "x*y*(x+y)".
+origin, e.g. "y^2 - x^3" or "x*y*(x+y)".  Germ text is read by a small
+recursive-descent parser that evaluates nothing; its grammar is
+
+    germ    := sum
+    sum     := product (("+" | "-") product)*
+    product := signed (("*" | "/") signed)*
+    signed  := ("+" | "-")* power
+    power   := atom (("^" | "**") INTEGER)*
+    atom    := "x" | "y" | NUMBER | "(" sum ")"
+
+NUMBER is an integer or a decimal literal, taken exactly ("0.1" is 1/10);
+INTEGER is a non-negative integer literal; "/" divides by a nonzero
+constant only; powers are right-associative ("x^2^3" is x^8); "−" (the
+unicode minus) is read as "-" and whitespace is ignored.  Anything else
+(another name, a call, a negative or fractional exponent, a division by a
+polynomial) raises InvalidGermError.
+
+Products and powers are expanded exactly, under fixed limits checked before
+each multiplication from the sizes of its operands, so that no text can make
+the parser run long.  Going over a limit raises InvalidGermError.
+
+- The total degree of a product, and every exponent, is at most MAX_DEGREE.
+- The term-by-term products formed over the whole text number at most
+  MAX_TERMS.
+- The coefficients of the two factors, numerator and common denominator
+  bits counted together, have at most MAX_BITS bits between them; so have
+  a literal, the common denominator of a sum, and the germ.
+- Parentheses nest at most MAX_NESTING deep.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
+from typing import NoReturn
 
 import sympy
-from sympy import QQ, Poly
-from sympy.parsing.sympy_parser import (
-    convert_xor,
-    parse_expr,
-    standard_transformations,
-)
+from sympy import QQ, ZZ, Poly
+from sympy.polys.densebasic import dmp_ground_p
+from sympy.polys.densetools import dmp_clear_denoms, dmp_diff_in
+from sympy.polys.euclidtools import dmp_gcd
 
 from .blowup import lct_of_branches, multiplicity
 from .errors import (
@@ -29,23 +54,193 @@ from .errors import (
     NotQuasihomogeneousError,
 )
 
-x, y = sympy.symbols("x y")
+# Limits on germ text, like blowup.DEPTH_CAP on the engine.  MAX_DEGREE
+# admits y^2 - x^201 (A_200, deeper than DEPTH_CAP); at each limit the worst
+# accepted text expands in a few milliseconds.
+MAX_DEGREE = 256
+MAX_TERMS = 50_000
+MAX_BITS = 1024
+MAX_NESTING = 50
 
-_TRANSFORMS = standard_transformations + (convert_xor,)
+x, y = sympy.symbols("x y")
 
 SMOOTH = "smooth"
 NODE = "node"
 CUSP = "cusp"
 OTHER = "other"
 
+_NUMBER = re.compile(r"[0-9]+\.?[0-9]*|\.[0-9]+")
+_TOKEN = re.compile(_NUMBER.pattern + r"|\*\*|\S")
+_INTEGER = re.compile(r"[0-9]+")
 
-def _parse_text(text: str) -> sympy.Expr:
-    cleaned = text.replace("−", "-")  # unicode minus
-    try:
-        expr = parse_expr(cleaned, local_dict={"x": x, "y": y}, transformations=_TRANSFORMS)
-    except (SyntaxError, TypeError, sympy.SympifyError) as exc:
-        raise InvalidGermError(f"cannot parse germ {text!r}: {exc}") from exc
-    return expr
+# while parsing, a polynomial is a pair (terms, den): {(a, b): int numerator}
+# over one positive common denominator, in lowest terms, no zero stored
+Expansion = tuple
+
+
+def _reduced(terms: dict, den: int) -> Expansion:
+    g = gcd(den, *terms.values())
+    if g == 1:
+        return terms, den
+    return {k: c // g for k, c in terms.items()}, den // g
+
+
+def _bits(p: Expansion) -> int:
+    terms, den = p
+    return max((abs(c).bit_length() for c in terms.values()), default=0) + den.bit_length()
+
+
+def _degree(p: Expansion) -> int:
+    return max((a + b for a, b in p[0]), default=0)
+
+
+class _Parser:
+    """One pass of recursive descent over the tokens of one germ text."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _TOKEN.findall(text.replace("−", "-"))
+        self.pos = 0
+        self.nesting = 0
+        self.products = 0
+
+    def fail(self, reason: str) -> NoReturn:
+        shown = self.text if len(self.text) <= 80 else self.text[:77] + "..."
+        raise InvalidGermError(f"cannot parse germ {shown!r}: {reason}")
+
+    def expected(self, what: str) -> NoReturn:
+        token = self.peek()
+        self.fail(f"expected {what}, found {repr(token) if token else 'the end'}")
+
+    def peek(self) -> str:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else ""
+
+    def take(self) -> str:
+        token = self.peek()
+        self.pos += 1
+        return token
+
+    def germ(self) -> dict:
+        value = self.sum()
+        if self.pos < len(self.tokens):
+            self.expected("an operator or the end")
+        if _bits(value) > MAX_BITS:
+            self.fail(f"coefficients exceed {MAX_BITS} bits")
+        terms, den = value
+        return {k: QQ(c, den) for k, c in terms.items()}
+
+    def sum(self) -> Expansion:
+        parts = [(1, self.product())]
+        while self.peek() in ("+", "-"):
+            parts.append((1 if self.take() == "+" else -1, self.product()))
+        if len(parts) == 1:
+            return parts[0][1]
+        den = 1
+        for _, (_, d) in parts:
+            den = den // gcd(den, d) * d
+            if den.bit_length() > MAX_BITS:
+                self.fail(f"a common denominator exceeds {MAX_BITS} bits")
+        out: dict = {}
+        for sign, (terms, d) in parts:  # one pass, so a long sum stays linear
+            scale = sign * (den // d)
+            for k, c in terms.items():
+                out[k] = out.get(k, 0) + c * scale
+        return _reduced({k: c for k, c in out.items() if c}, den)
+
+    def product(self) -> Expansion:
+        value = self.signed()
+        while self.peek() in ("*", "/"):
+            if self.take() == "*":
+                factor = self.signed()
+            else:  # by a nonzero constant: multiply by its inverse
+                terms, den = self.signed()
+                if set(terms) != {(0, 0)}:
+                    self.fail("division by a non-constant" if terms else "division by zero")
+                c = terms[(0, 0)]
+                factor = {(0, 0): den if c > 0 else -den}, abs(c)
+            value = self.mul(value, factor)
+        return value
+
+    def signed(self) -> Expansion:
+        sign = 1
+        while self.peek() in ("+", "-"):
+            if self.take() == "-":
+                sign = -sign
+        terms, den = self.power()
+        return (terms, den) if sign > 0 else ({k: -c for k, c in terms.items()}, den)
+
+    def power(self) -> Expansion:
+        base = self.atom()
+        exponents = []
+        while self.peek() in ("^", "**"):
+            self.take()
+            if not _INTEGER.fullmatch(self.peek()):
+                self.expected("a non-negative integer exponent")
+            token = self.take()
+            if len(token) > len(str(MAX_DEGREE)):  # before int() converts it
+                self.fail(f"exponent {token} exceeds {MAX_DEGREE}")
+            exponents.append(int(token))
+        if not exponents:
+            return base
+        n = 1
+        for e in reversed(exponents):  # right-associative: a^b^c = a^(b^c)
+            n = e**n  # at most 999**MAX_DEGREE, a small integer
+            if n > MAX_DEGREE:
+                self.fail(f"exponent {n} exceeds {MAX_DEGREE}")
+        if n == 0:
+            return {(0, 0): 1}, 1
+        result = None
+        while n:  # square and multiply
+            if n & 1:
+                result = base if result is None else self.mul(result, base)
+            n >>= 1
+            if n:
+                base = self.mul(base, base)
+        return result
+
+    def atom(self) -> Expansion:
+        token = self.take()
+        if token == "x":
+            return {(1, 0): 1}, 1
+        if token == "y":
+            return {(0, 1): 1}, 1
+        if token == "(":
+            self.nesting += 1
+            if self.nesting > MAX_NESTING:
+                self.fail(f"parentheses nest deeper than {MAX_NESTING}")
+            value = self.sum()
+            if self.peek() != ")":
+                self.expected("')'")
+            self.take()
+            self.nesting -= 1
+            return value
+        if _NUMBER.fullmatch(token):
+            if len(token) > MAX_BITS:  # before int() converts it
+                self.fail(f"a literal exceeds {MAX_BITS} bits")
+            whole, _, frac = token.partition(".")
+            num = int(whole + frac)
+            value = _reduced({(0, 0): num} if num else {}, 10 ** len(frac))
+            if _bits(value) > MAX_BITS:
+                self.fail(f"a literal exceeds {MAX_BITS} bits")
+            return value
+        self.pos -= 1
+        self.expected("x, y, a number or '('")
+
+    def mul(self, p: Expansion, q: Expansion) -> Expansion:
+        degree = _degree(p) + _degree(q)
+        if degree > MAX_DEGREE:
+            self.fail(f"degree {degree} exceeds {MAX_DEGREE}")
+        self.products += len(p[0]) * len(q[0])
+        if self.products > MAX_TERMS:
+            self.fail(f"expansion exceeds {MAX_TERMS} term products")
+        if _bits(p) + _bits(q) > MAX_BITS:
+            self.fail(f"coefficients exceed {MAX_BITS} bits")
+        out: dict = {}
+        for (a1, b1), c1 in p[0].items():
+            for (a2, b2), c2 in q[0].items():
+                k = (a1 + a2, b1 + b2)
+                out[k] = out.get(k, 0) + c1 * c2
+        return _reduced({k: c for k, c in out.items() if c}, p[1] * q[1])
 
 
 class CurveGerm:
@@ -54,9 +249,9 @@ class CurveGerm:
     def __init__(self, poly: "CurveGerm | str | sympy.Expr | Poly"):
         if isinstance(poly, CurveGerm):
             self.poly = poly.poly
+        elif isinstance(poly, str):
+            self.poly = Poly.from_dict(_Parser(poly).germ(), x, y, domain=QQ)
         else:
-            if isinstance(poly, str):
-                poly = _parse_text(poly)
             try:
                 self.poly = Poly(poly, x, y, domain=QQ)
             except (sympy.polys.polyerrors.PolynomialError,
@@ -65,9 +260,9 @@ class CurveGerm:
                 raise InvalidGermError(
                     f"not a bivariate polynomial over Q: {poly}"
                 ) from exc
-        extra = self.poly.free_symbols - {x, y}
-        if extra:
-            raise InvalidGermError(f"unexpected symbols {sorted(map(str, extra))}")
+            extra = self.poly.free_symbols - {x, y}
+            if extra:
+                raise InvalidGermError(f"unexpected symbols {sorted(map(str, extra))}")
         if self.poly.is_zero:
             raise InvalidGermError("the zero polynomial is not a germ")
         if (0, 0) in self.native_dict:
@@ -88,8 +283,12 @@ class CurveGerm:
 
     @cached_property
     def is_squarefree(self) -> bool:
-        g = self.poly.gcd(self.poly.diff(x)).gcd(self.poly.diff(y))
-        return g.total_degree() == 0
+        """gcd(f, f_x, f_y) is a constant, computed on the dense form over Z."""
+        _, f = dmp_clear_denoms(self.poly.rep.to_list(), 1, QQ, ZZ, convert=True)
+        g = dmp_gcd(f, dmp_diff_in(f, 1, 0, 1, ZZ), 1, ZZ)
+        if not dmp_ground_p(g, None, 1):
+            g = dmp_gcd(g, dmp_diff_in(f, 1, 1, 1, ZZ), 1, ZZ)
+        return dmp_ground_p(g, None, 1)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, CurveGerm) and self.poly == other.poly

@@ -1,6 +1,10 @@
 """The command-line surface: grammar, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -150,6 +154,28 @@ def test_malformed_spec_json_exits_1(call, spec):
         ("rigidity", "--x", good, "--y", json.dumps(spec)),
     ):
         assert call(*argv, expect=1).err.startswith("InvalidSurfaceError")
+
+
+MALFORMED_GERMS = [
+    "y^2-(x", "y^2 - x^3 +", "x/0", "x^-1", "x^(1/2)", "1/x", "x/y", "2^x", "sin(x)",
+    "z", "x!", "", "__import__('os').getpid()*0 + x", "(x+y)**2000",
+]
+
+
+@pytest.mark.parametrize("germ", MALFORMED_GERMS)
+def test_malformed_germ_text_exits_1(call, germ):
+    for command in ("lct-germ", "classify"):
+        assert call(command, germ, expect=1).err.startswith("InvalidGermError: ")
+
+
+def test_unbalanced_parenthesis_prints_no_traceback():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "delpezzo1.cli", "lct-germ", "y^2-(x"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 1
+    assert done.stderr.startswith("InvalidGermError: ") and "Traceback" not in done.stderr
 
 
 def test_usage_errors_exit_2(call):

@@ -1,7 +1,16 @@
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import QQ, Poly
+from sympy.parsing.sympy_parser import convert_xor, parse_expr, standard_transformations
 
 from delpezzo1.errors import (
     InvalidGermError,
@@ -11,15 +20,29 @@ from delpezzo1.errors import (
 )
 from delpezzo1.germs import (
     CUSP,
+    MAX_BITS,
+    MAX_DEGREE,
+    MAX_NESTING,
+    MAX_TERMS,
     NODE,
     OTHER,
     SMOOTH,
     CurveGerm,
     classify_germ,
+    ensure_squarefree,
     lct_quasihomogeneous,
     x,
     y,
 )
+from delpezzo1.lct import lct_germ
+
+# texts that are not germs in the grammar; each must raise InvalidGermError
+MALFORMED = [
+    "z", "x + w", "sin(x)", "1/x", "x^(1/2)", "x +* y", "",
+    "y^2-(x", "(x", "x)", "x +", "x *", "x^", "x/0", "x/(y-y)", "x^-1", "x**+2",
+    "x/y", "2^x", "x!", "x^2.0", "1e3*x", "2x", "x y", "xy", "X", "1_000*x",
+    "(x)(y)", "E1", "id", "delpezzo1.germs", "()", "x^2^3^4",
+]
 
 
 def test_parse_spec_grammar():
@@ -37,9 +60,205 @@ def test_parse_accepts_expressions_and_polys():
 
 
 def test_parse_rejects_garbage():
-    for bad in ["z", "x + w", "sin(x)", "1/x", "x^(1/2)", "x +* y", ""]:
+    for bad in MALFORMED:
         with pytest.raises(InvalidGermError):
             CurveGerm(bad)
+
+
+@pytest.mark.parametrize("bad", MALFORMED)
+def test_malformed_text_is_invalid_germ_everywhere(bad):
+    for call in (lct_germ, classify_germ, lct_quasihomogeneous):
+        with pytest.raises(InvalidGermError) as info:
+            call(bad)
+        assert type(info.value) is InvalidGermError, bad
+
+
+def test_parse_grammar_details():
+    assert CurveGerm("0.1*x") == CurveGerm("x/10")  # decimals are exact
+    assert CurveGerm(".5*x + 1.*y") == CurveGerm("1/2*x + y")
+    assert CurveGerm("x^2^3") == CurveGerm("x^8")  # right-associative
+    assert CurveGerm("-x^2 + y") == CurveGerm("y - (x^2)")  # - binds looser than ^
+    assert CurveGerm("2*-x - - y") == CurveGerm("y - 2*x")
+    assert CurveGerm("x/2/3") == CurveGerm("x/6")
+    assert CurveGerm("x/(2/3)") == CurveGerm("3/2*x")
+    assert CurveGerm("2^3*x + x^0*y") == CurveGerm("8*x + y")
+
+
+def test_text_runs_no_code():
+    with pytest.raises(InvalidGermError):
+        CurveGerm("__import__('os').getpid()*0 + x")
+    # in a fresh interpreter, a text that would exit with status 7 if evaluated
+    script = (
+        "from delpezzo1.errors import InvalidGermError\n"
+        "from delpezzo1.germs import CurveGerm\n"
+        "try:\n"
+        "    CurveGerm(\"__import__('sys').exit(7)*0 + x\")\n"
+        "except InvalidGermError:\n"
+        "    print('rejected')\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert (done.returncode, done.stdout) == (0, "rejected\n"), done.stderr
+
+
+def _parse_seconds(text):
+    start = time.perf_counter()
+    try:
+        CurveGerm(text)
+    except InvalidGermError:
+        return time.perf_counter() - start, False
+    return time.perf_counter() - start, True
+
+
+def test_huge_power_is_refused_at_once():
+    seconds, accepted = _parse_seconds("(x+y)**2000")
+    assert not accepted and seconds < 0.05
+
+
+def _largest_accepted(template):
+    """The largest k (from 1) for which template.format(k) parses, and the next one."""
+    k = 1
+    while _parse_seconds(template.format(k + 1))[1]:
+        k += 1
+    return template.format(k), template.format(k + 1)
+
+
+@pytest.mark.parametrize("template", [
+    "(x+y)^{}",  # degree
+    "(x+y+1)^{} - 1",  # term products
+    "(x^2+x*y+y^2+x+y+1)^{} - 1",
+    "(123456789*x + 987654321*y + 1)^{} - 1",  # coefficient bits
+    "x*" + "(x+y)*" * 5 + "(x - y)^{}",
+    "y^{}*" + "(3/7*x+y)",
+])
+def test_worst_accepted_input_at_each_limit_parses_quickly(template):
+    worst, beyond = _largest_accepted(template)
+    seconds, accepted = _parse_seconds(worst)
+    assert accepted and seconds < 0.25, (worst, seconds)
+    seconds, accepted = _parse_seconds(beyond)
+    assert not accepted and seconds < 0.25, (beyond, seconds)
+
+
+_MONOMIALS = [(a, d - a) for d in range(1, 60) for a in range(d + 1)][:1000]
+
+
+@pytest.mark.parametrize("text, accepted", [
+    pytest.param(f"(x+y)^{MAX_DEGREE}", True, id="degree-at-limit"),
+    pytest.param(f"(x+y)^{MAX_DEGREE}*x", False, id="degree-over-limit"),
+    pytest.param("((x+y)^9)^9", True, id="nested-power"),
+    pytest.param("((x+y)^16)^16", True, id="nested-power-at-limit"),
+    pytest.param("((x+y)^16)^17", False, id="nested-power-over-limit"),
+    pytest.param("x^2^2^2", True, id="tower"),
+    pytest.param("x^2^3^2", False, id="tower-over-limit"),
+    pytest.param("(" * MAX_NESTING + "x" + ")" * MAX_NESTING, True, id="nesting-at-limit"),
+    pytest.param("(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1), False,
+                 id="nesting-over-limit"),
+    pytest.param("-" * 10_000 + "x", True, id="many-signs"),
+    pytest.param("+".join(f"{a + 1}/{b + 2}*x^{a}*y^{b}" for a, b in _MONOMIALS), True,
+                 id="long-sum"),
+    pytest.param("+".join(["(x+y+1)^8 - 1"] * (MAX_TERMS // 1000)), True, id="many-products"),
+    pytest.param("+".join(["(x+y+1)^8 - 1"] * (MAX_TERMS // 100)), False,
+                 id="products-over-limit"),
+    pytest.param("9" * (MAX_BITS // 4) + "*x", True, id="long-literal"),
+    pytest.param("9" * MAX_BITS + "*x", False, id="literal-over-limit"),
+    pytest.param("9" * 100_000 + "*x", False, id="huge-literal"),
+    pytest.param(f"x/3^{MAX_BITS // 2}", False, id="denominator-over-limit"),
+    pytest.param("+".join(f"x/{p}" for p in range(2, 2000)), False,
+                 id="common-denominator-over-limit"),
+    pytest.param("y - x^201", True, id="A200"),
+    pytest.param("y^2 - x^159", True, id="past-the-depth-cap"),
+])
+def test_limits(text, accepted):
+    seconds, ok = _parse_seconds(text)
+    assert ok == accepted and seconds < 0.25, seconds
+
+
+# -- the parser against sympy's parse_expr as an oracle (tests only) ---------
+
+_ORACLE = standard_transformations + (convert_xor,)
+
+
+def _oracle_dict(text):
+    expr = parse_expr(text, local_dict={"x": x, "y": y}, transformations=_ORACLE)
+    return Poly(expr, x, y, domain=QQ).as_dict(native=True)
+
+
+coefficients = st.builds(
+    Fraction, st.integers(-60, 60).filter(bool), st.integers(1, 40)
+)
+monomials = st.tuples(st.integers(0, 7), st.integers(0, 7)).filter(lambda m: m != (0, 0))
+germ_dicts = st.dictionaries(monomials, coefficients, min_size=1, max_size=8)
+
+
+def _caret(d):
+    """Terms such as "- 3/7*x^2*y", with plain a/b coefficients."""
+    parts = []
+    for (a, b), c in sorted(d.items()):
+        factors = [f"{abs(c.numerator)}/{c.denominator}"]
+        factors += [f"x^{a}"] * (a > 0) + [f"y^{b}"] * (b > 0)
+        parts.append(("- " if c < 0 else "+ ") + "*".join(factors))
+    return " ".join(parts)
+
+
+@st.composite
+def _noisy(draw, d):
+    """The same polynomial with redundant parentheses and unary signs."""
+    parts = []
+    for (a, b), c in sorted(d.items()):
+        sign = draw(st.sampled_from(["", "+", "--", "-(-", "(+"]))
+        closing = ")" * sign.count("(")
+        coeff = f"({c.numerator})/({c.denominator})"
+        factors = [coeff] + [f"(x)**{a}"] * (a > 0) + [f"((y))^{b}"] * (b > 0)
+        parts.append(f"{sign}{'*'.join(factors)}{closing}")
+    return " + ".join(parts)
+
+
+@settings(deadline=None, max_examples=150)
+@given(germ_dicts, st.data())
+def test_parser_agrees_with_sympy_and_round_trips(d, data):
+    expected = Poly.from_dict(d, x, y, domain=QQ)
+    if expected.is_zero:
+        return
+    texts = [sympy.sstr(expected.as_expr()), _caret(d), data.draw(_noisy(d))]
+    for text in texts:
+        germ = CurveGerm(text)
+        assert germ.native_dict == _oracle_dict(text) == expected.as_dict(native=True), text
+        assert CurveGerm(str(germ)) == germ
+
+
+# -- the dense squarefree test against Poly.gcd ------------------------------
+
+
+def _gcd_squarefree(germ):
+    p = germ.poly
+    return p.gcd(p.diff(x)).gcd(p.diff(y)).total_degree() == 0
+
+
+small_polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), coefficients, min_size=1, max_size=4
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(germ_dicts, small_polys, small_polys, coefficients)
+def test_dense_squarefree_agrees_with_poly_gcd(d, f, g, c):
+    f = Poly.from_dict(f, x, y, domain=QQ)
+    g = Poly.from_dict(g, x, y, domain=QQ)
+    for poly in [Poly.from_dict(d, x, y, domain=QQ), f * g,
+                 f**2 * g * x, c * f**2 * y, c * (f - f.coeff_monomial(1))**2]:
+        if poly.is_zero or poly.coeff_monomial(1) != 0:
+            continue
+        germ = CurveGerm(poly.as_expr())
+        expected = _gcd_squarefree(germ)
+        assert germ.is_squarefree == expected, poly
+        if expected:
+            assert ensure_squarefree(germ) is germ
+        else:
+            with pytest.raises(NonSquarefreeError):
+                ensure_squarefree(germ)
 
 
 def test_zero_polynomial_rejected():

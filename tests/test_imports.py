@@ -2,7 +2,9 @@
 
 No module of the package imports a private name of another, and the
 combinatorial core (with the CLI) imports neither sympy nor the germ engine
-at module level, so that importing it never loads sympy.
+at module level, so that importing it never loads sympy.  No module turns
+text into code: none imports sympy's parse_expr or sympify, or calls eval or
+exec.
 """
 
 import ast
@@ -85,4 +87,62 @@ def test_engine_import_guard_names_the_offending_line():
         "m.py:4 imports delpezzo1.germs",
         "m.py:6 imports delpezzo1.lct",
         "m.py:10 imports delpezzo1.blowup",
+    ]
+
+
+STRING_EVALUATORS = ("parse_expr", "sympify")
+CODE_RUNNERS = ("eval", "exec")
+
+
+def _text_evaluation(source, filename):
+    """Lines that import a sympy text evaluator or call eval or exec."""
+    nodes = ast.walk(ast.parse(source, filename=filename))
+    for node in sorted(nodes, key=lambda n: getattr(n, "lineno", 0)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute) and node.attr in STRING_EVALUATORS:
+            yield f"{filename}:{node.lineno} uses {node.attr}"
+            continue
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in CODE_RUNNERS:
+                yield f"{filename}:{node.lineno} calls {name}"
+            continue
+        else:
+            continue
+        for name in names:
+            if name in STRING_EVALUATORS or name.startswith("sympy.parsing"):
+                yield f"{filename}:{node.lineno} imports {name}"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_evaluates_text(path):
+    assert list(_text_evaluation(path.read_text(), path.name)) == []
+
+
+def test_text_evaluation_guard_names_the_offending_line():
+    source = "\n".join([
+        "import sympy",
+        "from sympy.parsing.sympy_parser import (",
+        "    convert_xor,",
+        "    parse_expr,",
+        ")",
+        "from sympy import sympify, Poly",
+        "import sympy.parsing.sympy_parser",
+        "expr = sympy.sympify(text)",
+        "value = eval(text)",
+        "builtins.exec(code)",
+        "tree = expr.evalf(40)",
+    ])
+    assert list(_text_evaluation(source, "m.py")) == [
+        "m.py:2 imports sympy.parsing.sympy_parser",
+        "m.py:2 imports parse_expr",
+        "m.py:6 imports sympify",
+        "m.py:7 imports sympy.parsing.sympy_parser",
+        "m.py:8 uses sympify",
+        "m.py:9 calls eval",
+        "m.py:10 calls exec",
     ]
