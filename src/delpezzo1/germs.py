@@ -25,9 +25,11 @@ the parser run long.  Going over a limit raises InvalidGermError.
 - The total degree of a product, and every exponent, is at most MAX_DEGREE.
 - The term-by-term products formed over the whole text number at most
   MAX_TERMS.
-- The coefficients of the two factors, numerator and common denominator
-  bits counted together, have at most MAX_BITS bits between them; so have
-  a literal, the common denominator of a sum, and the germ.
+- The coefficients of the two factors, the bits of the largest numerator
+  and of the common denominator counted together, have at most MAX_BITS
+  bits between them; so have a literal and the common denominator of a sum.
+  Sums are linear in the text, so the germ itself has no bit limit, as for
+  a germ built from a sympy expression.
 - Parentheses nest at most MAX_NESTING deep.
 """
 
@@ -36,7 +38,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 from typing import NoReturn
 
 import sympy
@@ -56,7 +58,7 @@ from .errors import (
 
 # Limits on germ text, like blowup.DEPTH_CAP on the engine.  MAX_DEGREE
 # admits y^2 - x^201 (A_200, deeper than DEPTH_CAP); at each limit the worst
-# accepted text expands in a few milliseconds.
+# accepted text expands in a few tens of milliseconds.
 MAX_DEGREE = 256
 MAX_TERMS = 50_000
 MAX_BITS = 1024
@@ -73,25 +75,17 @@ _NUMBER = re.compile(r"[0-9]+\.?[0-9]*|\.[0-9]+")
 _TOKEN = re.compile(_NUMBER.pattern + r"|\*\*|\S")
 _INTEGER = re.compile(r"[0-9]+")
 
-# while parsing, a polynomial is a pair (terms, den): {(a, b): int numerator}
-# over one positive common denominator, in lowest terms, no zero stored
-Expansion = tuple
+# while parsing, a polynomial is a dict {(a, b): QQ coefficient}, no zero stored
 
 
-def _reduced(terms: dict, den: int) -> Expansion:
-    g = gcd(den, *terms.values())
-    if g == 1:
-        return terms, den
-    return {k: c // g for k, c in terms.items()}, den // g
+def _bits(p: dict) -> int:
+    """Bits of the largest numerator plus those of the common denominator."""
+    num = max([abs(c.numerator) for c in p.values()], default=0)
+    return num.bit_length() + lcm(*[c.denominator for c in p.values()]).bit_length()
 
 
-def _bits(p: Expansion) -> int:
-    terms, den = p
-    return max((abs(c).bit_length() for c in terms.values()), default=0) + den.bit_length()
-
-
-def _degree(p: Expansion) -> int:
-    return max((a + b for a, b in p[0]), default=0)
+def _degree(p: dict) -> int:
+    return max((a + b for a, b in p), default=0)
 
 
 class _Parser:
@@ -124,52 +118,45 @@ class _Parser:
         value = self.sum()
         if self.pos < len(self.tokens):
             self.expected("an operator or the end")
-        if _bits(value) > MAX_BITS:
-            self.fail(f"coefficients exceed {MAX_BITS} bits")
-        terms, den = value
-        return {k: QQ(c, den) for k, c in terms.items()}
+        return value
 
-    def sum(self) -> Expansion:
-        parts = [(1, self.product())]
+    def sum(self) -> dict:
+        value = self.product()
+        den = lcm(*(c.denominator for c in value.values()))
+        out = dict(value)
         while self.peek() in ("+", "-"):
-            parts.append((1 if self.take() == "+" else -1, self.product()))
-        if len(parts) == 1:
-            return parts[0][1]
-        den = 1
-        for _, (_, d) in parts:
-            den = den // gcd(den, d) * d
+            sign = 1 if self.take() == "+" else -1
+            value = self.product()
+            # bounds the size, hence the cost, of every addition below
+            den = lcm(den, *(c.denominator for c in value.values()))
             if den.bit_length() > MAX_BITS:
                 self.fail(f"a common denominator exceeds {MAX_BITS} bits")
-        out: dict = {}
-        for sign, (terms, d) in parts:  # one pass, so a long sum stays linear
-            scale = sign * (den // d)
-            for k, c in terms.items():
-                out[k] = out.get(k, 0) + c * scale
-        return _reduced({k: c for k, c in out.items() if c}, den)
+            for k, c in value.items():
+                out[k] = out.get(k, 0) + sign * c
+        return {k: c for k, c in out.items() if c}
 
-    def product(self) -> Expansion:
+    def product(self) -> dict:
         value = self.signed()
         while self.peek() in ("*", "/"):
             if self.take() == "*":
                 factor = self.signed()
             else:  # by a nonzero constant: multiply by its inverse
-                terms, den = self.signed()
-                if set(terms) != {(0, 0)}:
-                    self.fail("division by a non-constant" if terms else "division by zero")
-                c = terms[(0, 0)]
-                factor = {(0, 0): den if c > 0 else -den}, abs(c)
+                divisor = self.signed()
+                if set(divisor) != {(0, 0)}:
+                    self.fail("division by a non-constant" if divisor else "division by zero")
+                factor = {(0, 0): 1 / divisor[(0, 0)]}
             value = self.mul(value, factor)
         return value
 
-    def signed(self) -> Expansion:
+    def signed(self) -> dict:
         sign = 1
         while self.peek() in ("+", "-"):
             if self.take() == "-":
                 sign = -sign
-        terms, den = self.power()
-        return (terms, den) if sign > 0 else ({k: -c for k, c in terms.items()}, den)
+        value = self.power()
+        return value if sign > 0 else {k: -c for k, c in value.items()}
 
-    def power(self) -> Expansion:
+    def power(self) -> dict:
         base = self.atom()
         exponents = []
         while self.peek() in ("^", "**"):
@@ -188,7 +175,7 @@ class _Parser:
             if n > MAX_DEGREE:
                 self.fail(f"exponent {n} exceeds {MAX_DEGREE}")
         if n == 0:
-            return {(0, 0): 1}, 1
+            return {(0, 0): QQ(1)}
         result = None
         while n:  # square and multiply
             if n & 1:
@@ -198,12 +185,12 @@ class _Parser:
                 base = self.mul(base, base)
         return result
 
-    def atom(self) -> Expansion:
+    def atom(self) -> dict:
         token = self.take()
         if token == "x":
-            return {(1, 0): 1}, 1
+            return {(1, 0): QQ(1)}
         if token == "y":
-            return {(0, 1): 1}, 1
+            return {(0, 1): QQ(1)}
         if token == "(":
             self.nesting += 1
             if self.nesting > MAX_NESTING:
@@ -218,29 +205,29 @@ class _Parser:
             if len(token) > MAX_BITS:  # before int() converts it
                 self.fail(f"a literal exceeds {MAX_BITS} bits")
             whole, _, frac = token.partition(".")
-            num = int(whole + frac)
-            value = _reduced({(0, 0): num} if num else {}, 10 ** len(frac))
+            c = QQ(int(whole + frac), 10 ** len(frac))
+            value = {(0, 0): c} if c else {}
             if _bits(value) > MAX_BITS:
                 self.fail(f"a literal exceeds {MAX_BITS} bits")
             return value
         self.pos -= 1
         self.expected("x, y, a number or '('")
 
-    def mul(self, p: Expansion, q: Expansion) -> Expansion:
+    def mul(self, p: dict, q: dict) -> dict:
         degree = _degree(p) + _degree(q)
         if degree > MAX_DEGREE:
             self.fail(f"degree {degree} exceeds {MAX_DEGREE}")
-        self.products += len(p[0]) * len(q[0])
+        self.products += len(p) * len(q)
         if self.products > MAX_TERMS:
             self.fail(f"expansion exceeds {MAX_TERMS} term products")
         if _bits(p) + _bits(q) > MAX_BITS:
             self.fail(f"coefficients exceed {MAX_BITS} bits")
         out: dict = {}
-        for (a1, b1), c1 in p[0].items():
-            for (a2, b2), c2 in q[0].items():
+        for (a1, b1), c1 in p.items():
+            for (a2, b2), c2 in q.items():
                 k = (a1 + a2, b1 + b2)
                 out[k] = out.get(k, 0) + c1 * c2
-        return _reduced({k: c for k, c in out.items() if c}, p[1] * q[1])
+        return {k: c for k, c in out.items() if c}
 
 
 class CurveGerm:

@@ -165,7 +165,8 @@ _MONOMIALS = [(a, d - a) for d in range(1, 60) for a in range(d + 1)][:1000]
     pytest.param("9" * (MAX_BITS // 4) + "*x", True, id="long-literal"),
     pytest.param("9" * MAX_BITS + "*x", False, id="literal-over-limit"),
     pytest.param("9" * 100_000 + "*x", False, id="huge-literal"),
-    pytest.param(f"x/3^{MAX_BITS // 2}", False, id="denominator-over-limit"),
+    pytest.param("x/3^200/3^200/3^200", True, id="denominator-at-limit"),
+    pytest.param("x/3^200/3^200/3^200/3^200", False, id="denominator-over-limit"),
     pytest.param("+".join(f"x/{p}" for p in range(2, 2000)), False,
                  id="common-denominator-over-limit"),
     pytest.param("y - x^201", True, id="A200"),
@@ -227,6 +228,13 @@ def test_parser_agrees_with_sympy_and_round_trips(d, data):
         germ = CurveGerm(text)
         assert germ.native_dict == _oracle_dict(text) == expected.as_dict(native=True), text
         assert CurveGerm(str(germ)) == germ
+
+
+def test_round_trip_holds_past_the_bit_limit_over_a_common_denominator():
+    # over the common denominator 3^200, the x coefficient has 1237 bits;
+    # no multiplication in its text does, so the text is within the limits
+    germ = CurveGerm(2**600 * x + y / 3**200)
+    assert CurveGerm(str(germ)) == germ
 
 
 # -- the dense squarefree test against Poly.gcd ------------------------------
