@@ -8,11 +8,16 @@ numbers); nothing here floats.
 
 Importing the package loads only the combinatorial core (dynkin, cycles,
 surfaces, rigidity, errors), which needs integers and Fraction alone.  The
-germ engine needs sympy, so its public names -- CurveGerm, classify_germ,
-lct_quasihomogeneous (from germs) and germ_blowup_tree, lct_config, lct_germ,
-lct_weighted_germs (from lct) -- are resolved on first use: reading one of
-them imports its submodule, and sympy with it.  The engine's submodules
-(germs, blowup, lct) are package attributes the same way.
+germ engine's public names -- CurveGerm, classify_germ, lct_quasihomogeneous
+(from germs) and germ_blowup_tree, lct_config, lct_germ, lct_weighted_germs
+(from lct) -- are resolved on first use: reading one of them imports its
+submodule and binds that submodule's names.  The engine's submodules (germs,
+blowup, lct) are package attributes the same way.
+
+sympy is loaded by germs, for germ text and squarefree tests, and by blowup
+when a line restriction of degree >= 2 is factored or a point needs an
+algebraic number field.  lct_config and the blowup of rational local models
+need neither, so reading lct_config, or calling it, leaves sympy unloaded.
 """
 
 import importlib
@@ -136,7 +141,7 @@ __all__ = [
     "validate",
 ]
 
-# the sympy-backed germ engine, and its public names -> the submodule owning them
+# the germ engine, and its public names -> the submodule owning them
 _ENGINE_MODULES = ("germs", "blowup", "lct")
 _LAZY = {
     "CurveGerm": "germs",
@@ -154,11 +159,12 @@ def __getattr__(name: str):
         return importlib.import_module(f".{name}", __name__)
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    # Bind all seven names at once, as the eager imports did: later reads are
-    # plain lookups, and whichever name is read first, a tool that patches one
-    # of them in its submodule afterwards finds the original bound here too.
-    for lazy, module in _LAZY.items():
-        globals()[lazy] = getattr(importlib.import_module(f".{module}", __name__), lazy)
+    # Bind every name of the submodule that was read, so that later reads are
+    # plain lookups; the other submodule stays unimported (lct needs no sympy).
+    module = importlib.import_module(f".{_LAZY[name]}", __name__)
+    for lazy, owner in _LAZY.items():
+        if owner == _LAZY[name]:
+            globals()[lazy] = getattr(module, lazy)
     return globals()[name]
 
 

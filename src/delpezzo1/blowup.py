@@ -10,13 +10,17 @@ order m_E of the total transform.  The log canonical threshold is then
     lct = min( min_i 1/w_i , min_E (k_E + 1)/m_E ).
 
 Polynomials are stored as dicts {(deg_x, deg_y): coefficient} with
-coefficients in a sympy domain K (Q, or an algebraic number field when an
-infinitely-near point has irrational coordinates).  Points on one
-exceptional line are enumerated as Galois orbits: each irreducible factor
-of the restriction of the transform to the line is one cluster, blown up
-once on behalf of all its conjugate points, which carry identical (k, m)
-data.  A field extension is introduced only when a cluster of degree >= 2
-genuinely needs deeper resolution.
+coefficients in a field K: Q, whose elements are Fractions, or a sympy
+algebraic number field when an infinitely-near point has irrational
+coordinates.  Points on one exceptional line are enumerated as Galois
+orbits: each irreducible factor of the restriction of the transform to the
+line is one cluster, blown up once on behalf of all its conjugate points,
+which carry identical (k, m) data.  A field extension is introduced only
+when a cluster of degree >= 2 genuinely needs deeper resolution.
+
+Over Q the engine needs no sympy: the power of v and a linear remainder are
+split off a line restriction exactly, and sympy is imported only to factor
+a remainder of degree >= 2 and to build and use algebraic number fields.
 """
 
 from __future__ import annotations
@@ -26,20 +30,39 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Sequence
 
-import sympy
-from sympy import QQ, Poly
-from sympy.polys.domains import Domain
-
 from .errors import DepthExceededError, InvalidGermError
 
 DEPTH_CAP = 64
 
-_v = sympy.Symbol("_v")
-_z = sympy.Symbol("_z")
-_T = sympy.Symbol("_T")
+
+class _Rationals:
+    """The field Q with Fraction elements, in the role of a sympy domain."""
+
+    one = Fraction(1)
+    zero = Fraction(0)
+
+    @staticmethod
+    def convert(c: int) -> Fraction:
+        return Fraction(c)
+
+
+Q = _Rationals()
+
+
+def _rational(c: Any) -> Fraction:
+    """A rational number (int, Fraction, sympy QQ) as a Fraction."""
+    try:
+        return Fraction(c.numerator, c.denominator)
+    except (AttributeError, TypeError) as exc:
+        raise InvalidGermError(f"coefficient {c!r} is not rational") from exc
+
 
 # a polynomial is a dict {(a, b): coeff} with coeff a nonzero element of K
 PolyDict = dict
+Domain = Any  # Q, or a sympy algebraic field
+# An irreducible factor on an exceptional line: over Q a linear factor v - r
+# is its root r, a Fraction; any other factor is a monic sympy Poly in _v.
+Factor = Any
 
 Weighted = tuple  # (PolyDict, int weight)
 Exceptional = tuple  # (PolyDict, int k, int m)
@@ -143,36 +166,77 @@ def _shift_y(d: PolyDict, theta: Any, K: Domain) -> PolyDict:
     return {k: c for k, c in out.items() if c}
 
 
-def _factor_on_line(ud: dict[int, Any], K: Domain) -> list[tuple[Poly, int]]:
-    """Monic irreducible factors (with multiplicity) of a univariate dict over K."""
-    if not ud or max(ud) == 0:
-        return []
-    p = Poly.from_dict({(b,): c for b, c in ud.items()}, _v, domain=K)
+def _sympy_factors(ud: dict[int, Any], K: Domain) -> list[tuple[Any, int]]:
+    """Monic irreducible factors (with multiplicity) of a univariate dict, by sympy."""
+    from sympy import Poly, Symbol
+
+    p = Poly.from_dict({(b,): c for b, c in ud.items()}, Symbol("_v"), domain=K)
     _, factors = p.factor_list()
     return [(f.monic(), e) for f, e in factors if f.degree() >= 1]
 
 
-def _linear_root(p: Poly, K: Domain) -> Any:
+def _factor_on_line(ud: dict[int, Any], K: Domain) -> list[tuple[Factor, int]]:
+    """Irreducible factors (with multiplicity) of a univariate dict over K.
+
+    Over Q, v^k and a linear remainder a v + b are split off exactly; only a
+    remainder of degree >= 2 goes to sympy, and each linear factor it returns
+    becomes its root, so one point is one key whichever route found it.
+    """
+    if not ud or max(ud) == 0:
+        return []
+    if K is not Q:
+        return _sympy_factors(ud, K)
+    k = min(ud)
+    factors: list[tuple[Factor, int]] = [(Fraction(0), k)] if k else []
+    top = max(ud) - k
+    if top == 1:
+        factors.append((-ud[k] / ud[k + 1], 1))
+    elif top >= 2:
+        from sympy import QQ
+
+        rest = {b - k: QQ(c.numerator, c.denominator) for b, c in ud.items()}
+        for f, e in _sympy_factors(rest, QQ):
+            factors.append((_rational(_linear_root(f, QQ)) if f.degree() == 1 else f, e))
+    return factors
+
+
+def _order(p: Factor) -> tuple[int, str]:
+    """Sibling order of clusters: by degree, then by the factor as sympy prints it."""
+    if isinstance(p, Fraction):
+        if not p:
+            return 1, "_v"
+        return 1, f"_v - {p}" if p > 0 else f"_v + {-p}"
+    return p.degree(), str(p.as_expr())
+
+
+def _linear_root(p: Any, K: Domain) -> Any:
     coeffs = p.as_dict(native=True)
     c0 = coeffs.get((0,), K.zero)
     return -c0  # p is monic: v + c0
 
 
-def _extend_qq(p: Poly) -> tuple[Any, Domain, Callable[[Any], Any]]:
+def _extend_qq(p: Any) -> tuple[Any, Domain, Callable[[Any], Any]]:
     """Field extension for an irreducible cluster over Q."""
+    import sympy
+    from sympy import QQ
+
     theta_expr = sympy.CRootOf(p.as_expr(), 0)
     K2 = QQ.algebraic_field(theta_expr)
     theta = K2.from_sympy(theta_expr)
     return theta, K2, lambda c: K2.convert(c, QQ)
 
 
-def _extend_tower(p: Poly, K: Domain) -> tuple[Any, Domain, Callable[[Any], Any]]:
+def _extend_tower(p: Any, K: Domain) -> tuple[Any, Domain, Callable[[Any], Any]]:
     """Field extension for an irreducible cluster over an algebraic field K.
 
     A root of p is located inside a primitive-element tower Q(gamma, theta)
     by factoring the norm of p down to Q and testing candidate roots
     exactly.
     """
+    import sympy
+    from sympy import QQ
+
+    _z, _T = sympy.symbols("_z _T")
     gamma_expr = K.ext.as_expr()
     # lift p to Q[z, T], z standing for gamma
     lifted = sympy.Integer(0)
@@ -209,10 +273,12 @@ def _extend_tower(p: Poly, K: Domain) -> tuple[Any, Domain, Callable[[Any], Any]
     raise InvalidGermError("could not realize an infinitely-near point in a number field")
 
 
-def _cluster_point(p: Poly, K: Domain) -> tuple[Any, Domain, Callable[[Any], Any]]:
+def _cluster_point(p: Factor, K: Domain) -> tuple[Any, Domain, Callable[[Any], Any]]:
+    if isinstance(p, Fraction):
+        return p, K, lambda c: c
     if p.degree() == 1:
         return _linear_root(p, K), K, lambda c: c
-    if K == QQ:
+    if K is Q:
         return _extend_qq(p)
     return _extend_tower(p, K)
 
@@ -260,12 +326,12 @@ def _resolve(
     objects = [d for d, _ in s_curves] + [d for d, _, _ in s_excs]
     factorizations = [dict(_factor_on_line(_restrict1(d), K)) for d in objects]
 
-    clusters: dict[Poly, list[tuple[int, int]]] = {}
+    clusters: dict[Factor, list[tuple[int, int]]] = {}
     for idx, fac in enumerate(factorizations):
         for p, e in fac.items():
             clusters.setdefault(p, []).append((idx, e))
 
-    for p in sorted(clusters, key=lambda q: (q.degree(), str(q.as_expr()))):
+    for p in sorted(clusters, key=_order):
         through = clusters[p]
         if len(through) == 1 and through[0][1] == 1:
             # one branch crossing the exceptional line simply: the branch is
@@ -315,11 +381,12 @@ def _resolve(
 
 
 def _validated(branches: Sequence[tuple[PolyDict, int]]) -> list[Weighted]:
+    """The branches with their coefficients as Fractions, checked."""
     if not branches:
         raise InvalidGermError("at least one branch is required")
     cleaned = []
     for d, w in branches:
-        d = {k: c for k, c in d.items() if c}
+        d = {k: _rational(c) for k, c in d.items() if c}
         if not d:
             raise InvalidGermError("zero polynomial is not a branch")
         if (0, 0) in d:
@@ -334,10 +401,10 @@ def blowup_tree(branches: Sequence[tuple[PolyDict, int]]) -> list[BlowupNode]:
     """Resolution tree of the weighted union of branches at the origin.
 
     Returns the root-level nodes (empty when the union is already SNC).
-    Branch dicts use rational (sympy QQ) coefficients.
+    Branch dicts have rational coefficients: int, Fraction or sympy QQ.
     """
     cleaned = _validated(branches)
-    root = _resolve(cleaned, [], QQ, 0)
+    root = _resolve(cleaned, [], Q, 0)
     return [] if root is None else [root]
 
 

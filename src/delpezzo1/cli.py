@@ -5,9 +5,10 @@ stderr.  Exit status 0 on success, 1 on domain errors, 2 on usage errors.
 Every subcommand takes --json for machine-readable output carrying the
 same values as the text form.  Handlers return library results and run()
 alone renders them: the text form is str(result), the JSON form is
-result.as_dict(), or a one-key object for a plain value.  Only lct-germ,
-lct-config and classify import the sympy-backed germ engine, inside their
-handlers, so the other subcommands never load sympy.
+result.as_dict(), or a one-key object for a plain value.  lct-germ,
+lct-config and classify import the germ engine inside their handlers; of
+these only lct-germ and classify load sympy (through germs), so lct-config
+and every other subcommand run without it.
 """
 
 from __future__ import annotations

@@ -11,9 +11,10 @@ degenerate elliptic curve and matches one of Kodaira's fiber types.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
-from .dynkin import DynkinType, adjacency, intersection_matrix, parse_dynkin
+from .dynkin import ALL_TYPES, DynkinType, adjacency, as_dynkin, intersection_matrix
 from .errors import (
     InvalidConfigurationError,
     NonTerminationError,
@@ -94,23 +95,32 @@ def fundamental_cycle(t: DynkinType | str, start: int = 1) -> FundamentalCycle:
     """The minimal positive cycle Gamma with Gamma . E_j <= 0 for all j.
 
     `start` selects the initial curve (1-based); the result is independent
-    of it, which the test suite checks exhaustively.
+    of it, which the test suite checks exhaustively.  Each (type, start) is
+    computed once.
     """
-    if isinstance(t, str):
-        t = parse_dynkin(t)
+    t = as_dynkin(t)
     if not 1 <= start <= t.rank:
         raise ValueError(f"start node must be in 1..{t.rank}")
+    return _fundamental_cycle(t, start)
+
+
+@lru_cache(maxsize=8 * len(ALL_TYPES))
+def _fundamental_cycle(t: DynkinType, start: int) -> FundamentalCycle:
     m = intersection_matrix(t)
     return FundamentalCycle(t, tuple(_laufer(m.entries, start - 1)))
 
 
 def attachment_vector(t: DynkinType | str) -> AttachmentVector:
     """d_j = D~ . E_j, determined by d = -(M a)."""
-    if isinstance(t, str):
-        t = parse_dynkin(t)
+    t = as_dynkin(t)
     m = intersection_matrix(t)
     a = fundamental_cycle(t).coeffs
     return AttachmentVector(t, tuple(-v for v in m.dot(a)))
+
+
+def _require_int(value: object, what: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidConfigurationError(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -120,6 +130,7 @@ class Component:
     kind: str
 
     def __post_init__(self) -> None:
+        _require_int(self.multiplicity, "component multiplicity")
         if self.multiplicity < 1:
             raise InvalidConfigurationError("component multiplicity must be positive")
         if self.kind not in (STRICT_TRANSFORM, EXCEPTIONAL):
@@ -145,6 +156,7 @@ class Meeting:
     cuspidal: bool = False
 
     def __post_init__(self) -> None:
+        _require_int(self.contact, "contact order")
         if self.cuspidal:
             if len(self.members) != 1 or self.contact != 1:
                 raise InvalidConfigurationError(
@@ -260,14 +272,18 @@ def build_configuration(
         return AnticanonicalConfiguration((d_comp,), (Meeting(("D",), cuspidal=True),))
 
     t, variant = points[0]
-    if isinstance(t, str):
-        t = parse_dynkin(t)
+    t = as_dynkin(t)
     if variant not in allowed_variants(t):
         raise VariantMismatchError(
             f"variant {variant!r} is not defined for {t.label}; "
             f"allowed: {allowed_variants(t)}"
         )
+    return _point_configuration(t, variant)
 
+
+@lru_cache(maxsize=len(ALL_TYPES) + 2)  # A1 and A2 have two variants each
+def _point_configuration(t: DynkinType, variant: str) -> AnticanonicalConfiguration:
+    """The configuration of a D through one point of type t, built once per (t, variant)."""
     cyc = fundamental_cycle(t)
     att = attachment_vector(t)
     components = [Component("D", 1, STRICT_TRANSFORM)]

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import MalformedLabelError, NotSymmetricError, OutOfRangeError
 
@@ -129,12 +130,23 @@ class IntersectionMatrix:
         return "\n".join(" ".join(map(str, row)) for row in self.entries)
 
 
-def intersection_matrix(t: DynkinType) -> IntersectionMatrix:
+def as_dynkin(t: DynkinType | str) -> DynkinType:
+    """A DynkinType as given, or parsed from its label."""
+    return t if isinstance(t, DynkinType) else parse_dynkin(t)
+
+
+def intersection_matrix(t: DynkinType | str) -> IntersectionMatrix:
     """Intersection matrix of the exceptional curves of the minimal resolution.
 
     Diagonal entries are -2 (each exceptional curve is a (-2)-curve); the
     (i, j) entry is 1 exactly when nodes i and j are adjacent in the diagram.
+    `t` is a DynkinType or its label; the matrix is built once per type.
     """
+    return _intersection_matrix(as_dynkin(t))
+
+
+@lru_cache(maxsize=len(ALL_TYPES))
+def _intersection_matrix(t: DynkinType) -> IntersectionMatrix:
     n = t.rank
     adj = adjacency(t)
     rows = [

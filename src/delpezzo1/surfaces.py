@@ -32,7 +32,7 @@ from .cycles import (
     KodairaLabel,
     build_configuration,
 )
-from .dynkin import ALL_TYPES, DynkinType, parse_dynkin
+from .dynkin import ALL_TYPES, DynkinType, as_dynkin, parse_dynkin
 from .errors import InvalidSurfaceError
 
 # worst cuspidal behavior over the members of |-K_S|
@@ -43,10 +43,6 @@ CUSP_AT_A2 = "A2"
 CUSP_DATA = (NO_CUSPIDAL_MEMBER, CUSP_AT_SMOOTH_POINT, CUSP_AT_A1, CUSP_AT_A2)
 
 MAX_RANK_SUM = 8  # the minimal resolution has Picard rank 9
-
-
-def _as_type(t: DynkinType | str) -> DynkinType:
-    return t if isinstance(t, DynkinType) else parse_dynkin(t)
 
 
 @dataclass(frozen=True)
@@ -61,7 +57,7 @@ class SurfaceSpec:
         singularities: Iterable[DynkinType | str] = (),
         cusp_data: str = NO_CUSPIDAL_MEMBER,
     ):
-        types = tuple(sorted(_as_type(t) for t in singularities))
+        types = tuple(sorted(as_dynkin(t) for t in singularities))
         object.__setattr__(self, "singularities", types)
         object.__setattr__(self, "cusp_data", cusp_data)
         if cusp_data not in CUSP_DATA:

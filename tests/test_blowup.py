@@ -2,11 +2,16 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy import QQ, CRootOf, Poly, Symbol
 
 from delpezzo1.blowup import (
+    Q,
     _cluster_point,
     _extend_tower,
+    _factor_on_line,
+    _order,
     _shift_y,
     _strict1,
     _strict2,
@@ -118,3 +123,92 @@ def test_input_validation():
         lct_of_branches([({(0, 0): QQ(1), (1, 0): QQ(1)}, 1)])
     with pytest.raises(InvalidGermError):
         lct_of_branches([(nd("x"), 0)])
+
+
+# -- line factorisation over Q: exact peeling against sympy's factor_list ----
+
+V = Symbol("_v")
+
+
+def _line(poly):
+    """A univariate dict with Fraction coefficients, as the engine builds them."""
+    return {b: Fraction(int(c.numerator), int(c.denominator))
+            for (b,), c in poly.as_dict(native=True).items()}
+
+
+def _sympy_factors(ud):
+    """The oracle: sympy's factor_list over QQ, as {monic expression: multiplicity}."""
+    p = Poly.from_dict({(b,): QQ(c.numerator, c.denominator) for b, c in ud.items()},
+                       V, domain=QQ)
+    return {f.monic().as_expr(): e for f, e in p.factor_list()[1] if f.degree() >= 1}
+
+
+def _check_against_sympy(ud):
+    factors = _factor_on_line(ud, Q)
+    exprs = {}
+    for p, e in factors:
+        if isinstance(p, Fraction):
+            expr = V - sympy.Rational(p.numerator, p.denominator)
+        else:
+            assert p.degree() >= 2  # a rational root is always a Fraction key
+            expr = p.as_expr()
+        # the sibling order is the one sympy's printed factors give
+        assert _order(p) == (sympy.degree(expr, V), str(expr))
+        exprs[expr] = e
+    assert len(exprs) == len(factors)
+    assert exprs == _sympy_factors(ud)
+
+
+_nonzero = st.integers(-9, 9).filter(bool)
+_scalar = st.builds(Fraction, _nonzero, st.integers(1, 9))
+
+
+@settings(deadline=None, max_examples=150)
+@given(_scalar, st.integers(0, 4), _nonzero, st.integers(-9, 9), st.integers(1, 9))
+def test_factor_on_line_peels_a_linear_remainder_exactly(c, k, a, b, den):
+    # c * v^k * (a v + b/den); b = 0 makes it c * v^(k+1)
+    scalar = sympy.Rational(c.numerator, c.denominator)
+    _check_against_sympy(_line(Poly(scalar * V**k * (a * V + sympy.Rational(b, den)), V)))
+
+
+_factor = st.lists(st.integers(-4, 4), min_size=2, max_size=4).filter(lambda cs: cs[-1])
+
+
+@settings(deadline=None, max_examples=150)
+@given(_scalar, st.integers(0, 3),
+       st.lists(st.tuples(_factor, st.integers(1, 3)), min_size=1, max_size=3))
+def test_factor_on_line_agrees_with_sympy_on_higher_degree_lines(c, k, factors):
+    poly = Poly(V**k, V, domain=QQ) * sympy.Rational(c.numerator, c.denominator)
+    for coeffs, e in factors:
+        poly *= Poly(list(reversed(coeffs)), V, domain=QQ) ** e
+    _check_against_sympy(_line(poly))
+
+
+def test_factor_on_line_keeps_constants_out():
+    assert _factor_on_line({}, Q) == []
+    assert _factor_on_line({0: Fraction(3)}, Q) == []
+    assert _factor_on_line({2: Fraction(-1, 2)}, Q) == [(Fraction(0), 2)]
+    assert _factor_on_line({1: Fraction(2), 2: Fraction(4)}, Q) == [
+        (Fraction(0), 1), (Fraction(-1, 2), 1)]
+
+
+def test_cluster_found_by_both_routes_is_one_cluster():
+    # y = x is split off exactly, (y - x - x^2)(y^2 - 2x^2) goes through sympy;
+    # both give the point v = 1 on the first exceptional line, where y = x,
+    # y = x + x^2 and that line form a triple point: a second blowup with
+    # k = 2 and m = w + 1 + (w + 3).  Had the routes given two keys, each
+    # branch would cross the line alone and no second blowup would happen.
+    line, rest = nd("y - x"), nd("(y - x - x^2)*(y^2 - 2*x^2)")
+    (root,) = blowup_tree([(line, 1), (rest, 1)])
+    assert (root.k, root.m) == (1, 4)
+    assert [(c.k, c.m, c.children) for c in root.children] == [(2, 6, [])]
+    for w in range(1, 5):
+        closed_form = min(Fraction(1, w), Fraction(2, w + 3), Fraction(3, 2 * w + 4))
+        assert lct_of_branches([(line, w), (rest, 1)]) == closed_form
+
+
+def test_coefficients_are_taken_as_fractions():
+    assert lct_of_branches([({(0, 2): 1, (3, 0): -1}, 1)]) == Fraction(5, 6)
+    assert lct_of_branches([({(0, 2): Fraction(1, 2), (3, 0): QQ(-7, 3)}, 1)]) == Fraction(5, 6)
+    with pytest.raises(InvalidGermError):
+        lct_of_branches([({(0, 2): 0.5, (3, 0): -1}, 1)])

@@ -249,3 +249,23 @@ def test_configuration_validation():
         Meeting(("D", "E1", "E2"), contact=2)
     with pytest.raises(InvalidConfigurationError):
         Meeting(("D",))
+
+
+@pytest.mark.parametrize("bad", [1.5, True, 2.0, "2", None])
+def test_component_multiplicity_and_contact_must_be_integers(bad):
+    with pytest.raises(InvalidConfigurationError):
+        Component("D", bad, "strict_transform")
+    with pytest.raises(InvalidConfigurationError):
+        Meeting(("D", "E1"), contact=bad)
+
+
+def test_point_configurations_are_built_once_per_type_and_variant():
+    c = build_configuration([("E8", STANDARD)])
+    assert build_configuration([(parse_dynkin("e8"), STANDARD)]) is c
+    assert build_configuration([("A1", TANGENTIAL)]) is not build_configuration(
+        [("A1", TRANSVERSE)])
+    assert fundamental_cycle("E8") is fundamental_cycle(parse_dynkin("E8"))
+    # the variant is checked before the memo, on every call
+    for _ in range(2):
+        with pytest.raises(VariantMismatchError):
+            build_configuration([("E8", TANGENTIAL)])

@@ -36,6 +36,17 @@ def test_parse_malformed():
             parse_dynkin(label)
 
 
+def test_intersection_matrix_accepts_labels_and_is_built_once():
+    m = intersection_matrix(parse_dynkin("E8"))
+    assert intersection_matrix("E8") is m
+    assert intersection_matrix(" e8 ") is m
+    with pytest.raises(OutOfRangeError):
+        intersection_matrix("E9")
+    for bad in ("X3", 8, None):
+        with pytest.raises(MalformedLabelError):
+            intersection_matrix(bad)
+
+
 def test_all_types_enumeration():
     assert len(ALL_TYPES) == 16
     assert [t.label for t in ALL_TYPES[:3]] == ["A1", "A2", "A3"]

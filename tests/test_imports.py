@@ -2,9 +2,10 @@
 
 No module of the package imports a private name of another, and the
 combinatorial core (with the CLI) imports neither sympy nor the germ engine
-at module level, so that importing it never loads sympy.  No module turns
-text into code: none imports sympy's parse_expr or sympify, or calls eval or
-exec.
+at module level, so that importing it never loads sympy.  Neither do blowup
+and lct import sympy or germs at module level, so that lct_config runs
+without sympy.  No module turns text into code: none imports sympy's
+parse_expr or sympify, or calls eval or exec.
 """
 
 import ast
@@ -15,6 +16,8 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "delpezzo1"
 CORE = ("__init__", "dynkin", "cycles", "surfaces", "rigidity", "errors", "cli")
 ENGINE = ("sympy", "delpezzo1.germs", "delpezzo1.blowup", "delpezzo1.lct")
+RATIONAL_ENGINE = ("blowup", "lct")
+SYMPY_BACKED = ("sympy", "delpezzo1.germs")
 
 
 def _private_imports(path):
@@ -54,10 +57,10 @@ def _imported_modules(node):
     return [base]
 
 
-def _engine_imports(source, filename):
+def _engine_imports(source, filename, forbidden=ENGINE):
     for node in _run_at_import(ast.parse(source, filename=filename).body):
         for module in _imported_modules(node):
-            if any(module == e or module.startswith(e + ".") for e in ENGINE):
+            if any(module == e or module.startswith(e + ".") for e in forbidden):
                 yield f"{filename}:{node.lineno} imports {module}"
 
 
@@ -65,6 +68,12 @@ def _engine_imports(source, filename):
 def test_core_imports_no_sympy_at_module_level(name):
     path = PACKAGE / f"{name}.py"
     assert list(_engine_imports(path.read_text(), path.name)) == []
+
+
+@pytest.mark.parametrize("name", RATIONAL_ENGINE)
+def test_rational_engine_imports_no_sympy_or_germs_at_module_level(name):
+    path = PACKAGE / f"{name}.py"
+    assert list(_engine_imports(path.read_text(), path.name, SYMPY_BACKED)) == []
 
 
 def test_engine_import_guard_names_the_offending_line():
@@ -87,6 +96,10 @@ def test_engine_import_guard_names_the_offending_line():
         "m.py:4 imports delpezzo1.germs",
         "m.py:6 imports delpezzo1.lct",
         "m.py:10 imports delpezzo1.blowup",
+    ]
+    assert list(_engine_imports(source, "m.py", SYMPY_BACKED)) == [
+        "m.py:3 imports sympy.polys",
+        "m.py:4 imports delpezzo1.germs",
     ]
 
 

@@ -1,4 +1,4 @@
-"""The combinatorial core runs without sympy; the germ engine loads it on first use.
+"""The combinatorial core and lct_config run without sympy; germs load it on first use.
 
 Each sympy check runs in a fresh interpreter, because the test process has
 long since imported sympy.
@@ -70,17 +70,42 @@ def test_combinatorial_subcommands_leave_sympy_unloaded(argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ("lct-germ", "y^2 - x^3"),
     ("lct-config", "E8"),
+    ("lct-config", "A1", "--variant", "tangential"),
+    ("lct-config", "A2", "--variant", "one-point"),
+    ("lct-config", "--smooth", "cuspidal"),
+], ids=lambda argv: argv[-1])
+def test_lct_config_subcommand_leaves_sympy_unloaded(argv):
+    assert not sympy_loaded_after(cli_call(*argv))
+
+
+@pytest.mark.parametrize("argv", [
+    ("lct-germ", "y^2 - x^3"),
     ("classify", "x*y"),
 ], ids=lambda argv: argv[0])
 def test_germ_subcommands_load_sympy(argv):
     assert sympy_loaded_after(cli_call(*argv))
 
 
-@pytest.mark.parametrize("name", ["lct_germ", "CurveGerm", "germs", "blowup", "lct"])
+@pytest.mark.parametrize("name", ["CurveGerm", "germs"])
 def test_reading_an_engine_name_loads_sympy(name):
     assert sympy_loaded_after(f"import delpezzo1\ndelpezzo1.{name}")
+
+
+@pytest.mark.parametrize("name", ["lct_config", "lct_germ", "blowup", "lct"])
+def test_reading_a_rational_engine_name_leaves_sympy_unloaded(name):
+    assert not sympy_loaded_after(f"import delpezzo1\ndelpezzo1.{name}")
+
+
+def test_lct_config_leaves_sympy_unloaded_and_lct_germ_loads_it():
+    assert not sympy_loaded_after(
+        "from delpezzo1 import build_configuration, lct_config\n"
+        "for smooth in ('elliptic', 'nodal', 'cuspidal'):\n"
+        "    lct_config(build_configuration(smooth=smooth))\n"
+        "for point in [('E8', 'standard'), ('A1', 'tangential'), ('A2', 'one-point')]:\n"
+        "    lct_config(build_configuration([point]))"
+    )
+    assert sympy_loaded_after("import delpezzo1\ndelpezzo1.lct_germ('y^2 - x^3')")
 
 
 @pytest.mark.parametrize("name", sorted(LAZY))
@@ -89,12 +114,17 @@ def test_lazy_name_is_the_submodule_object(name):
     assert getattr(delpezzo1, name) is getattr(owner, name)
 
 
-def test_first_read_binds_every_engine_name():
-    assert sympy_loaded_after(
+@pytest.mark.parametrize("first", ["lct_config", "CurveGerm"])
+def test_first_read_binds_its_own_module_names(first):
+    own = sorted(name for name, module in LAZY.items() if module == LAZY[first])
+    other = sorted(set(LAZY) - set(own))
+    loaded = sympy_loaded_after(
         "import delpezzo1\n"
-        "delpezzo1.CurveGerm\n"
-        f"assert set({sorted(LAZY)!r}) <= set(vars(delpezzo1))"
+        f"delpezzo1.{first}\n"
+        f"assert set({own!r}) <= set(vars(delpezzo1))\n"
+        f"assert not set({other!r}) & set(vars(delpezzo1))"
     )
+    assert loaded == (LAZY[first] == "germs")
 
 
 @pytest.mark.parametrize("name", ["germs", "blowup", "lct"])

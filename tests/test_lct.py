@@ -19,8 +19,14 @@ from delpezzo1.cycles import (
     TWO_POINTS,
     build_configuration,
 )
+from delpezzo1.blowup import lct_of_branches
 from delpezzo1.dynkin import ALL_TYPES
-from delpezzo1.errors import NonSquarefreeError, NotQuasihomogeneousError
+from delpezzo1.errors import (
+    InvalidGermError,
+    NonSquarefreeError,
+    NotQuasihomogeneousError,
+    UnrecognizedConfigurationError,
+)
 from delpezzo1.germs import (
     NODE,
     CurveGerm,
@@ -28,11 +34,15 @@ from delpezzo1.germs import (
     lct_quasihomogeneous,
 )
 from delpezzo1.lct import (
+    LOCAL_MODEL_CACHE,
+    _local_branches,
+    _meeting_lct,
     germ_blowup_tree,
     lct_config,
     lct_germ,
     lct_weighted_germs,
 )
+from delpezzo1.surfaces import iter_valid_specs, realizable_configurations
 
 x, y = sympy.symbols("x y")
 
@@ -74,6 +84,20 @@ def test_lct_weighted_germs():
     # a cusp counted twice: component bound 1/2 loses to (4+1)/12
     assert lct_weighted_germs([("y^2 - x^3", 2)]) == Fraction(5, 12)
     assert lct_weighted_germs([("y", 1), ("y - x^2", 2)]) == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("germs,shared", [
+    ([("y", 1), ("y", 1)], "y"),
+    ([("y^2 - x^3", 1), ("2*y^2 - 2*x^3", 3)], "x**3 - y**2"),
+    ([("x", 1), ("y*(y - x^2)", 2), ("x + y^2", 1), ("y^2 - x^2*y", 1)], "y**2 - x**2*y"),
+])
+def test_lct_weighted_germs_names_two_branches_with_a_common_factor(germs, shared):
+    with pytest.raises(NonSquarefreeError) as info:
+        lct_weighted_germs(germs)
+    message = str(info.value)
+    assert message.startswith("branches ") and " share the factor " in message
+    i, j = [int(word) for word in message.split() if word.isdigit()][:2]
+    assert sympy.gcd(CurveGerm(germs[i - 1][0]).expr, CurveGerm(germs[j - 1][0]).expr) != 1
 
 
 def test_germ_blowup_tree_shape():
@@ -255,3 +279,53 @@ def test_all_config_thresholds_in_range():
         Fraction(1), Fraction(3, 4), Fraction(2, 3),
         Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(1, 6),
     }
+
+
+# -- the memoised local models ----------------------------------------------
+
+def _uncached_lct_config(c):
+    """lct_config with every meeting's local model resolved afresh."""
+    best = min(Fraction(1, comp.multiplicity) for comp in c.components)
+    for m in c.incidence:
+        weights = tuple(c.multiplicity_of(cid) for cid in m.members)
+        best = min(best, lct_of_branches(_local_branches(m.cuspidal, m.contact, weights)))
+    return best
+
+
+def _model_keys(c):
+    return {(m.cuspidal, m.contact, tuple(c.multiplicity_of(cid) for cid in m.members))
+            for m in c.incidence}
+
+
+def test_lct_config_over_the_sweep_matches_uncached_values_and_the_table():
+    table = {build_configuration([point]): value for point, value in CONFIG_LCT.items()}
+    table[build_configuration(smooth=ELLIPTIC)] = Fraction(1)
+    table[build_configuration(smooth=NODAL)] = Fraction(1)
+    table[build_configuration(smooth=CUSPIDAL)] = Fraction(5, 6)
+    _meeting_lct.cache_clear()
+    models, calls = set(), 0
+    for spec in iter_valid_specs():
+        for c in realizable_configurations(spec):
+            value = lct_config(c)
+            assert value == _uncached_lct_config(c) == table[c]
+            models |= _model_keys(c)
+            calls += 1
+    assert calls == 1466
+    info = _meeting_lct.cache_info()
+    # every local model is resolved once, and the memo holds each one
+    assert info.misses == info.currsize == len(models) <= LOCAL_MODEL_CACHE
+    assert info.hits > 10 * info.misses
+
+
+def test_errors_of_a_local_model_are_never_cached():
+    _meeting_lct.cache_clear()
+    for key, error in [
+        ((False, 2, (1, 1, 1)), UnrecognizedConfigurationError),  # no such model
+        ((False, 1, (1, 0)), InvalidGermError),  # a weight of 0
+    ]:
+        for _ in range(2):
+            with pytest.raises(error):
+                _meeting_lct(*key)
+        assert _meeting_lct.cache_info().currsize == 0
+    assert _meeting_lct(True, 1, (1,)) == Fraction(5, 6)
+    assert _meeting_lct.cache_info().currsize == 1
