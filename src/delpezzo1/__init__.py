@@ -14,10 +14,12 @@ germ engine's public names -- CurveGerm, classify_germ, lct_quasihomogeneous
 submodule and binds that submodule's names.  The engine's submodules (germs,
 blowup, lct) are package attributes the same way.
 
-sympy is loaded by germs, for germ text and squarefree tests, and by blowup
-when a line restriction of degree >= 2 is factored or a point needs an
-algebraic number field.  lct_config and the blowup of rational local models
-need neither, so reading lct_config, or calling it, leaves sympy unloaded.
+Germ text, squarefree tests and the blowup of rational points need no
+sympy, so reading any of these names, calling lct_config, or asking for the
+threshold or class of a germ whose blown-up points are all rational leaves
+sympy unloaded.  sympy is loaded when a point needs an algebraic number
+field, when a germ is rejected as not squarefree, and by the sympy views
+CurveGerm.poly and CurveGerm.expr.
 """
 
 import importlib
@@ -160,7 +162,7 @@ def __getattr__(name: str):
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     # Bind every name of the submodule that was read, so that later reads are
-    # plain lookups; the other submodule stays unimported (lct needs no sympy).
+    # plain lookups; the other submodule stays unimported.
     module = importlib.import_module(f".{_LAZY[name]}", __name__)
     for lazy, owner in _LAZY.items():
         if owner == _LAZY[name]:

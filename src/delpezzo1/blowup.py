@@ -18,18 +18,28 @@ line is one cluster, blown up once on behalf of all its conjugate points,
 which carry identical (k, m) data.  A field extension is introduced only
 when a cluster of degree >= 2 genuinely needs deeper resolution.
 
-Over Q the engine needs no sympy: the power of v and a linear remainder are
-split off a line restriction exactly, and sympy is imported only to factor
-a remainder of degree >= 2 and to build and use algebraic number fields.
+Over Q the engine first finds, without factoring, the points of an
+exceptional line that need a blowup: those through two objects or through
+one object twice.  They are v = 0 (read off the powers of v), a root shared
+by two linear restrictions or by one and another restriction, and the
+multiple roots of the product P of the restrictions of degree >= 2, whose
+squarefree part comes from gcd(P, P') by Euclid over Q.  Only that part is
+factored: linear and quadratic ones exactly, the quadratic through an isqrt
+test of its discriminant.  So a rational germ resolves without sympy, which
+is imported only to factor a part of degree >= 3, to key an irreducible
+cluster that is blown up, and to build and use algebraic number fields.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from typing import Any, Callable, Iterable, Sequence
 
+from . import univariate
 from .errors import DepthExceededError, InvalidGermError
 
 DEPTH_CAP = 64
@@ -175,12 +185,32 @@ def _sympy_factors(ud: dict[int, Any], K: Domain) -> list[tuple[Any, int]]:
     return [(f.monic(), e) for f, e in factors if f.degree() >= 1]
 
 
+def _irreducible(monic_coeffs: list) -> Any:
+    """An irreducible factor of degree >= 2 over Q as its cluster key, a monic sympy Poly in _v."""
+    from sympy import QQ, Poly, Symbol
+
+    coeffs = {(i,): QQ(c.numerator, c.denominator) for i, c in enumerate(monic_coeffs) if c}
+    return Poly.from_dict(coeffs, Symbol("_v"), domain=QQ)
+
+
+def _quadratic_factors(c: Fraction, b: Fraction, a: Fraction) -> list[tuple[Factor, int]]:
+    """Factors of a v^2 + b v + c over Q: two roots if the discriminant is a rational square."""
+    disc = b * b - 4 * a * c
+    root = Fraction(math.isqrt(disc.numerator), math.isqrt(disc.denominator)) if disc >= 0 else 0
+    if root * root != disc:
+        return [(_irreducible([c / a, b / a, Fraction(1)]), 1)]
+    if not root:
+        return [(-b / (2 * a), 2)]
+    return [((-b - root) / (2 * a), 1), ((-b + root) / (2 * a), 1)]
+
+
 def _factor_on_line(ud: dict[int, Any], K: Domain) -> list[tuple[Factor, int]]:
     """Irreducible factors (with multiplicity) of a univariate dict over K.
 
-    Over Q, v^k and a linear remainder a v + b are split off exactly; only a
-    remainder of degree >= 2 goes to sympy, and each linear factor it returns
-    becomes its root, so one point is one key whichever route found it.
+    Over Q, v^k and a remainder of degree 1 or 2 are split exactly, a
+    quadratic through an isqrt test of its discriminant; only a remainder of
+    degree >= 3 goes to sympy.  Each linear factor is its root, so one point
+    is one key whichever route found it.
     """
     if not ud or max(ud) == 0:
         return []
@@ -188,16 +218,82 @@ def _factor_on_line(ud: dict[int, Any], K: Domain) -> list[tuple[Factor, int]]:
         return _sympy_factors(ud, K)
     k = min(ud)
     factors: list[tuple[Factor, int]] = [(Fraction(0), k)] if k else []
-    top = max(ud) - k
-    if top == 1:
-        factors.append((-ud[k] / ud[k + 1], 1))
-    elif top >= 2:
+    rest = [Fraction(ud.get(b, 0)) for b in range(k, max(ud) + 1)]
+    if len(rest) == 2:
+        factors.append((-rest[0] / rest[1], 1))
+    elif len(rest) == 3:
+        factors += _quadratic_factors(*rest)
+    elif len(rest) > 3:
         from sympy import QQ
 
-        rest = {b - k: QQ(c.numerator, c.denominator) for b, c in ud.items()}
-        for f, e in _sympy_factors(rest, QQ):
+        qq = {b: QQ(c.numerator, c.denominator) for b, c in enumerate(rest)}
+        for f, e in _sympy_factors(qq, QQ):
             factors.append((_rational(_linear_root(f, QQ)) if f.degree() == 1 else f, e))
     return factors
+
+
+def _multiplicity_on(p: Factor, ud: dict[int, Any]) -> int:
+    """How often the cluster p divides the restriction ud, over Q."""
+    if isinstance(p, Fraction):
+        if not p:
+            return min(ud)
+        factor = [-p, Fraction(1)]
+    else:
+        factor = [_rational(c) for c in reversed(p.all_coeffs())]
+    rest = univariate.from_dict(ud)
+    e = 0
+    while len(rest) >= len(factor):
+        quo, rem = univariate.divide(rest, factor)
+        if rem:
+            break
+        rest, e = quo, e + 1
+    return e
+
+
+def _rational_clusters(lines: list[dict[int, Any]]) -> list[Factor]:
+    """The clusters over Q through two objects, or through one object twice.
+
+    With the powers of v taken out, a root of a linear restriction is read
+    off and counted; of the restrictions of degree >= 2 only the multiple
+    roots of their product P, the squarefree part of gcd(P, P'), are factored.
+    """
+    orders = [min(ud) for ud in lines]
+    rests = [univariate.from_dict({b - k: c for b, c in ud.items()}) for ud, k in zip(lines, orders)]
+    roots = Counter(-r[0] / r[1] for r in rests if len(r) == 2)
+    higher = [r for r in rests if len(r) > 2]
+    keys = [r for r, n in roots.items()
+            if n > 1 or any(univariate.evaluate(h, r) == 0 for h in higher)]
+    if max(orders) > 1 or sum(k > 0 for k in orders) > 1:
+        keys.append(Fraction(0))
+    if higher:
+        product = reduce(univariate.mul, higher)
+        repeated = univariate.gcd(product, univariate.derivative(product))
+        if len(repeated) > 2:  # its squarefree part: each point once
+            repeated = univariate.divide(repeated, univariate.gcd(
+                repeated, univariate.derivative(repeated)))[0]
+        # a root of a linear restriction among them is a key already
+        keys += [p for p, _ in _factor_on_line(dict(enumerate(repeated)), Q) if p not in roots]
+    return keys
+
+
+def _line_clusters(lines: list[dict[int, Any]], K: Domain) -> dict[Factor, list[tuple[int, int]]]:
+    """The clusters on an exceptional line that get blown up.
+
+    lines[i] is the restriction of object i to the line; each cluster maps
+    to the (i, multiplicity) of the objects through it.  A cluster that one
+    object crosses simply is an SNC point: it is left out, so that no field
+    is extended for it.  Over Q the clusters left out are never factored.
+    """
+    if K is Q:
+        clusters: dict[Factor, list[tuple[int, int]]] = {}
+        for p in _rational_clusters(lines):
+            clusters[p] = [(i, e) for i, ud in enumerate(lines) if (e := _multiplicity_on(p, ud))]
+        return clusters
+    clusters = {}
+    for i, ud in enumerate(lines):
+        for p, e in _factor_on_line(ud, K):
+            clusters.setdefault(p, []).append((i, e))
+    return {p: through for p, through in clusters.items() if len(through) > 1 or through[0][1] > 1}
 
 
 def _order(p: Factor) -> tuple[int, str]:
@@ -324,20 +420,10 @@ def _resolve(
     s_curves = [(_strict1(d, multiplicity(d)), w) for d, w in curves]
     s_excs = [(_strict1(d, multiplicity(d)), k, m) for d, k, m in excs]
     objects = [d for d, _ in s_curves] + [d for d, _, _ in s_excs]
-    factorizations = [dict(_factor_on_line(_restrict1(d), K)) for d in objects]
-
-    clusters: dict[Factor, list[tuple[int, int]]] = {}
-    for idx, fac in enumerate(factorizations):
-        for p, e in fac.items():
-            clusters.setdefault(p, []).append((idx, e))
+    clusters = _line_clusters([_restrict1(d) for d in objects], K)
 
     for p in sorted(clusters, key=_order):
         through = clusters[p]
-        if len(through) == 1 and through[0][1] == 1:
-            # one branch crossing the exceptional line simply: the branch is
-            # smooth and transverse there, the point is SNC; skip without
-            # extending the coefficient field
-            continue
         theta, K2, conv = _cluster_point(p, K)
 
         def moved(d: PolyDict) -> PolyDict:
@@ -391,7 +477,7 @@ def _validated(branches: Sequence[tuple[PolyDict, int]]) -> list[Weighted]:
             raise InvalidGermError("zero polynomial is not a branch")
         if (0, 0) in d:
             raise InvalidGermError("branch does not vanish at the origin")
-        if not (isinstance(w, int) and w >= 1):
+        if isinstance(w, bool) or not (isinstance(w, int) and w >= 1):
             raise InvalidGermError("weights must be positive integers")
         cleaned.append((d, w))
     return cleaned

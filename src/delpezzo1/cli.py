@@ -6,9 +6,9 @@ Every subcommand takes --json for machine-readable output carrying the
 same values as the text form.  Handlers return library results and run()
 alone renders them: the text form is str(result), the JSON form is
 result.as_dict(), or a one-key object for a plain value.  lct-germ,
-lct-config and classify import the germ engine inside their handlers; of
-these only lct-germ and classify load sympy (through germs), so lct-config
-and every other subcommand run without it.
+lct-config and classify import the germ engine inside their handlers.  No
+subcommand loads sympy, except lct-germ and classify on a germ with an
+irrational point to blow up or with a repeated factor.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ _LABEL_RE = re.compile(r"([ADEade])([0-9]+)")
 
 @dataclass(frozen=True, order=True)
 class DynkinType:
-    """One of the eighteen Du Val types admissible on a degree-1 surface."""
+    """One of the sixteen Du Val types admissible on a degree-1 surface."""
 
     kind: str
     rank: int

@@ -31,22 +31,23 @@ the parser run long.  Going over a limit raises InvalidGermError.
   Sums are linear in the text, so the germ itself has no bit limit, as for
   a germ built from a sympy expression.
 - Parentheses nest at most MAX_NESTING deep.
+
+A CurveGerm keeps the parser's dict of Fraction coefficients and prints it
+as sympy.sstr does.  Nothing here imports sympy at module level: it is
+loaded only by the sympy views .poly and .expr, by a germ given as a sympy
+expression, and by a squarefree test that no integer point certifies, which
+in practice means a germ about to be rejected as not squarefree.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from math import gcd, lcm
-from typing import NoReturn
+from typing import Any, NoReturn
 
-import sympy
-from sympy import QQ, ZZ, Poly
-from sympy.polys.densebasic import dmp_ground_p
-from sympy.polys.densetools import dmp_clear_denoms, dmp_diff_in
-from sympy.polys.euclidtools import dmp_gcd
-
+from . import univariate
 from .blowup import lct_of_branches, multiplicity
 from .errors import (
     DepthExceededError,
@@ -64,8 +65,6 @@ MAX_TERMS = 50_000
 MAX_BITS = 1024
 MAX_NESTING = 50
 
-x, y = sympy.symbols("x y")
-
 SMOOTH = "smooth"
 NODE = "node"
 CUSP = "cusp"
@@ -75,7 +74,7 @@ _NUMBER = re.compile(r"[0-9]+\.?[0-9]*|\.[0-9]+")
 _TOKEN = re.compile(_NUMBER.pattern + r"|\*\*|\S")
 _INTEGER = re.compile(r"[0-9]+")
 
-# while parsing, a polynomial is a dict {(a, b): QQ coefficient}, no zero stored
+# a polynomial is a dict {(a, b): Fraction coefficient}, no zero stored
 
 
 def _bits(p: dict) -> int:
@@ -175,7 +174,7 @@ class _Parser:
             if n > MAX_DEGREE:
                 self.fail(f"exponent {n} exceeds {MAX_DEGREE}")
         if n == 0:
-            return {(0, 0): QQ(1)}
+            return {(0, 0): Fraction(1)}
         result = None
         while n:  # square and multiply
             if n & 1:
@@ -188,9 +187,9 @@ class _Parser:
     def atom(self) -> dict:
         token = self.take()
         if token == "x":
-            return {(1, 0): QQ(1)}
+            return {(1, 0): Fraction(1)}
         if token == "y":
-            return {(0, 1): QQ(1)}
+            return {(0, 1): Fraction(1)}
         if token == "(":
             self.nesting += 1
             if self.nesting > MAX_NESTING:
@@ -205,7 +204,7 @@ class _Parser:
             if len(token) > MAX_BITS:  # before int() converts it
                 self.fail(f"a literal exceeds {MAX_BITS} bits")
             whole, _, frac = token.partition(".")
-            c = QQ(int(whole + frac), 10 ** len(frac))
+            c = Fraction(int(whole + frac), 10 ** len(frac))
             value = {(0, 0): c} if c else {}
             if _bits(value) > MAX_BITS:
                 self.fail(f"a literal exceeds {MAX_BITS} bits")
@@ -230,38 +229,72 @@ class _Parser:
         return {k: c for k, c in out.items() if c}
 
 
-class CurveGerm:
-    """A bivariate polynomial germ, validated to vanish at the origin."""
+# integers at which a primitive polynomial in y is specialised to certify it squarefree
+_CERTIFYING_POINTS = (1, -1, 2, -2, 3, -3)
 
-    def __init__(self, poly: "CurveGerm | str | sympy.Expr | Poly"):
+
+def _from_sympy(obj: Any) -> dict:
+    """The coefficient dict of a sympy Expr or Poly in x and y over Q.
+
+    Only a caller holding a sympy object gets here, so sympy is loaded already.
+    """
+    from sympy import QQ, Poly, Symbol
+    from sympy.polys.polyerrors import CoercionFailed, GeneratorsError, PolynomialError
+
+    gens = Symbol("x"), Symbol("y")
+    try:
+        p = Poly(obj, *gens, domain=QQ)
+    except (PolynomialError, CoercionFailed, GeneratorsError) as exc:
+        raise InvalidGermError(f"not a bivariate polynomial over Q: {obj}") from exc
+    extra = p.free_symbols - set(gens)
+    if extra:
+        raise InvalidGermError(f"unexpected symbols {sorted(map(str, extra))}")
+    return {k: Fraction(int(c.numerator), int(c.denominator))
+            for k, c in p.as_dict(native=True).items()}
+
+
+def __getattr__(name: str) -> Any:
+    """x and y, the sympy symbols of CurveGerm.expr; reading one loads sympy."""
+    if name in ("x", "y"):
+        from sympy import Symbol
+
+        return Symbol(name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+class CurveGerm:
+    """A bivariate polynomial germ, validated to vanish at the origin.
+
+    Germ text, another CurveGerm, or a sympy Expr or Poly in x and y (told
+    apart by its as_poly method).  The germ is its dict native_dict
+    {(a, b): Fraction} of the coefficients of x^a y^b; .poly and .expr are
+    sympy views of it, and reading one loads sympy.
+    """
+
+    def __init__(self, poly: "CurveGerm | str | Any"):
         if isinstance(poly, CurveGerm):
-            self.poly = poly.poly
+            self.native_dict = poly.native_dict
         elif isinstance(poly, str):
-            self.poly = Poly.from_dict(_Parser(poly).germ(), x, y, domain=QQ)
+            self.native_dict = _Parser(poly).germ()
+        elif hasattr(poly, "as_poly"):
+            self.native_dict = _from_sympy(poly)
         else:
-            try:
-                self.poly = Poly(poly, x, y, domain=QQ)
-            except (sympy.polys.polyerrors.PolynomialError,
-                    sympy.polys.polyerrors.CoercionFailed,
-                    sympy.polys.polyerrors.GeneratorsError) as exc:
-                raise InvalidGermError(
-                    f"not a bivariate polynomial over Q: {poly}"
-                ) from exc
-            extra = self.poly.free_symbols - {x, y}
-            if extra:
-                raise InvalidGermError(f"unexpected symbols {sorted(map(str, extra))}")
-        if self.poly.is_zero:
+            raise InvalidGermError(f"not a bivariate polynomial over Q: {poly!r}")
+        if not self.native_dict:
             raise InvalidGermError("the zero polynomial is not a germ")
         if (0, 0) in self.native_dict:
             raise NotAtOriginError(f"germ {self} does not vanish at the origin")
 
     @cached_property
-    def native_dict(self) -> dict:
-        """Exponent-to-coefficient dict with sympy QQ (exact rational) values."""
-        return self.poly.as_dict(native=True)
+    def poly(self) -> Any:
+        """The germ as a sympy Poly in x, y over QQ."""
+        from sympy import QQ, Poly, Symbol
+
+        coeffs = {k: QQ(c.numerator, c.denominator) for k, c in self.native_dict.items()}
+        return Poly.from_dict(coeffs, Symbol("x"), Symbol("y"), domain=QQ)
 
     @property
-    def expr(self) -> sympy.Expr:
+    def expr(self) -> Any:
         return self.poly.as_expr()
 
     @cached_property
@@ -270,7 +303,41 @@ class CurveGerm:
 
     @cached_property
     def is_squarefree(self) -> bool:
-        """gcd(f, f_x, f_y) is a constant, computed on the dense form over Z."""
+        """Has the germ no repeated factor, that is, is gcd(f, f_x, f_y) constant?
+
+        Write f = c(x) p(x, y), with c the content of f as a polynomial in y
+        over Q[x].  f is squarefree iff c and the primitive part p are, and p,
+        of degree n in y, is squarefree iff its discriminant in y is a nonzero
+        polynomial in x.  An integer x0 at which the leading coefficient of p
+        does not vanish and p(x0, y) is squarefree certifies that.  A
+        squarefree p is certified at almost every x0; when none of a few
+        points certifies p, sympy's dense gcd over Z decides.
+        """
+        columns = {}  # b -> the coefficient of y^b, a polynomial in x
+        for (a, b), c in self.native_dict.items():
+            columns.setdefault(b, {})[a] = c
+        columns = {b: univariate.from_dict(col) for b, col in columns.items()}
+        if any(len(col) == 1 for col in columns.values()):
+            content = [1]
+        else:
+            content = reduce(univariate.gcd, columns.values())
+        if not univariate.is_squarefree(content):
+            return False
+        n = max(columns)
+        if n <= 1:
+            return True
+        if len(content) > 1:
+            columns = {b: univariate.divide(col, content)[0] for b, col in columns.items()}
+        for x0 in _CERTIFYING_POINTS:
+            if univariate.evaluate(columns[n], x0):
+                at_x0 = [univariate.evaluate(columns.get(b, []), x0) for b in range(n + 1)]
+                if univariate.is_squarefree(at_x0):
+                    return True
+        from sympy import QQ, ZZ
+        from sympy.polys.densebasic import dmp_ground_p
+        from sympy.polys.densetools import dmp_clear_denoms, dmp_diff_in
+        from sympy.polys.euclidtools import dmp_gcd
+
         _, f = dmp_clear_denoms(self.poly.rep.to_list(), 1, QQ, ZZ, convert=True)
         g = dmp_gcd(f, dmp_diff_in(f, 1, 0, 1, ZZ), 1, ZZ)
         if not dmp_ground_p(g, None, 1):
@@ -278,19 +345,32 @@ class CurveGerm:
         return dmp_ground_p(g, None, 1)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, CurveGerm) and self.poly == other.poly
+        return isinstance(other, CurveGerm) and self.native_dict == other.native_dict
 
     def __hash__(self) -> int:
-        return hash(self.poly)
+        return hash(frozenset(self.native_dict.items()))
 
     def __str__(self) -> str:
-        return sympy.sstr(self.expr)
+        """The germ as sympy.sstr prints it: terms in lex order, x before y."""
+        text = ""
+        for (a, b), c in sorted(self.native_dict.items(), reverse=True):
+            powers = [f"{v}**{e}" if e > 1 else v for v, e in (("x", a), ("y", b)) if e]
+            num = abs(c.numerator)
+            term = "*".join([str(num)] * (num != 1 or not powers) + powers)
+            if c.denominator != 1:
+                term += f"/{c.denominator}"
+            if text:
+                text += " - " if c < 0 else " + "
+            elif c < 0:
+                text = "-"
+            text += term
+        return text
 
     def __repr__(self) -> str:
-        return f"CurveGerm({self.expr!r})"
+        return f"CurveGerm({self})"
 
 
-def as_germ(g: "CurveGerm | str | sympy.Expr | Poly") -> CurveGerm:
+def as_germ(g: "CurveGerm | str | Any") -> CurveGerm:
     return g if isinstance(g, CurveGerm) else CurveGerm(g)
 
 
@@ -300,7 +380,7 @@ def ensure_squarefree(g: CurveGerm) -> CurveGerm:
     return g
 
 
-def classify_germ(g: "CurveGerm | str | sympy.Expr") -> str:
+def classify_germ(g: "CurveGerm | str | Any") -> str:
     """Classify the origin of a squarefree germ: smooth, node, cusp or other.
 
     Multiplicity 1 is smooth and multiplicity >= 3 is other.  A reduced
@@ -324,7 +404,7 @@ def classify_germ(g: "CurveGerm | str | sympy.Expr") -> str:
     return {Fraction(1): NODE, Fraction(5, 6): CUSP}.get(lct, OTHER)
 
 
-def lct_quasihomogeneous(g: "CurveGerm | str | sympy.Expr") -> Fraction:
+def lct_quasihomogeneous(g: "CurveGerm | str | Any") -> Fraction:
     """Threshold of a quasi-homogeneous squarefree germ via min(1, (wx+wy)/d).
 
     The germ must admit positive integer weights (wx, wy) giving every

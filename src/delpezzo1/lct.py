@@ -8,6 +8,11 @@ finitely many non-SNC local models (tangency, triple point, cusp) are fed
 to the same engine with their weights.  The local models have rational
 points only, so lct_config never loads sympy; their thresholds are
 memoised, as a few models recur across all configurations.
+
+Germs are read and checked squarefree without sympy as well.  It is loaded
+only when a germ has a cluster of irrational points that must be blown up,
+when a germ is rejected as not squarefree, or when weighted branches are
+compared for a common factor after the engine ran into its depth cap.
 """
 
 from __future__ import annotations
@@ -33,8 +38,9 @@ LOCAL_MODEL_CACHE = 256
 def _germs_of(germs: Sequence[tuple[CurveGerm | str, int]]) -> list[tuple[CurveGerm, int]]:
     """The germs, checked squarefree.
 
-    germs, and sympy with it, is imported here and not at module level, so
-    that lct_config never loads it; CurveGerm in the annotations is its class.
+    germs is imported here and not at module level: lct_config builds its
+    local models as dicts and never needs the germ parser.  CurveGerm in the
+    annotations is its class.
     """
     from .germs import as_germ, ensure_squarefree
 
@@ -51,7 +57,10 @@ def lct_germ(g: CurveGerm | str) -> Fraction:
 
 
 def _check_coprime(germs: list[tuple[CurveGerm, int]]) -> None:
-    """Raise NonSquarefreeError naming the first two branches with a common factor."""
+    """Raise NonSquarefreeError naming the first two branches with a common factor.
+
+    Only the error path comes here, so the gcd is sympy's, through CurveGerm.poly.
+    """
     for (i, (f, _)), (j, (g, _)) in combinations(enumerate(germs, start=1), 2):
         common = f.poly.gcd(g.poly)
         if common.total_degree() > 0:

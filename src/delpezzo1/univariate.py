@@ -1,0 +1,87 @@
+"""Dense univariate polynomials over Q, for exact gcds without sympy.
+
+A polynomial is a list of Fractions (or ints), constant term first, with no
+trailing zero; the zero polynomial is [].  The squarefree test of germs and
+the line step of the blowup engine are built from these gcds (von zur Gathen
+and Gerhard, Modern Computer Algebra, 2013, ch. 3 and 14).
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Any
+
+Dense = list
+
+
+def trim(p: Dense) -> Dense:
+    """p without its trailing zeros, in place."""
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def from_dict(d: dict[int, Any]) -> Dense:
+    """{exponent: coefficient} as a dense list."""
+    if not d:
+        return []
+    p = [0] * (max(d) + 1)
+    for b, c in d.items():
+        p[b] = c
+    return trim(p)
+
+
+def derivative(p: Dense) -> Dense:
+    return trim([i * c for i, c in enumerate(p)][1:])
+
+
+def evaluate(p: Dense, t: Any) -> Any:
+    value = 0
+    for c in reversed(p):
+        value = value * t + c
+    return value
+
+
+def mul(p: Dense, q: Dense) -> Dense:
+    if not p or not q:
+        return []
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return out
+
+
+def divide(p: Dense, q: Dense) -> tuple[Dense, Dense]:
+    """Quotient and remainder of p by a nonzero q."""
+    rem = list(p)
+    if len(rem) < len(q):
+        return [], rem
+    lead = Fraction(q[-1])
+    quo = [0] * (len(rem) - len(q) + 1)
+    for shift in range(len(quo) - 1, -1, -1):
+        c = rem.pop() / lead
+        quo[shift] = c
+        if c:
+            for j in range(len(q) - 1):
+                rem[shift + j] -= c * q[j]
+    return quo, trim(rem)
+
+
+def monic(p: Dense) -> Dense:
+    lead = Fraction(p[-1])
+    return [c / lead for c in p]
+
+
+def gcd(p: Dense, q: Dense) -> Dense:
+    """The monic gcd of p and q ([] when both are zero), by Euclid over Q."""
+    while q:
+        r = divide(p, q)[1] if len(q) > 1 else []
+        p, q = q, monic(r) if r else []
+    return monic(p) if p else []
+
+
+def is_squarefree(p: Dense) -> bool:
+    """Has the nonzero p no repeated factor?  gcd(p, p') is a constant."""
+    return len(gcd(p, derivative(p))) <= 1

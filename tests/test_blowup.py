@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import QQ, CRootOf, Poly, Symbol
 
+from delpezzo1 import blowup
 from delpezzo1.blowup import (
     Q,
     _cluster_point,
     _extend_tower,
     _factor_on_line,
+    _line_clusters,
     _order,
     _shift_y,
     _strict1,
@@ -21,6 +23,7 @@ from delpezzo1.blowup import (
 )
 from delpezzo1.errors import DepthExceededError, InvalidGermError
 from delpezzo1.germs import CurveGerm
+from delpezzo1.lct import lct_weighted_germs
 
 z = Symbol("z")
 T = Symbol("T")
@@ -37,9 +40,13 @@ def test_strict_transform_charts():
 
 
 def test_shift_y_exact():
-    d = _shift_y(nd("y^2 - x"), QQ(3), QQ)
-    # (y+3)^2 - x = y^2 + 6y + 9 - x
-    assert d == {(0, 2): QQ(1), (0, 1): QQ(6), (0, 0): QQ(9), (1, 0): QQ(-1)}
+    # (y+3)^2 - x = y^2 + 6y + 9 - x, over Q with the germ's Fractions and
+    # over sympy's QQ with the same coefficients as QQ elements
+    shifted = {(0, 2): QQ(1), (0, 1): QQ(6), (0, 0): QQ(9), (1, 0): QQ(-1)}
+    assert _shift_y(nd("y^2 - x"), Fraction(3), Q) == shifted
+    as_qq = {k: QQ(c.numerator, c.denominator) for k, c in nd("y^2 - x").items()}
+    assert _shift_y(as_qq, QQ(3), QQ) == shifted
+    assert _shift_y(nd("x*y"), Fraction(0), Q) == nd("x*y")
     assert _shift_y(nd("x*y"), QQ(0), QQ) == nd("x*y")
 
 
@@ -125,6 +132,15 @@ def test_input_validation():
         lct_of_branches([(nd("x"), 0)])
 
 
+@pytest.mark.parametrize("weight", [True, False, 1.0, Fraction(2)])
+def test_weights_must_be_integers_and_not_bools(weight):
+    # bool is an int subclass; True must not pass as the weight 1
+    with pytest.raises(InvalidGermError):
+        lct_of_branches([(nd("y"), weight)])
+    with pytest.raises(InvalidGermError):
+        lct_weighted_germs([("y", weight)])
+
+
 # -- line factorisation over Q: exact peeling against sympy's factor_list ----
 
 V = Symbol("_v")
@@ -184,6 +200,31 @@ def test_factor_on_line_agrees_with_sympy_on_higher_degree_lines(c, k, factors):
     _check_against_sympy(_line(poly))
 
 
+_quadratic = st.tuples(_nonzero, st.integers(-12, 12), st.integers(-12, 12))
+
+
+@settings(deadline=None, max_examples=150)
+@given(_scalar, st.integers(0, 3), _quadratic, st.sampled_from([1, 4, 9, 25]))
+def test_factor_on_line_splits_a_quadratic_by_its_discriminant(c, k, abc, den):
+    # a v^2 + b v + c0 over den: rational roots exactly when b^2 - 4 a c0 is a
+    # square, a double root when it is 0, else one irreducible key
+    a, b, c0 = abc
+    scalar = sympy.Rational(c.numerator, c.denominator)
+    quadratic = (a * V**2 + b * V + c0) / den
+    _check_against_sympy(_line(Poly(scalar * V**k * quadratic, V)))
+
+
+def test_factor_on_line_quadratic_cases():
+    assert _factor_on_line({0: Fraction(2), 1: Fraction(-3), 2: Fraction(1)}, Q) == [
+        (Fraction(1), 1), (Fraction(2), 1)]
+    assert _factor_on_line({0: Fraction(1, 4), 1: Fraction(-1), 2: Fraction(1)}, Q) == [
+        (Fraction(1, 2), 2)]
+    ((p, e),) = _factor_on_line({0: Fraction(-2), 2: Fraction(1)}, Q)
+    assert (p.as_expr(), e) == (V**2 - 2, 1)
+    ((p, e),) = _factor_on_line({0: Fraction(3), 2: Fraction(6)}, Q)
+    assert (p.as_expr(), e) == (V**2 + sympy.Rational(1, 2), 1)
+
+
 def test_factor_on_line_keeps_constants_out():
     assert _factor_on_line({}, Q) == []
     assert _factor_on_line({0: Fraction(3)}, Q) == []
@@ -212,3 +253,62 @@ def test_coefficients_are_taken_as_fractions():
     assert lct_of_branches([({(0, 2): Fraction(1, 2), (3, 0): QQ(-7, 3)}, 1)]) == Fraction(5, 6)
     with pytest.raises(InvalidGermError):
         lct_of_branches([({(0, 2): 0.5, (3, 0): -1}, 1)])
+
+
+# -- the line step over Q against factor_list and the skip rule -------------
+
+
+def _oracle_clusters(lines):
+    """Every line factored by sympy; a cluster one line crosses simply is skipped."""
+    clusters = {}
+    for i, ud in enumerate(lines):
+        for expr, e in _sympy_factors(ud).items():
+            clusters.setdefault(expr, []).append((i, e))
+    return {p: t for p, t in clusters.items() if len(t) > 1 or t[0][1] > 1}
+
+
+def _key_expr(p):
+    return V - sympy.Rational(p.numerator, p.denominator) if isinstance(p, Fraction) else p.as_expr()
+
+
+_linear_or_quadratic = st.lists(st.integers(-4, 4), min_size=2, max_size=3).filter(lambda cs: cs[-1])
+_object = st.tuples(
+    _scalar, st.integers(0, 3),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(1, 2)), max_size=3),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(_linear_or_quadratic, min_size=1, max_size=4),
+       st.lists(_object, min_size=1, max_size=4))
+def test_line_clusters_agree_with_factor_list_and_the_skip_rule(pool, objects):
+    # each restriction is c v^k times factors drawn from one shared pool, so
+    # that objects meet at rational and at conjugate irrational points
+    lines = []
+    for c, k, picks in objects:
+        poly = Poly(V**k, V, domain=QQ) * sympy.Rational(c.numerator, c.denominator)
+        for j, e in picks:
+            poly *= Poly(list(reversed(pool[j % len(pool)])), V, domain=QQ) ** e
+        lines.append(_line(poly))
+    found = _line_clusters(lines, Q)
+    for p in found:
+        assert isinstance(p, Fraction) or p.degree() >= 2
+    assert {_key_expr(p): t for p, t in found.items()} == _oracle_clusters(lines)
+
+
+def test_line_clusters_factor_only_the_points_blown_up(monkeypatch):
+    def no_factor_list(ud, K):
+        raise AssertionError("factor_list called")
+
+    monkeypatch.setattr(blowup, "_sympy_factors", no_factor_list)
+    # five distinct simple points and one double one: only v = 1 is a key,
+    # and the irreducible quadratic met once is never factored
+    lines = [_line(Poly((V - 1) * (V**2 - 2), V)), _line(Poly((V - 1) * (V + 3), V)),
+             _line(Poly(V - 5, V))]
+    assert _line_clusters(lines, Q) == {Fraction(1): [(0, 1), (1, 1)]}
+    assert _line_clusters([_line(Poly(V**2 * (V**2 + 1) ** 2, V))], Q) == {
+        Fraction(0): [(0, 2)], Poly(V**2 + 1, V, domain=QQ): [(0, 2)]}
+    # gcd(P, P') = (v - 1)^3 (v - 2)^2 has degree 5; its squarefree part
+    # (v - 1)(v - 2) is a quadratic, split without factor_list
+    quintic = _line(Poly((V - 1) ** 4 * (V - 2) ** 3 * (V + 5), V))
+    assert _line_clusters([quintic], Q) == {Fraction(1): [(0, 4)], Fraction(2): [(0, 3)]}

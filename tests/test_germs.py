@@ -269,6 +269,86 @@ def test_dense_squarefree_agrees_with_poly_gcd(d, f, g, c):
                 ensure_squarefree(germ)
 
 
+def _pure_squarefree(germ):
+    """is_squarefree, and whether it decided without its sympy fallback."""
+    answer = germ.is_squarefree
+    return answer, "poly" not in vars(germ)
+
+
+contents = st.lists(st.integers(-3, 3), min_size=1, max_size=3).filter(lambda cs: cs[-1])
+
+
+@settings(deadline=None, max_examples=150)
+@given(small_polys, small_polys, contents, st.integers(1, 2))
+def test_pure_squarefree_agrees_with_poly_gcd_on_squares_and_contents(f, g, content, e):
+    f = Poly.from_dict(f, x, y, domain=QQ)
+    g = Poly.from_dict(g, x, y, domain=QQ)
+    c = Poly(sum(k * x**i for i, k in enumerate(content)), x, y, domain=QQ)
+    for poly in [f**2 * g, c**e * g, c**e * (f - f.coeff_monomial(1)),
+                 x**e * (y - x) * g, (x - 1) ** 2 * y * g]:
+        if poly.is_zero or poly.coeff_monomial(1) != 0:
+            continue
+        germ = CurveGerm(poly.as_expr())
+        assert germ.is_squarefree == _gcd_squarefree(germ), poly
+
+
+@pytest.mark.parametrize("text", [
+    "y^2 - x^3", "x*y", "x*y*(x+y)", "y*(y-x)*(y-2*x)*(y+3*x)", "x*(x-1)*y + x^3*y^2",
+    "(y - x^2)*(y - 2*x^2)*(y + x^2)", "(x^2 - 2*y)*(y^2 - 3*x^5)", "x", "x^7 - y^2*x",
+])
+def test_squarefree_germs_are_certified_without_sympy(text):
+    assert _pure_squarefree(CurveGerm(text)) == (True, True)
+
+
+@pytest.mark.parametrize("text", ["x^2*(y - x)", "(x-1)^2*x*y + (x-1)^2*x^2", "x^2*y", "x^3"])
+def test_a_repeated_factor_in_x_is_found_without_sympy(text):
+    # the content in y, a polynomial in x, is not squarefree
+    assert _pure_squarefree(CurveGerm(text)) == (False, True)
+
+
+@pytest.mark.parametrize("text", ["(x+y)^2", "(y - x^2)^2 * x", "(y^2 - 2*x^3)^2"])
+def test_a_repeated_factor_in_y_is_decided_by_the_dense_gcd(text):
+    assert _pure_squarefree(CurveGerm(text)) == (False, False)
+
+
+# -- str against sympy.sstr as an oracle (tests only) ------------------------
+
+wide_coefficients = st.builds(
+    Fraction, st.integers(-(10**30), 10**30).filter(bool), st.integers(1, 10**12)
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.one_of(germ_dicts, st.dictionaries(monomials, wide_coefficients, min_size=1,
+                                              max_size=6)))
+def test_str_prints_as_sympy_sstr(d):
+    expected = Poly.from_dict(d, x, y, domain=QQ)
+    if expected.is_zero:
+        return
+    germ = CurveGerm(sympy.sstr(expected.as_expr()))
+    assert str(germ) == sympy.sstr(expected.as_expr())
+    assert repr(germ) == f"CurveGerm({sympy.sstr(expected.as_expr())})"
+
+
+def test_str_of_a_germ_off_the_origin_in_its_error():
+    with pytest.raises(NotAtOriginError, match=r"germ -3\*x\*\*2\*y/2 \+ y - 1/2 does not"):
+        CurveGerm("y - 1/2 - 3/2*x^2*y")
+
+
+def test_germ_views_and_non_polynomial_input():
+    germ = CurveGerm("1/2*x*y - x^3")
+    assert germ.native_dict == {(1, 1): Fraction(1, 2), (3, 0): Fraction(-1)}
+    assert all(type(c) is Fraction for c in germ.native_dict.values())
+    assert germ.poly == Poly(x * y / 2 - x**3, x, y, domain=QQ)
+    assert germ.expr == x * y / 2 - x**3
+    assert hash(germ) == hash(CurveGerm(germ.expr))
+    for bad in [5, None, 1.5, [x]]:
+        with pytest.raises(InvalidGermError):
+            CurveGerm(bad)
+    with pytest.raises(InvalidGermError):
+        CurveGerm(x * sympy.Symbol("z"))
+
+
 def test_zero_polynomial_rejected():
     with pytest.raises(InvalidGermError):
         CurveGerm("x - x")

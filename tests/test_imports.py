@@ -2,10 +2,11 @@
 
 No module of the package imports a private name of another, and the
 combinatorial core (with the CLI) imports neither sympy nor the germ engine
-at module level, so that importing it never loads sympy.  Neither do blowup
-and lct import sympy or germs at module level, so that lct_config runs
-without sympy.  No module turns text into code: none imports sympy's
-parse_expr or sympify, or calls eval or exec.
+at module level, so that importing it never loads sympy.  Nor do germs,
+blowup and lct import sympy at module level, so that rational germs and
+lct_config run without it; blowup and lct do not import germs there either,
+so that lct_config never loads the germ parser.  No module turns text into
+code: none imports sympy's parse_expr or sympify, or calls eval or exec.
 """
 
 import ast
@@ -16,7 +17,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "delpezzo1"
 CORE = ("__init__", "dynkin", "cycles", "surfaces", "rigidity", "errors", "cli")
 ENGINE = ("sympy", "delpezzo1.germs", "delpezzo1.blowup", "delpezzo1.lct")
-RATIONAL_ENGINE = ("blowup", "lct")
+RATIONAL_ENGINE = ("blowup", "lct", "germs", "univariate")
 SYMPY_BACKED = ("sympy", "delpezzo1.germs")
 
 

@@ -1,4 +1,7 @@
-"""The combinatorial core and lct_config run without sympy; germs load it on first use.
+"""The package runs without sympy, except where a germ needs algebraic numbers.
+
+The combinatorial core, lct_config and rational germ queries never load
+sympy; an infinitely-near point with irrational coordinates does.
 
 Each sympy check runs in a fresh interpreter, because the test process has
 long since imported sympy.
@@ -83,16 +86,16 @@ def test_lct_config_subcommand_leaves_sympy_unloaded(argv):
     ("lct-germ", "y^2 - x^3"),
     ("classify", "x*y"),
 ], ids=lambda argv: argv[0])
-def test_germ_subcommands_load_sympy(argv):
-    assert sympy_loaded_after(cli_call(*argv))
+def test_germ_subcommands_leave_sympy_unloaded(argv):
+    assert not sympy_loaded_after(cli_call(*argv))
 
 
-@pytest.mark.parametrize("name", ["CurveGerm", "germs"])
-def test_reading_an_engine_name_loads_sympy(name):
-    assert sympy_loaded_after(f"import delpezzo1\ndelpezzo1.{name}")
+def test_germ_with_an_irrational_cluster_loads_sympy():
+    # the tangent directions y = +-sqrt(2) x are blown up in Q(sqrt 2)
+    assert sympy_loaded_after(cli_call("lct-germ", "(y^2-2*x^2)^2 - x^7"))
 
 
-@pytest.mark.parametrize("name", ["lct_config", "lct_germ", "blowup", "lct"])
+@pytest.mark.parametrize("name", ["lct_config", "lct_germ", "blowup", "lct", "CurveGerm", "germs"])
 def test_reading_a_rational_engine_name_leaves_sympy_unloaded(name):
     assert not sympy_loaded_after(f"import delpezzo1\ndelpezzo1.{name}")
 
@@ -105,7 +108,29 @@ def test_lct_config_leaves_sympy_unloaded_and_lct_germ_loads_it():
         "for point in [('E8', 'standard'), ('A1', 'tangential'), ('A2', 'one-point')]:\n"
         "    lct_config(build_configuration([point]))"
     )
-    assert sympy_loaded_after("import delpezzo1\ndelpezzo1.lct_germ('y^2 - x^3')")
+    # lct_germ loads sympy only for a cluster it must blow up over a number field
+    assert not sympy_loaded_after("import delpezzo1\ndelpezzo1.lct_germ('y^2 - x^3')")
+    assert sympy_loaded_after("import delpezzo1\ndelpezzo1.lct_germ('(y^2 + 2*x^2)^2 - x^6')")
+
+
+def test_rational_germ_queries_leave_sympy_unloaded():
+    # binomials, distinct lines, tangent branches and weighted lines, as in
+    # perfbench's germ-rational corpus, each checked against its closed form
+    assert not sympy_loaded_after(
+        "from fractions import Fraction as F\n"
+        "from delpezzo1 import classify_germ, germ_blowup_tree, lct_germ, lct_quasihomogeneous\n"
+        "from delpezzo1 import lct_weighted_germs\n"
+        "assert lct_germ('y^3 - 97/89*x^8') == F(11, 24)\n"
+        "assert lct_quasihomogeneous('x^2 - 3/2*y^7') == F(9, 14)\n"
+        "assert classify_germ('y^2 - 5*x^3') == 'cusp'\n"
+        "lines = '(y - x)*(y + 2/3*x)*(y - 7*x)*x*(y - 12*x)'\n"
+        "assert lct_germ(lines) == F(2, 5) and classify_germ(lines) == 'other'\n"
+        "tangent = '(y - 2*x - x^2)*(y - 2*x + 3*x^2)*(y - 2*x - 1/2*x^2)'\n"
+        "assert lct_germ(tangent) == F(1, 2) and len(germ_blowup_tree(tangent)) == 1\n"
+        "assert lct_weighted_germs([('y - x', 3), ('y + x', 1), ('x', 2)]) == F(1, 3)\n"
+        "assert lct_weighted_germs([('y - 2*x', 2), ('y - 2*x - 5*x^2', 3)]) == F(3, 10)\n"
+        "assert lct_weighted_germs([('y^2 - 4/9*x^5', 3)]) == F(7, 30)"
+    )
 
 
 @pytest.mark.parametrize("name", sorted(LAZY))
@@ -124,7 +149,7 @@ def test_first_read_binds_its_own_module_names(first):
         f"assert set({own!r}) <= set(vars(delpezzo1))\n"
         f"assert not set({other!r}) & set(vars(delpezzo1))"
     )
-    assert loaded == (LAZY[first] == "germs")
+    assert not loaded
 
 
 @pytest.mark.parametrize("name", ["germs", "blowup", "lct"])
