@@ -9,6 +9,12 @@ order m_E of the total transform.  The log canonical threshold is then
 
     lct = min( min_i 1/w_i , min_E (k_E + 1)/m_E ).
 
+Curves and exceptional divisors are one kind of object (f, k, m): a branch
+of weight w enters as (f, 0, w).  Blowing up a point makes the divisor with
+k = 1 + sum k and m = sum m mult(f) over the objects through the point, an
+exceptional divisor being smooth.  Its points are the clusters of the chart
+x = u, y = u v, and one more centre: the origin of the chart x = u v, y = v.
+
 Polynomials are stored as dicts {(deg_x, deg_y): coefficient} with
 coefficients in a field K: Q, whose elements are Fractions, or a sympy
 algebraic number field when an infinitely-near point has irrational
@@ -37,7 +43,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from . import univariate
 from .errors import DepthExceededError, InvalidGermError
@@ -49,11 +55,6 @@ class _Rationals:
     """The field Q with Fraction elements, in the role of a sympy domain."""
 
     one = Fraction(1)
-    zero = Fraction(0)
-
-    @staticmethod
-    def convert(c: int) -> Fraction:
-        return Fraction(c)
 
 
 Q = _Rationals()
@@ -73,9 +74,9 @@ Domain = Any  # Q, or a sympy algebraic field
 # An irreducible factor on an exceptional line: over Q a linear factor v - r
 # is its root r, a Fraction; any other factor is a monic sympy Poly in _v.
 Factor = Any
-
-Weighted = tuple  # (PolyDict, int weight)
-Exceptional = tuple  # (PolyDict, int k, int m)
+# An object through the current centre: a curve of weight w is (f, 0, w), an
+# exceptional divisor (f, k_E, m_E).
+Object = tuple
 
 
 @dataclass
@@ -128,51 +129,24 @@ def _restrict1(d: PolyDict) -> dict[int, Any]:
 
 def _lowest_form(d: PolyDict, mu: int) -> list:
     """Coefficients [c_0..c_mu] of the tangent cone sum c_b x^(mu-b) y^b."""
-    row = [None] * (mu + 1)
+    row = [0] * (mu + 1)
     for (a, b), c in d.items():
         if a + b == mu:
             row[b] = c
     return row
 
 
-def _form_product(forms: list[list], K: Domain) -> list:
-    """Convolution product of binary forms given by coefficient lists."""
-    acc = [K.one]
-    for f in forms:
-        f = [c if c is not None else K.zero for c in f]
-        out = [K.zero] * (len(acc) + len(f) - 1)
-        for i, ci in enumerate(acc):
-            if not ci:
-                continue
-            for j, cj in enumerate(f):
-                if cj:
-                    out[i + j] = out[i + j] + ci * cj
-        acc = out
-    return acc
-
-
 def _shift_y(d: PolyDict, theta: Any, K: Domain) -> PolyDict:
     """Substitute y -> y + theta, exactly, over K."""
     if not theta:
         return dict(d)
-    max_b = max(b for _, b in d)
     powers = [K.one]
-    for _ in range(max_b):
+    for _ in range(max(b for _, b in d)):
         powers.append(powers[-1] * theta)
-    binom = {}
     out: PolyDict = {}
     for (a, b), c in d.items():
         for j in range(b + 1):
-            key = (a, j)
-            cb = binom.get((b, j))
-            if cb is None:
-                cb = K.convert(math.comb(b, j))
-                binom[(b, j)] = cb
-            term = c * cb * powers[b - j]
-            if key in out:
-                out[key] = out[key] + term
-            else:
-                out[key] = term
+            out[a, j] = out.get((a, j), 0) + c * math.comb(b, j) * powers[b - j]
     return {k: c for k, c in out.items() if c}
 
 
@@ -379,7 +353,7 @@ def _cluster_point(p: Factor, K: Domain) -> tuple[Any, Domain, Callable[[Any], A
     return _extend_tower(p, K)
 
 
-def _is_snc(polys: list[PolyDict], K: Domain) -> bool:
+def _is_snc(polys: list[PolyDict]) -> bool:
     """Is the union of the given branches simple normal crossing at the origin?
 
     True when the total multiplicity is at most 1, or equals 2 with the
@@ -391,83 +365,59 @@ def _is_snc(polys: list[PolyDict], K: Domain) -> bool:
     if mu <= 1:
         return True
     if mu == 2:
-        q = _form_product([_lowest_form(d, m) for d, m in zip(polys, mults)], K)
-        disc = q[1] * q[1] - K.convert(4) * q[0] * q[2]
-        return bool(disc)
+        q = reduce(univariate.mul, [_lowest_form(d, m) for d, m in zip(polys, mults)])
+        return bool(q[1] * q[1] - 4 * q[0] * q[2])
     return False
 
 
-def _resolve(
-    curves: list[Weighted],
-    excs: list[Exceptional],
-    K: Domain,
-    depth: int,
-) -> BlowupNode | None:
+def _centres(objects: list[Object], k: int, m: int, K: Domain) -> Iterator[tuple[list, Domain]]:
+    """The centres on the new exceptional divisor E = (f, k, m) that may need a blowup.
+
+    Each comes with its field and the objects through it, E among them,
+    moved to its origin: first the clusters of the chart x = u, y = u v in
+    _order, then the origin of the chart x = u v, y = v, the one direction
+    [0:1] that chart 1 misses.  A centre is made only when it is reached, so
+    the recursion on one runs before the next is factored or extended.
+    """
+    strict = [(_strict1(d, multiplicity(d)), k_i, m_i) for d, k_i, m_i in objects]
+    clusters = _line_clusters([_restrict1(d) for d, _, _ in strict], K)
+    for p in sorted(clusters, key=_order):
+        theta, K2, conv = _cluster_point(p, K)
+        through = [strict[i] for i, _ in clusters[p]]
+        if K2 is not K:
+            through = [({key: conv(c) for key, c in d.items()}, k_i, m_i)
+                       for d, k_i, m_i in through]
+        through = [(_shift_y(d, theta, K2), k_i, m_i) for d, k_i, m_i in through]
+        yield through + [({(1, 0): K2.one}, k, m)], K2
+    # an object passes through the chart-2 origin iff x divides its tangent cone
+    strict = [(_strict2(d, multiplicity(d)), k_i, m_i) for d, k_i, m_i in objects]
+    through = [o for o in strict if (0, 0) not in o[0]]
+    if through:
+        yield through + [({(0, 1): K.one}, k, m)], K
+
+
+def _resolve(objects: list[Object], K: Domain, depth: int) -> BlowupNode | None:
     """Blow up the origin if needed; return the node, or None when already SNC.
 
-    Every entry of `curves` and `excs` passes through the origin.
+    Every object passes through the origin.  The new divisor has
+    k = 1 + sum k_i and m = sum m_i mult(f_i), as mult(f_i) = 1 for an
+    exceptional divisor, which is smooth.
     """
-    if _is_snc([d for d, _ in curves] + [d for d, _, _ in excs], K):
+    if _is_snc([d for d, _, _ in objects]):
         return None
     if depth >= DEPTH_CAP:
         raise DepthExceededError(f"blowup tree exceeded depth {DEPTH_CAP}")
-
-    k_new = 1 + sum(k for _, k, _ in excs)
-    m_new = sum(w * multiplicity(d) for d, w in curves) + sum(m for _, _, m in excs)
-    node = BlowupNode(k_new, m_new)
-
-    # chart x = u, y = u v: the exceptional line is u = 0, points are v-values
-    s_curves = [(_strict1(d, multiplicity(d)), w) for d, w in curves]
-    s_excs = [(_strict1(d, multiplicity(d)), k, m) for d, k, m in excs]
-    objects = [d for d, _ in s_curves] + [d for d, _, _ in s_excs]
-    clusters = _line_clusters([_restrict1(d) for d in objects], K)
-
-    for p in sorted(clusters, key=_order):
-        through = clusters[p]
-        theta, K2, conv = _cluster_point(p, K)
-
-        def moved(d: PolyDict) -> PolyDict:
-            if K2 is not K:
-                d = {key: conv(c) for key, c in d.items()}
-            return _shift_y(d, theta, K2)
-
-        idx_set = {i for i, _ in through}
-        sub_curves = [
-            (moved(d), w) for i, (d, w) in enumerate(s_curves) if i in idx_set
-        ]
-        sub_excs = [
-            (moved(d), k, m)
-            for i, (d, k, m) in enumerate(s_excs, start=len(s_curves))
-            if i in idx_set
-        ]
-        sub_excs.append(({(1, 0): K2.one}, k_new, m_new))
-        child = _resolve(sub_curves, sub_excs, K2, depth + 1)
+    node = BlowupNode(1 + sum(k for _, k, _ in objects),
+                      sum(m * multiplicity(d) for d, _, m in objects))
+    for sub, K2 in _centres(objects, node.k, node.m, K):
+        child = _resolve(sub, K2, depth + 1)
         if child is not None:
             node.children.append(child)
-
-    # chart x = u v, y = v: only the direction [0:1] is new; an object passes
-    # through its origin iff x divides its tangent cone
-    c2_curves = []
-    for d, w in curves:
-        t = _strict2(d, multiplicity(d))
-        if (0, 0) not in t:
-            c2_curves.append((t, w))
-    c2_excs = []
-    for d, k, m in excs:
-        t = _strict2(d, multiplicity(d))
-        if (0, 0) not in t:
-            c2_excs.append((t, k, m))
-    if c2_curves or c2_excs:
-        c2_excs.append(({(0, 1): K.one}, k_new, m_new))
-        child = _resolve(c2_curves, c2_excs, K, depth + 1)
-        if child is not None:
-            node.children.append(child)
-
     return node
 
 
-def _validated(branches: Sequence[tuple[PolyDict, int]]) -> list[Weighted]:
-    """The branches with their coefficients as Fractions, checked."""
+def _validated(branches: Sequence[tuple[PolyDict, int]]) -> list[Object]:
+    """The branches as curve objects (f, 0, w), their coefficients Fractions, checked."""
     if not branches:
         raise InvalidGermError("at least one branch is required")
     cleaned = []
@@ -479,7 +429,7 @@ def _validated(branches: Sequence[tuple[PolyDict, int]]) -> list[Weighted]:
             raise InvalidGermError("branch does not vanish at the origin")
         if isinstance(w, bool) or not (isinstance(w, int) and w >= 1):
             raise InvalidGermError("weights must be positive integers")
-        cleaned.append((d, w))
+        cleaned.append((d, 0, w))
     return cleaned
 
 
@@ -489,8 +439,7 @@ def blowup_tree(branches: Sequence[tuple[PolyDict, int]]) -> list[BlowupNode]:
     Returns the root-level nodes (empty when the union is already SNC).
     Branch dicts have rational coefficients: int, Fraction or sympy QQ.
     """
-    cleaned = _validated(branches)
-    root = _resolve(cleaned, [], Q, 0)
+    root = _resolve(_validated(branches), Q, 0)
     return [] if root is None else [root]
 
 

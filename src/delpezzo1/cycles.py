@@ -18,6 +18,7 @@ from .dynkin import ALL_TYPES, DynkinType, adjacency, as_dynkin, intersection_ma
 from .errors import (
     InvalidConfigurationError,
     NonTerminationError,
+    OutOfRangeError,
     UnrecognizedConfigurationError,
     VariantMismatchError,
 )
@@ -100,7 +101,7 @@ def fundamental_cycle(t: DynkinType | str, start: int = 1) -> FundamentalCycle:
     """
     t = as_dynkin(t)
     if not 1 <= start <= t.rank:
-        raise ValueError(f"start node must be in 1..{t.rank}")
+        raise OutOfRangeError(f"start node must be in 1..{t.rank}")
     return _fundamental_cycle(t, start)
 
 

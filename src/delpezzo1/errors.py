@@ -14,7 +14,8 @@ class MalformedLabelError(DelPezzoError, ValueError):
 
 
 class OutOfRangeError(DelPezzoError, ValueError):
-    """A Dynkin label names a type outside A1..A8, D4..D8, E6..E8."""
+    """A Dynkin label names a type outside A1..A8, D4..D8, E6..E8, or a
+    start node of fundamental_cycle lies outside 1..rank."""
 
 
 class NotSymmetricError(DelPezzoError, ValueError):

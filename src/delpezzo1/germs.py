@@ -32,11 +32,11 @@ the parser run long.  Going over a limit raises InvalidGermError.
   a germ built from a sympy expression.
 - Parentheses nest at most MAX_NESTING deep.
 
-A CurveGerm keeps the parser's dict of Fraction coefficients and prints it
-as sympy.sstr does.  Nothing here imports sympy at module level: it is
-loaded only by the sympy views .poly and .expr, by a germ given as a sympy
-expression, and by a squarefree test that no integer point certifies, which
-in practice means a germ about to be rejected as not squarefree.
+A CurveGerm keeps the parser's dict, its coefficients made Fractions, and
+prints it as sympy.sstr does.  Nothing here imports sympy at module level:
+it is loaded only by the sympy views .poly and .expr, by a germ given as a
+sympy expression, and by a squarefree test that no integer point certifies,
+which in practice means a germ about to be rejected as not squarefree.
 """
 
 from __future__ import annotations
@@ -74,7 +74,9 @@ _NUMBER = re.compile(r"[0-9]+\.?[0-9]*|\.[0-9]+")
 _TOKEN = re.compile(_NUMBER.pattern + r"|\*\*|\S")
 _INTEGER = re.compile(r"[0-9]+")
 
-# a polynomial is a dict {(a, b): Fraction coefficient}, no zero stored
+# a polynomial is a dict {(a, b): coefficient}, no zero stored; the parser
+# keeps an integral coefficient as an int, which multiplies faster than a
+# Fraction, and CurveGerm makes every coefficient a Fraction once
 
 
 def _bits(p: dict) -> int:
@@ -143,7 +145,7 @@ class _Parser:
                 divisor = self.signed()
                 if set(divisor) != {(0, 0)}:
                     self.fail("division by a non-constant" if divisor else "division by zero")
-                factor = {(0, 0): 1 / divisor[(0, 0)]}
+                factor = {(0, 0): Fraction(1) / divisor[(0, 0)]}
             value = self.mul(value, factor)
         return value
 
@@ -174,7 +176,7 @@ class _Parser:
             if n > MAX_DEGREE:
                 self.fail(f"exponent {n} exceeds {MAX_DEGREE}")
         if n == 0:
-            return {(0, 0): Fraction(1)}
+            return {(0, 0): 1}
         result = None
         while n:  # square and multiply
             if n & 1:
@@ -187,9 +189,9 @@ class _Parser:
     def atom(self) -> dict:
         token = self.take()
         if token == "x":
-            return {(1, 0): Fraction(1)}
+            return {(1, 0): 1}
         if token == "y":
-            return {(0, 1): Fraction(1)}
+            return {(0, 1): 1}
         if token == "(":
             self.nesting += 1
             if self.nesting > MAX_NESTING:
@@ -205,6 +207,8 @@ class _Parser:
                 self.fail(f"a literal exceeds {MAX_BITS} bits")
             whole, _, frac = token.partition(".")
             c = Fraction(int(whole + frac), 10 ** len(frac))
+            if c.denominator == 1:
+                c = c.numerator
             value = {(0, 0): c} if c else {}
             if _bits(value) > MAX_BITS:
                 self.fail(f"a literal exceeds {MAX_BITS} bits")
@@ -275,7 +279,7 @@ class CurveGerm:
         if isinstance(poly, CurveGerm):
             self.native_dict = poly.native_dict
         elif isinstance(poly, str):
-            self.native_dict = _Parser(poly).germ()
+            self.native_dict = {k: Fraction(c) for k, c in _Parser(poly).germ().items()}
         elif hasattr(poly, "as_poly"):
             self.native_dict = _from_sympy(poly)
         else:

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy import QQ, CRootOf, Poly, Symbol
 
@@ -21,9 +21,10 @@ from delpezzo1.blowup import (
     lct_of_branches,
     multiplicity,
 )
-from delpezzo1.errors import DepthExceededError, InvalidGermError
+from delpezzo1.errors import DelPezzoError, DepthExceededError, InvalidGermError
 from delpezzo1.germs import CurveGerm
-from delpezzo1.lct import lct_weighted_germs
+from delpezzo1.lct import germ_blowup_tree, lct_germ, lct_weighted_germs
+from tests.data.make_resolution_corpus import canonical_form
 
 z = Symbol("z")
 T = Symbol("T")
@@ -312,3 +313,69 @@ def test_line_clusters_factor_only_the_points_blown_up(monkeypatch):
     # (v - 1)(v - 2) is a quadratic, split without factor_list
     quintic = _line(Poly((V - 1) ** 4 * (V - 2) ** 3 * (V + 5), V))
     assert _line_clusters([quintic], Q) == {Fraction(1): [(0, 4)], Fraction(2): [(0, 3)]}
+
+
+# -- chart symmetry: exchanging x and y moves chart-1 points to chart 2 -----
+#
+# The direction [0:1], the origin of the chart x = u v, y = v, is the one
+# centre the engine does not find among the clusters of the chart x = u,
+# y = u v.  Exchanging x and y maps it to v = 0 and each direction v != 0 to
+# 1/v, so the resolution is the same as an unordered tree and the lct is
+# unchanged; this checks chart 2 against chart 1.
+
+
+def _text(d):
+    return " + ".join(f"({c})*x^{a}*y^{b}" for (a, b), c in sorted(d.items()))
+
+
+def _times(p, q):
+    out = {}
+    for (a1, b1), c1 in p.items():
+        for (a2, b2), c2 in q.items():
+            out[a1 + a2, b1 + b2] = out.get((a1 + a2, b1 + b2), 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def _resolution(d):
+    """lct and the resolution tree with sorted siblings, or the error's name."""
+    text = _text(d)
+    try:
+        return lct_germ(text), sorted(canonical_form(r) for r in germ_blowup_tree(text))
+    except DelPezzoError as exc:
+        return type(exc).__name__
+
+
+def _check_symmetric(d):
+    assume(CurveGerm(_text(d)).is_squarefree)
+    assert _resolution(d) == _resolution({(b, a): c for (a, b), c in d.items()}), _text(d)
+
+
+_exponents = st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(lambda e: e != (0, 0))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.dictionaries(_exponents, _scalar, min_size=1, max_size=5))
+def test_exchanging_x_and_y_keeps_monomial_sums(d):
+    _check_symmetric(d)
+
+
+_lines = st.one_of(st.just({(1, 0): 1}), st.builds(lambda s: {(0, 1): 1, (1, 0): -s}, _scalar))
+_binomials = st.builds(lambda a, b, c: {(0, a): 1, (b, 0): -c},
+                       st.integers(1, 5), st.integers(1, 5), _scalar)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.one_of(_lines, _binomials), min_size=1, max_size=4, unique_by=str))
+def test_exchanging_x_and_y_keeps_products_of_lines_and_binomials(factors):
+    d = factors[0]
+    for f in factors[1:]:
+        d = _times(d, f)
+    _check_symmetric(d)
+
+
+@settings(deadline=None, max_examples=12)
+@given(st.sampled_from([2, 3, -1, -2, Fraction(5, 3)]), _scalar, st.integers(5, 9))
+def test_exchanging_x_and_y_keeps_conjugate_tacnodes(a, c, k):
+    # (y^2 - a x^2)^2 - c x^k: two tangent directions conjugate over Q(sqrt a)
+    d = {(0, 4): 1, (2, 2): -2 * a, (4, 0): a * a, (k, 0): -c}
+    _check_symmetric(d)

@@ -21,6 +21,7 @@ from delpezzo1.cycles import (
 from delpezzo1.dynkin import ALL_TYPES, intersection_matrix, parse_dynkin
 from delpezzo1.errors import (
     InvalidConfigurationError,
+    OutOfRangeError,
     UnrecognizedConfigurationError,
     VariantMismatchError,
 )
@@ -104,6 +105,13 @@ def test_start_node_independence(t):
     base = fundamental_cycle(t).coeffs
     for start in range(1, t.rank + 1):
         assert fundamental_cycle(t, start=start).coeffs == base
+
+
+@pytest.mark.parametrize("start", [0, -1, 9, 99])
+def test_start_node_out_of_range_is_typed(start):
+    with pytest.raises(OutOfRangeError, match=r"1\.\.8"):
+        fundamental_cycle("E8", start=start)
+    assert issubclass(OutOfRangeError, ValueError)  # callers catching ValueError still do
 
 
 def test_max_coefficient_per_series():
