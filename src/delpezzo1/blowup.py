@@ -24,6 +24,11 @@ line is one cluster, blown up once on behalf of all its conjugate points,
 which carry identical (k, m) data.  A field extension is introduced only
 when a cluster of degree >= 2 genuinely needs deeper resolution.
 
+A cluster is keyed by the coefficient tuple of its monic factor over K,
+constant term first, so the point v = r is (-r, 1).  The clusters of a line
+are blown up in (degree, coefficients) order; Fractions and the elements of
+a sympy algebraic field are both ordered, so one rule serves every field.
+
 Over Q the engine first finds, without factoring, the points of an
 exceptional line that need a blowup: those through two objects or through
 one object twice.  They are v = 0 (read off the powers of v), a root shared
@@ -31,9 +36,11 @@ by two linear restrictions or by one and another restriction, and the
 multiple roots of the product P of the restrictions of degree >= 2, whose
 squarefree part comes from gcd(P, P') by Euclid over Q.  Only that part is
 factored: linear and quadratic ones exactly, the quadratic through an isqrt
-test of its discriminant.  So a rational germ resolves without sympy, which
-is imported only to factor a part of degree >= 3, to key an irreducible
-cluster that is blown up, and to build and use algebraic number fields.
+test of its discriminant.  An object is through a cluster when the
+cluster's factor divides its restriction exactly.  So a rational germ
+resolves without sympy, which is imported in four places only: to factor
+(_sympy_factors, and the degree >= 3 branch of _factor_on_line) and to
+build algebraic number fields (_extend_qq, _extend_tower).
 """
 
 from __future__ import annotations
@@ -71,9 +78,6 @@ def _rational(c: Any) -> Fraction:
 # a polynomial is a dict {(a, b): coeff} with coeff a nonzero element of K
 PolyDict = dict
 Domain = Any  # Q, or a sympy algebraic field
-# An irreducible factor on an exceptional line: over Q a linear factor v - r
-# is its root r, a Fraction; any other factor is a monic sympy Poly in _v.
-Factor = Any
 # An object through the current centre: a curve of weight w is (f, 0, w), an
 # exceptional divisor (f, k_E, m_E).
 Object = tuple
@@ -150,153 +154,116 @@ def _shift_y(d: PolyDict, theta: Any, K: Domain) -> PolyDict:
     return {k: c for k, c in out.items() if c}
 
 
-def _sympy_factors(ud: dict[int, Any], K: Domain) -> list[tuple[Any, int]]:
-    """Monic irreducible factors (with multiplicity) of a univariate dict, by sympy."""
+def _sympy_factors(ud: dict[int, Any], K: Domain) -> list[tuple[tuple, int]]:
+    """Monic irreducible factors (with multiplicity) of a univariate dict, by sympy, as keys."""
     from sympy import Poly, Symbol
 
     p = Poly.from_dict({(b,): c for b, c in ud.items()}, Symbol("_v"), domain=K)
     _, factors = p.factor_list()
-    return [(f.monic(), e) for f, e in factors if f.degree() >= 1]
+    return [(tuple(reversed(f.monic().rep.to_list())), e) for f, e in factors if f.degree() >= 1]
 
 
-def _irreducible(monic_coeffs: list) -> Any:
-    """An irreducible factor of degree >= 2 over Q as its cluster key, a monic sympy Poly in _v."""
-    from sympy import QQ, Poly, Symbol
-
-    coeffs = {(i,): QQ(c.numerator, c.denominator) for i, c in enumerate(monic_coeffs) if c}
-    return Poly.from_dict(coeffs, Symbol("_v"), domain=QQ)
-
-
-def _quadratic_factors(c: Fraction, b: Fraction, a: Fraction) -> list[tuple[Factor, int]]:
-    """Factors of a v^2 + b v + c over Q: two roots if the discriminant is a rational square."""
+def _quadratic_factors(c: Fraction, b: Fraction, a: Fraction) -> list[tuple[tuple, int]]:
+    """Factors of a v^2 + b v + c over Q: two linear ones if the discriminant is a rational square."""
     disc = b * b - 4 * a * c
     root = Fraction(math.isqrt(disc.numerator), math.isqrt(disc.denominator)) if disc >= 0 else 0
     if root * root != disc:
-        return [(_irreducible([c / a, b / a, Fraction(1)]), 1)]
+        return [((c / a, b / a, Fraction(1)), 1)]
     if not root:
-        return [(-b / (2 * a), 2)]
-    return [((-b - root) / (2 * a), 1), ((-b + root) / (2 * a), 1)]
+        return [((b / (2 * a), Fraction(1)), 2)]
+    return [(((b + root) / (2 * a), Fraction(1)), 1), (((b - root) / (2 * a), Fraction(1)), 1)]
 
 
-def _factor_on_line(ud: dict[int, Any], K: Domain) -> list[tuple[Factor, int]]:
-    """Irreducible factors (with multiplicity) of a univariate dict over K.
+def _factor_on_line(ud: dict[int, Any], K: Domain) -> list[tuple[tuple, int]]:
+    """Irreducible factors (with multiplicity) of a univariate dict over K, as cluster keys.
 
     Over Q, v^k and a remainder of degree 1 or 2 are split exactly, a
     quadratic through an isqrt test of its discriminant; only a remainder of
-    degree >= 3 goes to sympy.  Each linear factor is its root, so one point
-    is one key whichever route found it.
+    degree >= 3 goes to sympy.  A key is a dense tuple of Fractions, so one
+    point is one key whichever route found it.
     """
     if not ud or max(ud) == 0:
         return []
     if K is not Q:
         return _sympy_factors(ud, K)
     k = min(ud)
-    factors: list[tuple[Factor, int]] = [(Fraction(0), k)] if k else []
+    factors = [((Fraction(0), Fraction(1)), k)] if k else []
     rest = [Fraction(ud.get(b, 0)) for b in range(k, max(ud) + 1)]
     if len(rest) == 2:
-        factors.append((-rest[0] / rest[1], 1))
+        factors.append(((rest[0] / rest[1], Fraction(1)), 1))
     elif len(rest) == 3:
         factors += _quadratic_factors(*rest)
     elif len(rest) > 3:
         from sympy import QQ
 
         qq = {b: QQ(c.numerator, c.denominator) for b, c in enumerate(rest)}
-        for f, e in _sympy_factors(qq, QQ):
-            factors.append((_rational(_linear_root(f, QQ)) if f.degree() == 1 else f, e))
+        factors += [(tuple(map(_rational, p)), e) for p, e in _sympy_factors(qq, QQ)]
     return factors
 
 
-def _multiplicity_on(p: Factor, ud: dict[int, Any]) -> int:
-    """How often the cluster p divides the restriction ud, over Q."""
-    if isinstance(p, Fraction):
-        if not p:
-            return min(ud)
-        factor = [-p, Fraction(1)]
-    else:
-        factor = [_rational(c) for c in reversed(p.all_coeffs())]
-    rest = univariate.from_dict(ud)
-    e = 0
-    while len(rest) >= len(factor):
-        quo, rem = univariate.divide(rest, factor)
-        if rem:
-            break
-        rest, e = quo, e + 1
-    return e
-
-
-def _rational_clusters(lines: list[dict[int, Any]]) -> list[Factor]:
+def _rational_clusters(lines: list[dict[int, Any]]) -> list[tuple]:
     """The clusters over Q through two objects, or through one object twice.
 
-    With the powers of v taken out, a root of a linear restriction is read
-    off and counted; of the restrictions of degree >= 2 only the multiple
-    roots of their product P, the squarefree part of gcd(P, P'), are factored.
+    With the powers of v taken out, the monic factor of a linear restriction
+    is read off and counted; of the restrictions of degree >= 2 only the
+    multiple roots of their product P, the squarefree part of gcd(P, P'),
+    are factored.
     """
     orders = [min(ud) for ud in lines]
     rests = [univariate.from_dict({b - k: c for b, c in ud.items()}) for ud, k in zip(lines, orders)]
-    roots = Counter(-r[0] / r[1] for r in rests if len(r) == 2)
+    linear = Counter((r[0] / r[1], Fraction(1)) for r in rests if len(r) == 2)
     higher = [r for r in rests if len(r) > 2]
-    keys = [r for r, n in roots.items()
-            if n > 1 or any(univariate.evaluate(h, r) == 0 for h in higher)]
+    keys = [p for p, n in linear.items()
+            if n > 1 or any(univariate.evaluate(h, -p[0]) == 0 for h in higher)]
     if max(orders) > 1 or sum(k > 0 for k in orders) > 1:
-        keys.append(Fraction(0))
+        keys.append((Fraction(0), Fraction(1)))
     if higher:
         product = reduce(univariate.mul, higher)
         repeated = univariate.gcd(product, univariate.derivative(product))
         if len(repeated) > 2:  # its squarefree part: each point once
             repeated = univariate.divide(repeated, univariate.gcd(
                 repeated, univariate.derivative(repeated)))[0]
-        # a root of a linear restriction among them is a key already
-        keys += [p for p, _ in _factor_on_line(dict(enumerate(repeated)), Q) if p not in roots]
+        # a linear restriction's factor among them is a key already
+        keys += [p for p, _ in _factor_on_line(dict(enumerate(repeated)), Q) if p not in linear]
     return keys
 
 
-def _line_clusters(lines: list[dict[int, Any]], K: Domain) -> dict[Factor, list[tuple[int, int]]]:
+def _line_clusters(lines: list[dict[int, Any]], K: Domain) -> dict[tuple, list[int]]:
     """The clusters on an exceptional line that get blown up.
 
     lines[i] is the restriction of object i to the line; each cluster maps
-    to the (i, multiplicity) of the objects through it.  A cluster that one
-    object crosses simply is an SNC point: it is left out, so that no field
-    is extended for it.  Over Q the clusters left out are never factored.
+    to the indices of the objects through it.  A cluster that one object
+    crosses simply is an SNC point: it is left out, so that no field is
+    extended for it.  Over Q the clusters left out are never factored, and
+    an object is through a cluster when the cluster's factor divides its
+    restriction exactly.
     """
     if K is Q:
-        clusters: dict[Factor, list[tuple[int, int]]] = {}
-        for p in _rational_clusters(lines):
-            clusters[p] = [(i, e) for i, ud in enumerate(lines) if (e := _multiplicity_on(p, ud))]
-        return clusters
-    clusters = {}
+        return {p: [i for i, ud in enumerate(lines)
+                    if not univariate.divide(univariate.from_dict(ud), p)[1]]
+                for p in _rational_clusters(lines)}
+    clusters: dict[tuple, list[tuple[int, int]]] = {}
     for i, ud in enumerate(lines):
         for p, e in _factor_on_line(ud, K):
             clusters.setdefault(p, []).append((i, e))
-    return {p: through for p, through in clusters.items() if len(through) > 1 or through[0][1] > 1}
+    return {p: [i for i, _ in through] for p, through in clusters.items()
+            if len(through) > 1 or through[0][1] > 1}
 
 
-def _order(p: Factor) -> tuple[int, str]:
-    """Sibling order of clusters: by degree, then by the factor as sympy prints it."""
-    if isinstance(p, Fraction):
-        if not p:
-            return 1, "_v"
-        return 1, f"_v - {p}" if p > 0 else f"_v + {-p}"
-    return p.degree(), str(p.as_expr())
-
-
-def _linear_root(p: Any, K: Domain) -> Any:
-    coeffs = p.as_dict(native=True)
-    c0 = coeffs.get((0,), K.zero)
-    return -c0  # p is monic: v + c0
-
-
-def _extend_qq(p: Any) -> tuple[Any, Domain, Callable[[Any], Any]]:
+def _extend_qq(p: tuple) -> tuple[Any, Domain, Callable[[Any], Any]]:
     """Field extension for an irreducible cluster over Q."""
     import sympy
     from sympy import QQ
 
-    theta_expr = sympy.CRootOf(p.as_expr(), 0)
+    v = sympy.Symbol("_v")
+    theta_expr = sympy.CRootOf(sum(sympy.Rational(c.numerator, c.denominator) * v**i
+                                   for i, c in enumerate(p)), 0)
     K2 = QQ.algebraic_field(theta_expr)
     theta = K2.from_sympy(theta_expr)
     return theta, K2, lambda c: K2.convert(c, QQ)
 
 
-def _extend_tower(p: Any, K: Domain) -> tuple[Any, Domain, Callable[[Any], Any]]:
+def _extend_tower(p: tuple, K: Domain) -> tuple[Any, Domain, Callable[[Any], Any]]:
     """Field extension for an irreducible cluster over an algebraic field K.
 
     A root of p is located inside a primitive-element tower Q(gamma, theta)
@@ -310,8 +277,8 @@ def _extend_tower(p: Any, K: Domain) -> tuple[Any, Domain, Callable[[Any], Any]]
     gamma_expr = K.ext.as_expr()
     # lift p to Q[z, T], z standing for gamma
     lifted = sympy.Integer(0)
-    p_items = list(p.as_dict(native=True).items())
-    for (i,), c in p_items:
+    p_items = [(i, c) for i, c in enumerate(p) if c]
+    for i, c in p_items:
         rep = list(reversed(c.to_list()))
         c_z = sum(sympy.Rational(r.numerator, r.denominator) * _z**j for j, r in enumerate(rep))
         lifted += c_z * _T**i
@@ -334,7 +301,7 @@ def _extend_tower(p: Any, K: Domain) -> tuple[Any, Domain, Callable[[Any], Any]]
                 theta = K2.from_sympy(theta_expr)
                 conv = lambda c, _K2=K2: _K2.from_sympy(K.to_sympy(c))
                 value = K2.zero
-                for (i,), c in p_items:
+                for i, c in p_items:
                     value = value + conv(c) * theta**i
                 if not value:
                     return theta, K2, conv
@@ -343,11 +310,10 @@ def _extend_tower(p: Any, K: Domain) -> tuple[Any, Domain, Callable[[Any], Any]]
     raise InvalidGermError("could not realize an infinitely-near point in a number field")
 
 
-def _cluster_point(p: Factor, K: Domain) -> tuple[Any, Domain, Callable[[Any], Any]]:
-    if isinstance(p, Fraction):
-        return p, K, lambda c: c
-    if p.degree() == 1:
-        return _linear_root(p, K), K, lambda c: c
+def _cluster_point(p: tuple, K: Domain) -> tuple[Any, Domain, Callable[[Any], Any]]:
+    """A root theta of the cluster's monic factor p, the field it lies in, and the map into it."""
+    if len(p) == 2:
+        return -p[0], K, lambda c: c
     if K is Q:
         return _extend_qq(p)
     return _extend_tower(p, K)
@@ -375,15 +341,16 @@ def _centres(objects: list[Object], k: int, m: int, K: Domain) -> Iterator[tuple
 
     Each comes with its field and the objects through it, E among them,
     moved to its origin: first the clusters of the chart x = u, y = u v in
-    _order, then the origin of the chart x = u v, y = v, the one direction
-    [0:1] that chart 1 misses.  A centre is made only when it is reached, so
-    the recursion on one runs before the next is factored or extended.
+    (degree, coefficients) order of their keys, then the origin of the
+    chart x = u v, y = v, the one direction [0:1] that chart 1 misses.  A
+    centre is made only when it is reached, so the recursion on one runs
+    before the next is factored or extended.
     """
     strict = [(_strict1(d, multiplicity(d)), k_i, m_i) for d, k_i, m_i in objects]
     clusters = _line_clusters([_restrict1(d) for d, _, _ in strict], K)
-    for p in sorted(clusters, key=_order):
+    for p in sorted(clusters, key=lambda p: (len(p), p)):
         theta, K2, conv = _cluster_point(p, K)
-        through = [strict[i] for i, _ in clusters[p]]
+        through = [strict[i] for i in clusters[p]]
         if K2 is not K:
             through = [({key: conv(c) for key, c in d.items()}, k_i, m_i)
                        for d, k_i, m_i in through]

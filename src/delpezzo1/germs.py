@@ -24,7 +24,8 @@ the parser run long.  Going over a limit raises InvalidGermError.
 
 - The total degree of a product, and every exponent, is at most MAX_DEGREE.
 - The term-by-term products formed over the whole text number at most
-  MAX_TERMS.
+  MAX_TERMS.  A power of a monomial with coefficient 1, such as x^a, is
+  built in one step and counts as one.
 - The coefficients of the two factors, the bits of the largest numerator
   and of the common denominator counted together, have at most MAX_BITS
   bits between them; so have a literal and the common denominator of a sum.
@@ -177,6 +178,10 @@ class _Parser:
                 self.fail(f"exponent {n} exceeds {MAX_DEGREE}")
         if n == 0:
             return {(0, 0): 1}
+        if list(base.values()) == [1]:  # a monomial such as x^a: one term product
+            ((a, b),) = base
+            self.charge((a + b) * n, 1)
+            return {(a * n, b * n): 1}
         result = None
         while n:  # square and multiply
             if n & 1:
@@ -216,13 +221,16 @@ class _Parser:
         self.pos -= 1
         self.expected("x, y, a number or '('")
 
-    def mul(self, p: dict, q: dict) -> dict:
-        degree = _degree(p) + _degree(q)
+    def charge(self, degree: int, products: int) -> None:
+        """Count a product of this degree, forming this many term products, against the limits."""
         if degree > MAX_DEGREE:
             self.fail(f"degree {degree} exceeds {MAX_DEGREE}")
-        self.products += len(p) * len(q)
+        self.products += products
         if self.products > MAX_TERMS:
             self.fail(f"expansion exceeds {MAX_TERMS} term products")
+
+    def mul(self, p: dict, q: dict) -> dict:
+        self.charge(_degree(p) + _degree(q), len(p) * len(q))
         if _bits(p) + _bits(q) > MAX_BITS:
             self.fail(f"coefficients exceed {MAX_BITS} bits")
         out: dict = {}

@@ -13,7 +13,6 @@ from delpezzo1.blowup import (
     _extend_tower,
     _factor_on_line,
     _line_clusters,
-    _order,
     _shift_y,
     _strict1,
     _strict2,
@@ -24,7 +23,7 @@ from delpezzo1.blowup import (
 from delpezzo1.errors import DelPezzoError, DepthExceededError, InvalidGermError
 from delpezzo1.germs import CurveGerm
 from delpezzo1.lct import germ_blowup_tree, lct_germ, lct_weighted_germs
-from tests.data.make_resolution_corpus import canonical_form
+from tests.data.make_resolution_corpus import canonical_form, engine_form
 
 z = Symbol("z")
 T = Symbol("T")
@@ -97,10 +96,10 @@ def test_terminal_shortcut_avoids_extension():
 def test_extend_tower_finds_exact_root():
     gamma = CRootOf(z**2 - 2, 1)  # +sqrt(2)
     K = QQ.algebraic_field(gamma)
-    p = Poly.from_dict({(2,): K.one, (0,): -K.from_sympy(gamma)}, T, domain=K)
+    p = (-K.from_sympy(gamma), K.zero, K.one)  # T^2 - sqrt(2), constant term first
     theta, K2, conv = _extend_tower(p, K)
     value = K2.zero
-    for (i,), c in p.as_dict(native=True).items():
+    for i, c in enumerate(p):
         value = value + conv(c) * theta**i
     assert not value  # theta is an exact root of p over K2
 
@@ -112,8 +111,10 @@ def test_imaginary_tangent_directions():
 
 
 def test_cluster_point_rational():
-    p = Poly(Symbol("_v") - sympy.Rational(1, 2), Symbol("_v"), domain=QQ)
-    theta, K2, conv = _cluster_point(p.monic(), QQ)
+    # the key of v - 1/2 is (-1/2, 1), over Q and over sympy's QQ alike
+    theta, K2, conv = _cluster_point((Fraction(-1, 2), Fraction(1)), Q)
+    assert K2 is Q and theta == Fraction(1, 2)
+    theta, K2, conv = _cluster_point((QQ(-1, 2), QQ(1)), QQ)
     assert K2 == QQ and theta == QQ(1, 2)
 
 
@@ -160,18 +161,18 @@ def _sympy_factors(ud):
     return {f.monic().as_expr(): e for f, e in p.factor_list()[1] if f.degree() >= 1}
 
 
+def _key_expr(p):
+    """A cluster key, the monic factor's coefficients constant term first, as an expression."""
+    return sum(sympy.Rational(c.numerator, c.denominator) * V**i for i, c in enumerate(p))
+
+
 def _check_against_sympy(ud):
     factors = _factor_on_line(ud, Q)
     exprs = {}
     for p, e in factors:
-        if isinstance(p, Fraction):
-            expr = V - sympy.Rational(p.numerator, p.denominator)
-        else:
-            assert p.degree() >= 2  # a rational root is always a Fraction key
-            expr = p.as_expr()
-        # the sibling order is the one sympy's printed factors give
-        assert _order(p) == (sympy.degree(expr, V), str(expr))
-        exprs[expr] = e
+        # a dense tuple of Fractions, monic, whichever route found it
+        assert all(type(c) is Fraction for c in p) and len(p) >= 2 and p[-1] == 1
+        exprs[_key_expr(p)] = e
     assert len(exprs) == len(factors)
     assert exprs == _sympy_factors(ud)
 
@@ -217,21 +218,21 @@ def test_factor_on_line_splits_a_quadratic_by_its_discriminant(c, k, abc, den):
 
 def test_factor_on_line_quadratic_cases():
     assert _factor_on_line({0: Fraction(2), 1: Fraction(-3), 2: Fraction(1)}, Q) == [
-        (Fraction(1), 1), (Fraction(2), 1)]
+        ((-1, 1), 1), ((-2, 1), 1)]
     assert _factor_on_line({0: Fraction(1, 4), 1: Fraction(-1), 2: Fraction(1)}, Q) == [
-        (Fraction(1, 2), 2)]
+        ((Fraction(-1, 2), 1), 2)]
     ((p, e),) = _factor_on_line({0: Fraction(-2), 2: Fraction(1)}, Q)
-    assert (p.as_expr(), e) == (V**2 - 2, 1)
+    assert (p, e) == ((-2, 0, 1), 1) and _key_expr(p) == V**2 - 2
     ((p, e),) = _factor_on_line({0: Fraction(3), 2: Fraction(6)}, Q)
-    assert (p.as_expr(), e) == (V**2 + sympy.Rational(1, 2), 1)
+    assert (p, e) == ((Fraction(1, 2), 0, 1), 1) and _key_expr(p) == V**2 + sympy.Rational(1, 2)
 
 
 def test_factor_on_line_keeps_constants_out():
     assert _factor_on_line({}, Q) == []
     assert _factor_on_line({0: Fraction(3)}, Q) == []
-    assert _factor_on_line({2: Fraction(-1, 2)}, Q) == [(Fraction(0), 2)]
+    assert _factor_on_line({2: Fraction(-1, 2)}, Q) == [((0, 1), 2)]
     assert _factor_on_line({1: Fraction(2), 2: Fraction(4)}, Q) == [
-        (Fraction(0), 1), (Fraction(-1, 2), 1)]
+        ((0, 1), 1), ((Fraction(1, 2), 1), 1)]
 
 
 def test_cluster_found_by_both_routes_is_one_cluster():
@@ -247,6 +248,32 @@ def test_cluster_found_by_both_routes_is_one_cluster():
     for w in range(1, 5):
         closed_form = min(Fraction(1, w), Fraction(2, w + 3), Fraction(3, 2 * w + 4))
         assert lct_of_branches([(line, w), (rest, 1)]) == closed_form
+
+
+# Siblings are blown up in (degree, coefficients) order of their keys, so the
+# point v = 3 (key (-3, 1)) comes before v = 1, and v^2 - 3 before v^2 - 2.
+# The canonical tree and the lct do not depend on that order, so they are
+# pinned beside the engine-order tree.
+_SIBLING_ORDER = [
+    ("((y-x)^2-x^3)*((y-3*x)^2-x^5)", Fraction(1, 2),
+     [1, 4, [[2, 6, [[3, 7, [[6, 14, []]]]]], [2, 5, [[4, 10, []]]]]],
+     [1, 4, [[2, 5, [[4, 10, []]]], [2, 6, [[3, 7, [[6, 14, []]]]]]]]),
+    ("((y-x/2)^2-x^3)*((y+2*x)^2-x^5)", Fraction(1, 2),
+     [1, 4, [[2, 5, [[4, 10, []]]], [2, 6, [[3, 7, [[6, 14, []]]]]]]],
+     [1, 4, [[2, 5, [[4, 10, []]]], [2, 6, [[3, 7, [[6, 14, []]]]]]]]),
+    ("((y^2-2*x^2)^2-x^7)*((y^2-3*x^2)^2-x^9)", Fraction(1, 4),
+     [1, 8, [[2, 10, [[3, 12, [[4, 13, [[8, 26, []]]]]]]], [2, 10, [[3, 11, [[6, 22, []]]]]]]],
+     [1, 8, [[2, 10, [[3, 11, [[6, 22, []]]]]], [2, 10, [[3, 12, [[4, 13, [[8, 26, []]]]]]]]]]),
+]
+
+
+@pytest.mark.parametrize("text, lct, engine, canonical", _SIBLING_ORDER,
+                         ids=[t for t, *_ in _SIBLING_ORDER])
+def test_siblings_are_blown_up_in_key_order(text, lct, engine, canonical):
+    (root,) = germ_blowup_tree(text)
+    assert engine_form(root) == engine
+    assert canonical_form(root) == canonical
+    assert lct_germ(text) == lct
 
 
 def test_coefficients_are_taken_as_fractions():
@@ -266,10 +293,6 @@ def _oracle_clusters(lines):
         for expr, e in _sympy_factors(ud).items():
             clusters.setdefault(expr, []).append((i, e))
     return {p: t for p, t in clusters.items() if len(t) > 1 or t[0][1] > 1}
-
-
-def _key_expr(p):
-    return V - sympy.Rational(p.numerator, p.denominator) if isinstance(p, Fraction) else p.as_expr()
 
 
 _linear_or_quadratic = st.lists(st.integers(-4, 4), min_size=2, max_size=3).filter(lambda cs: cs[-1])
@@ -292,9 +315,10 @@ def test_line_clusters_agree_with_factor_list_and_the_skip_rule(pool, objects):
             poly *= Poly(list(reversed(pool[j % len(pool)])), V, domain=QQ) ** e
         lines.append(_line(poly))
     found = _line_clusters(lines, Q)
-    for p in found:
-        assert isinstance(p, Fraction) or p.degree() >= 2
-    assert {_key_expr(p): t for p, t in found.items()} == _oracle_clusters(lines)
+    for p in found:  # every key over Q is a tuple of Fractions
+        assert isinstance(p, tuple) and all(type(c) is Fraction for c in p)
+    oracle = {p: [i for i, _ in t] for p, t in _oracle_clusters(lines).items()}
+    assert {_key_expr(p): t for p, t in found.items()} == oracle
 
 
 def test_line_clusters_factor_only_the_points_blown_up(monkeypatch):
@@ -306,13 +330,13 @@ def test_line_clusters_factor_only_the_points_blown_up(monkeypatch):
     # and the irreducible quadratic met once is never factored
     lines = [_line(Poly((V - 1) * (V**2 - 2), V)), _line(Poly((V - 1) * (V + 3), V)),
              _line(Poly(V - 5, V))]
-    assert _line_clusters(lines, Q) == {Fraction(1): [(0, 1), (1, 1)]}
+    assert _line_clusters(lines, Q) == {(-1, 1): [0, 1]}
     assert _line_clusters([_line(Poly(V**2 * (V**2 + 1) ** 2, V))], Q) == {
-        Fraction(0): [(0, 2)], Poly(V**2 + 1, V, domain=QQ): [(0, 2)]}
+        (0, 1): [0], (1, 0, 1): [0]}
     # gcd(P, P') = (v - 1)^3 (v - 2)^2 has degree 5; its squarefree part
     # (v - 1)(v - 2) is a quadratic, split without factor_list
     quintic = _line(Poly((V - 1) ** 4 * (V - 2) ** 3 * (V + 5), V))
-    assert _line_clusters([quintic], Q) == {Fraction(1): [(0, 4)], Fraction(2): [(0, 3)]}
+    assert _line_clusters([quintic], Q) == {(-1, 1): [0], (-2, 1): [0]}
 
 
 # -- chart symmetry: exchanging x and y moves chart-1 points to chart 2 -----

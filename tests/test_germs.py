@@ -28,6 +28,7 @@ from delpezzo1.germs import (
     OTHER,
     SMOOTH,
     CurveGerm,
+    _Parser,
     classify_germ,
     ensure_squarefree,
     lct_quasihomogeneous,
@@ -175,6 +176,16 @@ _MONOMIALS = [(a, d - a) for d in range(1, 60) for a in range(d + 1)][:1000]
 def test_limits(text, accepted):
     seconds, ok = _parse_seconds(text)
     assert ok == accepted and seconds < 0.25, seconds
+
+
+def test_power_of_a_monomial_is_one_term_product():
+    # x^a, y^b and (x*y)^c are built in one step, after the degree check
+    parser = _Parser("x^7*y^3 - (x*y)^2/2")
+    assert parser.germ() == {(7, 3): 1, (2, 2): Fraction(-1, 2)}
+    # one each: x^7, y^3, x^7*y^3, x*y, (x*y)^2 and the division by 2
+    assert parser.products == 6
+    with pytest.raises(InvalidGermError, match=f"degree 258 exceeds {MAX_DEGREE}"):
+        CurveGerm("(x^2)^129")
 
 
 # -- the parser against sympy's parse_expr as an oracle (tests only) ---------

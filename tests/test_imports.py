@@ -5,8 +5,10 @@ combinatorial core (with the CLI) imports neither sympy nor the germ engine
 at module level, so that importing it never loads sympy.  Nor do germs,
 blowup and lct import sympy at module level, so that rational germs and
 lct_config run without it; blowup and lct do not import germs there either,
-so that lct_config never loads the germ parser.  No module turns text into
-code: none imports sympy's parse_expr or sympify, or calls eval or exec.
+so that lct_config never loads the germ parser.  Inside blowup, sympy is
+imported only by the functions that factor over a number field or extend
+one.  No module turns text into code: none imports sympy's parse_expr or
+sympify, or calls eval or exec.
 """
 
 import ast
@@ -101,6 +103,50 @@ def test_engine_import_guard_names_the_offending_line():
     assert list(_engine_imports(source, "m.py", SYMPY_BACKED)) == [
         "m.py:3 imports sympy.polys",
         "m.py:4 imports delpezzo1.germs",
+    ]
+
+
+# the functions of blowup.py that factor with sympy or build its number fields
+BLOWUP_SYMPY_FUNCTIONS = ("_sympy_factors", "_factor_on_line", "_extend_qq", "_extend_tower")
+
+
+def _sympy_imports_outside(source, filename, allowed):
+    """Lines that import sympy anywhere but inside the top-level functions named."""
+    scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            for module in _imported_modules(child):
+                if module.split(".")[0] == "sympy" and scope not in allowed:
+                    yield f"{filename}:{child.lineno} imports {module}"
+            inner = child.name if scope is None and isinstance(child, scopes) else scope
+            yield from walk(child, inner)
+
+    yield from walk(ast.parse(source, filename=filename), None)
+
+
+def test_blowup_imports_sympy_only_to_factor_and_extend_fields():
+    path = PACKAGE / "blowup.py"
+    assert list(_sympy_imports_outside(path.read_text(), path.name, BLOWUP_SYMPY_FUNCTIONS)) == []
+
+
+def test_sympy_boundary_guard_names_the_offending_line():
+    source = "\n".join([
+        "import sympy",
+        "def _extend_qq(p):",
+        "    from sympy import QQ",
+        "    def inner():",
+        "        import sympy.polys",
+        "def _order(p):",
+        "    from sympy import Poly",
+        "class C:",
+        "    def _extend_qq(self):",
+        "        import sympy",
+    ])
+    assert list(_sympy_imports_outside(source, "m.py", ("_extend_qq",))) == [
+        "m.py:1 imports sympy",
+        "m.py:7 imports sympy",
+        "m.py:10 imports sympy",
     ]
 
 

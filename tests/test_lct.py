@@ -44,6 +44,8 @@ from delpezzo1.lct import (
 )
 from delpezzo1.surfaces import iter_valid_specs, realizable_configurations
 
+from .oracles import newton_edges, newton_lct
+
 x, y = sympy.symbols("x y")
 
 
@@ -329,3 +331,60 @@ def test_errors_of_a_local_model_are_never_cached():
         assert _meeting_lct.cache_info().currsize == 0
     assert _meeting_lct(True, 1, (1,)) == Fraction(5, 6)
     assert _meeting_lct.cache_info().currsize == 1
+
+
+# -- the Newton-polygon oracle (Howald 2001; Varchenko 1982) -----------------
+
+
+def _germ_text(d):
+    return " + ".join(f"({c})*x^{a}*y^{b}" for (a, b), c in sorted(d.items()))
+
+
+def _nondegenerate(d):
+    """Is every compact edge polynomial, without its monomial factor, squarefree?  By sympy."""
+    for edge in newton_edges(d):
+        a0, b0 = min(a for a, _ in edge), min(b for _, b in edge)
+        face = sum(sympy.Rational(c.numerator, c.denominator) * x ** (a - a0) * y ** (b - b0)
+                   for (a, b), c in edge.items())
+        if not sympy.Poly(face, x, y).is_sqf:
+            return False
+    return True
+
+
+def _check_newton(d):
+    assert (0, 0) not in d and any(a == 0 for a, _ in d) and any(b == 0 for _, b in d)
+    assume(_nondegenerate(d))
+    text = _germ_text(d)
+    assume(CurveGerm(text).is_squarefree)
+    assert lct_germ(text) == newton_lct(d), text
+
+
+_coefficient = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 5))
+_interior = st.dictionaries(st.tuples(st.integers(1, 6), st.integers(1, 6)), _coefficient,
+                            max_size=3)
+
+
+@pytest.mark.parametrize("d, value", [
+    ({(0, 3): 1, (2, 1): 1, (5, 0): 1}, Fraction(2, 3)),  # y^3 + x^2 y + x^5
+    ({(0, 2): 1, (2, 1): 1, (4, 0): 1}, Fraction(3, 4)),  # y^2 + x^2 y + x^4
+    ({(0, 4): 1, (3, 1): 1, (7, 0): 1}, Fraction(1, 2)),  # y^4 + x^3 y + x^7
+    ({(5, 0): 1, (2, 2): 1, (0, 5): 1}, Fraction(1, 2)),  # x^5 + x^2 y^2 + y^5
+])
+def test_newton_oracle_examples(d, value):
+    assert _nondegenerate(d)
+    assert newton_lct(d) == lct_germ(_germ_text(d)) == value
+
+
+def test_newton_oracle_needs_nondegeneracy():
+    # (y - x)^2 + x^3: the edge polynomial (y - x)^2 is not squarefree, and the
+    # polygon's 1 is not the cusp's 5/6
+    d = {(0, 2): 1, (1, 1): -2, (2, 0): 1, (3, 0): 1}
+    assert not _nondegenerate(d)
+    assert newton_lct(d) == 1 and lct_germ(_germ_text(d)) == Fraction(5, 6)
+
+
+@settings(deadline=None, max_examples=120)
+@given(st.integers(1, 9), st.integers(1, 9), _coefficient, _coefficient, _interior)
+def test_newton_oracle_agrees_with_the_engine(a, b, ca, cb, interior):
+    # x^a and y^b make the germ convenient; up to three monomials inside
+    _check_newton({**interior, (a, 0): ca, (0, b): cb})
