@@ -14,12 +14,12 @@ germ engine's public names -- CurveGerm, classify_germ, lct_quasihomogeneous
 submodule and binds that submodule's names.  The engine's submodules (germs,
 blowup, lct) are package attributes the same way.
 
-Germ text, squarefree tests and the blowup of rational points need no
-sympy, so reading any of these names, calling lct_config, or asking for the
-threshold or class of a germ whose blown-up points are all rational leaves
-sympy unloaded.  sympy is loaded when a point needs an algebraic number
-field, when a germ is rejected as not squarefree, and by the sympy views
-CurveGerm.poly and CurveGerm.expr.
+Germ text, squarefree tests, the rejection of a germ with a repeated
+factor and the blowup of rational points need no sympy, so reading any of
+these names, calling lct_config, or asking for the threshold or class of a
+germ whose blown-up points are all rational leaves sympy unloaded.  sympy
+is loaded when a point needs an algebraic number field, by a germ given as
+a sympy expression, and by the sympy views CurveGerm.poly and CurveGerm.expr.
 """
 
 import importlib

@@ -34,21 +34,22 @@ the parser run long.  Going over a limit raises InvalidGermError.
 - Parentheses nest at most MAX_NESTING deep.
 
 A CurveGerm keeps the parser's dict, its coefficients made Fractions, and
-prints it as sympy.sstr does.  Nothing here imports sympy at module level:
-it is loaded only by the sympy views .poly and .expr, by a germ given as a
-sympy expression, and by a squarefree test that no integer point certifies,
-which in practice means a germ about to be rejected as not squarefree.
+prints it as sympy.sstr does.  Its squarefree test, and the repeated
+factor that a rejection names, come from exact gcds over Z[x][y] computed
+modulo word-size primes (bivariate).  Nothing here imports sympy at module
+level: it is loaded only by the sympy views .poly and .expr and by a germ
+given as a sympy expression.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from math import gcd, lcm
 from typing import Any, NoReturn
 
-from . import univariate
+from . import bivariate
 from .blowup import lct_of_branches, multiplicity
 from .errors import (
     DepthExceededError,
@@ -230,6 +231,14 @@ class _Parser:
             self.fail(f"expansion exceeds {MAX_TERMS} term products")
 
     def mul(self, p: dict, q: dict) -> dict:
+        if len(p) == len(q) == 1:  # two terms, such as 2/3 and x: one term product
+            ((a1, b1), c1), = p.items()
+            ((a2, b2), c2), = q.items()
+            self.charge(a1 + b1 + a2 + b2, 1)
+            if sum(abs(c.numerator).bit_length() + c.denominator.bit_length()
+                   for c in (c1, c2)) > MAX_BITS:
+                self.fail(f"coefficients exceed {MAX_BITS} bits")
+            return {(a1 + a2, b1 + b2): c1 * c2}
         self.charge(_degree(p) + _degree(q), len(p) * len(q))
         if _bits(p) + _bits(q) > MAX_BITS:
             self.fail(f"coefficients exceed {MAX_BITS} bits")
@@ -239,10 +248,6 @@ class _Parser:
                 k = (a1 + a2, b1 + b2)
                 out[k] = out.get(k, 0) + c1 * c2
         return {k: c for k, c in out.items() if c}
-
-
-# integers at which a primitive polynomial in y is specialised to certify it squarefree
-_CERTIFYING_POINTS = (1, -1, 2, -2, 3, -3)
 
 
 def _from_sympy(obj: Any) -> dict:
@@ -314,47 +319,21 @@ class CurveGerm:
         return multiplicity(self.native_dict)
 
     @cached_property
-    def is_squarefree(self) -> bool:
-        """Has the germ no repeated factor, that is, is gcd(f, f_x, f_y) constant?
+    def repeated_factor(self) -> dict | None:
+        """The product of the irreducible factors that divide the germ more than once.
 
-        Write f = c(x) p(x, y), with c the content of f as a polynomial in y
-        over Q[x].  f is squarefree iff c and the primitive part p are, and p,
-        of degree n in y, is squarefree iff its discriminant in y is a nonzero
-        polynomial in x.  An integer x0 at which the leading coefficient of p
-        does not vanish and p(x0, y) is squarefree certifies that.  A
-        squarefree p is certified at almost every x0; when none of a few
-        points certifies p, sympy's dense gcd over Z decides.
+        None when the germ is squarefree, else as {(a, b): int}, primitive
+        and positive at its first term in print order.  Decided by exact gcds
+        over Z[x][y] (bivariate.repeated_factor); for a squarefree germ the
+        first image modulo a prime is in practice the whole proof.
         """
-        columns = {}  # b -> the coefficient of y^b, a polynomial in x
-        for (a, b), c in self.native_dict.items():
-            columns.setdefault(b, {})[a] = c
-        columns = {b: univariate.from_dict(col) for b, col in columns.items()}
-        if any(len(col) == 1 for col in columns.values()):
-            content = [1]
-        else:
-            content = reduce(univariate.gcd, columns.values())
-        if not univariate.is_squarefree(content):
-            return False
-        n = max(columns)
-        if n <= 1:
-            return True
-        if len(content) > 1:
-            columns = {b: univariate.divide(col, content)[0] for b, col in columns.items()}
-        for x0 in _CERTIFYING_POINTS:
-            if univariate.evaluate(columns[n], x0):
-                at_x0 = [univariate.evaluate(columns.get(b, []), x0) for b in range(n + 1)]
-                if univariate.is_squarefree(at_x0):
-                    return True
-        from sympy import QQ, ZZ
-        from sympy.polys.densebasic import dmp_ground_p
-        from sympy.polys.densetools import dmp_clear_denoms, dmp_diff_in
-        from sympy.polys.euclidtools import dmp_gcd
+        factor = bivariate.repeated_factor(bivariate.from_dict(self.native_dict))
+        return None if factor == bivariate.ONE else bivariate.to_dict(factor)
 
-        _, f = dmp_clear_denoms(self.poly.rep.to_list(), 1, QQ, ZZ, convert=True)
-        g = dmp_gcd(f, dmp_diff_in(f, 1, 0, 1, ZZ), 1, ZZ)
-        if not dmp_ground_p(g, None, 1):
-            g = dmp_gcd(g, dmp_diff_in(f, 1, 1, 1, ZZ), 1, ZZ)
-        return dmp_ground_p(g, None, 1)
+    @cached_property
+    def is_squarefree(self) -> bool:
+        """Has the germ no repeated factor, that is, is gcd(f, f_x, f_y) constant?"""
+        return self.repeated_factor is None
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, CurveGerm) and self.native_dict == other.native_dict
@@ -363,23 +342,27 @@ class CurveGerm:
         return hash(frozenset(self.native_dict.items()))
 
     def __str__(self) -> str:
-        """The germ as sympy.sstr prints it: terms in lex order, x before y."""
-        text = ""
-        for (a, b), c in sorted(self.native_dict.items(), reverse=True):
-            powers = [f"{v}**{e}" if e > 1 else v for v, e in (("x", a), ("y", b)) if e]
-            num = abs(c.numerator)
-            term = "*".join([str(num)] * (num != 1 or not powers) + powers)
-            if c.denominator != 1:
-                term += f"/{c.denominator}"
-            if text:
-                text += " - " if c < 0 else " + "
-            elif c < 0:
-                text = "-"
-            text += term
-        return text
+        return sstr(self.native_dict)
 
     def __repr__(self) -> str:
         return f"CurveGerm({self})"
+
+
+def sstr(d: dict) -> str:
+    """{(a, b): coefficient of x^a y^b} as sympy.sstr prints it: lex order, x before y."""
+    text = ""
+    for (a, b), c in sorted(d.items(), reverse=True):
+        powers = [f"{v}**{e}" if e > 1 else v for v, e in (("x", a), ("y", b)) if e]
+        num = abs(c.numerator)
+        term = "*".join([str(num)] * (num != 1 or not powers) + powers)
+        if c.denominator != 1:
+            term += f"/{c.denominator}"
+        if text:
+            text += " - " if c < 0 else " + "
+        elif c < 0:
+            text = "-"
+        text += term
+    return text
 
 
 def as_germ(g: "CurveGerm | str | Any") -> CurveGerm:
@@ -388,7 +371,7 @@ def as_germ(g: "CurveGerm | str | Any") -> CurveGerm:
 
 def ensure_squarefree(g: CurveGerm) -> CurveGerm:
     if not g.is_squarefree:
-        raise NonSquarefreeError(f"germ {g} has a repeated factor")
+        raise NonSquarefreeError(f"germ {g} has the repeated factor {sstr(g.repeated_factor)}")
     return g
 
 

@@ -9,10 +9,10 @@ to the same engine with their weights.  The local models have rational
 points only, so lct_config never loads sympy; their thresholds are
 memoised, as a few models recur across all configurations.
 
-Germs are read and checked squarefree without sympy as well.  It is loaded
-only when a germ has a cluster of irrational points that must be blown up,
-when a germ is rejected as not squarefree, or when weighted branches are
-compared for a common factor after the engine ran into its depth cap.
+Germs are read and checked squarefree without sympy as well, and weighted
+branches that run into the depth cap are compared for a common factor by
+the same exact gcd (bivariate).  sympy is loaded only when a germ has a
+cluster of irrational points that must be blown up.
 """
 
 from __future__ import annotations
@@ -57,16 +57,15 @@ def lct_germ(g: CurveGerm | str) -> Fraction:
 
 
 def _check_coprime(germs: list[tuple[CurveGerm, int]]) -> None:
-    """Raise NonSquarefreeError naming the first two branches with a common factor.
+    """Raise NonSquarefreeError naming the first two branches with a common factor."""
+    from . import bivariate
+    from .germs import sstr
 
-    Only the error path comes here, so the gcd is sympy's, through CurveGerm.poly.
-    """
     for (i, (f, _)), (j, (g, _)) in combinations(enumerate(germs, start=1), 2):
-        common = f.poly.gcd(g.poly)
-        if common.total_degree() > 0:
-            raise NonSquarefreeError(
-                f"branches {i} ({f}) and {j} ({g}) share the factor {common.monic().as_expr()}"
-            )
+        common = bivariate.gcd(*(bivariate.from_dict(h.native_dict) for h in (f, g)))
+        if common != bivariate.ONE:
+            shared = sstr(bivariate.to_dict(common))
+            raise NonSquarefreeError(f"branches {i} ({f}) and {j} ({g}) share the factor {shared}")
 
 
 def lct_weighted_germs(germs: Sequence[tuple[CurveGerm | str, int]]) -> Fraction:

@@ -1,9 +1,9 @@
 """Dense univariate polynomials over Q, for exact gcds without sympy.
 
 A polynomial is a list of Fractions (or ints), constant term first, with no
-trailing zero; the zero polynomial is [].  The squarefree test of germs and
-the line step of the blowup engine are built from these gcds (von zur Gathen
-and Gerhard, Modern Computer Algebra, 2013, ch. 3 and 14).
+trailing zero; the zero polynomial is [].  The line step of the blowup
+engine and the contents in bivariate are built from these gcds (von zur
+Gathen and Gerhard, Modern Computer Algebra, 2013, ch. 3 and 14).
 """
 
 from __future__ import annotations
@@ -80,8 +80,3 @@ def gcd(p: Dense, q: Dense) -> Dense:
         r = divide(p, q)[1] if len(q) > 1 else []
         p, q = q, monic(r) if r else []
     return monic(p) if p else []
-
-
-def is_squarefree(p: Dense) -> bool:
-    """Has the nonzero p no repeated factor?  gcd(p, p') is a constant."""
-    return len(gcd(p, derivative(p))) <= 1

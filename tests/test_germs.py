@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import time
@@ -188,6 +189,17 @@ def test_power_of_a_monomial_is_one_term_product():
         CurveGerm("(x^2)^129")
 
 
+def test_product_of_two_terms_is_one_term_product_under_the_same_limits():
+    parser = _Parser("2/3*x^5*y")
+    assert parser.germ() == {(5, 1): Fraction(2, 3)}
+    # one each: 2/3, x^5, 2/3*x^5 and the product with y
+    assert parser.products == 4
+    with pytest.raises(InvalidGermError, match=f"degree 300 exceeds {MAX_DEGREE}"):
+        CurveGerm("x^200*y^100")
+    with pytest.raises(InvalidGermError, match=f"coefficients exceed {MAX_BITS} bits"):
+        CurveGerm("9" * 300 + "*" + "9" * 300 + "*x")  # 997 bits each
+
+
 # -- the parser against sympy's parse_expr as an oracle (tests only) ---------
 
 _ORACLE = standard_transformations + (convert_xor,)
@@ -281,7 +293,7 @@ def test_dense_squarefree_agrees_with_poly_gcd(d, f, g, c):
 
 
 def _pure_squarefree(germ):
-    """is_squarefree, and whether it decided without its sympy fallback."""
+    """is_squarefree, and whether it decided without the sympy view .poly."""
     answer = germ.is_squarefree
     return answer, "poly" not in vars(germ)
 
@@ -317,9 +329,18 @@ def test_a_repeated_factor_in_x_is_found_without_sympy(text):
     assert _pure_squarefree(CurveGerm(text)) == (False, True)
 
 
-@pytest.mark.parametrize("text", ["(x+y)^2", "(y - x^2)^2 * x", "(y^2 - 2*x^3)^2"])
-def test_a_repeated_factor_in_y_is_decided_by_the_dense_gcd(text):
-    assert _pure_squarefree(CurveGerm(text)) == (False, False)
+REPEATED_IN_Y = {"(x+y)^2": "x + y", "(y - x^2)^2 * x": "x**2 - y",
+                 "(y^2 - 2*x^3)^2": "2*x**3 - y**2"}
+
+
+@pytest.mark.parametrize("text", sorted(REPEATED_IN_Y))
+def test_a_repeated_factor_in_y_is_found_without_sympy(text):
+    # the primitive part's gcd with its y-derivative is not a constant
+    germ = CurveGerm(text)
+    assert _pure_squarefree(germ) == (False, True)
+    named = re.escape(f"has the repeated factor {REPEATED_IN_Y[text]}") + "$"
+    with pytest.raises(NonSquarefreeError, match=named):
+        ensure_squarefree(germ)
 
 
 # -- str against sympy.sstr as an oracle (tests only) ------------------------

@@ -7,8 +7,9 @@ blowup and lct import sympy at module level, so that rational germs and
 lct_config run without it; blowup and lct do not import germs there either,
 so that lct_config never loads the germ parser.  Inside blowup, sympy is
 imported only by the functions that factor over a number field or extend
-one.  No module turns text into code: none imports sympy's parse_expr or
-sympify, or calls eval or exec.
+one; inside germs and lct, only for sympy input and the sympy views; the
+gcd modules never import it.  No module turns text into code: none
+imports sympy's parse_expr or sympify, or calls eval or exec.
 """
 
 import ast
@@ -19,7 +20,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "delpezzo1"
 CORE = ("__init__", "dynkin", "cycles", "surfaces", "rigidity", "errors", "cli")
 ENGINE = ("sympy", "delpezzo1.germs", "delpezzo1.blowup", "delpezzo1.lct")
-RATIONAL_ENGINE = ("blowup", "lct", "germs", "univariate")
+RATIONAL_ENGINE = ("blowup", "lct", "germs", "univariate", "bivariate")
 SYMPY_BACKED = ("sympy", "delpezzo1.germs")
 
 
@@ -111,18 +112,23 @@ BLOWUP_SYMPY_FUNCTIONS = ("_sympy_factors", "_factor_on_line", "_extend_qq", "_e
 
 
 def _sympy_imports_outside(source, filename, allowed):
-    """Lines that import sympy anywhere but inside the top-level functions named."""
+    """Lines that import sympy anywhere but inside the definitions named.
+
+    A definition is named by its dotted path in the module, such as
+    _extend_qq or CurveGerm.poly; whatever is nested in it is inside it.
+    """
     scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
-    def walk(node, scope):
+    def walk(node, path):
+        inside = any(path == name or path.startswith(name + ".") for name in allowed)
         for child in ast.iter_child_nodes(node):
             for module in _imported_modules(child):
-                if module.split(".")[0] == "sympy" and scope not in allowed:
+                if module.split(".")[0] == "sympy" and not inside:
                     yield f"{filename}:{child.lineno} imports {module}"
-            inner = child.name if scope is None and isinstance(child, scopes) else scope
+            inner = f"{path}.{child.name}".lstrip(".") if isinstance(child, scopes) else path
             yield from walk(child, inner)
 
-    yield from walk(ast.parse(source, filename=filename), None)
+    yield from walk(ast.parse(source, filename=filename), "")
 
 
 def test_blowup_imports_sympy_only_to_factor_and_extend_fields():
@@ -147,6 +153,39 @@ def test_sympy_boundary_guard_names_the_offending_line():
         "m.py:1 imports sympy",
         "m.py:7 imports sympy",
         "m.py:10 imports sympy",
+    ]
+
+
+# the definitions of germs.py and lct.py that load sympy: sympy input, the
+# .poly view (which .expr reads) and the symbols x, y
+GERM_SYMPY_FUNCTIONS = ("_from_sympy", "CurveGerm.poly", "__getattr__")
+
+
+@pytest.mark.parametrize("name", ["germs", "lct"])
+def test_germs_and_lct_import_sympy_only_for_sympy_input_and_views(name):
+    path = PACKAGE / f"{name}.py"
+    assert list(_sympy_imports_outside(path.read_text(), path.name, GERM_SYMPY_FUNCTIONS)) == []
+
+
+@pytest.mark.parametrize("name", ["bivariate", "univariate"])
+def test_gcd_modules_never_import_sympy(name):
+    path = PACKAGE / f"{name}.py"
+    assert list(_sympy_imports_outside(path.read_text(), path.name, ())) == []
+
+
+def test_sympy_boundary_guard_reads_dotted_names():
+    source = "\n".join([
+        "class CurveGerm:",
+        "    def poly(self):",
+        "        from sympy import QQ",
+        "    def is_squarefree(self):",
+        "        from sympy.polys.euclidtools import dmp_gcd",
+        "def poly():",
+        "    import sympy",
+    ])
+    assert list(_sympy_imports_outside(source, "m.py", ("CurveGerm.poly",))) == [
+        "m.py:5 imports sympy.polys.euclidtools",
+        "m.py:7 imports sympy",
     ]
 
 

@@ -133,6 +133,25 @@ def test_rational_germ_queries_leave_sympy_unloaded():
     )
 
 
+def test_rejecting_a_repeated_factor_leaves_sympy_unloaded():
+    # a repeated factor in y, one in the content, and two weighted branches
+    # with a common factor, found after the engine reaches its depth cap
+    assert not sympy_loaded_after(
+        "from delpezzo1 import NonSquarefreeError, classify_germ, lct_germ, lct_weighted_germs\n"
+        "calls = [(classify_germ, '(y-x)^2*(y-2*x)', 'repeated factor x - y'),\n"
+        "         (lct_germ, 'x^2*y', 'repeated factor x'),\n"
+        "         (lct_weighted_germs, [('y - x^2', 1), ('2*y - 2*x^2', 3)],\n"
+        "          'share the factor x**2 - y')]\n"
+        "for call, arg, named in calls:\n"
+        "    try:\n"
+        "        call(arg)\n"
+        "    except NonSquarefreeError as exc:\n"
+        "        assert str(exc).endswith(named), exc\n"
+        "    else:\n"
+        "        raise AssertionError(arg)"
+    )
+
+
 @pytest.mark.parametrize("name", sorted(LAZY))
 def test_lazy_name_is_the_submodule_object(name):
     owner = importlib.import_module(f"delpezzo1.{LAZY[name]}")

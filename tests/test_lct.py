@@ -1,6 +1,7 @@
 """Thresholds: the blowup engine against closed forms and configurations."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -100,6 +101,16 @@ def test_lct_weighted_germs_names_two_branches_with_a_common_factor(germs, share
     assert message.startswith("branches ") and " share the factor " in message
     i, j = [int(word) for word in message.split() if word.isdigit()][:2]
     assert sympy.gcd(CurveGerm(germs[i - 1][0]).expr, CurveGerm(germs[j - 1][0]).expr) != 1
+
+
+@pytest.mark.parametrize("germs,shared", [
+    ([("x", 1), ("y*(y - x^2)", 2), ("x + y^2", 1), ("y^2 - x^2*y", 1)], "x**2*y - y**2"),
+    ([("x*y", 2), ("x*(y - x)", 1)], "x"),
+    ([("y - 1/2*x^2", 1), ("4*y - 2*x^2", 3)], "x**2 - 2*y"),
+])
+def test_common_factor_is_named_exactly_in_sstr_format(germs, shared):
+    with pytest.raises(NonSquarefreeError, match=re.escape(f"share the factor {shared}") + "$"):
+        lct_weighted_germs(germs)
 
 
 def test_germ_blowup_tree_shape():
