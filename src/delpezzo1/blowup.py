@@ -29,18 +29,19 @@ constant term first, so the point v = r is (-r, 1).  The clusters of a line
 are blown up in (degree, coefficients) order; Fractions and the elements of
 a sympy algebraic field are both ordered, so one rule serves every field.
 
-Over Q the engine first finds, without factoring, the points of an
-exceptional line that need a blowup: those through two objects or through
-one object twice.  They are v = 0 (read off the powers of v), a root shared
-by two linear restrictions or by one and another restriction, and the
-multiple roots of the product P of the restrictions of degree >= 2, whose
-squarefree part comes from gcd(P, P') by Euclid over Q.  Only that part is
-factored: linear and quadratic ones exactly, the quadratic through an isqrt
-test of its discriminant.  An object is through a cluster when the
-cluster's factor divides its restriction exactly.  So a rational germ
-resolves without sympy, which is imported in four places only: to factor
-(_sympy_factors, and the degree >= 3 branch of _factor_on_line) and to
-build algebraic number fields (_extend_qq, _extend_tower).
+On every line, over Q and over K alike, the engine first finds without
+factoring the points that need a blowup: those through two objects or
+through one object twice.  They are v = 0 (read off the powers of v), a
+root shared by two linear restrictions or by one and another restriction,
+and the multiple roots of the product P of the restrictions of degree >= 2,
+whose squarefree part comes from gcd(P, P') by Euclid over K.  Only that
+part, which is prime to v, is factored: a linear one is read off, and over
+Q a quadratic one is split through an isqrt test of its discriminant.  An
+object is through a cluster when the cluster's factor divides its
+restriction exactly.  So sympy factors a line only when it holds three or
+more such points over Q, conjugates counted, or two or more over K
+(_sympy_factors, reached from _factor_on_line); it is imported in two more
+places, to build algebraic number fields (_extend_qq, _extend_tower).
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ class _Rationals:
     """The field Q with Fraction elements, in the role of a sympy domain."""
 
     one = Fraction(1)
+    zero = Fraction(0)
 
 
 Q = _Rationals()
@@ -154,69 +156,63 @@ def _shift_y(d: PolyDict, theta: Any, K: Domain) -> PolyDict:
     return {k: c for k, c in out.items() if c}
 
 
-def _sympy_factors(ud: dict[int, Any], K: Domain) -> list[tuple[tuple, int]]:
-    """Monic irreducible factors (with multiplicity) of a univariate dict, by sympy, as keys."""
+def _sympy_factors(p: univariate.Dense, K: Domain) -> list[tuple]:
+    """The monic irreducible factors over K of a dense univariate p, by sympy, as keys."""
     from sympy import Poly, Symbol
 
-    p = Poly.from_dict({(b,): c for b, c in ud.items()}, Symbol("_v"), domain=K)
-    _, factors = p.factor_list()
-    return [(tuple(reversed(f.monic().rep.to_list())), e) for f, e in factors if f.degree() >= 1]
+    _, factors = Poly(list(reversed(p)), Symbol("_v"), domain=K).factor_list()
+    return [tuple(reversed(f.monic().rep.to_list())) for f, _ in factors if f.degree() >= 1]
 
 
-def _quadratic_factors(c: Fraction, b: Fraction, a: Fraction) -> list[tuple[tuple, int]]:
-    """Factors of a v^2 + b v + c over Q: two linear ones if the discriminant is a rational square."""
+def _quadratic_factors(c: Fraction, b: Fraction, a: Fraction) -> list[tuple]:
+    """Factors of a squarefree a v^2 + b v + c over Q: linear if the discriminant is a square."""
     disc = b * b - 4 * a * c
     root = Fraction(math.isqrt(disc.numerator), math.isqrt(disc.denominator)) if disc >= 0 else 0
     if root * root != disc:
-        return [((c / a, b / a, Fraction(1)), 1)]
-    if not root:
-        return [((b / (2 * a), Fraction(1)), 2)]
-    return [(((b + root) / (2 * a), Fraction(1)), 1), (((b - root) / (2 * a), Fraction(1)), 1)]
+        return [(c / a, b / a, Q.one)]
+    return [((b + root) / (2 * a), Q.one), ((b - root) / (2 * a), Q.one)]
 
 
-def _factor_on_line(ud: dict[int, Any], K: Domain) -> list[tuple[tuple, int]]:
-    """Irreducible factors (with multiplicity) of a univariate dict over K, as cluster keys.
+def _factor_on_line(p: univariate.Dense, K: Domain) -> list[tuple]:
+    """The monic irreducible factors over K of a squarefree p prime to v, as cluster keys.
 
-    Over Q, v^k and a remainder of degree 1 or 2 are split exactly, a
-    quadratic through an isqrt test of its discriminant; only a remainder of
-    degree >= 3 goes to sympy.  A key is a dense tuple of Fractions, so one
-    point is one key whichever route found it.
+    A linear p is read off; over Q a quadratic is split through an isqrt
+    test of its discriminant, and only a p of degree >= 3 goes to sympy,
+    as over any other field one of degree >= 2 does.  A key over Q is a
+    tuple of Fractions, so one point is one key whichever route found it.
     """
-    if not ud or max(ud) == 0:
-        return []
+    if len(p) < 3:
+        return [(p[0] / p[1], K.one)] if len(p) == 2 else []
     if K is not Q:
-        return _sympy_factors(ud, K)
-    k = min(ud)
-    factors = [((Fraction(0), Fraction(1)), k)] if k else []
-    rest = [Fraction(ud.get(b, 0)) for b in range(k, max(ud) + 1)]
-    if len(rest) == 2:
-        factors.append(((rest[0] / rest[1], Fraction(1)), 1))
-    elif len(rest) == 3:
-        factors += _quadratic_factors(*rest)
-    elif len(rest) > 3:
-        from sympy import QQ
+        return _sympy_factors(p, K)
+    if len(p) == 3:
+        return _quadratic_factors(*p)
+    from sympy import QQ
 
-        qq = {b: QQ(c.numerator, c.denominator) for b, c in enumerate(rest)}
-        factors += [(tuple(map(_rational, p)), e) for p, e in _sympy_factors(qq, QQ)]
-    return factors
+    qq = [QQ(c.numerator, c.denominator) for c in p]
+    return [tuple(map(_rational, key)) for key in _sympy_factors(qq, QQ)]
 
 
-def _rational_clusters(lines: list[dict[int, Any]]) -> list[tuple]:
-    """The clusters over Q through two objects, or through one object twice.
+def _line_clusters(lines: list[dict[int, Any]], K: Domain) -> dict[tuple, list[int]]:
+    """The clusters on an exceptional line through two objects, or through one object twice.
 
-    With the powers of v taken out, the monic factor of a linear restriction
-    is read off and counted; of the restrictions of degree >= 2 only the
-    multiple roots of their product P, the squarefree part of gcd(P, P'),
-    are factored.
+    lines[i] is the restriction of object i to the line; each cluster maps
+    to the indices of the objects through it.  A cluster that one object
+    crosses simply is an SNC point: it is left out, so that it is neither
+    factored nor given a field.  With the powers of v taken out, the monic
+    factor of a linear restriction is read off and counted; of the
+    restrictions of degree >= 2 only the multiple roots of their product P,
+    the squarefree part of gcd(P, P'), are factored.  An object is through
+    a cluster when the cluster's factor divides its restriction exactly.
     """
     orders = [min(ud) for ud in lines]
     rests = [univariate.from_dict({b - k: c for b, c in ud.items()}) for ud, k in zip(lines, orders)]
-    linear = Counter((r[0] / r[1], Fraction(1)) for r in rests if len(r) == 2)
+    linear = Counter((r[0] / r[1], K.one) for r in rests if len(r) == 2)
     higher = [r for r in rests if len(r) > 2]
     keys = [p for p, n in linear.items()
-            if n > 1 or any(univariate.evaluate(h, -p[0]) == 0 for h in higher)]
+            if n > 1 or any(not univariate.evaluate(h, -p[0]) for h in higher)]
     if max(orders) > 1 or sum(k > 0 for k in orders) > 1:
-        keys.append((Fraction(0), Fraction(1)))
+        keys.append((K.zero, K.one))
     if higher:
         product = reduce(univariate.mul, higher)
         repeated = univariate.gcd(product, univariate.derivative(product))
@@ -224,30 +220,10 @@ def _rational_clusters(lines: list[dict[int, Any]]) -> list[tuple]:
             repeated = univariate.divide(repeated, univariate.gcd(
                 repeated, univariate.derivative(repeated)))[0]
         # a linear restriction's factor among them is a key already
-        keys += [p for p, _ in _factor_on_line(dict(enumerate(repeated)), Q) if p not in linear]
-    return keys
-
-
-def _line_clusters(lines: list[dict[int, Any]], K: Domain) -> dict[tuple, list[int]]:
-    """The clusters on an exceptional line that get blown up.
-
-    lines[i] is the restriction of object i to the line; each cluster maps
-    to the indices of the objects through it.  A cluster that one object
-    crosses simply is an SNC point: it is left out, so that no field is
-    extended for it.  Over Q the clusters left out are never factored, and
-    an object is through a cluster when the cluster's factor divides its
-    restriction exactly.
-    """
-    if K is Q:
-        return {p: [i for i, ud in enumerate(lines)
-                    if not univariate.divide(univariate.from_dict(ud), p)[1]]
-                for p in _rational_clusters(lines)}
-    clusters: dict[tuple, list[tuple[int, int]]] = {}
-    for i, ud in enumerate(lines):
-        for p, e in _factor_on_line(ud, K):
-            clusters.setdefault(p, []).append((i, e))
-    return {p: [i for i, _ in through] for p, through in clusters.items()
-            if len(through) > 1 or through[0][1] > 1}
+        keys += [p for p in _factor_on_line(repeated, K) if p not in linear]
+    return {p: [i for i, ud in enumerate(lines)
+                if not univariate.divide(univariate.from_dict(ud), p)[1]]
+            for p in keys}
 
 
 def _extend_qq(p: tuple) -> tuple[Any, Domain, Callable[[Any], Any]]:

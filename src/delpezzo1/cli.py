@@ -8,7 +8,9 @@ alone renders them: the text form is str(result), the JSON form is
 result.as_dict(), or a one-key object for a plain value.  lct-germ,
 lct-config and classify import the germ engine inside their handlers.  No
 subcommand loads sympy, except lct-germ and classify on a germ with an
-irrational point to blow up or with a repeated factor.
+irrational point to blow up, or with three or more points to blow up on
+one exceptional line over Q; a germ rejected for a repeated factor loads
+none.
 """
 
 from __future__ import annotations

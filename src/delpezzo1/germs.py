@@ -102,8 +102,7 @@ class _Parser:
         self.products = 0
 
     def fail(self, reason: str) -> NoReturn:
-        shown = self.text if len(self.text) <= 80 else self.text[:77] + "..."
-        raise InvalidGermError(f"cannot parse germ {shown!r}: {reason}")
+        raise InvalidGermError(f"cannot parse germ {brief(self.text)!r}: {reason}")
 
     def expected(self, what: str) -> NoReturn:
         token = self.peek()
@@ -300,7 +299,7 @@ class CurveGerm:
         if not self.native_dict:
             raise InvalidGermError("the zero polynomial is not a germ")
         if (0, 0) in self.native_dict:
-            raise NotAtOriginError(f"germ {self} does not vanish at the origin")
+            raise NotAtOriginError(f"germ {brief(self)} does not vanish at the origin")
 
     @cached_property
     def poly(self) -> Any:
@@ -365,13 +364,20 @@ def sstr(d: dict) -> str:
     return text
 
 
+def brief(obj: object) -> str:
+    """str(obj) as an error message shows it: past 80 characters, cut to 77 and "..."."""
+    text = str(obj)
+    return text if len(text) <= 80 else text[:77] + "..."
+
+
 def as_germ(g: "CurveGerm | str | Any") -> CurveGerm:
     return g if isinstance(g, CurveGerm) else CurveGerm(g)
 
 
 def ensure_squarefree(g: CurveGerm) -> CurveGerm:
     if not g.is_squarefree:
-        raise NonSquarefreeError(f"germ {g} has the repeated factor {sstr(g.repeated_factor)}")
+        raise NonSquarefreeError(
+            f"germ {brief(g)} has the repeated factor {brief(sstr(g.repeated_factor))}")
     return g
 
 

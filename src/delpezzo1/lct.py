@@ -59,13 +59,14 @@ def lct_germ(g: CurveGerm | str) -> Fraction:
 def _check_coprime(germs: list[tuple[CurveGerm, int]]) -> None:
     """Raise NonSquarefreeError naming the first two branches with a common factor."""
     from . import bivariate
-    from .germs import sstr
+    from .germs import brief, sstr
 
     for (i, (f, _)), (j, (g, _)) in combinations(enumerate(germs, start=1), 2):
         common = bivariate.gcd(*(bivariate.from_dict(h.native_dict) for h in (f, g)))
         if common != bivariate.ONE:
-            shared = sstr(bivariate.to_dict(common))
-            raise NonSquarefreeError(f"branches {i} ({f}) and {j} ({g}) share the factor {shared}")
+            shared = brief(sstr(bivariate.to_dict(common)))
+            raise NonSquarefreeError(
+                f"branches {i} ({brief(f)}) and {j} ({brief(g)}) share the factor {shared}")
 
 
 def lct_weighted_germs(germs: Sequence[tuple[CurveGerm | str, int]]) -> Fraction:

@@ -1,9 +1,13 @@
-"""Dense univariate polynomials over Q, for exact gcds without sympy.
+"""Dense univariate polynomials over a field, for exact gcds without sympy.
 
-A polynomial is a list of Fractions (or ints), constant term first, with no
-trailing zero; the zero polynomial is [].  The line step of the blowup
-engine and the contents in bivariate are built from these gcds (von zur
-Gathen and Gerhard, Modern Computer Algebra, 2013, ch. 3 and 14).
+A polynomial is a list of coefficients, constant term first, with no
+trailing zero; the zero polynomial is [].  The coefficients are Fractions
+(ints are taken as rationals) or the elements of a sympy algebraic number
+field.  A zero is tested by truthiness, as such an element never compares
+equal to the int 0, and the int 0 that pads a list is only ever added to
+or multiplied, never divided by a field element.  The line step of the
+blowup engine and the contents in bivariate are built from these gcds (von
+zur Gathen and Gerhard, Modern Computer Algebra, 2013, ch. 3 and 14).
 """
 
 from __future__ import annotations
@@ -29,6 +33,11 @@ def from_dict(d: dict[int, Any]) -> Dense:
     for b, c in d.items():
         p[b] = c
     return trim(p)
+
+
+def _inverse(c: Any) -> Any:
+    """1/c in the field of the nonzero c, an int being a rational."""
+    return Fraction(1, c) if isinstance(c, int) else c ** -1
 
 
 def derivative(p: Dense) -> Dense:
@@ -58,10 +67,10 @@ def divide(p: Dense, q: Dense) -> tuple[Dense, Dense]:
     rem = list(p)
     if len(rem) < len(q):
         return [], rem
-    lead = Fraction(q[-1])
+    inverse = _inverse(q[-1])
     quo = [0] * (len(rem) - len(q) + 1)
     for shift in range(len(quo) - 1, -1, -1):
-        c = rem.pop() / lead
+        c = rem.pop() * inverse
         quo[shift] = c
         if c:
             for j in range(len(q) - 1):
@@ -70,12 +79,12 @@ def divide(p: Dense, q: Dense) -> tuple[Dense, Dense]:
 
 
 def monic(p: Dense) -> Dense:
-    lead = Fraction(p[-1])
-    return [c / lead for c in p]
+    inverse = _inverse(p[-1])
+    return [c * inverse for c in p]
 
 
 def gcd(p: Dense, q: Dense) -> Dense:
-    """The monic gcd of p and q ([] when both are zero), by Euclid over Q."""
+    """The monic gcd of p and q ([] when both are zero), by Euclid."""
     while q:
         r = divide(p, q)[1] if len(q) > 1 else []
         p, q = q, monic(r) if r else []

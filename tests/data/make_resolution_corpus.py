@@ -60,6 +60,7 @@ HEAVY = (
     ("lct_germ", ("y^3 - x^190",)),
     ("lct_germ", ("(y^2 - 2*x^2)^2 - x^7",)),
     ("lct_germ", ("(y^2 + 2*x^2)^2 - x^6",)),
+    ("lct_germ", ("((y^2 - 2*x^2)^2 - x^7)*((y^2 - 2*x^2)^2 - 3*x^7)",)),
     ("lct_germ", ("(x^2 - 2*y^2)^2 - y^7",)),
     ("lct_germ", ("(y^3 - 2*x^3)*(y^2 - 3*x^2)",)),
     ("lct_weighted_germs", ((("y - x^2", 1), ("y - x^2", 2)),)),

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy import QQ, CRootOf, Poly, Symbol
 
-from delpezzo1 import blowup
+from delpezzo1 import blowup, univariate
 from delpezzo1.blowup import (
     Q,
     _cluster_point,
@@ -143,38 +143,76 @@ def test_weights_must_be_integers_and_not_bools(weight):
         lct_weighted_germs([("y", weight)])
 
 
-# -- line factorisation over Q: exact peeling against sympy's factor_list ----
+# -- line factorisation: the squarefree part of a line, against factor_list --
+#
+# The engine factors only a squarefree part prime to v, over Q or over a
+# number field K; sympy's factor_list over the same field is the oracle.  The
+# lines over K are built in the engine's form, elements of K, and a sparse
+# one is padded with int zeros.
 
 V = Symbol("_v")
+SQRT2 = QQ.algebraic_field(sympy.sqrt(2))
+GAUSS = QQ.algebraic_field(sympy.I)
+# (field, its generator) for Q, Q(sqrt 2) and Q(i)
+FIELDS = [(Q, None), (SQRT2, SQRT2.from_sympy(sympy.sqrt(2))), (GAUSS, GAUSS.from_sympy(sympy.I))]
+_fields = st.sampled_from(FIELDS)
 
 
-def _line(poly):
-    """A univariate dict with Fraction coefficients, as the engine builds them."""
-    return {b: Fraction(int(c.numerator), int(c.denominator))
-            for (b,), c in poly.as_dict(native=True).items()}
+def _element(field, a, b=0, den=1):
+    """(a + b gen)/den as the engine holds it: a Fraction over Q, else an element of K."""
+    K, gen = field
+    return Fraction(a, den) if K is Q else K.one * Fraction(a, den) + gen * Fraction(b, den)
 
 
-def _sympy_factors(ud):
-    """The oracle: sympy's factor_list over QQ, as {monic expression: multiplicity}."""
-    p = Poly.from_dict({(b,): QQ(c.numerator, c.denominator) for b, c in ud.items()},
-                       V, domain=QQ)
-    return {f.monic().as_expr(): e for f, e in p.factor_list()[1] if f.degree() >= 1}
+def _domain(K):
+    """The sympy domain of a field of the engine."""
+    return QQ if K is Q else K
 
 
-def _key_expr(p):
-    """A cluster key, the monic factor's coefficients constant term first, as an expression."""
-    return sum(sympy.Rational(c.numerator, c.denominator) * V**i for i, c in enumerate(p))
+def _sympy_element(c, K):
+    return QQ(c.numerator, c.denominator) if K is Q else c
 
 
-def _check_against_sympy(ud):
-    factors = _factor_on_line(ud, Q)
-    exprs = {}
-    for p, e in factors:
-        # a dense tuple of Fractions, monic, whichever route found it
-        assert all(type(c) is Fraction for c in p) and len(p) >= 2 and p[-1] == 1
-        exprs[_key_expr(p)] = e
-    assert len(exprs) == len(factors)
-    assert exprs == _sympy_factors(ud)
+def _poly(coeffs, K):
+    """A sympy Poly over K from engine elements, constant term first."""
+    return Poly([_sympy_element(c, K) for c in reversed(coeffs)], V, domain=_domain(K))
+
+
+def _line(poly, K=Q):
+    """A univariate dict as the engine builds it: Fractions over Q, else elements of K."""
+    items = poly.as_dict(native=True).items()
+    if K is not Q:
+        return {b: c for (b,), c in items}
+    return {b: Fraction(int(c.numerator), int(c.denominator)) for (b,), c in items}
+
+
+def _sympy_factors(ud, K=Q):
+    """The oracle: factor_list over K, as {monic coefficients, constant first: multiplicity}."""
+    p = Poly.from_dict({(b,): _sympy_element(c, K) for b, c in ud.items() if c}, V,
+                       domain=_domain(K))
+    return {tuple(reversed(f.monic().all_coeffs())): e
+            for f, e in p.factor_list()[1] if f.degree() >= 1}
+
+
+def _key_coeffs(p, K=Q):
+    """A cluster key, the monic factor's coefficients constant term first, as sympy numbers."""
+    return tuple(sympy.Rational(c.numerator, c.denominator) if K is Q else K.to_sympy(c)
+                 for c in p)
+
+
+def _assert_keys_typed(keys, K):
+    """Each key is a monic dense tuple of elements of K, Fractions over Q."""
+    for p in keys:
+        assert len(p) >= 2 and p[-1] == K.one
+        assert all(type(c) is type(K.one) for c in p)
+
+
+def _check_against_sympy(p, K=Q):
+    keys = _factor_on_line(p, K)
+    _assert_keys_typed(keys, K)
+    found = [_key_coeffs(key, K) for key in keys]
+    assert len(set(found)) == len(found)
+    assert dict.fromkeys(found, 1) == _sympy_factors(dict(enumerate(p)), K)
 
 
 _nonzero = st.integers(-9, 9).filter(bool)
@@ -182,57 +220,61 @@ _scalar = st.builds(Fraction, _nonzero, st.integers(1, 9))
 
 
 @settings(deadline=None, max_examples=150)
-@given(_scalar, st.integers(0, 4), _nonzero, st.integers(-9, 9), st.integers(1, 9))
-def test_factor_on_line_peels_a_linear_remainder_exactly(c, k, a, b, den):
-    # c * v^k * (a v + b/den); b = 0 makes it c * v^(k+1)
-    scalar = sympy.Rational(c.numerator, c.denominator)
-    _check_against_sympy(_line(Poly(scalar * V**k * (a * V + sympy.Rational(b, den)), V)))
+@given(_fields, _scalar, _nonzero, _nonzero, st.integers(-9, 9), st.integers(1, 9))
+def test_factor_on_line_peels_a_linear_remainder_exactly(field, c, a, b, b_gen, den):
+    # c (a v + (b + b_gen gen)/den), read off without sympy over every field
+    _check_against_sympy([_element(field, b, b_gen, den) * c, _element(field, a) * c], field[0])
 
 
-_factor = st.lists(st.integers(-4, 4), min_size=2, max_size=4).filter(lambda cs: cs[-1])
+_coefficient = st.tuples(st.integers(-4, 4), st.integers(-2, 2))
+_factor = st.lists(_coefficient, min_size=2, max_size=4).filter(
+    lambda cs: cs[0][0] and cs[-1][0])
 
 
 @settings(deadline=None, max_examples=150)
-@given(_scalar, st.integers(0, 3),
-       st.lists(st.tuples(_factor, st.integers(1, 3)), min_size=1, max_size=3))
-def test_factor_on_line_agrees_with_sympy_on_higher_degree_lines(c, k, factors):
-    poly = Poly(V**k, V, domain=QQ) * sympy.Rational(c.numerator, c.denominator)
+@given(_fields, _scalar, st.lists(st.tuples(_factor, st.integers(1, 3)), min_size=1, max_size=3))
+def test_factor_on_line_agrees_with_sympy_on_higher_degree_lines(field, c, factors):
+    # c times the squarefree part of a product of factors prime to v
+    K = field[0]
+    poly = _poly([Fraction(1)], K)
     for coeffs, e in factors:
-        poly *= Poly(list(reversed(coeffs)), V, domain=QQ) ** e
-    _check_against_sympy(_line(poly))
+        poly *= _poly([_element(field, a, b) for a, b in coeffs], K) ** e
+    part = _line(poly.sqf_part(), K)
+    _check_against_sympy(univariate.from_dict({b: x * c for b, x in part.items()}), K)
 
 
-_quadratic = st.tuples(_nonzero, st.integers(-12, 12), st.integers(-12, 12))
+_quadratic = st.tuples(_nonzero, st.integers(-12, 12), _nonzero)
 
 
 @settings(deadline=None, max_examples=150)
-@given(_scalar, st.integers(0, 3), _quadratic, st.sampled_from([1, 4, 9, 25]))
-def test_factor_on_line_splits_a_quadratic_by_its_discriminant(c, k, abc, den):
-    # a v^2 + b v + c0 over den: rational roots exactly when b^2 - 4 a c0 is a
-    # square, a double root when it is 0, else one irreducible key
+@given(_scalar, _quadratic, st.sampled_from([1, 4, 9, 25]))
+def test_factor_on_line_splits_a_quadratic_by_its_discriminant(c, abc, den):
+    # a v^2 + b v + c0 over den, squarefree: rational roots exactly when
+    # b^2 - 4 a c0 is a square, else one irreducible key
     a, b, c0 = abc
-    scalar = sympy.Rational(c.numerator, c.denominator)
-    quadratic = (a * V**2 + b * V + c0) / den
-    _check_against_sympy(_line(Poly(scalar * V**k * quadratic, V)))
+    assume(b * b != 4 * a * c0)
+    _check_against_sympy([c * Fraction(x, den) for x in (c0, b, a)])
 
 
 def test_factor_on_line_quadratic_cases():
-    assert _factor_on_line({0: Fraction(2), 1: Fraction(-3), 2: Fraction(1)}, Q) == [
-        ((-1, 1), 1), ((-2, 1), 1)]
-    assert _factor_on_line({0: Fraction(1, 4), 1: Fraction(-1), 2: Fraction(1)}, Q) == [
-        ((Fraction(-1, 2), 1), 2)]
-    ((p, e),) = _factor_on_line({0: Fraction(-2), 2: Fraction(1)}, Q)
-    assert (p, e) == ((-2, 0, 1), 1) and _key_expr(p) == V**2 - 2
-    ((p, e),) = _factor_on_line({0: Fraction(3), 2: Fraction(6)}, Q)
-    assert (p, e) == ((Fraction(1, 2), 0, 1), 1) and _key_expr(p) == V**2 + sympy.Rational(1, 2)
+    assert _factor_on_line([Fraction(2), Fraction(-3), Fraction(1)], Q) == [(-1, 1), (-2, 1)]
+    (p,) = _factor_on_line([Fraction(-2), 0, Fraction(1)], Q)
+    assert p == (-2, 0, 1) and _key_coeffs(p) == (-2, 0, 1)
+    (p,) = _factor_on_line([Fraction(3), 0, Fraction(6)], Q)
+    assert p == (Fraction(1, 2), 0, 1) and all(type(c) is Fraction for c in p)
+    # over Q(sqrt 2), v^2 - 2 splits into v - sqrt 2 and v + sqrt 2
+    (K, root2), (G, i) = FIELDS[1:]
+    assert set(_factor_on_line([K.one * -2, 0, K.one], K)) == {(-root2, K.one), (root2, K.one)}
+    # over Q(i), v^2 + 1 splits and v^2 - 2 does not
+    assert set(_factor_on_line([G.one, 0, G.one], G)) == {(-i, G.one), (i, G.one)}
+    assert _factor_on_line([G.one * -2, 0, G.one], G) == [(G.one * -2, G.zero, G.one)]
 
 
 def test_factor_on_line_keeps_constants_out():
-    assert _factor_on_line({}, Q) == []
-    assert _factor_on_line({0: Fraction(3)}, Q) == []
-    assert _factor_on_line({2: Fraction(-1, 2)}, Q) == [((0, 1), 2)]
-    assert _factor_on_line({1: Fraction(2), 2: Fraction(4)}, Q) == [
-        ((0, 1), 1), ((Fraction(1, 2), 1), 1)]
+    for K, _ in FIELDS:
+        assert _factor_on_line([], K) == []
+        assert _factor_on_line([K.one * 3], K) == []
+    assert _factor_on_line([Fraction(2), Fraction(4)], Q) == [(Fraction(1, 2), 1)]
 
 
 def test_cluster_found_by_both_routes_is_one_cluster():
@@ -283,19 +325,19 @@ def test_coefficients_are_taken_as_fractions():
         lct_of_branches([({(0, 2): 0.5, (3, 0): -1}, 1)])
 
 
-# -- the line step over Q against factor_list and the skip rule -------------
+# -- the line step over Q and over K against factor_list and the skip rule ---
 
 
-def _oracle_clusters(lines):
+def _oracle_clusters(lines, K):
     """Every line factored by sympy; a cluster one line crosses simply is skipped."""
     clusters = {}
     for i, ud in enumerate(lines):
-        for expr, e in _sympy_factors(ud).items():
-            clusters.setdefault(expr, []).append((i, e))
-    return {p: t for p, t in clusters.items() if len(t) > 1 or t[0][1] > 1}
+        for key, e in _sympy_factors(ud, K).items():
+            clusters.setdefault(key, []).append((i, e))
+    return {p: [i for i, _ in t] for p, t in clusters.items() if len(t) > 1 or t[0][1] > 1}
 
 
-_linear_or_quadratic = st.lists(st.integers(-4, 4), min_size=2, max_size=3).filter(lambda cs: cs[-1])
+_linear_or_quadratic = st.lists(_coefficient, min_size=2, max_size=3).filter(lambda cs: cs[-1][0])
 _object = st.tuples(
     _scalar, st.integers(0, 3),
     st.lists(st.tuples(st.integers(0, 3), st.integers(1, 2)), max_size=3),
@@ -303,22 +345,22 @@ _object = st.tuples(
 
 
 @settings(deadline=None, max_examples=200)
-@given(st.lists(_linear_or_quadratic, min_size=1, max_size=4),
+@given(_fields, st.lists(_linear_or_quadratic, min_size=1, max_size=4),
        st.lists(_object, min_size=1, max_size=4))
-def test_line_clusters_agree_with_factor_list_and_the_skip_rule(pool, objects):
+def test_line_clusters_agree_with_factor_list_and_the_skip_rule(field, pool, objects):
     # each restriction is c v^k times factors drawn from one shared pool, so
-    # that objects meet at rational and at conjugate irrational points
+    # that objects meet at points of the field and at conjugate points; a
+    # zero coefficient leaves the line sparse
+    K = field[0]
     lines = []
     for c, k, picks in objects:
-        poly = Poly(V**k, V, domain=QQ) * sympy.Rational(c.numerator, c.denominator)
+        poly = _poly([0] * k + [_element(field, c.numerator, 0, c.denominator)], K)
         for j, e in picks:
-            poly *= Poly(list(reversed(pool[j % len(pool)])), V, domain=QQ) ** e
-        lines.append(_line(poly))
-    found = _line_clusters(lines, Q)
-    for p in found:  # every key over Q is a tuple of Fractions
-        assert isinstance(p, tuple) and all(type(c) is Fraction for c in p)
-    oracle = {p: [i for i, _ in t] for p, t in _oracle_clusters(lines).items()}
-    assert {_key_expr(p): t for p, t in found.items()} == oracle
+            poly *= _poly([_element(field, a, b) for a, b in pool[j % len(pool)]], K) ** e
+        lines.append(_line(poly, K))
+    found = _line_clusters(lines, K)
+    _assert_keys_typed(found, K)
+    assert {_key_coeffs(p, K): t for p, t in found.items()} == _oracle_clusters(lines, K)
 
 
 def test_line_clusters_factor_only_the_points_blown_up(monkeypatch):
@@ -337,6 +379,28 @@ def test_line_clusters_factor_only_the_points_blown_up(monkeypatch):
     # (v - 1)(v - 2) is a quadratic, split without factor_list
     quintic = _line(Poly((V - 1) ** 4 * (V - 2) ** 3 * (V + 5), V))
     assert _line_clusters([quintic], Q) == {(-1, 1): [0], (-2, 1): [0]}
+
+
+# Germs whose tacnodal points are irrational: after one extension by a
+# quadratic split exactly, every later line over Q(sqrt 2) or Q(sqrt -2) is
+# resolved by gcds alone.  The lct and the tree are those of the corpus.
+_IRRATIONAL_TACNODES = [
+    ("(y^2-2*x^2)^2 - x^7", Fraction(1, 2), [1, 4, [[2, 6, [[3, 7, [[6, 14, []]]]]]]]),
+    ("(y^2+2*x^2)^2 - x^6", Fraction(1, 2), [1, 4, [[2, 6, []]]]),
+    ("((y^2-2*x^2)^2-x^7)*((y^2-2*x^2)^2-3*x^7)", Fraction(1, 4),
+     [1, 8, [[2, 12, [[3, 14, [[6, 28, []]]]]]]]),
+]
+
+
+@pytest.mark.parametrize("text, lct, tree", _IRRATIONAL_TACNODES,
+                         ids=[t for t, *_ in _IRRATIONAL_TACNODES])
+def test_irrational_tacnodes_call_no_factor_list(monkeypatch, text, lct, tree):
+    def no_factor_list(p, K):
+        raise AssertionError("factor_list called")
+
+    monkeypatch.setattr(blowup, "_sympy_factors", no_factor_list)
+    assert lct_germ(text) == lct
+    assert [engine_form(root) for root in germ_blowup_tree(text)] == [tree]
 
 
 # -- chart symmetry: exchanging x and y moves chart-1 points to chart 2 -----

@@ -133,6 +133,23 @@ def test_domain_errors_exit_1(call):
     )
 
 
+# A germ or factor text past 80 characters is cut to 77 and "...", as the
+# parser's own errors are: at most three texts of 80 and a short frame each.
+LONG_TEXT_ERRORS = [
+    (("classify", "(x+y)^128*(x-y)"), "NonSquarefreeError: germ "),
+    (("classify", "((x+y)^30+y^31)^2*(x-y)"), "NonSquarefreeError: germ "),
+    (("lct-germ", "(x+y)^30+1"), "NotAtOriginError: germ "),
+]
+
+
+@pytest.mark.parametrize("argv, start", LONG_TEXT_ERRORS,
+                         ids=[" ".join(argv) for argv, _ in LONG_TEXT_ERRORS])
+def test_errors_shorten_long_germs_and_factors(call, argv, start):
+    err = call(*argv, expect=1).err
+    assert err.startswith(start) and err.count("...") >= 1
+    assert len(err.splitlines()[0]) <= 2 * 80 + 60
+
+
 MALFORMED_SPECS = [
     {"singularities": 5},
     {"singularities": "E8"},

@@ -103,6 +103,15 @@ def test_lct_weighted_germs_names_two_branches_with_a_common_factor(germs, share
     assert sympy.gcd(CurveGerm(germs[i - 1][0]).expr, CurveGerm(germs[j - 1][0]).expr) != 1
 
 
+def test_common_factor_error_shortens_long_branches():
+    # each branch prints past 80 characters and is cut to 77 and "..."
+    with pytest.raises(NonSquarefreeError) as info:
+        lct_weighted_germs([("x*((x+y)^30 + y^31)", 1), ("x*((x-y)^30 + y^31)", 2)])
+    message = str(info.value)
+    assert message.endswith(" share the factor x") and message.count("...") == 2
+    assert len(message) <= 3 * 80 + 60
+
+
 @pytest.mark.parametrize("germs,shared", [
     ([("x", 1), ("y*(y - x^2)", 2), ("x + y^2", 1), ("y^2 - x^2*y", 1)], "x**2*y - y**2"),
     ([("x*y", 2), ("x*(y - x)", 1)], "x"),
