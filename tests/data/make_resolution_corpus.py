@@ -15,11 +15,12 @@ generated at and the selection rule; every other line is one op:
   in the engine's order, each node ``[k, m, children]``; or ``tree_error``;
 - ``canonical``: the same tree with the siblings sorted by (k, m, subtree).
 
-Selection: the first 500 ops of rational_ops(5); of the first
-ALGEBRAIC_SCANNED ops of algebraic_ops(5), those whose value and tree take
-under ALGEBRAIC_LIMIT_MS together (the best of three runs on the generating
-machine); the fixed HEAVY list and the benchmark's warm-up ops; and every
-germ literal of demos/.
+Selection: the first 500 ops of rational_ops(5); every conjugate tacnode
+among the first ALGEBRAIC_SCANNED ops of algebraic_ops(5), that is every op
+outside the cusp-product slots of its blocks (the ops of total degree <= 9);
+the fixed HEAVY list and the benchmark's warm-up ops; and every germ literal
+of demos/.  No rule depends on timing, so the file is the same on every
+machine.
 
 The script refuses to run with uncommitted changes under src/, so the commit
 in the header is the code that produced every line.  A change that alters an
@@ -32,7 +33,6 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
-import time
 from itertools import islice
 from pathlib import Path
 
@@ -47,7 +47,6 @@ OUT = Path(__file__).resolve().parent / "resolution_corpus.jsonl"
 SEED = 5
 RATIONAL_OPS = 500
 ALGEBRAIC_SCANNED = 96
-ALGEBRAIC_LIMIT_MS = 20.0
 
 # heavier queries, chosen by hand: deep chains on both sides of the depth
 # cap, irrational clusters over Q(sqrt 2) and Q(sqrt -2), and a weighted pair
@@ -107,15 +106,6 @@ def entry(kind: str, args: tuple) -> dict:
     return line
 
 
-def best_ms(kind: str, args: tuple) -> float:
-    best = float("inf")
-    for _ in range(3):
-        start = time.perf_counter()
-        entry(kind, args)
-        best = min(best, (time.perf_counter() - start) * 1e3)
-    return best
-
-
 def main() -> None:
     if subprocess.run(["git", "status", "--porcelain", "src"], cwd=ROOT, capture_output=True,
                       text=True, check=True).stdout:
@@ -128,16 +118,16 @@ def main() -> None:
     heavy = HEAVY + tuple((op.kind, op.args)
                           for op in corpus.WARMUP_RATIONAL + corpus.WARMUP_ALGEBRAIC)
     rational = [(op.kind, op.args) for op in islice(corpus.rational_ops(SEED), RATIONAL_OPS)]
-    scanned = [(op.kind, op.args) for op in islice(corpus.algebraic_ops(SEED), ALGEBRAIC_SCANNED)]
-    entry(*scanned[0])  # load sympy and warm its caches before timing
-    algebraic = [op for op in scanned if best_ms(*op) < ALGEBRAIC_LIMIT_MS]
+    algebraic = [(op.kind, op.args)
+                 for i, op in enumerate(islice(corpus.algebraic_ops(SEED), ALGEBRAIC_SCANNED))
+                 if i % corpus.ALGEBRAIC_BLOCK not in corpus._CUSP_SLOTS]
     groups = (("rational", rational), ("algebraic", algebraic), ("heavy", heavy),
               ("demo", demo_germs()))
     header = {
         "commit": commit,
         "selection": (f"first {RATIONAL_OPS} of rational_ops({SEED}); of the first "
-                      f"{ALGEBRAIC_SCANNED} of algebraic_ops({SEED}), those under "
-                      f"{ALGEBRAIC_LIMIT_MS:g} ms (best of 3); the HEAVY list and the warm-up "
+                      f"{ALGEBRAIC_SCANNED} of algebraic_ops({SEED}), every tacnode op (outside "
+                      "the cusp-product slots); the HEAVY list and the warm-up "
                       "ops of perfbench/corpus.py; the germs "
                       "of demos/germ_gallery.py"),
         "counts": {name: len(ops) for name, ops in groups},
