@@ -64,6 +64,7 @@ class _Rationals:
 
     one = Fraction(1)
     zero = Fraction(0)
+    degree = 1
 
 
 Q = _Rationals()
@@ -79,7 +80,7 @@ def _rational(c: Any) -> Fraction:
 
 # a polynomial is a dict {(a, b): coeff} with coeff a nonzero element of K
 PolyDict = dict
-Domain = Any  # Q, or a sympy algebraic field
+Domain = Any  # Q, a NumberField, or a sympy algebraic field
 # An object through the current centre: a curve of weight w is (f, 0, w), an
 # exceptional divisor (f, k_E, m_E).
 Object = tuple
@@ -93,11 +94,14 @@ class BlowupNode:
     total transform along it; children are the blowups performed at points
     of this divisor.  A node stands for a whole Galois orbit of centers:
     conjugate points share identical (k, m) data and are blown up once.
+    points is the size of that orbit, the degree over Q of the field of the
+    centre: 1 for a rational point.
     """
 
     k: int
     m: int
     children: list["BlowupNode"] = field(default_factory=list)
+    points: int = 1
 
     @property
     def ratio(self) -> Fraction:
@@ -184,6 +188,11 @@ def _factor_on_line(p: univariate.Dense, K: Domain) -> list[tuple]:
     if len(p) < 3:
         return [(p[0] / p[1], K.one)] if len(p) == 2 else []
     if K is not Q:
+        from .numberfield import NumberField
+
+        if isinstance(K, NumberField):
+            keys = _sympy_factors([K.to_anp(c) for c in p], K.sympy_field)
+            return [tuple(map(K.from_anp, key)) for key in keys]
         return _sympy_factors(p, K)
     if len(p) == 3:
         return _quadratic_factors(*p)
@@ -224,19 +233,6 @@ def _line_clusters(lines: list[dict[int, Any]], K: Domain) -> dict[tuple, list[i
     return {p: [i for i, ud in enumerate(lines)
                 if not univariate.divide(univariate.from_dict(ud), p)[1]]
             for p in keys}
-
-
-def _extend_qq(p: tuple) -> tuple[Any, Domain, Callable[[Any], Any]]:
-    """Field extension for an irreducible cluster over Q."""
-    import sympy
-    from sympy import QQ
-
-    v = sympy.Symbol("_v")
-    theta_expr = sympy.CRootOf(sum(sympy.Rational(c.numerator, c.denominator) * v**i
-                                   for i, c in enumerate(p)), 0)
-    K2 = QQ.algebraic_field(theta_expr)
-    theta = K2.from_sympy(theta_expr)
-    return theta, K2, lambda c: K2.convert(c, QQ)
 
 
 def _extend_tower(p: tuple, K: Domain) -> tuple[Any, Domain, Callable[[Any], Any]]:
@@ -287,11 +283,21 @@ def _extend_tower(p: tuple, K: Domain) -> tuple[Any, Domain, Callable[[Any], Any
 
 
 def _cluster_point(p: tuple, K: Domain) -> tuple[Any, Domain, Callable[[Any], Any]]:
-    """A root theta of the cluster's monic factor p, the field it lies in, and the map into it."""
+    """A root theta of the cluster's monic factor p, the field it lies in, and the map into it.
+
+    Over Q the field is Q[t]/(p) and theta is t.  Over a NumberField K the
+    tower is built by sympy over K's sympy image.
+    """
     if len(p) == 2:
         return -p[0], K, lambda c: c
+    from .numberfield import NumberField
+
     if K is Q:
-        return _extend_qq(p)
+        K2 = NumberField(p)
+        return K2.gen, K2, K2.convert
+    if isinstance(K, NumberField):
+        theta, K2, conv = _extend_tower(tuple(map(K.to_anp, p)), K.sympy_field)
+        return theta, K2, lambda c: conv(K.to_anp(c))
     return _extend_tower(p, K)
 
 
@@ -351,7 +357,8 @@ def _resolve(objects: list[Object], K: Domain, depth: int) -> BlowupNode | None:
     if depth >= DEPTH_CAP:
         raise DepthExceededError(f"blowup tree exceeded depth {DEPTH_CAP}")
     node = BlowupNode(1 + sum(k for _, k, _ in objects),
-                      sum(m * multiplicity(d) for d, _, m in objects))
+                      sum(m * multiplicity(d) for d, _, m in objects),
+                      points=K.degree if hasattr(K, "degree") else K.mod.degree())
     for sub, K2 in _centres(objects, node.k, node.m, K):
         child = _resolve(sub, K2, depth + 1)
         if child is not None:

@@ -403,6 +403,32 @@ def test_irrational_tacnodes_call_no_factor_list(monkeypatch, text, lct, tree):
     assert [engine_form(root) for root in germ_blowup_tree(text)] == [tree]
 
 
+# a product of four conjugate cusps, (y -+ sqrt(2) x -+ sqrt(3) x^2)^2 - x^5:
+# its points lie in Q(sqrt 2, sqrt 3), a tower over Q(sqrt 2)
+CUSP_PRODUCT = (
+    "y^8 - 8*x^2*y^6 + 24*x^4*y^4 - 32*x^6*y^2 + 16*x^8 - 12*x^4*y^6 + 24*x^6*y^4"
+    " + 48*x^8*y^2 - 96*x^10 - 4*x^5*y^6 + 8*x^7*y^4 + 16*x^9*y^2 - 32*x^11 + 54*x^8*y^4"
+    " + 72*x^10*y^2 + 216*x^12 + 12*x^9*y^4 - 240*x^11*y^2 + 48*x^13 + 6*x^10*y^4"
+    " - 100*x^12*y^2 - 192*x^14 + 36*x^13*y^2 + 72*x^15 + 12*x^14*y^2 + 105*x^16"
+    " - 4*x^15*y^2 - 116*x^17 + 54*x^18 - 12*x^19 + x^20"
+)
+
+
+def test_nodes_count_their_conjugate_points():
+    # the tacnode's root is the origin; each node below it stands for the two
+    # conjugate points over Q(sqrt 2), and the cusp product's deepest for four
+    # over Q(sqrt 2, sqrt 3), a sympy tower
+    (root,) = germ_blowup_tree("(y^2-2*x^2)^2 - x^7")
+    assert [node.points for node in root.walk()] == [1, 2, 2, 2]
+    (root,) = germ_blowup_tree(CUSP_PRODUCT)
+    assert [(node.k, node.m, node.points) for node in root.walk()] == [
+        (1, 8, 1), (2, 12, 2), (3, 13, 4), (6, 26, 4)]
+    # points leaves the corpus form and the count of nodes as they were
+    assert engine_form(root) == [1, 8, [[2, 12, [[3, 13, [[6, 26, []]]]]]]]
+    assert sum(1 for _ in root.walk()) == 4
+    assert [node.points for node in blowup_tree([(nd("y^2 - x^3"), 1)])[0].walk()] == [1, 1, 1]
+
+
 # -- chart symmetry: exchanging x and y moves chart-1 points to chart 2 -----
 #
 # The direction [0:1], the origin of the chart x = u v, y = v, is the one

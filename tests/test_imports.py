@@ -6,9 +6,10 @@ at module level, so that importing it never loads sympy.  Nor do germs,
 blowup and lct import sympy at module level, so that rational germs and
 lct_config run without it; blowup and lct do not import germs there either,
 so that lct_config never loads the germ parser.  Inside blowup, sympy is
-imported only by the functions that factor over a number field or extend
-one; inside germs and lct, only for sympy input and the sympy views; the
-gcd modules never import it.  No module turns text into code: none
+imported only by the functions that factor over a number field or build a
+tower, and inside numberfield only to build a field's sympy image; inside
+germs and lct, only for sympy input and the sympy views; the gcd modules
+never import it.  No module turns text into code: none
 imports sympy's parse_expr or sympify, or calls eval or exec.
 """
 
@@ -20,7 +21,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "delpezzo1"
 CORE = ("__init__", "dynkin", "cycles", "surfaces", "rigidity", "errors", "cli")
 ENGINE = ("sympy", "delpezzo1.germs", "delpezzo1.blowup", "delpezzo1.lct")
-RATIONAL_ENGINE = ("blowup", "lct", "germs", "univariate", "bivariate")
+RATIONAL_ENGINE = ("blowup", "lct", "germs", "univariate", "bivariate", "numberfield")
 SYMPY_BACKED = ("sympy", "delpezzo1.germs")
 
 
@@ -107,8 +108,10 @@ def test_engine_import_guard_names_the_offending_line():
     ]
 
 
-# the functions of blowup.py that factor with sympy or build its number fields
-BLOWUP_SYMPY_FUNCTIONS = ("_sympy_factors", "_factor_on_line", "_extend_qq", "_extend_tower")
+# the functions of blowup.py that factor with sympy or build its towers, and
+# the bridge of numberfield.py to sympy: the sympy image of a NumberField
+BLOWUP_SYMPY_FUNCTIONS = ("_sympy_factors", "_factor_on_line", "_extend_tower",
+                          "NumberField.sympy_field")
 
 
 def _sympy_imports_outside(source, filename, allowed):
@@ -133,6 +136,11 @@ def _sympy_imports_outside(source, filename, allowed):
 
 def test_blowup_imports_sympy_only_to_factor_and_extend_fields():
     path = PACKAGE / "blowup.py"
+    assert list(_sympy_imports_outside(path.read_text(), path.name, BLOWUP_SYMPY_FUNCTIONS)) == []
+
+
+def test_numberfield_imports_sympy_only_to_build_the_sympy_image():
+    path = PACKAGE / "numberfield.py"
     assert list(_sympy_imports_outside(path.read_text(), path.name, BLOWUP_SYMPY_FUNCTIONS)) == []
 
 

@@ -1,7 +1,8 @@
-"""The package runs without sympy, except where a germ needs algebraic numbers.
+"""The package runs without sympy, except where a germ needs a tower of fields.
 
-The combinatorial core, lct_config and rational germ queries never load
-sympy; an infinitely-near point with irrational coordinates does.
+The combinatorial core, lct_config, rational germ queries and germs whose
+irrational points lie in one extension of Q never load sympy; a point over
+such an extension that needs a further one (a tower) does.
 
 Each sympy check runs in a fresh interpreter, because the test process has
 long since imported sympy.
@@ -17,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import delpezzo1
+from tests.test_blowup import CUSP_PRODUCT
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 LAZY = {
@@ -91,8 +93,10 @@ def test_germ_subcommands_leave_sympy_unloaded(argv):
 
 
 def test_germ_with_an_irrational_cluster_loads_sympy():
-    # the tangent directions y = +-sqrt(2) x are blown up in Q(sqrt 2)
-    assert sympy_loaded_after(cli_call("lct-germ", "(y^2-2*x^2)^2 - x^7"))
+    # the tangent directions y = +-sqrt(2) x are blown up in Q[t]/(t^2 - 2)
+    # without sympy; the cusps through them need the tower Q(sqrt 2, sqrt 3)
+    assert not sympy_loaded_after(cli_call("lct-germ", "(y^2-2*x^2)^2 - x^7"))
+    assert sympy_loaded_after(cli_call("lct-germ", CUSP_PRODUCT))
 
 
 @pytest.mark.parametrize("name", ["lct_config", "lct_germ", "blowup", "lct", "CurveGerm", "germs"])
@@ -108,9 +112,12 @@ def test_lct_config_leaves_sympy_unloaded_and_lct_germ_loads_it():
         "for point in [('E8', 'standard'), ('A1', 'tangential'), ('A2', 'one-point')]:\n"
         "    lct_config(build_configuration([point]))"
     )
-    # lct_germ loads sympy only for a cluster it must blow up over a number field
+    # lct_germ loads sympy only for a cluster it must blow up over a tower of
+    # fields, not for a tacnode, whose points lie in Q[t]/(t^2 + 2)
     assert not sympy_loaded_after("import delpezzo1\ndelpezzo1.lct_germ('y^2 - x^3')")
-    assert sympy_loaded_after("import delpezzo1\ndelpezzo1.lct_germ('(y^2 + 2*x^2)^2 - x^6')")
+    assert not sympy_loaded_after(
+        "import delpezzo1\ndelpezzo1.lct_germ('(y^2 + 2*x^2)^2 - x^6')")
+    assert sympy_loaded_after(f"import delpezzo1\ndelpezzo1.lct_germ({CUSP_PRODUCT!r})")
 
 
 def test_rational_germ_queries_leave_sympy_unloaded():
@@ -130,6 +137,16 @@ def test_rational_germ_queries_leave_sympy_unloaded():
         "assert lct_weighted_germs([('y - x', 3), ('y + x', 1), ('x', 2)]) == F(1, 3)\n"
         "assert lct_weighted_germs([('y - 2*x', 2), ('y - 2*x - 5*x^2', 3)]) == F(3, 10)\n"
         "assert lct_weighted_germs([('y^2 - 4/9*x^5', 3)]) == F(7, 30)"
+    )
+
+
+def test_rational_germ_queries_leave_the_number_field_module_unloaded():
+    assert not sympy_loaded_after(
+        "import sys\n"
+        "from delpezzo1 import lct_germ, lct_weighted_germs\n"
+        "assert lct_germ('y^3 - 97/89*x^8') and lct_germ('(y - x)*(y + x)*(y - 2*x)')\n"
+        "assert lct_weighted_germs([('y^2 - 4/9*x^5', 3), ('x', 2)])\n"
+        "assert 'delpezzo1.numberfield' not in sys.modules"
     )
 
 
