@@ -17,9 +17,13 @@ blowup, lct) are package attributes the same way.
 Germ text, squarefree tests, the rejection of a germ with a repeated
 factor and the blowup of rational points need no sympy, so reading any of
 these names, calling lct_config, or asking for the threshold or class of a
-germ whose blown-up points are all rational leaves sympy unloaded.  sympy
-is loaded when a point needs an algebraic number field, by a germ given as
-a sympy expression, and by the sympy views CurveGerm.poly and CurveGerm.expr.
+germ whose blown-up points are all rational leaves sympy unloaded, and so
+does a germ whose irrational points lie in one extension Q[t]/(g) of Q,
+which the engine builds itself (numberfield).  sympy is loaded when a
+point needs a tower of number fields, when a line needs factoring (three
+or more points over Q, two or more over a number field), by a germ given
+as a sympy expression, and by the sympy views CurveGerm.poly and
+CurveGerm.expr.
 """
 
 import importlib

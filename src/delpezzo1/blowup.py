@@ -16,18 +16,23 @@ exceptional divisor being smooth.  Its points are the clusters of the chart
 x = u, y = u v, and one more centre: the origin of the chart x = u v, y = v.
 
 Polynomials are stored as dicts {(deg_x, deg_y): coefficient} with
-coefficients in a field K: Q, whose elements are Fractions, or a sympy
-algebraic number field when an infinitely-near point has irrational
-coordinates.  Points on one exceptional line are enumerated as Galois
-orbits: each irreducible factor of the restriction of the transform to the
-line is one cluster, blown up once on behalf of all its conjugate points,
-which carry identical (k, m) data.  A field extension is introduced only
-when a cluster of degree >= 2 genuinely needs deeper resolution.
+coefficients in a field K: Q, whose elements are Fractions; the engine's
+own number field Q[t]/(g) (numberfield.NumberField) when an
+infinitely-near point has irrational coordinates; or a sympy algebraic
+field for a point over Q[t]/(g) that needs a further extension (a tower).
+Points on one exceptional line are enumerated as Galois orbits: each
+irreducible factor of the restriction of the transform to the line is one
+cluster, blown up once on behalf of all its conjugate points, which carry
+identical (k, m) data.  A field extension is introduced only when a
+cluster of degree >= 2 genuinely needs deeper resolution: over Q the
+cluster's factor g is the modulus and the point is t, so no root is
+located.
 
 A cluster is keyed by the coefficient tuple of its monic factor over K,
 constant term first, so the point v = r is (-r, 1).  The clusters of a line
-are blown up in (degree, coefficients) order; Fractions and the elements of
-a sympy algebraic field are both ordered, so one rule serves every field.
+are blown up in (degree, coefficients) order; Fractions are ordered, and
+so are the elements of a number field (by their coefficients, highest power
+first, as sympy orders its own), so one rule serves every field.
 
 On every line, over Q and over K alike, the engine first finds without
 factoring the points that need a blowup: those through two objects or
@@ -40,8 +45,9 @@ Q a quadratic one is split through an isqrt test of its discriminant.  An
 object is through a cluster when the cluster's factor divides its
 restriction exactly.  So sympy factors a line only when it holds three or
 more such points over Q, conjugates counted, or two or more over K
-(_sympy_factors, reached from _factor_on_line); it is imported in two more
-places, to build algebraic number fields (_extend_qq, _extend_tower).
+(_sympy_factors, reached from _factor_on_line); it is imported in one more
+place, to build a tower over K (_extend_tower).  Over a Q[t]/(g) both go
+through its sympy image QQ(CRootOf(g, 0)), built once per field.
 """
 
 from __future__ import annotations

@@ -11,8 +11,10 @@ memoised, as a few models recur across all configurations.
 
 Germs are read and checked squarefree without sympy as well, and weighted
 branches that run into the depth cap are compared for a common factor by
-the same exact gcd (bivariate).  sympy is loaded only when a germ has a
-cluster of irrational points that must be blown up.
+the same exact gcd (bivariate).  Irrational points in one extension of Q
+are blown up in the engine's own field Q[t]/(g) (numberfield); sympy is
+loaded only when a germ has a point over a tower of fields to blow up, or
+a line to factor (see blowup).
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ to_anp and from_anp translate elements exactly.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import total_ordering
+from functools import cached_property, total_ordering
 from typing import Any, Sequence
 
 from . import univariate
@@ -39,33 +39,27 @@ class NumberField:
         self.zero = self.convert(0)
         self.one = self.convert(1)
         self.gen = Element(self, (0, 1) + (0,) * (self.degree - 2))
-        self._sympy_field = None
 
     def __repr__(self) -> str:
         return f"NumberField({_text(self.modulus)})"
 
     def convert(self, c: Any) -> "Element":
-        """An element of this field, or the rational c as c·1."""
-        if isinstance(c, Element):
-            return c
+        """The rational c as the element c·1."""
         return Element(self, (c,) + (0,) * (self.degree - 1))
 
-    @property
+    @cached_property
     def sympy_field(self) -> Any:
         """This field in sympy, QQ(CRootOf(g, 0)), whose generator is t; built once."""
-        if self._sympy_field is None:
-            from sympy import QQ, CRootOf, Poly, Symbol
+        from sympy import QQ, CRootOf, Poly, Symbol
 
-            g = Poly([QQ(c.numerator, c.denominator) for c in reversed(self.modulus)],
-                     Symbol("_v"), domain=QQ)
-            self._sympy_field = QQ.algebraic_field(CRootOf(g.as_expr(), 0))
-        return self._sympy_field
+        g = Poly([QQ(c.numerator, c.denominator) for c in reversed(self.modulus)],
+                 Symbol("_v"), domain=QQ)
+        return QQ.algebraic_field(CRootOf(g, 0))
 
-    def to_anp(self, c: Any) -> Any:
-        """An element, or a rational, as an element of sympy_field."""
+    def to_anp(self, e: "Element") -> Any:
+        """An element as an element of sympy_field."""
         K = self.sympy_field
-        return K.new([K.dom(c.numerator, c.denominator)
-                      for c in reversed(self.convert(c).coeffs)])
+        return K.new([K.dom(c.numerator, c.denominator) for c in reversed(e.coeffs)])
 
     def from_anp(self, a: Any) -> "Element":
         """An element of sympy_field as an element of this field."""
@@ -127,9 +121,7 @@ class Element:
     __radd__ = __add__
 
     def __sub__(self, other: Any) -> "Element":
-        if isinstance(other, (Element, int, Fraction)):
-            return self + -other
-        return NotImplemented
+        return self + -other
 
     def __rsub__(self, other: Any) -> "Element":
         return -self + other
@@ -161,9 +153,6 @@ class Element:
         if isinstance(other, Element):
             return self * other ** -1
         return NotImplemented
-
-    def __rtruediv__(self, other: Any) -> "Element":
-        return self ** -1 * other
 
     def __pow__(self, n: int) -> "Element":
         if n < 0:
