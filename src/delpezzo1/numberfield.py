@@ -167,10 +167,7 @@ class Element:
         return self.field.one if result is None else result
 
     def _inverse(self) -> "Element":
-        p = univariate.trim(list(self.coeffs))
-        if not p:
-            raise ZeroDivisionError("zero has no inverse")
-        inverse = univariate.invert(p, list(self.field.modulus))
+        inverse = univariate.invert(univariate.trim(list(self.coeffs)), list(self.field.modulus))
         return self._new(inverse + [0] * (len(self.coeffs) - len(inverse)))
 
 
