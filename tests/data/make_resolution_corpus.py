@@ -64,6 +64,11 @@ HEAVY = (
     ("lct_germ", ("(y^3 - 2*x^3)*(y^2 - 3*x^2)",)),
     ("lct_weighted_germs", ((("y - x^2", 1), ("y - x^2", 2)),)),
     ("lct_weighted_germs", ((("y^2 - 2*x^4", 2), ("x", 3)),)),
+    # conjugate branches through y = +-sqrt(2) x + c x^2 for c = 1 and 2: the
+    # second line, over Q(sqrt 2), holds two clusters whose subtrees differ,
+    # so the tree in engine order pins the order of elements of a number field
+    ("lct_germ", ("((y-x^2)^2-2*x^2)*((y-x^2-x^3)^2-2*x^2)"
+                  "*(((y-2*x^2)^2+2*x^2-x^5)^2-8*x^2*(y-2*x^2)^2)",)),
 )
 
 
