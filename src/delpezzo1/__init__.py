@@ -4,7 +4,8 @@ Fundamental cycles of Du Val singularities, log canonical thresholds of
 curve germs and anticanonical configurations, total thresholds of surface
 specs with Kodaira fiber types, and the birational-rigidity gate for
 fibration pairs.  All arithmetic is exact (integers, fractions, algebraic
-numbers); nothing here floats.
+numbers); nothing here floats.  Every field under a resolution is Q or a
+number field Q[t]/(g), numberfield.NumberField, towers included.
 
 Importing the package loads only the combinatorial core (dynkin, cycles,
 surfaces, rigidity, errors), which needs integers and Fraction alone.  The
@@ -14,16 +15,13 @@ germ engine's public names -- CurveGerm, classify_germ, lct_quasihomogeneous
 submodule and binds that submodule's names.  The engine's submodules (germs,
 blowup, lct) are package attributes the same way.
 
-Germ text, squarefree tests, the rejection of a germ with a repeated
-factor and the blowup of rational points need no sympy, so reading any of
-these names, calling lct_config, or asking for the threshold or class of a
-germ whose blown-up points are all rational leaves sympy unloaded, and so
-does a germ whose irrational points lie in one extension Q[t]/(g) of Q,
-which the engine builds itself (numberfield).  sympy is loaded when a
-point needs a tower of number fields, when a line needs factoring (three
-or more points over Q, two or more over a number field), by a germ given
-as a sympy expression, and by the sympy views CurveGerm.poly and
-CurveGerm.expr.
+Germ text, squarefree tests, rejections and the blowups over Q and over
+one extension Q[t]/(g) need no sympy, so reading these names, lct_config,
+and a germ whose blown-up points are rational or lie in one Q[t]/(g) leave
+it unloaded.  numberfield loads it for a tower over Q[t]/(g) and for a
+line to factor (three or more points over Q, two or more over a number
+field); germs loads it for a germ given as a sympy expression and for the
+views CurveGerm.poly and CurveGerm.expr.
 """
 
 import importlib

@@ -15,39 +15,25 @@ k = 1 + sum k and m = sum m mult(f) over the objects through the point, an
 exceptional divisor being smooth.  Its points are the clusters of the chart
 x = u, y = u v, and one more centre: the origin of the chart x = u v, y = v.
 
-Polynomials are stored as dicts {(deg_x, deg_y): coefficient} with
-coefficients in a field K: Q, whose elements are Fractions; the engine's
-own number field Q[t]/(g) (numberfield.NumberField) when an
-infinitely-near point has irrational coordinates; or a sympy algebraic
-field for a point over Q[t]/(g) that needs a further extension (a tower).
-Points on one exceptional line are enumerated as Galois orbits: each
-irreducible factor of the restriction of the transform to the line is one
-cluster, blown up once on behalf of all its conjugate points, which carry
-identical (k, m) data.  A field extension is introduced only when a
-cluster of degree >= 2 genuinely needs deeper resolution: over Q the
-cluster's factor g is the modulus and the point is t, so no root is
-located.
+Polynomials are stored as dicts {(deg_x, deg_y): coefficient} over a
+field K, and every field under the resolution is Q (Fractions) or a number
+field Q[t]/(g) (numberfield.NumberField).  Points on one exceptional line
+are enumerated as Galois orbits: each irreducible factor of the
+restriction of the transform to the line is one cluster, blown up once on
+behalf of all its conjugate points, which carry identical (k, m) data.  A
+cluster of degree >= 2 gets a field only when it needs a blowup: K.extend
+gives Q[t]/(g) over Q, at the point t, and over a NumberField a tower.
 
 A cluster is keyed by the coefficient tuple of its monic factor over K,
 constant term first, so the point v = r is (-r, 1).  The clusters of a line
-are blown up in (degree, coefficients) order; Fractions are ordered, and
-so are the elements of a number field (by their coefficients, highest power
-first, as sympy orders its own), so one rule serves every field.
-
-On every line, over Q and over K alike, the engine first finds without
-factoring the points that need a blowup: those through two objects or
-through one object twice.  They are v = 0 (read off the powers of v), a
-root shared by two linear restrictions or by one and another restriction,
-and the multiple roots of the product P of the restrictions of degree >= 2,
-whose squarefree part comes from gcd(P, P') by Euclid over K.  Only that
-part, which is prime to v, is factored: a linear one is read off, and over
-Q a quadratic one is split through an isqrt test of its discriminant.  An
-object is through a cluster when the cluster's factor divides its
-restriction exactly.  So sympy factors a line only when it holds three or
-more such points over Q, conjugates counted, or two or more over K
-(_sympy_factors, reached from _factor_on_line); it is imported in one more
-place, to build a tower over K (_extend_tower).  Over a Q[t]/(g) both go
-through its sympy image QQ(CRootOf(g, 0)), built once per field.
+are blown up in (degree, coefficients) order, as Fractions and the elements
+of a number field are ordered.  On every line the points that need a
+blowup, those through two objects or through one object twice, are found
+by gcds over K (_line_clusters), and only their squarefree part goes to
+K.factor: sympy factors a line only when it holds three or more such
+points over Q, conjugates counted, or two or more over a NumberField.
+This module never imports sympy; numberfield does, to factor a line or to
+build a tower.
 """
 
 from __future__ import annotations
@@ -57,20 +43,45 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence, TypeAlias
 
 from . import univariate
 from .errors import DepthExceededError, InvalidGermError
+
+if TYPE_CHECKING:
+    from .numberfield import NumberField
 
 DEPTH_CAP = 64
 
 
 class _Rationals:
-    """The field Q with Fraction elements, in the role of a sympy domain."""
+    """The field Q with Fraction elements, with the field interface of a NumberField."""
 
     one = Fraction(1)
     zero = Fraction(0)
     degree = 1
+
+    @staticmethod
+    def factor(p: univariate.Dense) -> list[tuple]:
+        """The monic factors of a squarefree p of degree >= 2, by sympy from degree 3 on."""
+        if len(p) > 3:
+            from .numberfield import factor_rational
+
+            return factor_rational(p)
+        c, b, a = p  # a v^2 + b v + c splits when its discriminant is a square
+        disc = b * b - 4 * a * c
+        root = Fraction(math.isqrt(abs(disc.numerator)), math.isqrt(disc.denominator))
+        if root * root != disc:  # always so for disc < 0
+            return [(c / a, b / a, Q.one)]
+        return [((b + root) / (2 * a), Q.one), ((b - root) / (2 * a), Q.one)]
+
+    @staticmethod
+    def extend(p: tuple) -> tuple[Any, NumberField, Callable[[Any], Any]]:
+        """The field Q[t]/(p) of an irreducible p of degree >= 2, its point t, and c -> c*1."""
+        from .numberfield import NumberField
+
+        K = NumberField(p)
+        return K.gen, K, K.convert
 
 
 Q = _Rationals()
@@ -86,7 +97,7 @@ def _rational(c: Any) -> Fraction:
 
 # a polynomial is a dict {(a, b): coeff} with coeff a nonzero element of K
 PolyDict = dict
-Domain = Any  # Q, a NumberField, or a sympy algebraic field
+Field: TypeAlias = "_Rationals | NumberField"
 # An object through the current centre: a curve of weight w is (f, 0, w), an
 # exceptional divisor (f, k_E, m_E).
 Object = tuple
@@ -152,7 +163,7 @@ def _lowest_form(d: PolyDict, mu: int) -> list:
     return row
 
 
-def _shift_y(d: PolyDict, theta: Any, K: Domain) -> PolyDict:
+def _shift_y(d: PolyDict, theta: Any, K: Field) -> PolyDict:
     """Substitute y -> y + theta, exactly, over K."""
     if not theta:
         return dict(d)
@@ -166,49 +177,18 @@ def _shift_y(d: PolyDict, theta: Any, K: Domain) -> PolyDict:
     return {k: c for k, c in out.items() if c}
 
 
-def _sympy_factors(p: univariate.Dense, K: Domain) -> list[tuple]:
-    """The monic irreducible factors over K of a dense univariate p, by sympy, as keys."""
-    from sympy import Poly, Symbol
-
-    _, factors = Poly(list(reversed(p)), Symbol("_v"), domain=K).factor_list()
-    return [tuple(reversed(f.monic().rep.to_list())) for f, _ in factors if f.degree() >= 1]
-
-
-def _quadratic_factors(c: Fraction, b: Fraction, a: Fraction) -> list[tuple]:
-    """Factors of a squarefree a v^2 + b v + c over Q: linear if the discriminant is a square."""
-    disc = b * b - 4 * a * c
-    root = Fraction(math.isqrt(disc.numerator), math.isqrt(disc.denominator)) if disc >= 0 else 0
-    if root * root != disc:
-        return [(c / a, b / a, Q.one)]
-    return [((b + root) / (2 * a), Q.one), ((b - root) / (2 * a), Q.one)]
-
-
-def _factor_on_line(p: univariate.Dense, K: Domain) -> list[tuple]:
+def _factor_on_line(p: univariate.Dense, K: Field) -> list[tuple]:
     """The monic irreducible factors over K of a squarefree p prime to v, as cluster keys.
 
-    A linear p is read off; over Q a quadratic is split through an isqrt
-    test of its discriminant, and only a p of degree >= 3 goes to sympy,
-    as over any other field one of degree >= 2 does.  A key over Q is a
-    tuple of Fractions, so one point is one key whichever route found it.
+    A linear p is read off and any other goes to K.factor.  A key over Q is
+    a tuple of Fractions, so one point is one key whichever route found it.
     """
     if len(p) < 3:
         return [(p[0] / p[1], K.one)] if len(p) == 2 else []
-    if K is not Q:
-        from .numberfield import NumberField
-
-        if isinstance(K, NumberField):
-            keys = _sympy_factors([K.to_anp(c) for c in p], K.sympy_field)
-            return [tuple(map(K.from_anp, key)) for key in keys]
-        return _sympy_factors(p, K)
-    if len(p) == 3:
-        return _quadratic_factors(*p)
-    from sympy import QQ
-
-    qq = [QQ(c.numerator, c.denominator) for c in p]
-    return [tuple(map(_rational, key)) for key in _sympy_factors(qq, QQ)]
+    return K.factor(p)
 
 
-def _line_clusters(lines: list[dict[int, Any]], K: Domain) -> dict[tuple, list[int]]:
+def _line_clusters(lines: list[dict[int, Any]], K: Field) -> dict[tuple, list[int]]:
     """The clusters on an exceptional line through two objects, or through one object twice.
 
     lines[i] is the restriction of object i to the line; each cluster maps
@@ -241,70 +221,14 @@ def _line_clusters(lines: list[dict[int, Any]], K: Domain) -> dict[tuple, list[i
             for p in keys}
 
 
-def _extend_tower(p: tuple, K: Domain) -> tuple[Any, Domain, Callable[[Any], Any]]:
-    """Field extension for an irreducible cluster over an algebraic field K.
-
-    A root of p is located inside a primitive-element tower Q(gamma, theta)
-    by factoring the norm of p down to Q and testing candidate roots
-    exactly.
-    """
-    import sympy
-    from sympy import QQ
-
-    _z, _T = sympy.symbols("_z _T")
-    gamma_expr = K.ext.as_expr()
-    # lift p to Q[z, T], z standing for gamma
-    lifted = sympy.Integer(0)
-    p_items = [(i, c) for i, c in enumerate(p) if c]
-    for i, c in p_items:
-        rep = list(reversed(c.to_list()))
-        c_z = sum(sympy.Rational(r.numerator, r.denominator) * _z**j for j, r in enumerate(rep))
-        lifted += c_z * _T**i
-    minpoly_z = sympy.minimal_polynomial(gamma_expr, _z)
-    norm = sympy.resultant(minpoly_z, lifted, _z)
-    _, factors = sympy.factor_list(norm, _T)
-    for g, _e in sorted(factors, key=lambda fe: (sympy.degree(fe[0], _T), str(fe[0]))):
-        deg = sympy.degree(g, _T)
-        if deg < 1:
-            continue
-        for j in range(deg):
-            theta_expr = sympy.CRootOf(g, j) if deg > 1 else sympy.roots(g, _T).popitem()[0]
-            # cheap numeric screen before the (possibly expensive) exact
-            # tower construction; exactness is re-established below
-            approx = lifted.subs({_z: gamma_expr, _T: theta_expr}).evalf(40, chop=True)
-            if approx != 0 and abs(complex(approx)) > 1e-25:
-                continue
-            try:
-                K2 = QQ.algebraic_field(gamma_expr, theta_expr)
-                theta = K2.from_sympy(theta_expr)
-                conv = lambda c, _K2=K2: _K2.from_sympy(K.to_sympy(c))
-                value = K2.zero
-                for i, c in p_items:
-                    value = value + conv(c) * theta**i
-                if not value:
-                    return theta, K2, conv
-            except (sympy.polys.polyerrors.CoercionFailed, NotImplementedError):
-                continue
-    raise InvalidGermError("could not realize an infinitely-near point in a number field")
-
-
-def _cluster_point(p: tuple, K: Domain) -> tuple[Any, Domain, Callable[[Any], Any]]:
+def _cluster_point(p: tuple, K: Field) -> tuple[Any, Field, Callable[[Any], Any]]:
     """A root theta of the cluster's monic factor p, the field it lies in, and the map into it.
 
-    Over Q the field is Q[t]/(p) and theta is t.  Over a NumberField K the
-    tower is built by sympy over K's sympy image.
+    A linear p is read off; any other goes to K.extend.
     """
     if len(p) == 2:
         return -p[0], K, lambda c: c
-    from .numberfield import NumberField
-
-    if K is Q:
-        K2 = NumberField(p)
-        return K2.gen, K2, K2.convert
-    if isinstance(K, NumberField):
-        theta, K2, conv = _extend_tower(tuple(map(K.to_anp, p)), K.sympy_field)
-        return theta, K2, lambda c: conv(K.to_anp(c))
-    return _extend_tower(p, K)
+    return K.extend(p)
 
 
 def _is_snc(polys: list[PolyDict]) -> bool:
@@ -324,7 +248,7 @@ def _is_snc(polys: list[PolyDict]) -> bool:
     return False
 
 
-def _centres(objects: list[Object], k: int, m: int, K: Domain) -> Iterator[tuple[list, Domain]]:
+def _centres(objects: list[Object], k: int, m: int, K: Field) -> Iterator[tuple[list, Field]]:
     """The centres on the new exceptional divisor E = (f, k, m) that may need a blowup.
 
     Each comes with its field and the objects through it, E among them,
@@ -351,7 +275,7 @@ def _centres(objects: list[Object], k: int, m: int, K: Domain) -> Iterator[tuple
         yield through + [({(0, 1): K.one}, k, m)], K
 
 
-def _resolve(objects: list[Object], K: Domain, depth: int) -> BlowupNode | None:
+def _resolve(objects: list[Object], K: Field, depth: int) -> BlowupNode | None:
     """Blow up the origin if needed; return the node, or None when already SNC.
 
     Every object passes through the origin.  The new divisor has
@@ -364,7 +288,7 @@ def _resolve(objects: list[Object], K: Domain, depth: int) -> BlowupNode | None:
         raise DepthExceededError(f"blowup tree exceeded depth {DEPTH_CAP}")
     node = BlowupNode(1 + sum(k for _, k, _ in objects),
                       sum(m * multiplicity(d) for d, _, m in objects),
-                      points=K.degree if hasattr(K, "degree") else K.mod.degree())
+                      points=K.degree)
     for sub, K2 in _centres(objects, node.k, node.m, K):
         child = _resolve(sub, K2, depth + 1)
         if child is not None:

@@ -6,13 +6,13 @@ Every subcommand takes --json for machine-readable output carrying the
 same values as the text form.  Handlers return library results and run()
 alone renders them: the text form is str(result), the JSON form is
 result.as_dict(), or a one-key object for a plain value.  lct-germ,
-lct-config and classify import the germ engine inside their handlers.  No
-subcommand loads sympy, except lct-germ and classify on a germ with a
-point to blow up over a tower of number fields, or with three or more
-points to blow up on one exceptional line over Q; irrational points in
-one extension of Q, such as the tangent directions of
-(y^2 - 2*x^2)^2 - x^7, and a germ rejected for a repeated factor load
-none.
+lct-config and classify import the germ engine inside their handlers, and
+every field under their resolutions is Q or a NumberField.  No subcommand
+loads sympy, except lct-germ and classify on a germ with a point to blow
+up over a tower of number fields, or with three or more points to blow up
+on one exceptional line over Q; the tangent directions of
+(y^2 - 2*x^2)^2 - x^7, in one extension of Q, and a germ rejected for a
+repeated factor load none.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ branches that run into the depth cap are compared for a common factor by
 the same exact gcd (bivariate).  Irrational points in one extension of Q
 are blown up in the engine's own field Q[t]/(g) (numberfield); sympy is
 loaded only when a germ has a point over a tower of fields to blow up, or
-a line to factor (see blowup).
+a line to factor (see numberfield).
 """
 
 from __future__ import annotations

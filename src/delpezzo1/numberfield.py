@@ -1,4 +1,4 @@
-"""Exact number fields Q[t]/(g), for the irrational points of the blowup engine.
+"""Exact number fields Q[t]/(g): with Q, the only fields under the blowup engine.
 
 When a cluster of degree >= 2 over Q needs a blowup, the engine extends Q
 by a root of the cluster's monic factor g: the field is Q[t]/(g) and the
@@ -6,26 +6,25 @@ point is t itself, so no root is ever located.  An element is the tuple of
 its rational coefficients in 1, t, ..., t^(n-1), constant term first.
 Products are reduced modulo the monic g, and inverses come from the
 extended Euclidean algorithm of univariate (Cohen, A Course in
-Computational Algebraic Number Theory, 1993, section 4.2).
+Computational Algebraic Number Theory, 1993, section 4.2).  Elements mix
+with ints and Fractions in the dense polynomials of univariate, a zero is
+falsy, e ** -1 is the inverse, and they are ordered as sympy orders its
+own, by the coefficients highest power first without leading zeros.
 
-Elements work in the dense polynomials of univariate as sympy's algebraic
-field elements do: an int or a Fraction mixes in as a rational, a zero is
-falsy, and e ** -1 is the inverse.  They are hashable and ordered as sympy
-orders its elements, by the coefficients highest power first without
-leading zeros, so clusters are blown up in one order whichever type holds
-them.
-
-A field over Q(t) (a tower) and the factoring of a line over Q(t) are still
-sympy's.  Both go through the field's sympy image QQ(CRootOf(g, 0)), whose
-generator is t: sympy_field builds it once per field and imports sympy, and
-to_anp and from_anp translate elements exactly.
+A cluster of degree >= 2 over Q[t]/(g) gets a tower (NumberField.extend),
+which comes back as a NumberField, exact: a root is kept only when the
+cluster's factor vanishes at it in the new field.  sympy is imported here
+only, to build a tower and to factor a line (NumberField.factor,
+factor_rational); it sees a field through its image QQ(CRootOf(g, 0)),
+whose generator is t (sympy_field, to_anp and from_anp).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, total_ordering
-from typing import Any, Sequence
+from itertools import count
+from typing import Any, Callable, Sequence
 
 from . import univariate
 
@@ -56,15 +55,91 @@ class NumberField:
                  Symbol("_v"), domain=QQ)
         return QQ.algebraic_field(CRootOf(g, 0))
 
-    def to_anp(self, e: "Element") -> Any:
-        """An element as an element of sympy_field."""
+    def to_anp(self, e: "Element | int | Fraction") -> Any:
+        """An element, or a rational, as an element of sympy_field."""
+        coeffs = e.coeffs if isinstance(e, Element) else self.convert(e).coeffs
         K = self.sympy_field
-        return K.new([K.dom(c.numerator, c.denominator) for c in reversed(e.coeffs)])
+        return K.new([K.dom(c.numerator, c.denominator) for c in reversed(coeffs)])
 
     def from_anp(self, a: Any) -> "Element":
-        """An element of sympy_field as an element of this field."""
-        rep = [Fraction(int(c.numerator), int(c.denominator)) for c in reversed(a.to_list())]
+        """An element of a sympy field whose generator has minimal polynomial g, as an element."""
+        rep = [_fraction(c) for c in reversed(a.to_list())]
         return Element(self, tuple(rep) + (0,) * (self.degree - len(rep)))
+
+    def factor(self, p: univariate.Dense) -> list[tuple]:
+        """The monic irreducible factors of a dense p over this field, by sympy, as cluster keys."""
+        keys = _sympy_factors([self.to_anp(c) for c in p], self.sympy_field)
+        return [tuple(map(self.from_anp, key)) for key in keys]
+
+    def extend(self, p: Sequence["Element"]) -> tuple["Element", "NumberField",
+                                                     Callable[["Element"], "Element"]]:
+        """A root theta of the monic irreducible p over this field, its field L, the map into L.
+
+        When the generator gamma of sympy_field is real, sympy builds L as
+        Q(gamma, theta) for a real root theta of the norm Res_t(g(t), p(t, T)),
+        kept when p vanishes at it in L, and each coefficient goes in by
+        from_sympy.  Otherwise, or when no real root serves, no root is
+        located (sympy takes minutes to refine one that is not real): by
+        Trager's norm (SYMSAC 1976), L is Q[T]/(N) for the first squarefree
+        N = Res_t(g(t), p(t, T - s t)), s = 0, 1, ...; t maps to the root tau
+        of gcd(g(t), p(t, T - s t)) over L, and theta is T - s tau.
+        """
+        import sympy
+        from sympy import QQ, Poly
+        from sympy.polys.polyerrors import CoercionFailed
+
+        z, T = sympy.symbols("_z _T")
+        g = sum(sympy.Rational(c) * z**j for j, c in enumerate(self.modulus))
+        lifted = sum(sympy.Rational(x) * z**j * T**i
+                     for i, c in enumerate(p) if c for j, x in enumerate(c.coeffs))
+        K, gamma = self.sympy_field, self.sympy_field.ext.as_expr()
+        _, factors = sympy.factor_list(sympy.resultant(g, lifted, z), T)
+        for h, _ in sorted(factors, key=lambda he: (sympy.degree(he[0], T), str(he[0]))):
+            for theta in Poly(h, T).real_roots(radicals=False) if gamma.is_real else ():
+                try:
+                    L = QQ.algebraic_field(gamma, theta)
+                    root = L.from_sympy(theta)
+                    embed = lambda c: L.from_sympy(K.to_sympy(self.to_anp(c)))
+                    value = sum((embed(c) * root**i for i, c in enumerate(p) if c), L.zero)
+                except (CoercionFailed, NotImplementedError):
+                    continue
+                if not value:
+                    mod = L.mod.to_list()
+                    field = NumberField([_fraction(c / mod[0]) for c in reversed(mod)])
+                    return field.from_anp(root), field, lambda c: field.from_anp(embed(c))
+        for s in count():
+            norm = Poly(sympy.resultant(g, lifted.subs(T, T - s * z), z), T, domain=QQ)
+            if norm.is_sqf:
+                break
+        L = NumberField([_fraction(c) for c in reversed(norm.rep.to_list())])
+        # p(t, T - s t) as a polynomial in t over L: the sum of p_i(t) (T - s t)^i
+        shifted, power = [], [L.one]
+        for c in p:
+            shifted = univariate.sub(shifted, univariate.mul([-x for x in c.coeffs], power))
+            power = univariate.mul(power, [L.gen, L.one * -s])
+        tau = -univariate.gcd([L.one * x for x in self.modulus], shifted)[0]
+        return L.gen - tau * s, L, lambda c: univariate.evaluate(list(c.coeffs), tau)
+
+
+def _fraction(c: Any) -> Fraction:
+    """A rational of sympy's QQ as a Fraction."""
+    return Fraction(int(c.numerator), int(c.denominator))
+
+
+def _sympy_factors(p: univariate.Dense, K: Any) -> list[tuple]:
+    """The monic irreducible factors over the sympy domain K of a dense p, by sympy, as keys."""
+    from sympy import Poly, Symbol
+
+    _, factors = Poly(list(reversed(p)), Symbol("_v"), domain=K).factor_list()
+    return [tuple(reversed(f.monic().rep.to_list())) for f, _ in factors if f.degree() >= 1]
+
+
+def factor_rational(p: univariate.Dense) -> list[tuple]:
+    """The monic irreducible factors over Q of a dense p of rationals, by sympy, as keys."""
+    from sympy import QQ
+
+    keys = _sympy_factors([QQ(c.numerator, c.denominator) for c in p], QQ)
+    return [tuple(map(_fraction, key)) for key in keys]
 
 
 @total_ordering

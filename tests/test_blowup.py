@@ -4,13 +4,12 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from sympy import QQ, CRootOf, Poly, Symbol
+from sympy import QQ, Poly, Symbol
 
-from delpezzo1 import blowup, univariate
+from delpezzo1 import numberfield, univariate
 from delpezzo1.blowup import (
     Q,
     _cluster_point,
-    _extend_tower,
     _factor_on_line,
     _line_clusters,
     _shift_y,
@@ -23,10 +22,8 @@ from delpezzo1.blowup import (
 from delpezzo1.errors import DelPezzoError, DepthExceededError, InvalidGermError
 from delpezzo1.germs import CurveGerm
 from delpezzo1.lct import germ_blowup_tree, lct_germ, lct_weighted_germs
+from delpezzo1.numberfield import NumberField
 from tests.data.make_resolution_corpus import canonical_form, engine_form
-
-z = Symbol("z")
-T = Symbol("T")
 
 
 def nd(text):
@@ -40,14 +37,10 @@ def test_strict_transform_charts():
 
 
 def test_shift_y_exact():
-    # (y+3)^2 - x = y^2 + 6y + 9 - x, over Q with the germ's Fractions and
-    # over sympy's QQ with the same coefficients as QQ elements
-    shifted = {(0, 2): QQ(1), (0, 1): QQ(6), (0, 0): QQ(9), (1, 0): QQ(-1)}
+    # (y+3)^2 - x = y^2 + 6y + 9 - x, over Q with the germ's Fractions
+    shifted = {(0, 2): Fraction(1), (0, 1): Fraction(6), (0, 0): Fraction(9), (1, 0): Fraction(-1)}
     assert _shift_y(nd("y^2 - x"), Fraction(3), Q) == shifted
-    as_qq = {k: QQ(c.numerator, c.denominator) for k, c in nd("y^2 - x").items()}
-    assert _shift_y(as_qq, QQ(3), QQ) == shifted
     assert _shift_y(nd("x*y"), Fraction(0), Q) == nd("x*y")
-    assert _shift_y(nd("x*y"), QQ(0), QQ) == nd("x*y")
 
 
 def test_multiplicity_helper():
@@ -94,14 +87,15 @@ def test_terminal_shortcut_avoids_extension():
 
 
 def test_extend_tower_finds_exact_root():
-    gamma = CRootOf(z**2 - 2, 1)  # +sqrt(2)
-    K = QQ.algebraic_field(gamma)
-    p = (-K.from_sympy(gamma), K.zero, K.one)  # T^2 - sqrt(2), constant term first
-    theta, K2, conv = _extend_tower(p, K)
-    value = K2.zero
-    for i, c in enumerate(p):
-        value = value + conv(c) * theta**i
-    assert not value  # theta is an exact root of p over K2
+    # over K = Q[t]/(t^2 - 2), T^2 - t has a root theta in a field L of
+    # degree 4, an engine NumberField again, into which K maps
+    K = NumberField((Fraction(-2), Fraction(0), Fraction(1)))
+    p = (-K.gen, K.zero, K.one)  # T^2 - t, constant term first
+    theta, L, conv = K.extend(p)
+    assert isinstance(L, NumberField) and L.degree == 4 and L.modulus[-1] == 1
+    assert theta.field is L
+    assert not sum((conv(c) * theta**i for i, c in enumerate(p)), L.zero)
+    assert conv(K.gen) ** 2 == L.one * 2 and theta**4 == L.one * 2
 
 
 def test_imaginary_tangent_directions():
@@ -111,11 +105,9 @@ def test_imaginary_tangent_directions():
 
 
 def test_cluster_point_rational():
-    # the key of v - 1/2 is (-1/2, 1), over Q and over sympy's QQ alike
+    # the key of v - 1/2 is (-1/2, 1)
     theta, K2, conv = _cluster_point((Fraction(-1, 2), Fraction(1)), Q)
     assert K2 is Q and theta == Fraction(1, 2)
-    theta, K2, conv = _cluster_point((QQ(-1, 2), QQ(1)), QQ)
-    assert K2 == QQ and theta == QQ(1, 2)
 
 
 def test_depth_cap():
@@ -146,15 +138,15 @@ def test_weights_must_be_integers_and_not_bools(weight):
 # -- line factorisation: the squarefree part of a line, against factor_list --
 #
 # The engine factors only a squarefree part prime to v, over Q or over a
-# number field K; sympy's factor_list over the same field is the oracle.  The
-# lines over K are built in the engine's form, elements of K, and a sparse
-# one is padded with int zeros.
+# number field K; sympy's factor_list over the same field (over K's sympy
+# image) is the oracle.  The lines over K are built in the engine's form,
+# elements of K, and a sparse one is padded with int zeros.
 
 V = Symbol("_v")
-SQRT2 = QQ.algebraic_field(sympy.sqrt(2))
-GAUSS = QQ.algebraic_field(sympy.I)
-# (field, its generator) for Q, Q(sqrt 2) and Q(i)
-FIELDS = [(Q, None), (SQRT2, SQRT2.from_sympy(sympy.sqrt(2))), (GAUSS, GAUSS.from_sympy(sympy.I))]
+SQRT2 = NumberField((Fraction(-2), Fraction(0), Fraction(1)))
+GAUSS = NumberField((Fraction(1), Fraction(0), Fraction(1)))
+# (field, its generator) for Q, Q[t]/(t^2 - 2) and Q[t]/(t^2 + 1)
+FIELDS = [(Q, None), (SQRT2, SQRT2.gen), (GAUSS, GAUSS.gen)]
 _fields = st.sampled_from(FIELDS)
 
 
@@ -166,11 +158,11 @@ def _element(field, a, b=0, den=1):
 
 def _domain(K):
     """The sympy domain of a field of the engine."""
-    return QQ if K is Q else K
+    return QQ if K is Q else K.sympy_field
 
 
 def _sympy_element(c, K):
-    return QQ(c.numerator, c.denominator) if K is Q else c
+    return QQ(c.numerator, c.denominator) if K is Q else K.to_anp(c)
 
 
 def _poly(coeffs, K):
@@ -182,7 +174,7 @@ def _line(poly, K=Q):
     """A univariate dict as the engine builds it: Fractions over Q, else elements of K."""
     items = poly.as_dict(native=True).items()
     if K is not Q:
-        return {b: c for (b,), c in items}
+        return {b: K.from_anp(c) for (b,), c in items}
     return {b: Fraction(int(c.numerator), int(c.denominator)) for (b,), c in items}
 
 
@@ -196,8 +188,8 @@ def _sympy_factors(ud, K=Q):
 
 def _key_coeffs(p, K=Q):
     """A cluster key, the monic factor's coefficients constant term first, as sympy numbers."""
-    return tuple(sympy.Rational(c.numerator, c.denominator) if K is Q else K.to_sympy(c)
-                 for c in p)
+    return tuple(sympy.Rational(c.numerator, c.denominator) if K is Q
+                 else K.sympy_field.to_sympy(K.to_anp(c)) for c in p)
 
 
 def _assert_keys_typed(keys, K):
@@ -367,7 +359,7 @@ def test_line_clusters_factor_only_the_points_blown_up(monkeypatch):
     def no_factor_list(ud, K):
         raise AssertionError("factor_list called")
 
-    monkeypatch.setattr(blowup, "_sympy_factors", no_factor_list)
+    monkeypatch.setattr(numberfield, "_sympy_factors", no_factor_list)
     # five distinct simple points and one double one: only v = 1 is a key,
     # and the irreducible quadratic met once is never factored
     lines = [_line(Poly((V - 1) * (V**2 - 2), V)), _line(Poly((V - 1) * (V + 3), V)),
@@ -398,7 +390,7 @@ def test_irrational_tacnodes_call_no_factor_list(monkeypatch, text, lct, tree):
     def no_factor_list(p, K):
         raise AssertionError("factor_list called")
 
-    monkeypatch.setattr(blowup, "_sympy_factors", no_factor_list)
+    monkeypatch.setattr(numberfield, "_sympy_factors", no_factor_list)
     assert lct_germ(text) == lct
     assert [engine_form(root) for root in germ_blowup_tree(text)] == [tree]
 
@@ -417,7 +409,7 @@ CUSP_PRODUCT = (
 def test_nodes_count_their_conjugate_points():
     # the tacnode's root is the origin; each node below it stands for the two
     # conjugate points over Q(sqrt 2), and the cusp product's deepest for four
-    # over Q(sqrt 2, sqrt 3), a sympy tower
+    # over Q(sqrt 2, sqrt 3), a tower read back as a NumberField
     (root,) = germ_blowup_tree("(y^2-2*x^2)^2 - x^7")
     assert [node.points for node in root.walk()] == [1, 2, 2, 2]
     (root,) = germ_blowup_tree(CUSP_PRODUCT)
@@ -427,6 +419,26 @@ def test_nodes_count_their_conjugate_points():
     assert engine_form(root) == [1, 8, [[2, 12, [[3, 13, [[6, 26, []]]]]]]]
     assert sum(1 for _ in root.walk()) == 4
     assert [node.points for node in blowup_tree([(nd("y^2 - x^3"), 1)])[0].walk()] == [1, 1, 1]
+
+
+# four conjugate cusps (y - s^2 x - s x^2)^2 - x^5 with s^4 = 2: past the
+# points over Q(sqrt 2) the tower adds a root of v^2 - t, which is not real
+# where t is sympy's CRootOf(t^2 - 2, 0) = -sqrt 2, so its field comes from
+# Trager's norm; sympy's root refinement ran for minutes on it
+QUARTIC_CUSPS = (
+    "x^20 - 4*x^18 - 8*x^17 + 4*x^16 - 4*x^15*y^2 + 48*x^15*y - 48*x^15 + 24*x^14"
+    " - 24*x^13*y^2 + 32*x^13*y + 8*x^12*y^2 - 64*x^12*y - 16*x^12 - 32*x^11"
+    " + 6*x^10*y^4 - 32*x^10*y^3 + 80*x^10*y^2 + 16*x^9*y^2 - 64*x^9*y - 4*x^8*y^4"
+    " + 16*x^8 + 8*x^7*y^4 + 64*x^7*y^3 - 32*x^6*y^2 - 4*x^5*y^6 - 16*x^5*y^5"
+    " + 24*x^4*y^4 - 8*x^2*y^6 + y^8"
+)
+
+
+def test_a_tower_at_a_point_that_is_not_real_is_built_exactly():
+    (root,) = germ_blowup_tree(QUARTIC_CUSPS)
+    assert [(node.k, node.m, node.points) for node in root.walk()] == [
+        (1, 8, 1), (2, 12, 2), (3, 13, 4), (6, 26, 4)]
+    assert lct_germ(QUARTIC_CUSPS) == Fraction(1, 4)
 
 
 # -- chart symmetry: exchanging x and y moves chart-1 points to chart 2 -----

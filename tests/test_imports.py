@@ -5,11 +5,10 @@ combinatorial core (with the CLI) imports neither sympy nor the germ engine
 at module level, so that importing it never loads sympy.  Nor do germs,
 blowup and lct import sympy at module level, so that rational germs and
 lct_config run without it; blowup and lct do not import germs there either,
-so that lct_config never loads the germ parser.  Inside blowup, sympy is
-imported only by the functions that factor over a number field or build a
-tower, and inside numberfield only to build a field's sympy image; inside
-germs and lct, only for sympy input and the sympy views; the gcd modules
-never import it.  No module turns text into code: none
+so that lct_config never loads the germ parser.  Blowup never imports
+sympy; numberfield imports it only to build a field's sympy image, to
+factor a line and to build a tower; germs and lct, only for sympy input
+and the sympy views; the gcd modules never import it.  No module turns text into code: none
 imports sympy's parse_expr or sympify, or calls eval or exec.
 """
 
@@ -108,10 +107,10 @@ def test_engine_import_guard_names_the_offending_line():
     ]
 
 
-# the functions of blowup.py that factor with sympy or build its towers, and
-# the bridge of numberfield.py to sympy: the sympy image of a NumberField
-BLOWUP_SYMPY_FUNCTIONS = ("_sympy_factors", "_factor_on_line", "_extend_tower",
-                          "NumberField.sympy_field")
+# the definitions of numberfield.py that load sympy: the sympy image of a
+# NumberField, the factoring of a line and the tower built by sympy
+NUMBERFIELD_SYMPY_FUNCTIONS = ("NumberField.sympy_field", "NumberField.extend",
+                               "_sympy_factors", "factor_rational")
 
 
 def _sympy_imports_outside(source, filename, allowed):
@@ -134,14 +133,15 @@ def _sympy_imports_outside(source, filename, allowed):
     yield from walk(ast.parse(source, filename=filename), "")
 
 
-def test_blowup_imports_sympy_only_to_factor_and_extend_fields():
+def test_blowup_never_imports_sympy():
     path = PACKAGE / "blowup.py"
-    assert list(_sympy_imports_outside(path.read_text(), path.name, BLOWUP_SYMPY_FUNCTIONS)) == []
+    assert list(_sympy_imports_outside(path.read_text(), path.name, ())) == []
 
 
-def test_numberfield_imports_sympy_only_to_build_the_sympy_image():
+def test_numberfield_imports_sympy_only_for_the_image_factoring_and_towers():
     path = PACKAGE / "numberfield.py"
-    assert list(_sympy_imports_outside(path.read_text(), path.name, BLOWUP_SYMPY_FUNCTIONS)) == []
+    assert list(_sympy_imports_outside(path.read_text(), path.name,
+                                       NUMBERFIELD_SYMPY_FUNCTIONS)) == []
 
 
 def test_sympy_boundary_guard_names_the_offending_line():

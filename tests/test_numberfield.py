@@ -120,3 +120,30 @@ def test_inverse_of_a_quadratic_element_by_hand():
     # highest power first: (), (-1), (-1, 0), (1), (1, 0)
     assert sorted([t, -t, K.one, K.zero, K.convert(-1)]) == [
         K.zero, K.convert(-1), -t, K.one, t]
+
+
+# A tower: K = Q[t]/(t^2 - a) extended by a root of v^2 - (b + c t), checked
+# irreducible over K by sympy.  Its field L has degree 4, and the map of K
+# into L must be a ring homomorphism that sends t to a root of t^2 - a and
+# the cluster's factor to one with the root theta.  A point that is real
+# where t is sympy's CRootOf(t^2 - a, 0) comes from sympy, any other from
+# Trager's norm; the draws reach both.
+@settings(deadline=None, max_examples=12)
+@given(st.integers(-7, 7), _rationals, _rationals.filter(bool), st.data())
+def test_a_tower_embeds_its_field_exactly(a, b, c, data):
+    assume(Poly(V**2 - a, V).is_irreducible)
+    K = NumberField((Fraction(-a), Fraction(0), Fraction(1)))
+    radicand = K.one * b + K.gen * c
+    assume(Poly([1, 0, -K.to_anp(radicand)], V, domain=K.sympy_field).is_irreducible)
+    p = (-radicand, K.zero, K.one)
+    theta, L, phi = K.extend(p)
+    assert isinstance(L, NumberField) and L.degree == 4 and L.modulus[-1] == 1
+    assert not sum((phi(pi) * theta**i for i, pi in enumerate(p)), L.zero)
+    image = L.zero
+    for coeff in reversed(K.modulus):
+        image = image * phi(K.gen) + coeff
+    assert not image
+    elements = st.builds(lambda x, y: K.one * x + K.gen * y, _rationals, _rationals)
+    for _ in range(3):
+        x, y = data.draw(elements), data.draw(elements)
+        assert phi(x * y) == phi(x) * phi(y) and phi(x + y) == phi(x) + phi(y)
