@@ -93,9 +93,9 @@ class NumberField:
         lifted = sum(sympy.Rational(x) * z**j * T**i
                      for i, c in enumerate(p) if c for j, x in enumerate(c.coeffs))
         K, gamma = self.sympy_field, self.sympy_field.ext.as_expr()
-        _, factors = sympy.factor_list(sympy.resultant(g, lifted, z), T)
+        factors = sympy.factor_list(sympy.resultant(g, lifted, z), T)[1] if gamma.is_real else []
         for h, _ in sorted(factors, key=lambda he: (sympy.degree(he[0], T), str(he[0]))):
-            for theta in Poly(h, T).real_roots(radicals=False) if gamma.is_real else ():
+            for theta in Poly(h, T).real_roots(radicals=False):
                 try:
                     L = QQ.algebraic_field(gamma, theta)
                     root = L.from_sympy(theta)
