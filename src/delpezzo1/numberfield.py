@@ -12,11 +12,11 @@ falsy, e ** -1 is the inverse, and they are ordered as sympy orders its
 own, by the coefficients highest power first without leading zeros.
 
 A cluster of degree >= 2 over Q[t]/(g) gets a tower (NumberField.extend),
-which comes back as a NumberField, exact: a root is kept only when the
-cluster's factor vanishes at it in the new field.  sympy is imported here
-only, to build a tower and to factor a line (NumberField.factor,
-factor_rational); it sees a field through its image QQ(CRootOf(g, 0)),
-whose generator is t (sympy_field, to_anp and from_anp).
+which comes back as a NumberField, exact: a root sympy offers is kept only
+when the cluster's factor vanishes at it, and Trager's norm locates none.
+sympy is imported here only, to build a tower and to factor a line
+(NumberField.factor, factor_rational); it sees a field through its image
+QQ(CRootOf(g, 0)), whose generator is t (sympy_field, to_anp, from_anp).
 """
 
 from __future__ import annotations
