@@ -180,8 +180,8 @@ def _shift_y(d: PolyDict, theta: Any, K: Field) -> PolyDict:
 def _factor_on_line(p: univariate.Dense, K: Field) -> list[tuple]:
     """The monic irreducible factors over K of a squarefree p prime to v, as cluster keys.
 
-    A linear p is read off and any other goes to K.factor.  A key over Q is
-    a tuple of Fractions, so one point is one key whichever route found it.
+    A linear p is read off and any other goes to K.factor; over Q either way
+    a key is a tuple of Fractions, so one point is one key.
     """
     if len(p) < 3:
         return [(p[0] / p[1], K.one)] if len(p) == 2 else []
@@ -222,10 +222,7 @@ def _line_clusters(lines: list[dict[int, Any]], K: Field) -> dict[tuple, list[in
 
 
 def _cluster_point(p: tuple, K: Field) -> tuple[Any, Field, Callable[[Any], Any]]:
-    """A root theta of the cluster's monic factor p, the field it lies in, and the map into it.
-
-    A linear p is read off; any other goes to K.extend.
-    """
+    """A root of the cluster's monic factor p, its field, the map into it: read off, or K.extend."""
     if len(p) == 2:
         return -p[0], K, lambda c: c
     return K.extend(p)

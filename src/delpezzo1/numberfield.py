@@ -7,26 +7,24 @@ its rational coefficients in 1, t, ..., t^(n-1), constant term first.
 Products are reduced modulo the monic g, and inverses come from the
 extended Euclidean algorithm of univariate (Cohen, A Course in
 Computational Algebraic Number Theory, 1993, section 4.2).  Elements mix
-with ints and Fractions in the dense polynomials of univariate, a zero is
-falsy, e ** -1 is the inverse, and they are ordered as sympy orders its
-own, by the coefficients highest power first without leading zeros.
+with ints and Fractions in univariate's polynomials, a zero is falsy, and
+they are ordered as sympy orders its own: by the coefficients, highest
+power first, without leading zeros.
 
-A cluster of degree >= 2 over Q[t]/(g) gets a tower (NumberField.extend),
-which comes back as a NumberField, exact: a root sympy offers is kept only
-when the cluster's factor vanishes at it, and Trager's norm locates none.
-sympy is imported here only, to build a tower and to factor a line
-(NumberField.factor, factor_rational); it sees a field through its image
-QQ(CRootOf(g, 0)), whose generator is t (sympy_field, to_anp, from_anp).
+A cluster of degree >= 2 over Q[t]/(g) gets a tower, a NumberField again
+(NumberField.extend).  sympy is imported here only, to build towers and to
+factor lines (NumberField.factor, factor_rational), and it sees a field as
+its image QQ(CRootOf(g, 0)), whose generator is t (sympy_field).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, total_ordering
-from itertools import count
 from typing import Any, Callable, Sequence
 
 from . import univariate
+from .errors import InvalidGermError
 
 
 class NumberField:
@@ -57,9 +55,8 @@ class NumberField:
 
     def to_anp(self, e: "Element | int | Fraction") -> Any:
         """An element, or a rational, as an element of sympy_field."""
-        coeffs = e.coeffs if isinstance(e, Element) else self.convert(e).coeffs
-        K = self.sympy_field
-        return K.new([K.dom(c.numerator, c.denominator) for c in reversed(coeffs)])
+        e, K = e if isinstance(e, Element) else self.convert(e), self.sympy_field
+        return K.new([K.dom(c.numerator, c.denominator) for c in reversed(e.coeffs)])
 
     def from_anp(self, a: Any) -> "Element":
         """An element of a sympy field whose generator has minimal polynomial g, as an element."""
@@ -75,50 +72,57 @@ class NumberField:
                                                      Callable[["Element"], "Element"]]:
         """A root theta of the monic irreducible p over this field, its field L, the map into L.
 
-        When the generator gamma of sympy_field is real, sympy builds L as
-        Q(gamma, theta) for a real root theta of the norm Res_t(g(t), p(t, T)),
-        kept when p vanishes at it in L, and each coefficient goes in by
-        from_sympy.  Otherwise, or when no real root serves, no root is
-        located (sympy takes minutes to refine one that is not real): by
-        Trager's norm (SYMSAC 1976), L is Q[T]/(N) for the first squarefree
-        N = Res_t(g(t), p(t, T - s t)), s = 0, 1, ...; t maps to the root tau
-        of gcd(g(t), p(t, T - s t)) over L, and theta is T - s tau.
+        sympy builds L = Q(gamma, theta), gamma generating sympy_field and
+        theta a root of the norm Res_t(g(t), p(t, T)) in CRootOf's order, and
+        a coefficient goes in by from_sympy.  A root is kept when p vanishes
+        at it in L; one that real intervals show is not p's gets no L.
         """
         import sympy
-        from sympy import QQ, Poly
-        from sympy.polys.polyerrors import CoercionFailed
 
         z, T = sympy.symbols("_z _T")
         g = sum(sympy.Rational(c) * z**j for j, c in enumerate(self.modulus))
         lifted = sum(sympy.Rational(x) * z**j * T**i
                      for i, c in enumerate(p) if c for j, x in enumerate(c.coeffs))
-        K, gamma = self.sympy_field, self.sympy_field.ext.as_expr()
-        factors = sympy.factor_list(sympy.resultant(g, lifted, z), T)[1] if gamma.is_real else []
+        K, gamma = self.sympy_field, self.sympy_field.ext.as_expr()  # CRootOf(g, 0)
+        _, factors = sympy.factor_list(sympy.resultant(g, lifted, z), T)
         for h, _ in sorted(factors, key=lambda he: (sympy.degree(he[0], T), str(he[0]))):
-            for theta in Poly(h, T).real_roots(radicals=False):
+            for j in range(sympy.degree(h, T)):
+                theta = sympy.CRootOf(h, j, radicals=False)
+                if gamma.is_real and theta.is_real and _apart_from_zero(p, gamma, theta):
+                    continue
                 try:
-                    L = QQ.algebraic_field(gamma, theta)
+                    L = sympy.QQ.algebraic_field(gamma, theta)
                     root = L.from_sympy(theta)
                     embed = lambda c: L.from_sympy(K.to_sympy(self.to_anp(c)))
                     value = sum((embed(c) * root**i for i, c in enumerate(p) if c), L.zero)
-                except (CoercionFailed, NotImplementedError):
+                except (sympy.polys.polyerrors.CoercionFailed, NotImplementedError):
                     continue
                 if not value:
                     mod = L.mod.to_list()
                     field = NumberField([_fraction(c / mod[0]) for c in reversed(mod)])
                     return field.from_anp(root), field, lambda c: field.from_anp(embed(c))
-        for s in count():
-            norm = Poly(sympy.resultant(g, lifted.subs(T, T - s * z), z), T, domain=QQ)
-            if norm.is_sqf:
-                break
-        L = NumberField([_fraction(c) for c in reversed(norm.rep.to_list())])
-        # p(t, T - s t) as a polynomial in t over L: the sum of p_i(t) (T - s t)^i
-        shifted, power = [], [L.one]
-        for c in p:
-            shifted = univariate.sub(shifted, univariate.mul([-x for x in c.coeffs], power))
-            power = univariate.mul(power, [L.gen, L.one * -s])
-        tau = -univariate.gcd([L.one * x for x in self.modulus], shifted)[0]
-        return L.gen - tau * s, L, lambda c: univariate.evaluate(list(c.coeffs), tau)
+        raise InvalidGermError("could not realize an infinitely-near point in a number field")
+
+
+def _apart_from_zero(p: Sequence["Element"], gamma: Any, theta: Any) -> bool:
+    """Whether rational intervals around the real gamma and theta show p(gamma, theta) != 0.
+
+    A root lies within dx of eval_rational(dx), so the interval value of p holds p(gamma, theta).
+    """
+    eps = Fraction(1, 2**32)
+    x, y = ((c - eps, c + eps) for c in (Fraction(str(
+        r if r.is_Rational else r.eval_rational(dx=eps))) for r in (gamma, theta)))
+    lo, hi = _interval([_interval([(q, q) for q in c.coeffs], x) for c in p], y)
+    return lo > 0 or hi < 0
+
+
+def _interval(coeffs: Sequence[tuple], x: tuple) -> tuple:
+    """Bounds on a polynomial over the interval x, its coefficients intervals, constant first."""
+    lo = hi = 0
+    for a, b in reversed(coeffs):
+        products = (lo * x[0], lo * x[1], hi * x[0], hi * x[1])
+        lo, hi = min(products) + a, max(products) + b
+    return lo, hi
 
 
 def _fraction(c: Any) -> Fraction:

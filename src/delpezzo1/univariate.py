@@ -1,10 +1,9 @@
 """Dense univariate polynomials over a field, for exact gcds without sympy.
 
 A polynomial is a list of coefficients, constant term first, with no
-trailing zero; the zero polynomial is [].  The coefficients lie in one of
-the two kinds of field under the blowup engine: Q, as Fractions (ints are
-taken as rationals), or a number field Q[t]/(g), as elements of a
-numberfield.NumberField.  A zero is tested by truthiness, as such an
+trailing zero; the zero polynomial is [].  The coefficients lie in a
+field under the blowup engine, Q (Fractions; ints are taken as rationals)
+or a numberfield.NumberField.  A zero is tested by truthiness, as such an
 element never compares equal to the int 0, and the int 0 that pads a list
 is only ever added to or multiplied, never divided by a field element.
 The line step of the blowup engine and the contents in bivariate are

@@ -125,15 +125,15 @@ def test_inverse_of_a_quadratic_element_by_hand():
 # A tower: K = Q[t]/(t^2 - a) extended by a root of v^2 - (b + c t), checked
 # irreducible over K by sympy.  Its field L has degree 4, and the map of K
 # into L must be a ring homomorphism that sends t to a root of t^2 - a and
-# the cluster's factor to one with the root theta.  A point that is real
-# where t is sympy's CRootOf(t^2 - a, 0) comes from sympy, any other from
-# Trager's norm; the draws reach both.
+# the cluster's factor to one with the root theta.  The draws keep to points
+# that are real where t is sympy's CRootOf(t^2 - a, 0) = -sqrt a: at a point
+# that is not real, sympy's tower refines complex roots for minutes.
 @settings(deadline=None, max_examples=12)
-@given(st.integers(-7, 7), _rationals, _rationals.filter(bool), st.data())
+@given(st.sampled_from([2, 3, 5, 6, 7]), _rationals, _rationals.filter(bool), st.data())
 def test_a_tower_embeds_its_field_exactly(a, b, c, data):
-    assume(Poly(V**2 - a, V).is_irreducible)
     K = NumberField((Fraction(-a), Fraction(0), Fraction(1)))
     radicand = K.one * b + K.gen * c
+    assume(b > 0 > c or b > 0 and b * b > a * c * c or b < 0 > c and b * b < a * c * c)
     assume(Poly([1, 0, -K.to_anp(radicand)], V, domain=K.sympy_field).is_irreducible)
     p = (-radicand, K.zero, K.one)
     theta, L, phi = K.extend(p)
@@ -147,3 +147,20 @@ def test_a_tower_embeds_its_field_exactly(a, b, c, data):
     for _ in range(3):
         x, y = data.draw(elements), data.draw(elements)
         assert phi(x * y) == phi(x) * phi(y) and phi(x + y) == phi(x) + phi(y)
+
+
+def test_a_tower_builds_no_field_for_a_root_of_a_conjugate(monkeypatch):
+    # over K = Q[t]/(t^2 - 2), t = -sqrt 2, the first real root of the norm
+    # T^4 - 6 T^2 + 7 of v^2 - (t + 3) is -sqrt(3 + sqrt 2), a root of the
+    # conjugate factor: intervals pass it over, and one field Q(t, theta) is
+    # built, for the root -sqrt(3 - sqrt 2)
+    K = NumberField((Fraction(-2), Fraction(0), Fraction(1)))
+    gamma = K.sympy_field.ext.as_expr()
+    builds, algebraic_field = [], type(QQ).algebraic_field
+    monkeypatch.setattr(type(QQ), "algebraic_field", lambda self, *gens, **kw: (
+        builds.append(gens) if len(gens) == 2 else None) or algebraic_field(self, *gens, **kw))
+    p = (-K.gen - 3, K.zero, K.one)
+    theta, L, phi = K.extend(p)
+    assert [(g, str(r.poly.as_expr()), r.index) for g, r in builds] == [
+        (gamma, "_T**4 - 6*_T**2 + 7", 1)]
+    assert not sum((phi(pi) * theta**i for i, pi in enumerate(p)), L.zero)
