@@ -8,7 +8,10 @@ numbers); nothing here floats.  Every field under a resolution is Q or a
 number field Q[t]/(g), numberfield.NumberField, towers included.
 
 Importing the package loads only the combinatorial core (dynkin, cycles,
-surfaces, rigidity, errors), which needs integers and Fraction alone.  The
+surfaces, rigidity, errors), which needs integers and Fraction alone.  Its
+records are plain classes on records.Record, so the package imports
+neither the standard library's data-class module nor inspect, and builds
+no method by exec.  The
 germ engine's public names -- CurveGerm, classify_germ, lct_quasihomogeneous
 (from germs) and germ_blowup_tree, lct_config, lct_germ, lct_weighted_germs
 (from lct) -- are resolved on first use: reading one of them imports its

@@ -40,13 +40,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence, TypeAlias
 
 from . import univariate
 from .errors import DepthExceededError, InvalidGermError
+from .records import Record
 
 if TYPE_CHECKING:
     from .numberfield import NumberField
@@ -103,8 +103,7 @@ Field: TypeAlias = "_Rationals | NumberField"
 Object = tuple
 
 
-@dataclass
-class BlowupNode:
+class BlowupNode(Record):
     """One blowup in the resolution tree.
 
     k is the discrepancy of the new exceptional divisor, m the order of the
@@ -115,10 +114,24 @@ class BlowupNode:
     centre: 1 for a rational point.
     """
 
+    __slots__ = ("k", "m", "children", "points")
     k: int
     m: int
-    children: list["BlowupNode"] = field(default_factory=list)
-    points: int = 1
+    children: list["BlowupNode"]
+    points: int
+
+    # a node is built up as the resolution recurses: mutable, so unhashable
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(
+        self, k: int, m: int, children: list["BlowupNode"] | None = None, points: int = 1
+    ) -> None:
+        self.k = k
+        self.m = m
+        self.children = [] if children is None else children
+        self.points = points
 
     @property
     def ratio(self) -> Fraction:

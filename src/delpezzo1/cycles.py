@@ -10,7 +10,6 @@ degenerate elliptic curve and matches one of Kodaira's fiber types.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
@@ -22,6 +21,7 @@ from .errors import (
     UnrecognizedConfigurationError,
     VariantMismatchError,
 )
+from .records import Record
 
 LAUFER_CAP = 50
 
@@ -46,10 +46,14 @@ STRICT_TRANSFORM = "strict_transform"
 EXCEPTIONAL = "exceptional"
 
 
-@dataclass(frozen=True)
-class FundamentalCycle:
+class FundamentalCycle(Record):
+    __slots__ = ("dynkin", "coeffs")
     dynkin: DynkinType
     coeffs: tuple[int, ...]
+
+    def __init__(self, dynkin: DynkinType, coeffs: tuple[int, ...]) -> None:
+        object.__setattr__(self, "dynkin", dynkin)
+        object.__setattr__(self, "coeffs", coeffs)
 
     def as_dict(self) -> dict:
         return {"type": self.dynkin.label, "coeffs": list(self.coeffs)}
@@ -58,10 +62,14 @@ class FundamentalCycle:
         return " ".join(map(str, self.coeffs))
 
 
-@dataclass(frozen=True)
-class AttachmentVector:
+class AttachmentVector(Record):
+    __slots__ = ("dynkin", "d")
     dynkin: DynkinType
     d: tuple[int, ...]
+
+    def __init__(self, dynkin: DynkinType, d: tuple[int, ...]) -> None:
+        object.__setattr__(self, "dynkin", dynkin)
+        object.__setattr__(self, "d", d)
 
     def as_dict(self) -> dict:
         return {"type": self.dynkin.label, "d": list(self.d)}
@@ -124,25 +132,27 @@ def _require_int(value: object, what: str) -> None:
         raise InvalidConfigurationError(f"{what} must be an integer, got {value!r}")
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(Record):
+    __slots__ = ("id", "multiplicity", "kind")
     id: str
     multiplicity: int
     kind: str
 
-    def __post_init__(self) -> None:
-        _require_int(self.multiplicity, "component multiplicity")
-        if self.multiplicity < 1:
+    def __init__(self, id: str, multiplicity: int, kind: str) -> None:
+        _require_int(multiplicity, "component multiplicity")
+        if multiplicity < 1:
             raise InvalidConfigurationError("component multiplicity must be positive")
-        if self.kind not in (STRICT_TRANSFORM, EXCEPTIONAL):
-            raise InvalidConfigurationError(f"unknown component kind {self.kind!r}")
+        if kind not in (STRICT_TRANSFORM, EXCEPTIONAL):
+            raise InvalidConfigurationError(f"unknown component kind {kind!r}")
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "multiplicity", multiplicity)
+        object.__setattr__(self, "kind", kind)
 
     def as_dict(self) -> dict:
         return {"id": self.id, "multiplicity": self.multiplicity, "kind": self.kind}
 
 
-@dataclass(frozen=True)
-class Meeting:
+class Meeting(Record):
     """One point where configuration branches meet.
 
     `members` lists the component ids of the local branches; a repeated id
@@ -152,25 +162,31 @@ class Meeting:
     non-immersed point of a cuspidal rational member.
     """
 
+    __slots__ = ("members", "contact", "cuspidal")
     members: tuple[str, ...]
-    contact: int = 1
-    cuspidal: bool = False
+    contact: int
+    cuspidal: bool
 
-    def __post_init__(self) -> None:
-        _require_int(self.contact, "contact order")
-        if self.cuspidal:
-            if len(self.members) != 1 or self.contact != 1:
+    def __init__(
+        self, members: tuple[str, ...], contact: int = 1, cuspidal: bool = False
+    ) -> None:
+        _require_int(contact, "contact order")
+        if cuspidal:
+            if len(members) != 1 or contact != 1:
                 raise InvalidConfigurationError(
                     "a cusp record carries exactly one branch and contact 1"
                 )
-        elif len(self.members) < 2:
+        elif len(members) < 2:
             raise InvalidConfigurationError("a meeting needs at least two branches")
-        if self.contact < 1:
+        if contact < 1:
             raise InvalidConfigurationError("contact order must be positive")
-        if self.contact > 1 and len(self.members) != 2:
+        if contact > 1 and len(members) != 2:
             raise InvalidConfigurationError(
                 "tangential contact is defined for exactly two branches"
             )
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "contact", contact)
+        object.__setattr__(self, "cuspidal", cuspidal)
 
     def as_dict(self) -> dict:
         return {
@@ -180,25 +196,28 @@ class Meeting:
         }
 
 
-@dataclass(frozen=True)
-class AnticanonicalConfiguration:
+class AnticanonicalConfiguration(Record):
+    __slots__ = ("components", "incidence")
     components: tuple[Component, ...]
-    incidence: tuple[Meeting, ...] = field(default_factory=tuple)
+    incidence: tuple[Meeting, ...]
 
-    def __post_init__(self) -> None:
-        stricts = [c for c in self.components if c.kind == STRICT_TRANSFORM]
+    def __init__(self, components: tuple[Component, ...],
+                 incidence: tuple[Meeting, ...] = ()) -> None:
+        stricts = [c for c in components if c.kind == STRICT_TRANSFORM]
         if len(stricts) != 1 or stricts[0].multiplicity != 1:
             raise InvalidConfigurationError(
                 "need exactly one strict-transform component of multiplicity 1"
             )
-        ids = [c.id for c in self.components]
+        ids = [c.id for c in components]
         if len(set(ids)) != len(ids):
             raise InvalidConfigurationError("duplicate component ids")
         known = set(ids)
-        for m in self.incidence:
+        for m in incidence:
             for cid in m.members:
                 if cid not in known:
                     raise InvalidConfigurationError(f"meeting references unknown id {cid!r}")
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "incidence", incidence)
 
     def multiplicity_of(self, cid: str) -> int:
         for c in self.components:
@@ -309,27 +328,29 @@ def _point_configuration(t: DynkinType, variant: str) -> AnticanonicalConfigurat
     return AnticanonicalConfiguration(tuple(components), tuple(meetings))
 
 
-@dataclass(frozen=True)
-class KodairaLabel:
+class KodairaLabel(Record):
     """Kodaira's name for a degenerate elliptic fiber: I_n, I*_m, II..IV and duals."""
 
+    __slots__ = ("series", "index")
     series: str
-    index: int | None = None
+    index: int | None
 
     _COMPONENTS = {"II": 1, "III": 2, "IV": 3, "IV*": 7, "III*": 8, "II*": 9}
 
-    def __post_init__(self) -> None:
-        if self.series == "I":
-            if self.index is None or self.index < 0:
+    def __init__(self, series: str, index: int | None = None) -> None:
+        if series == "I":
+            if index is None or index < 0:
                 raise ValueError("I_n needs n >= 0")
-        elif self.series == "I*":
-            if self.index is None or not 0 <= self.index <= 4:
+        elif series == "I*":
+            if index is None or not 0 <= index <= 4:
                 raise ValueError("I*_m needs 0 <= m <= 4 here")
-        elif self.series in self._COMPONENTS:
-            if self.index is not None:
-                raise ValueError(f"{self.series} carries no index")
+        elif series in self._COMPONENTS:
+            if index is not None:
+                raise ValueError(f"{series} carries no index")
         else:
-            raise ValueError(f"unknown Kodaira series {self.series!r}")
+            raise ValueError(f"unknown Kodaira series {series!r}")
+        object.__setattr__(self, "series", series)
+        object.__setattr__(self, "index", index)
 
     @property
     def text(self) -> str:

@@ -18,32 +18,43 @@ Node ordering convention (fixed; all cycle coefficients refer to it):
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 
 from .errors import MalformedLabelError, NotSymmetricError, OutOfRangeError
+from .records import Record
 
 _RANK_RANGE = {"A": (1, 8), "D": (4, 8), "E": (6, 8)}
 
 _LABEL_RE = re.compile(r"([ADEade])([0-9]+)")
 
 
-@dataclass(frozen=True, order=True)
-class DynkinType:
-    """One of the sixteen Du Val types admissible on a degree-1 surface."""
+@total_ordering
+class DynkinType(Record):
+    """One of the sixteen Du Val types admissible on a degree-1 surface.
 
+    Types are ordered by (kind, rank): A1..A8, D4..D8, E6..E8.
+    """
+
+    __slots__ = ("kind", "rank")
     kind: str
     rank: int
 
-    def __post_init__(self) -> None:
-        if self.kind not in _RANK_RANGE:
-            raise MalformedLabelError(f"unknown series {self.kind!r}")
-        lo, hi = _RANK_RANGE[self.kind]
-        if not lo <= self.rank <= hi:
+    def __init__(self, kind: str, rank: int) -> None:
+        if kind not in _RANK_RANGE:
+            raise MalformedLabelError(f"unknown series {kind!r}")
+        lo, hi = _RANK_RANGE[kind]
+        if not lo <= rank <= hi:
             raise OutOfRangeError(
-                f"{self.kind}{self.rank} is not admissible: "
-                f"{self.kind}-series rank must lie in [{lo}, {hi}]"
+                f"{kind}{rank} is not admissible: "
+                f"{kind}-series rank must lie in [{lo}, {hi}]"
             )
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "rank", rank)
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.rank) < (other.kind, other.rank)
 
     @property
     def label(self) -> str:
@@ -90,8 +101,7 @@ def adjacency(t: DynkinType) -> frozenset[frozenset[int]]:
     return frozenset(frozenset(e) for e in edges)
 
 
-@dataclass(frozen=True)
-class IntersectionMatrix:
+class IntersectionMatrix(Record):
     """A square integer matrix, stored as a tuple of rows.
 
     Instances produced by :func:`intersection_matrix` are symmetric with -2
@@ -99,12 +109,14 @@ class IntersectionMatrix:
     square matrices may be constructed for definiteness experiments.
     """
 
+    __slots__ = ("entries",)
     entries: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        n = len(self.entries)
-        if any(len(row) != n for row in self.entries):
+    def __init__(self, entries: tuple[tuple[int, ...], ...]) -> None:
+        n = len(entries)
+        if any(len(row) != n for row in entries):
             raise ValueError("matrix must be square")
+        object.__setattr__(self, "entries", entries)
 
     @property
     def n(self) -> int:

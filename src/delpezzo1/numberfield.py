@@ -107,11 +107,24 @@ class NumberField:
 def _apart_from_zero(p: Sequence["Element"], gamma: Any, theta: Any) -> bool:
     """Whether rational intervals around the real gamma and theta show p(gamma, theta) != 0.
 
-    A root lies within dx of eval_rational(dx), so the interval value of p holds p(gamma, theta).
+    sympy gives each as a rational, or as s*r with s rational and r a CRootOf: a root
+    of a polynomial in s*T comes back scaled.  r lies within dx of r.eval_rational(dx),
+    so s*r within |s|*dx of s times it, and the interval value of p holds p(gamma, theta).
+    Any other form shows nothing, and the exact check decides.
     """
     eps = Fraction(1, 2**32)
-    x, y = ((c - eps, c + eps) for c in (Fraction(str(
-        r if r.is_Rational else r.eval_rational(dx=eps))) for r in (gamma, theta)))
+    boxes = []
+    for r in (gamma, theta):
+        scale, root = r.as_coeff_Mul()
+        if root.is_Rational:
+            center, width = Fraction(str(root)), 0
+        elif hasattr(root, "eval_rational"):
+            center, width = Fraction(str(root.eval_rational(dx=eps))), eps
+        else:
+            return False
+        s = Fraction(str(scale))
+        boxes.append(tuple(sorted((s * (center - width), s * (center + width)))))
+    x, y = boxes
     lo, hi = _interval([_interval([(q, q) for q in c.coeffs], x) for c in p], y)
     return lo > 0 or hi < 0
 

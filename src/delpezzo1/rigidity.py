@@ -16,7 +16,6 @@ eight threshold classes down to the admissible targets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -24,6 +23,7 @@ from .errors import (
     InvalidSurfaceError,
     UnsupportedClassError,
 )
+from .records import Record
 from .surfaces import (
     CUSP_AT_A1,
     CUSP_AT_A2,
@@ -40,14 +40,26 @@ INCONCLUSIVE = "inconclusive"
 ASSUMPTIONS = ("special_fiber_plt", "one_complement", "surjectivity")
 
 
-@dataclass(frozen=True)
-class FibrationSpec:
+class FibrationSpec(Record):
     """A fibration side: its special fiber plus the structural assertions."""
 
+    __slots__ = ("fiber", "special_fiber_plt", "one_complement", "surjectivity")
     fiber: SurfaceSpec
-    special_fiber_plt: bool = True
-    one_complement: bool = True
-    surjectivity: bool = True
+    special_fiber_plt: bool
+    one_complement: bool
+    surjectivity: bool
+
+    def __init__(
+        self,
+        fiber: SurfaceSpec,
+        special_fiber_plt: bool = True,
+        one_complement: bool = True,
+        surjectivity: bool = True,
+    ) -> None:
+        object.__setattr__(self, "fiber", fiber)
+        object.__setattr__(self, "special_fiber_plt", special_fiber_plt)
+        object.__setattr__(self, "one_complement", one_complement)
+        object.__setattr__(self, "surjectivity", surjectivity)
 
     @property
     def missing_assumptions(self) -> tuple[str, ...]:
@@ -83,13 +95,18 @@ class FibrationSpec:
         return cls(SurfaceSpec.from_dict(data["fiber"]), **flags)
 
 
-@dataclass(frozen=True)
-class TargetClass:
+class TargetClass(Record):
     """One threshold class of special fibers, with a validated witness."""
 
+    __slots__ = ("tlct_value", "description", "witness")
     tlct_value: Fraction
     description: str
     witness: SurfaceSpec
+
+    def __init__(self, tlct_value: Fraction, description: str, witness: SurfaceSpec) -> None:
+        object.__setattr__(self, "tlct_value", tlct_value)
+        object.__setattr__(self, "description", description)
+        object.__setattr__(self, "witness", witness)
 
     def as_dict(self) -> dict:
         return {"tlct": str(self.tlct_value), "description": self.description}
@@ -149,14 +166,26 @@ def target_class_for(value: Fraction) -> TargetClass:
     raise UnsupportedClassError(f"no threshold class takes the value {value}")
 
 
-@dataclass(frozen=True)
-class RigidityVerdict:
+class RigidityVerdict(Record):
     """Gate outcome with the exact threshold sum and admissible targets."""
 
+    __slots__ = ("outcome", "tlct_sum", "detail", "missing_assumptions")
     outcome: str
     tlct_sum: Fraction
-    detail: tuple[TargetClass, ...] = ()
-    missing_assumptions: tuple[str, ...] = ()
+    detail: tuple[TargetClass, ...]
+    missing_assumptions: tuple[str, ...]
+
+    def __init__(
+        self,
+        outcome: str,
+        tlct_sum: Fraction,
+        detail: tuple[TargetClass, ...] = (),
+        missing_assumptions: tuple[str, ...] = (),
+    ) -> None:
+        object.__setattr__(self, "outcome", outcome)
+        object.__setattr__(self, "tlct_sum", tlct_sum)
+        object.__setattr__(self, "detail", detail)
+        object.__setattr__(self, "missing_assumptions", missing_assumptions)
 
     @property
     def deficit(self) -> Fraction:

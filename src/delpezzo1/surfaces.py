@@ -15,7 +15,6 @@ type of a minimizing member.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -34,6 +33,7 @@ from .cycles import (
 )
 from .dynkin import ALL_TYPES, DynkinType, as_dynkin, parse_dynkin
 from .errors import InvalidSurfaceError
+from .records import Record
 
 # worst cuspidal behavior over the members of |-K_S|
 NO_CUSPIDAL_MEMBER = "none"
@@ -45,12 +45,12 @@ CUSP_DATA = (NO_CUSPIDAL_MEMBER, CUSP_AT_SMOOTH_POINT, CUSP_AT_A1, CUSP_AT_A2)
 MAX_RANK_SUM = 8  # the minimal resolution has Picard rank 9
 
 
-@dataclass(frozen=True)
-class SurfaceSpec:
+class SurfaceSpec(Record):
     """Multiset of Du Val singularities plus the asserted cusp behavior."""
 
-    singularities: tuple[DynkinType, ...] = ()
-    cusp_data: str = NO_CUSPIDAL_MEMBER
+    __slots__ = ("singularities", "cusp_data")
+    singularities: tuple[DynkinType, ...]
+    cusp_data: str
 
     def __init__(
         self,
@@ -101,11 +101,14 @@ class SurfaceSpec:
         return f"{{{inside}}}/{self.cusp_data}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     """Violated necessary conditions; empty means not excluded."""
 
-    violations: tuple[tuple[str, str], ...] = ()
+    __slots__ = ("violations",)
+    violations: tuple[tuple[str, str], ...]
+
+    def __init__(self, violations: tuple[tuple[str, str], ...] = ()) -> None:
+        object.__setattr__(self, "violations", violations)
 
     @property
     def passed(self) -> bool:
@@ -170,12 +173,16 @@ def validate(s: SurfaceSpec) -> ValidationReport:
     return ValidationReport(tuple(found))
 
 
-@dataclass(frozen=True)
-class TlctResult:
+class TlctResult(Record):
     """Total threshold with the Kodaira type of a minimizing member."""
 
+    __slots__ = ("value", "kodaira")
     value: Fraction
     kodaira: KodairaLabel
+
+    def __init__(self, value: Fraction, kodaira: KodairaLabel) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "kodaira", kodaira)
 
     def as_dict(self) -> dict:
         return {"value": str(self.value), "kodaira": self.kodaira.text}

@@ -9,7 +9,8 @@ so that lct_config never loads the germ parser.  Blowup never imports
 sympy; numberfield imports it only to build a field's sympy image, to
 factor a line and to build a tower; germs and lct, only for sympy input
 and the sympy views; the gcd modules never import it.  No module turns text into code: none
-imports sympy's parse_expr or sympify, or calls eval or exec.
+imports sympy's parse_expr or sympify, or calls eval or exec.  No module imports dataclasses,
+which would load inspect and build methods by exec on every start.
 """
 
 import ast
@@ -18,7 +19,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "delpezzo1"
-CORE = ("__init__", "dynkin", "cycles", "surfaces", "rigidity", "errors", "cli")
+CORE = ("__init__", "records", "dynkin", "cycles", "surfaces", "rigidity", "errors", "cli")
 ENGINE = ("sympy", "delpezzo1.germs", "delpezzo1.blowup", "delpezzo1.lct")
 RATIONAL_ENGINE = ("blowup", "lct", "germs", "univariate", "bivariate", "numberfield")
 SYMPY_BACKED = ("sympy", "delpezzo1.germs")
@@ -252,4 +253,29 @@ def test_text_evaluation_guard_names_the_offending_line():
         "m.py:8 uses sympify",
         "m.py:9 calls eval",
         "m.py:10 calls exec",
+    ]
+
+
+def _dataclass_imports(source, filename):
+    """Lines, anywhere in the module, that import dataclasses."""
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if any(m.split(".")[0] == "dataclasses" for m in _imported_modules(node)):
+            yield f"{filename}:{node.lineno} imports dataclasses"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    assert list(_dataclass_imports(path.read_text(), path.name)) == []
+
+
+def test_dataclass_import_guard_names_the_offending_line():
+    source = "\n".join([
+        "from dataclasses import dataclass",
+        "import json",
+        "def f():",
+        "    import dataclasses",
+    ])
+    assert list(_dataclass_imports(source, "m.py")) == [
+        "m.py:1 imports dataclasses",
+        "m.py:4 imports dataclasses",
     ]

@@ -2,10 +2,12 @@
 
 The combinatorial core, lct_config, rational germ queries and germs whose
 irrational points lie in one extension of Q never load sympy; a point over
-such an extension that needs a further one (a tower) does.
+such an extension that needs a further one (a tower) does.  A call that
+leaves sympy unloaded loads neither dataclasses nor inspect: the records
+are plain classes, so a fresh call pays for neither.
 
-Each sympy check runs in a fresh interpreter, because the test process has
-long since imported sympy.
+Each check runs in a fresh interpreter, because the test process has long
+since imported these modules.
 """
 
 import importlib
@@ -31,17 +33,20 @@ LAZY = {
     "lct_weighted_germs": "lct",
 }
 SPEC = json.dumps({"singularities": ["E7", "A1"], "cusp": "A1"})
+# what a fresh call with no tower and no line to factor leaves unloaded:
+# sympy, and the dataclasses module with inspect (and ast, dis, tokenize)
+UNUSED = ("sympy", "dataclasses", "inspect")
 
 
-def sympy_loaded_after(code):
-    """Run `code` in a fresh interpreter; whether sympy is in sys.modules at its end."""
+def loaded_after(code, *modules):
+    """Run `code` in a fresh interpreter; the set of `modules` in sys.modules at its end."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    script = f"{code}\nimport sys\nprint('sympy' in sys.modules)"
+    script = f"{code}\nimport sys\nprint(*(m for m in {modules!r} if m in sys.modules))"
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()[-1] == "True"
+    return set(proc.stdout.splitlines()[-1].split())
 
 
 def cli_call(*argv):
@@ -57,7 +62,7 @@ def cli_call(*argv):
     "delpezzo1", "delpezzo1.surfaces", "delpezzo1.rigidity", "delpezzo1.cli",
 ])
 def test_core_import_leaves_sympy_unloaded(module):
-    assert not sympy_loaded_after(f"import {module}")
+    assert loaded_after(f"import {module}", *UNUSED) == set()
 
 
 @pytest.mark.parametrize("argv", [
@@ -71,7 +76,7 @@ def test_core_import_leaves_sympy_unloaded(module):
     ("targets", "--x", SPEC, "--json"),
 ], ids=lambda argv: argv[0])
 def test_combinatorial_subcommands_leave_sympy_unloaded(argv):
-    assert not sympy_loaded_after(cli_call(*argv))
+    assert loaded_after(cli_call(*argv), *UNUSED) == set()
 
 
 @pytest.mark.parametrize("argv", [
@@ -81,7 +86,7 @@ def test_combinatorial_subcommands_leave_sympy_unloaded(argv):
     ("lct-config", "--smooth", "cuspidal"),
 ], ids=lambda argv: argv[-1])
 def test_lct_config_subcommand_leaves_sympy_unloaded(argv):
-    assert not sympy_loaded_after(cli_call(*argv))
+    assert loaded_after(cli_call(*argv), *UNUSED) == set()
 
 
 @pytest.mark.parametrize("argv", [
@@ -89,41 +94,42 @@ def test_lct_config_subcommand_leaves_sympy_unloaded(argv):
     ("classify", "x*y"),
 ], ids=lambda argv: argv[0])
 def test_germ_subcommands_leave_sympy_unloaded(argv):
-    assert not sympy_loaded_after(cli_call(*argv))
+    assert loaded_after(cli_call(*argv), *UNUSED) == set()
 
 
 def test_germ_with_an_irrational_cluster_loads_sympy():
     # the tangent directions y = +-sqrt(2) x are blown up in Q[t]/(t^2 - 2)
     # without sympy; the cusps through them need the tower Q(sqrt 2, sqrt 3)
-    assert not sympy_loaded_after(cli_call("lct-germ", "(y^2-2*x^2)^2 - x^7"))
-    assert sympy_loaded_after(cli_call("lct-germ", CUSP_PRODUCT))
+    assert loaded_after(cli_call("lct-germ", "(y^2-2*x^2)^2 - x^7"), *UNUSED) == set()
+    assert loaded_after(cli_call("lct-germ", CUSP_PRODUCT), "sympy")
 
 
 @pytest.mark.parametrize("name", ["lct_config", "lct_germ", "blowup", "lct", "CurveGerm", "germs"])
 def test_reading_a_rational_engine_name_leaves_sympy_unloaded(name):
-    assert not sympy_loaded_after(f"import delpezzo1\ndelpezzo1.{name}")
+    assert not loaded_after(f"import delpezzo1\ndelpezzo1.{name}", "sympy")
 
 
 def test_lct_config_leaves_sympy_unloaded_and_lct_germ_loads_it():
-    assert not sympy_loaded_after(
+    assert not loaded_after(
         "from delpezzo1 import build_configuration, lct_config\n"
         "for smooth in ('elliptic', 'nodal', 'cuspidal'):\n"
         "    lct_config(build_configuration(smooth=smooth))\n"
         "for point in [('E8', 'standard'), ('A1', 'tangential'), ('A2', 'one-point')]:\n"
-        "    lct_config(build_configuration([point]))"
+        "    lct_config(build_configuration([point]))",
+        "sympy",
     )
     # lct_germ loads sympy only for a cluster it must blow up over a tower of
     # fields, not for a tacnode, whose points lie in Q[t]/(t^2 + 2)
-    assert not sympy_loaded_after("import delpezzo1\ndelpezzo1.lct_germ('y^2 - x^3')")
-    assert not sympy_loaded_after(
-        "import delpezzo1\ndelpezzo1.lct_germ('(y^2 + 2*x^2)^2 - x^6')")
-    assert sympy_loaded_after(f"import delpezzo1\ndelpezzo1.lct_germ({CUSP_PRODUCT!r})")
+    assert not loaded_after("import delpezzo1\ndelpezzo1.lct_germ('y^2 - x^3')", "sympy")
+    assert not loaded_after(
+        "import delpezzo1\ndelpezzo1.lct_germ('(y^2 + 2*x^2)^2 - x^6')", "sympy")
+    assert loaded_after(f"import delpezzo1\ndelpezzo1.lct_germ({CUSP_PRODUCT!r})", "sympy")
 
 
 def test_rational_germ_queries_leave_sympy_unloaded():
     # binomials, distinct lines, tangent branches and weighted lines, as in
     # perfbench's germ-rational corpus, each checked against its closed form
-    assert not sympy_loaded_after(
+    assert not loaded_after(
         "from fractions import Fraction as F\n"
         "from delpezzo1 import classify_germ, germ_blowup_tree, lct_germ, lct_quasihomogeneous\n"
         "from delpezzo1 import lct_weighted_germs\n"
@@ -136,24 +142,26 @@ def test_rational_germ_queries_leave_sympy_unloaded():
         "assert lct_germ(tangent) == F(1, 2) and len(germ_blowup_tree(tangent)) == 1\n"
         "assert lct_weighted_germs([('y - x', 3), ('y + x', 1), ('x', 2)]) == F(1, 3)\n"
         "assert lct_weighted_germs([('y - 2*x', 2), ('y - 2*x - 5*x^2', 3)]) == F(3, 10)\n"
-        "assert lct_weighted_germs([('y^2 - 4/9*x^5', 3)]) == F(7, 30)"
+        "assert lct_weighted_germs([('y^2 - 4/9*x^5', 3)]) == F(7, 30)",
+        "sympy",
     )
 
 
 def test_rational_germ_queries_leave_the_number_field_module_unloaded():
-    assert not sympy_loaded_after(
+    assert not loaded_after(
         "import sys\n"
         "from delpezzo1 import lct_germ, lct_weighted_germs\n"
         "assert lct_germ('y^3 - 97/89*x^8') and lct_germ('(y - x)*(y + x)*(y - 2*x)')\n"
         "assert lct_weighted_germs([('y^2 - 4/9*x^5', 3), ('x', 2)])\n"
-        "assert 'delpezzo1.numberfield' not in sys.modules"
+        "assert 'delpezzo1.numberfield' not in sys.modules",
+        "sympy",
     )
 
 
 def test_rejecting_a_repeated_factor_leaves_sympy_unloaded():
     # a repeated factor in y, one in the content, and two weighted branches
     # with a common factor, found after the engine reaches its depth cap
-    assert not sympy_loaded_after(
+    assert not loaded_after(
         "from delpezzo1 import NonSquarefreeError, classify_germ, lct_germ, lct_weighted_germs\n"
         "calls = [(classify_germ, '(y-x)^2*(y-2*x)', 'repeated factor x - y'),\n"
         "         (lct_germ, 'x^2*y', 'repeated factor x'),\n"
@@ -165,7 +173,8 @@ def test_rejecting_a_repeated_factor_leaves_sympy_unloaded():
         "    except NonSquarefreeError as exc:\n"
         "        assert str(exc).endswith(named), exc\n"
         "    else:\n"
-        "        raise AssertionError(arg)"
+        "        raise AssertionError(arg)",
+        "sympy",
     )
 
 
@@ -179,11 +188,12 @@ def test_lazy_name_is_the_submodule_object(name):
 def test_first_read_binds_its_own_module_names(first):
     own = sorted(name for name, module in LAZY.items() if module == LAZY[first])
     other = sorted(set(LAZY) - set(own))
-    loaded = sympy_loaded_after(
+    loaded = loaded_after(
         "import delpezzo1\n"
         f"delpezzo1.{first}\n"
         f"assert set({own!r}) <= set(vars(delpezzo1))\n"
-        f"assert not set({other!r}) & set(vars(delpezzo1))"
+        f"assert not set({other!r}) & set(vars(delpezzo1))",
+        "sympy",
     )
     assert not loaded
 

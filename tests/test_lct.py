@@ -21,6 +21,7 @@ from delpezzo1.cycles import (
     build_configuration,
 )
 from delpezzo1.blowup import lct_of_branches
+from delpezzo1.cli import run
 from delpezzo1.dynkin import ALL_TYPES
 from delpezzo1.errors import (
     InvalidGermError,
@@ -129,6 +130,32 @@ def test_germ_blowup_tree_shape():
     assert roots
     ratios = [node.ratio for root in roots for node in root.walk()]
     assert min(ratios) == Fraction(5, 6)
+
+
+# four conjugate cusps (y - t x - theta x^2)^2 - x^5, t^2 = 2 and
+# theta^2 = 4 - 4t, expanded over Q: the norm of theta's factor over Q(t) is
+# a polynomial in 2T, so sympy gives the tower's root as a scaled CRootOf
+FOUR_CUSPS = (
+    "y^8 - 8*x^2*y^6 + 24*x^4*y^4 - 32*x^6*y^2 + 16*x^8 - 16*x^4*y^6 + 64*x^5*y^5"
+    " + 32*x^6*y^4 - 256*x^7*y^3 + 64*x^8*y^2 + 256*x^9*y - 128*x^10 - 4*x^5*y^6"
+    " + 8*x^7*y^4 + 16*x^9*y^2 - 32*x^11 + 32*x^8*y^4 - 512*x^9*y^3 + 1408*x^10*y^2"
+    " - 1024*x^11*y + 128*x^12 + 16*x^9*y^4 + 128*x^10*y^3 - 320*x^11*y^2 + 256*x^12*y"
+    " + 64*x^13 + 6*x^10*y^4 + 264*x^12*y^2 - 1024*x^13*y + 536*x^14 - 320*x^13*y^2"
+    " + 512*x^14*y - 640*x^15 + 16*x^14*y^2 - 192*x^15*y + 288*x^16 - 4*x^15*y^2"
+    " + 248*x^17 + 32*x^18 - 16*x^19 + x^20"
+)
+
+
+def test_cusps_over_a_tower_with_a_scaled_root(capsys):
+    # as for perfbench's corpus.cusp_product: (k, m) = (1, 8) at the origin,
+    # then (2, 12) at the two conjugate tangent directions y = t x, so
+    # lct = min(2/8, 3/12) = 1/4; the deeper nodes have 4/13 and 7/26
+    assert lct_germ(FOUR_CUSPS) == Fraction(1, 4)
+    (root,) = germ_blowup_tree(FOUR_CUSPS)
+    assert [(node.k, node.m, node.points) for node in root.walk()] == [
+        (1, 8, 1), (2, 12, 2), (3, 13, 4), (6, 26, 4)]
+    assert run(["lct-germ", FOUR_CUSPS]) == 0
+    assert capsys.readouterr().out == "1/4\n"
 
 
 def test_lct_rejects_non_squarefree():

@@ -9,7 +9,7 @@ element, and the translation both ways must be exact.
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy import QQ, CRootOf, Poly, Symbol
 
@@ -127,10 +127,17 @@ def test_inverse_of_a_quadratic_element_by_hand():
 # into L must be a ring homomorphism that sends t to a root of t^2 - a and
 # the cluster's factor to one with the root theta.  The draws keep to points
 # that are real where t is sympy's CRootOf(t^2 - a, 0) = -sqrt a: at a point
-# that is not real, sympy's tower refines complex roots for minutes.
+# that is not real, sympy's tower refines complex roots for minutes.  At
+# the pinned point sympy gives the root as 2*CRootOf(T^4 - 2 T^2 - 1, 0), a
+# scaled root, as it does for a norm that is a polynomial in 2T.
+_pair = st.tuples(*[_rationals] * 4)
+
+
 @settings(deadline=None, max_examples=12)
-@given(st.sampled_from([2, 3, 5, 6, 7]), _rationals, _rationals.filter(bool), st.data())
-def test_a_tower_embeds_its_field_exactly(a, b, c, data):
+@given(st.sampled_from([2, 3, 5, 6, 7]), _rationals, _rationals.filter(bool),
+       st.lists(_pair, min_size=3, max_size=3))
+@example(a=2, b=Fraction(4), c=Fraction(-4), pairs=[(1, 2, Fraction(-1, 2), 3)] * 3)
+def test_a_tower_embeds_its_field_exactly(a, b, c, pairs):
     K = NumberField((Fraction(-a), Fraction(0), Fraction(1)))
     radicand = K.one * b + K.gen * c
     assume(b > 0 > c or b > 0 and b * b > a * c * c or b < 0 > c and b * b < a * c * c)
@@ -143,9 +150,8 @@ def test_a_tower_embeds_its_field_exactly(a, b, c, data):
     for coeff in reversed(K.modulus):
         image = image * phi(K.gen) + coeff
     assert not image
-    elements = st.builds(lambda x, y: K.one * x + K.gen * y, _rationals, _rationals)
-    for _ in range(3):
-        x, y = data.draw(elements), data.draw(elements)
+    for x0, x1, y0, y1 in pairs:
+        x, y = K.one * x0 + K.gen * x1, K.one * y0 + K.gen * y1
         assert phi(x * y) == phi(x) * phi(y) and phi(x + y) == phi(x) + phi(y)
 
 
