@@ -76,12 +76,16 @@ class _Rationals:
         return [((b + root) / (2 * a), Q.one), ((b - root) / (2 * a), Q.one)]
 
     @staticmethod
-    def extend(p: tuple) -> tuple[Any, NumberField, Callable[[Any], Any]]:
-        """The field Q[t]/(p) of an irreducible p of degree >= 2, its point t, and c -> c*1."""
+    def extend(p: tuple) -> tuple[Any, NumberField, None]:
+        """The field Q[t]/(p) of an irreducible p of degree >= 2 and its point t.
+
+        A rational coefficient needs no map into it: _shift_y's products by
+        the powers of t, elements of Q[t]/(p), carry it in.
+        """
         from .numberfield import NumberField
 
         K = NumberField(p)
-        return K.gen, K, K.convert
+        return K.gen, K, None
 
 
 Q = _Rationals()
@@ -183,10 +187,11 @@ def _shift_y(d: PolyDict, theta: Any, K: Field) -> PolyDict:
     powers = [K.one]
     for _ in range(max(b for _, b in d)):
         powers.append(powers[-1] * theta)
+    rows = {b: [math.comb(b, j) * powers[b - j] for j in range(b + 1)] for b in {b for _, b in d}}
     out: PolyDict = {}
     for (a, b), c in d.items():
-        for j in range(b + 1):
-            out[a, j] = out.get((a, j), 0) + c * math.comb(b, j) * powers[b - j]
+        for j, r in enumerate(rows[b]):  # r first: an Element takes a Fraction c directly
+            out[a, j] = out.get((a, j), 0) + r * c
     return {k: c for k, c in out.items() if c}
 
 
@@ -234,10 +239,14 @@ def _line_clusters(lines: list[dict[int, Any]], K: Field) -> dict[tuple, list[in
             for p in keys}
 
 
-def _cluster_point(p: tuple, K: Field) -> tuple[Any, Field, Callable[[Any], Any]]:
-    """A root of the cluster's monic factor p, its field, the map into it: read off, or K.extend."""
+def _cluster_point(p: tuple, K: Field) -> tuple[Any, Field, Callable[[Any], Any] | None]:
+    """A root of the cluster's monic factor p, its field, and the map into it, or None.
+
+    The root is read off, or K.extend gives all three; only a tower maps the
+    coefficients (see _Rationals.extend).
+    """
     if len(p) == 2:
-        return -p[0], K, lambda c: c
+        return -p[0], K, None
     return K.extend(p)
 
 
@@ -273,7 +282,7 @@ def _centres(objects: list[Object], k: int, m: int, K: Field) -> Iterator[tuple[
     for p in sorted(clusters, key=lambda p: (len(p), p)):
         theta, K2, conv = _cluster_point(p, K)
         through = [strict[i] for i in clusters[p]]
-        if K2 is not K:
+        if conv is not None:
             through = [({key: conv(c) for key, c in d.items()}, k_i, m_i)
                        for d, k_i, m_i in through]
         through = [(_shift_y(d, theta, K2), k_i, m_i) for d, k_i, m_i in through]

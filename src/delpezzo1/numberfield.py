@@ -2,14 +2,18 @@
 
 When a cluster of degree >= 2 over Q needs a blowup, the engine extends Q
 by a root of the cluster's monic factor g: the field is Q[t]/(g) and the
-point is t itself, so no root is ever located.  An element is the tuple of
-its rational coefficients in 1, t, ..., t^(n-1), constant term first.
-Products are reduced modulo the monic g, and inverses come from the
-extended Euclidean algorithm of univariate (Cohen, A Course in
-Computational Algebraic Number Theory, 1993, section 4.2).  Elements mix
-with ints and Fractions in univariate's polynomials, a zero is falsy, and
-they are ordered as sympy orders its own: by the coefficients, highest
-power first, without leading zeros.
+point is t itself, so no root is ever located.  An element holds its
+rational coefficients in 1, t, ..., t^(n-1), constant term first, as a
+tuple of integer numerators over one positive denominator in lowest terms
+(Cohen, A Course in Computational Algebraic Number Theory, 1993, section
+4.2), and g is kept the same way.  A sum or a product is then integer
+arithmetic, with one reduction modulo g and one gcd per result, where a
+tuple of Fractions pays a gcd for every coefficient of every step; an
+inverse solves the integer linear system of multiplication by the
+numerators, fraction-free.  Elements mix with ints and Fractions on either
+side, as univariate's polynomials need, a zero is falsy, equal elements
+have one form and so one hash, and they are ordered as sympy orders its
+own: by the coefficients, highest power first, without leading zeros.
 
 A cluster of degree >= 2 over Q[t]/(g) gets a tower, a NumberField again
 (NumberField.extend).  sympy is imported here only, to build towers and to
@@ -19,6 +23,7 @@ its image QQ(CRootOf(g, 0)), whose generator is t (sympy_field).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cached_property, total_ordering
 from typing import Any, Callable, Sequence
@@ -32,17 +37,38 @@ class NumberField:
 
     def __init__(self, modulus: Sequence[Fraction]) -> None:
         self.modulus = tuple(modulus)
-        self.degree = len(self.modulus) - 1
+        self.degree = n = len(self.modulus) - 1
+        nums, self.low_den = _integral(self.modulus)
+        self.low = nums[:n]  # g = t^n + low/low_den
         self.zero = self.convert(0)
         self.one = self.convert(1)
-        self.gen = Element(self, (0, 1) + (0,) * (self.degree - 2))
+        self.gen = _element(self, (0, 1) + (0,) * (n - 2), 1)
 
     def __repr__(self) -> str:
         return f"NumberField({_text(self.modulus)})"
 
     def convert(self, c: Any) -> "Element":
         """The rational c as the element c·1."""
-        return Element(self, (c,) + (0,) * (self.degree - 1))
+        return _element(self, (c.numerator,) + (0,) * (self.degree - 1), c.denominator)
+
+    def _reduce(self, p: list, den: int) -> "Element":
+        """The element p/den for integers p of degree < 2n and den > 0, reduced modulo g.
+
+        t^i is t^(i-n) (t^n - g) = -t^(i-n) low/low_den: when low_den does not
+        divide the leading numerator, all of p and den are first multiplied by it.
+        """
+        n, low, D = self.degree, self.low, self.low_den
+        for i in range(len(p) - 1, n - 1, -1):
+            c = p.pop()
+            if c:
+                if c % D:
+                    p = [D * x for x in p]
+                    den *= D
+                else:
+                    c //= D
+                for j in range(n):
+                    p[i - n + j] -= c * low[j]
+        return _reduced(self, p, den)
 
     @cached_property
     def sympy_field(self) -> Any:
@@ -56,12 +82,12 @@ class NumberField:
     def to_anp(self, e: "Element | int | Fraction") -> Any:
         """An element, or a rational, as an element of sympy_field."""
         e, K = e if isinstance(e, Element) else self.convert(e), self.sympy_field
-        return K.new([K.dom(c.numerator, c.denominator) for c in reversed(e.coeffs)])
+        return K.new([K.dom(x, e.den) for x in reversed(e.nums)])
 
     def from_anp(self, a: Any) -> "Element":
         """An element of a sympy field whose generator has minimal polynomial g, as an element."""
-        rep = [_fraction(c) for c in reversed(a.to_list())]
-        return Element(self, tuple(rep) + (0,) * (self.degree - len(rep)))
+        rep = a.to_list()[::-1]
+        return Element(self, rep + [0] * (self.degree - len(rep)))
 
     def factor(self, p: univariate.Dense) -> list[tuple]:
         """The monic irreducible factors of a dense p over this field, by sympy, as cluster keys."""
@@ -161,53 +187,72 @@ def factor_rational(p: univariate.Dense) -> list[tuple]:
 
 @total_ordering
 class Element:
-    """An element of a NumberField: its coefficients in 1, t, ..., t^(n-1)."""
+    """An element of a NumberField: integer numerators over one positive denominator.
 
-    __slots__ = ("field", "coeffs")
+    Element(field, coeffs) takes the rational coefficients in 1, t, ...,
+    t^(n-1); nums and den hold them in lowest terms, coeffs gives them back.
+    """
 
-    def __init__(self, field: NumberField, coeffs: tuple) -> None:
+    __slots__ = ("field", "nums", "den")
+
+    def __init__(self, field: NumberField, coeffs: Sequence) -> None:
         self.field = field
-        self.coeffs = coeffs
+        self.nums, self.den = _integral(coeffs)
 
-    def _new(self, coeffs) -> "Element":
-        return Element(self.field, tuple(coeffs))
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The rational coefficients, constant term first."""
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
     def __repr__(self) -> str:
         return f"Element({_text(self.coeffs)} mod {_text(self.field.modulus)})"
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return any(self.nums)
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Element):
             return NotImplemented
-        return self.coeffs == other.coeffs and (
+        return self.nums == other.nums and self.den == other.den and (
             self.field is other.field or self.field.modulus == other.field.modulus)
 
-    def _dense(self) -> tuple:
-        """The coefficients highest power first without leading zeros, as sympy stores them."""
-        rep = self.coeffs
+    def _dense(self, scale: int) -> tuple:
+        """The numerators times scale, highest power first without leading zeros.
+
+        That is how sympy stores the coefficients; each scaled by the other's
+        denominator, two elements compare as their rational coefficients do.
+        """
+        rep = self.nums
         n = len(rep)
         while n and not rep[n - 1]:
             n -= 1
-        return rep[n - 1::-1] if n else ()
+        return tuple(x * scale for x in rep[n - 1::-1]) if n else ()
 
     def __lt__(self, other: "Element") -> bool:
         if not isinstance(other, Element):
             return NotImplemented
-        return self._dense() < other._dense()
+        return self._dense(other.den) < other._dense(self.den)
 
     def __neg__(self) -> "Element":
-        return self._new(-c for c in self.coeffs)
+        return _element(self.field, tuple(-x for x in self.nums), self.den)
 
     def __add__(self, other: Any) -> "Element":
         if isinstance(other, Element):
-            return self._new(a + b for a, b in zip(self.coeffs, other.coeffs))
+            d, e = self.den, other.den
+            if d == e:
+                return _reduced(self.field, [a + b for a, b in zip(self.nums, other.nums)], d)
+            return _reduced(self.field, [a * e + b * d for a, b in zip(self.nums, other.nums)],
+                            d * e)
         if isinstance(other, (int, Fraction)):
-            return self._new((self.coeffs[0] + other,) + self.coeffs[1:])
+            if not other:
+                return self
+            p, q = other.numerator, other.denominator
+            nums = [x * q for x in self.nums]
+            nums[0] += p * self.den
+            return _reduced(self.field, nums, self.den * q)
         return NotImplemented
 
     __radd__ = __add__
@@ -219,23 +264,18 @@ class Element:
         return -self + other
 
     def __mul__(self, other: Any) -> "Element":
+        if isinstance(other, Element):
+            b = other.nums
+            product = [0] * (2 * len(b) - 1)
+            for i, x in enumerate(self.nums):
+                if x:
+                    for j, y in enumerate(b):
+                        product[i + j] += x * y
+            return self.field._reduce(product, self.den * other.den)
         if isinstance(other, (int, Fraction)):
-            return self._new(c * other for c in self.coeffs)
-        if not isinstance(other, Element):
-            return NotImplemented
-        n = len(self.coeffs)
-        product = [0] * (2 * n - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    product[i + j] += a * b
-        g = self.field.modulus
-        for i in range(2 * n - 2, n - 1, -1):  # t^i = t^(i-n) (t^n - g)
-            c = product[i]
-            if c:
-                for j in range(n):
-                    product[i - n + j] -= c * g[j]
-        return self._new(product[:n])
+            return _reduced(self.field, [x * other.numerator for x in self.nums],
+                            self.den * other.denominator)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -243,7 +283,12 @@ class Element:
         if isinstance(other, (int, Fraction)):
             return self * (1 / Fraction(other))
         if isinstance(other, Element):
-            return self * other ** -1
+            return self * other._inverse()
+        return NotImplemented
+
+    def __rtruediv__(self, other: Any) -> "Element":
+        if isinstance(other, (int, Fraction)):
+            return self._inverse() * other
         return NotImplemented
 
     def __pow__(self, n: int) -> "Element":
@@ -259,8 +304,60 @@ class Element:
         return self.field.one if result is None else result
 
     def _inverse(self) -> "Element":
-        inverse = univariate.invert(univariate.trim(list(self.coeffs)), list(self.field.modulus))
-        return self._new(inverse + [0] * (len(self.coeffs) - len(inverse)))
+        """(nums/den)^-1 = den x, x solving M x = 1 for M the matrix of the product by nums.
+
+        Column j of M is nums t^j modulo g, times D^j so that it stays integral
+        (g = t^n + low/D); fraction-free Gauss-Jordan elimination (Bareiss)
+        turns [M | 1] into [det I | det y] with exact integer divisions, and
+        x_j = D^j y_j.
+        """
+        field = self.field
+        n, low, D = field.degree, field.low, field.low_den
+        columns = [list(self.nums)]
+        for _ in range(n - 1):  # column j + 1 is D t (column j) modulo g
+            c = columns[-1]
+            top = c[-1]
+            columns.append([D * x - top * y for x, y in zip([0] + c[:-1], low)])
+        rows = [[c[i] for c in columns] + [int(i == 0)] for i in range(n)]
+        last = 1
+        for k in range(n):
+            if not rows[k][k]:
+                r = next((r for r in range(k + 1, n) if rows[r][k]), None)
+                if r is None:  # M is singular: self is 0
+                    raise ZeroDivisionError("the zero element has no inverse")
+                rows[k], rows[r] = rows[r], rows[k]
+            pivot, row = rows[k][k], rows[k]
+            for i in range(n):
+                if i != k:
+                    a = rows[i][k]
+                    rows[i] = [(pivot * x - a * y) // last for x, y in zip(rows[i], row)]
+            last = pivot
+        scale = self.den if last > 0 else -self.den
+        return _reduced(field, [scale * D**j * rows[j][n] for j in range(n)], abs(last))
+
+
+def _integral(coeffs: Sequence) -> tuple[tuple[int, ...], int]:
+    """Rationals (ints, Fractions, sympy's QQ) as integer numerators over one denominator.
+
+    Over the least common denominator they are in lowest terms.
+    """
+    den = math.lcm(*(int(c.denominator) for c in coeffs))
+    return tuple(int(c.numerator) * (den // int(c.denominator)) for c in coeffs), den
+
+
+def _element(field: NumberField, nums: tuple, den: int) -> Element:
+    """The element nums/den, given in lowest terms with den > 0."""
+    e = object.__new__(Element)
+    e.field, e.nums, e.den = field, nums, den
+    return e
+
+
+def _reduced(field: NumberField, nums: list, den: int) -> Element:
+    """The element nums/den for den > 0, brought to lowest terms by one gcd."""
+    g = math.gcd(den, *nums)
+    if g != 1:
+        return _element(field, tuple(x // g for x in nums), den // g)
+    return _element(field, tuple(nums), den)
 
 
 def _text(coeffs: Sequence) -> str:

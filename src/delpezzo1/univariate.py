@@ -52,13 +52,6 @@ def evaluate(p: Dense, t: Any) -> Any:
     return value
 
 
-def sub(p: Dense, q: Dense) -> Dense:
-    out = list(p) + [0] * (len(q) - len(p))
-    for i, c in enumerate(q):
-        out[i] -= c
-    return trim(out)
-
-
 def mul(p: Dense, q: Dense) -> Dense:
     if not p or not q:
         return []
@@ -97,15 +90,3 @@ def gcd(p: Dense, q: Dense) -> Dense:
         r = divide(p, q)[1] if len(q) > 1 else []
         p, q = q, monic(r) if r else []
     return monic(p) if p else []
-
-
-def invert(p: Dense, m: Dense) -> Dense:
-    """The inverse of p modulo m, for p prime to m, by the extended Euclidean algorithm."""
-    r0, r1, s0, s1 = m, p, [], [1]  # s_i p = r_i modulo m
-    while len(r1) > 1:
-        quo, rem = divide(r0, r1)
-        r0, r1, s0, s1 = r1, rem, s1, sub(s0, mul(quo, s1))
-    if not r1:
-        raise ZeroDivisionError("not invertible: p and m have a common factor")
-    inverse = _inverse(r1[0])
-    return [c * inverse for c in s1]

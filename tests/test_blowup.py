@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy import QQ, Poly, Symbol
 
-from delpezzo1 import numberfield, univariate
+from delpezzo1 import blowup, numberfield, univariate
 from delpezzo1.blowup import (
     Q,
     _cluster_point,
@@ -22,8 +22,9 @@ from delpezzo1.blowup import (
 from delpezzo1.errors import DelPezzoError, DepthExceededError, InvalidGermError
 from delpezzo1.germs import CurveGerm
 from delpezzo1.lct import germ_blowup_tree, lct_germ, lct_weighted_germs
-from delpezzo1.numberfield import NumberField
-from tests.data.make_resolution_corpus import canonical_form, engine_form
+from delpezzo1.numberfield import Element, NumberField
+from tests.data.make_resolution_corpus import canonical_form, engine_form, entry
+from tests.test_resolution_corpus import LINES
 
 
 def nd(text):
@@ -41,6 +42,16 @@ def test_shift_y_exact():
     shifted = {(0, 2): Fraction(1), (0, 1): Fraction(6), (0, 0): Fraction(9), (1, 0): Fraction(-1)}
     assert _shift_y(nd("y^2 - x"), Fraction(3), Q) == shifted
     assert _shift_y(nd("x*y"), Fraction(0), Q) == nd("x*y")
+    # rationals shifted by theta in Q[t]/(t^2 - 2) become elements, as the
+    # rationals embedded first do: the engine maps no coefficient from Q
+    K = NumberField((Fraction(-2), Fraction(0), Fraction(1)))
+    d = nd("y^3 - 2*x*y^2 + x^2*y/3 - 5*x^4 + 7*x*y")
+    theta = K.gen * Fraction(3, 2) - 1
+    shifted = _shift_y(d, theta, K)
+    assert shifted == _shift_y({key: K.convert(c) for key, c in d.items()}, theta, K)
+    assert all(type(c) is Element for c in shifted.values())
+    # (y + theta)^3 = y^3 + 3 theta y^2 + 3 theta^2 y + theta^3
+    assert [shifted[0, j] for j in range(4)] == [theta**3, 3 * theta**2, 3 * theta, K.one]
 
 
 def test_multiplicity_helper():
@@ -404,6 +415,24 @@ CUSP_PRODUCT = (
     " - 100*x^12*y^2 - 192*x^14 + 36*x^13*y^2 + 72*x^15 + 12*x^14*y^2 + 105*x^16"
     " - 4*x^15*y^2 - 116*x^17 + 54*x^18 - 12*x^19 + x^20"
 )
+
+
+def test_objects_over_a_number_field_hold_elements_only(monkeypatch):
+    # the cluster keys and the Counter of _line_clusters compare coefficients:
+    # over a NumberField every one must be an Element, as none is mapped from Q
+    resolve, fields = blowup._resolve, []
+
+    def checked(objects, K, depth):
+        if isinstance(K, NumberField):
+            fields.append(K)
+            assert all(type(c) is Element for d, _, _ in objects for c in d.values())
+        return resolve(objects, K, depth)
+
+    monkeypatch.setattr(blowup, "_resolve", checked)
+    tacnodes = [line for line in LINES if line["group"] == "algebraic"]
+    for line in tacnodes:
+        assert entry(line["kind"], line["args"])["value"] == line["value"]
+    assert len(tacnodes) == 72 and len(fields) > 2 * len(tacnodes)
 
 
 def test_nodes_count_their_conjugate_points():

@@ -6,6 +6,7 @@ Arithmetic, order and equality must agree with the image element for
 element, and the translation both ways must be exact.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -64,6 +65,8 @@ def test_arithmetic_agrees_with_the_sympy_image(field_elements, r):
     assert K.to_anp(a - r) == A - R and K.to_anp(r - a) == R - A
     if r:
         assert K.to_anp(a / r) == A / R
+    if b:
+        assert K.to_anp(r / b) == R / B
 
 @_settings
 @given(_field_and_elements(3))
@@ -83,11 +86,20 @@ def test_order_equality_and_hash_agree_with_the_sympy_image(field_elements):
     as_sympy = [tuple(map(K.to_anp, key)) for key in keys]
     assert [as_sympy[keys.index(k)] for k in sorted(keys, key=lambda p: (len(p), p))] == sorted(
         as_sympy, key=lambda p: (len(p), p))
-    # equal elements reached two ways hash alike
+    # equal elements reached from rationals, from sympy and by arithmetic are
+    # one canonical form: equal, hashed alike, in lowest terms over den > 0
+    same = [a, Element(K, a.coeffs), K.from_anp(A), a + K.zero, a * 1, 3 * a / 3,
+            a * Fraction(2, 7) / Fraction(2, 7), (a + K.gen) - K.gen,
+            a - Fraction(1, 3) + 1 - Fraction(2, 3)]
     if b:
-        again = a * b * b ** -1
-        assert again == a and hash(again) == hash(a)
-    assert len({a, K.from_anp(A), a + K.zero}) == 1
+        same += [a * b * b ** -1, a * b / b]
+    assert len(set(same)) == 1 and all(e == a and hash(e) == hash(a) for e in same)
+    three = [K.convert(3), K.convert(Fraction(6, 2)), Element(K, (3,) + (0,) * (K.degree - 1)),
+             K.one * 3, 3 * K.one, K.one + 2, Fraction(9, 2) - K.one * Fraction(3, 2)]
+    assert len(set(three)) == 1 and all(e == three[0] for e in three)
+    for e in same + three + elements + [b * c, b + c, -b]:
+        assert e.den > 0 and math.gcd(e.den, *e.nums) == 1
+        assert all(type(x) is int for x in e.nums)
 
 
 @_settings
@@ -117,6 +129,10 @@ def test_inverse_of_a_quadratic_element_by_hand():
     t = K.gen
     assert (1 + t) ** -1 == t - 1  # (1 + sqrt 2)(sqrt 2 - 1) = 1
     assert t * t == K.convert(2) and (t / 2) ** -1 == t
+    # a rational over an element, as a rational times one
+    assert 2 / t == t and Fraction(1, 3) / t == t / 6 and 1 / (1 + t) == t - 1
+    with pytest.raises(ZeroDivisionError):
+        1 / K.zero
     # highest power first: (), (-1), (-1, 0), (1), (1, 0)
     assert sorted([t, -t, K.one, K.zero, K.convert(-1)]) == [
         K.zero, K.convert(-1), -t, K.one, t]
