@@ -8,15 +8,14 @@ numbers); nothing here floats.  Every field under a resolution is Q or a
 number field Q[t]/(g), numberfield.NumberField, towers included.
 
 Importing the package loads only the combinatorial core (dynkin, cycles,
-surfaces, rigidity, errors), which needs integers and Fraction alone.  Its
-records are plain classes on records.Record, so the package imports
-neither the standard library's data-class module nor inspect, and builds
-no method by exec.  The
-germ engine's public names -- CurveGerm, classify_germ, lct_quasihomogeneous
-(from germs) and germ_blowup_tree, lct_config, lct_germ, lct_weighted_germs
-(from lct) -- are resolved on first use: reading one of them imports its
-submodule and binds that submodule's names.  The engine's submodules (germs,
-blowup, lct) are package attributes the same way.
+surfaces, rigidity, errors), which needs integers and Fraction alone; each
+of those modules declares its public names in __all__, and the package
+re-exports them.  Its records are plain classes on records.Record, so the
+package imports neither the standard library's data-class module nor
+inspect, and builds no method by exec.  The germ engine's public names, the
+keys of _LAZY, are resolved on first use: reading one of them imports its
+submodule and binds that submodule's names.  The engine's submodules
+(germs, blowup, lct) are package attributes the same way.
 
 Germ text, squarefree tests, rejections and the blowups over Q and over
 one extension Q[t]/(g) need no sympy, so reading these names, lct_config,
@@ -29,124 +28,14 @@ views CurveGerm.poly and CurveGerm.expr.
 
 import importlib
 
-from .cycles import (
-    AnticanonicalConfiguration,
-    AttachmentVector,
-    Component,
-    FundamentalCycle,
-    KodairaLabel,
-    Meeting,
-    allowed_variants,
-    attachment_vector,
-    build_configuration,
-    fundamental_cycle,
-    kodaira_type,
-)
-from .dynkin import (
-    ALL_TYPES,
-    DynkinType,
-    IntersectionMatrix,
-    intersection_matrix,
-    is_negative_definite,
-    parse_dynkin,
-)
-from .errors import (
-    AssumptionNotAssertedError,
-    DelPezzoError,
-    DepthExceededError,
-    InvalidConfigurationError,
-    InvalidGermError,
-    InvalidSurfaceError,
-    MalformedLabelError,
-    NonSquarefreeError,
-    NonTerminationError,
-    NotAtOriginError,
-    NotQuasihomogeneousError,
-    NotSymmetricError,
-    OutOfRangeError,
-    UnrecognizedConfigurationError,
-    UnsupportedClassError,
-    VariantMismatchError,
-)
-from .rigidity import (
-    TARGET_CLASSES,
-    FibrationSpec,
-    RigidityVerdict,
-    TargetClass,
-    possible_targets,
-    rigidity_gate,
-    source_constraints,
-    target_class_for,
-)
-from .surfaces import (
-    SurfaceSpec,
-    TlctResult,
-    ValidationReport,
-    iter_valid_specs,
-    realizable_configurations,
-    tlct,
-    validate,
-)
+from . import cycles, dynkin, errors, rigidity, surfaces
+from .cycles import *
+from .dynkin import *
+from .errors import *
+from .rigidity import *
+from .surfaces import *
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ALL_TYPES",
-    "AnticanonicalConfiguration",
-    "AssumptionNotAssertedError",
-    "AttachmentVector",
-    "Component",
-    "CurveGerm",
-    "DelPezzoError",
-    "DepthExceededError",
-    "DynkinType",
-    "FibrationSpec",
-    "FundamentalCycle",
-    "IntersectionMatrix",
-    "InvalidConfigurationError",
-    "InvalidGermError",
-    "InvalidSurfaceError",
-    "KodairaLabel",
-    "MalformedLabelError",
-    "Meeting",
-    "NonSquarefreeError",
-    "NonTerminationError",
-    "NotAtOriginError",
-    "NotQuasihomogeneousError",
-    "NotSymmetricError",
-    "OutOfRangeError",
-    "RigidityVerdict",
-    "SurfaceSpec",
-    "TARGET_CLASSES",
-    "TargetClass",
-    "TlctResult",
-    "UnrecognizedConfigurationError",
-    "UnsupportedClassError",
-    "ValidationReport",
-    "VariantMismatchError",
-    "allowed_variants",
-    "attachment_vector",
-    "build_configuration",
-    "classify_germ",
-    "fundamental_cycle",
-    "germ_blowup_tree",
-    "intersection_matrix",
-    "is_negative_definite",
-    "iter_valid_specs",
-    "kodaira_type",
-    "lct_config",
-    "lct_germ",
-    "lct_quasihomogeneous",
-    "lct_weighted_germs",
-    "parse_dynkin",
-    "possible_targets",
-    "realizable_configurations",
-    "rigidity_gate",
-    "source_constraints",
-    "target_class_for",
-    "tlct",
-    "validate",
-]
 
 # the germ engine, and its public names -> the submodule owning them
 _ENGINE_MODULES = ("germs", "blowup", "lct")
@@ -159,6 +48,13 @@ _LAZY = {
     "lct_germ": "lct",
     "lct_weighted_germs": "lct",
 }
+
+__all__ = list(_LAZY)  # bound on first read, by __getattr__
+__all__ += cycles.__all__
+__all__ += dynkin.__all__
+__all__ += errors.__all__
+__all__ += rigidity.__all__
+__all__ += surfaces.__all__
 
 
 def __getattr__(name: str):

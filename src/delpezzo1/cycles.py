@@ -10,10 +10,16 @@ degenerate elliptic curve and matches one of Kodaira's fiber types.
 
 from __future__ import annotations
 
-from functools import lru_cache
+__all__ = [
+    "FundamentalCycle", "AttachmentVector", "fundamental_cycle", "attachment_vector",
+    "Component", "Meeting", "AnticanonicalConfiguration", "allowed_variants",
+    "build_configuration", "KodairaLabel", "kodaira_type",
+]
+
+from functools import cache
 from typing import Sequence
 
-from .dynkin import ALL_TYPES, DynkinType, adjacency, as_dynkin, intersection_matrix
+from .dynkin import DynkinType, adjacency, as_dynkin, intersection_matrix
 from .errors import (
     InvalidConfigurationError,
     NonTerminationError,
@@ -113,7 +119,7 @@ def fundamental_cycle(t: DynkinType | str, start: int = 1) -> FundamentalCycle:
     return _fundamental_cycle(t, start)
 
 
-@lru_cache(maxsize=8 * len(ALL_TYPES))
+@cache
 def _fundamental_cycle(t: DynkinType, start: int) -> FundamentalCycle:
     m = intersection_matrix(t)
     return FundamentalCycle(t, tuple(_laufer(m.entries, start - 1)))
@@ -301,7 +307,7 @@ def build_configuration(
     return _point_configuration(t, variant)
 
 
-@lru_cache(maxsize=len(ALL_TYPES) + 2)  # A1 and A2 have two variants each
+@cache
 def _point_configuration(t: DynkinType, variant: str) -> AnticanonicalConfiguration:
     """The configuration of a D through one point of type t, built once per (t, variant)."""
     cyc = fundamental_cycle(t)

@@ -17,8 +17,13 @@ Node ordering convention (fixed; all cycle coefficients refer to it):
 
 from __future__ import annotations
 
+__all__ = [
+    "DynkinType", "ALL_TYPES", "parse_dynkin", "IntersectionMatrix", "intersection_matrix",
+    "is_negative_definite",
+]
+
 import re
-from functools import lru_cache, total_ordering
+from functools import cache, total_ordering
 
 from .errors import MalformedLabelError, NotSymmetricError, OutOfRangeError
 from .records import Record
@@ -157,7 +162,7 @@ def intersection_matrix(t: DynkinType | str) -> IntersectionMatrix:
     return _intersection_matrix(as_dynkin(t))
 
 
-@lru_cache(maxsize=len(ALL_TYPES))
+@cache
 def _intersection_matrix(t: DynkinType) -> IntersectionMatrix:
     n = t.rank
     adj = adjacency(t)

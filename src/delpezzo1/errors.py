@@ -4,6 +4,14 @@ Every domain error raised by this package derives from DelPezzoError, so the
 CLI (and library callers) can distinguish bad mathematical input from bugs.
 """
 
+__all__ = [
+    "DelPezzoError", "MalformedLabelError", "OutOfRangeError", "NotSymmetricError",
+    "NonTerminationError", "VariantMismatchError", "InvalidConfigurationError",
+    "UnrecognizedConfigurationError", "InvalidGermError", "NotAtOriginError",
+    "NonSquarefreeError", "DepthExceededError", "NotQuasihomogeneousError",
+    "InvalidSurfaceError", "AssumptionNotAssertedError", "UnsupportedClassError",
+]
+
 
 class DelPezzoError(Exception):
     """Base class for all domain errors raised by delpezzo1."""

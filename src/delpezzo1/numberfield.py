@@ -52,7 +52,7 @@ class NumberField:
         return _element(self, (c.numerator,) + (0,) * (self.degree - 1), c.denominator)
 
     def _reduce(self, p: list, den: int) -> "Element":
-        """The element p/den for integers p of degree < 2n and den > 0, reduced modulo g.
+        """The element p/den for n or more integers p and den > 0, reduced modulo g.
 
         t^i is t^(i-n) (t^n - g) = -t^(i-n) low/low_den: when low_den does not
         divide the leading numerator, all of p and den are first multiplied by it.
@@ -86,8 +86,7 @@ class NumberField:
 
     def from_anp(self, a: Any) -> "Element":
         """An element of a sympy field whose generator has minimal polynomial g, as an element."""
-        rep = a.to_list()[::-1]
-        return Element(self, rep + [0] * (self.degree - len(rep)))
+        return Element(self, a.to_list()[::-1])
 
     def factor(self, p: univariate.Dense) -> list[tuple]:
         """The monic irreducible factors of a dense p over this field, by sympy, as cluster keys."""
@@ -189,15 +188,18 @@ def factor_rational(p: univariate.Dense) -> list[tuple]:
 class Element:
     """An element of a NumberField: integer numerators over one positive denominator.
 
-    Element(field, coeffs) takes the rational coefficients in 1, t, ...,
-    t^(n-1); nums and den hold them in lowest terms, coeffs gives them back.
+    Element(field, coeffs) takes the rational coefficients of a polynomial
+    in t, constant term first, and reduces it modulo g; nums and den hold
+    the n coefficients in 1, t, ..., t^(n-1) in lowest terms, coeffs gives
+    them back.
     """
 
     __slots__ = ("field", "nums", "den")
 
     def __init__(self, field: NumberField, coeffs: Sequence) -> None:
-        self.field = field
-        self.nums, self.den = _integral(coeffs)
+        nums, den = _integral(coeffs)
+        e = field._reduce(list(nums) + [0] * (field.degree - len(nums)), den)
+        self.field, self.nums, self.den = field, e.nums, e.den
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:

@@ -16,6 +16,11 @@ eight threshold classes down to the admissible targets.
 
 from __future__ import annotations
 
+__all__ = [
+    "FibrationSpec", "TargetClass", "TARGET_CLASSES", "target_class_for", "RigidityVerdict",
+    "rigidity_gate", "possible_targets", "source_constraints",
+]
+
 from fractions import Fraction
 
 from .errors import (
@@ -31,7 +36,6 @@ from .surfaces import (
     NO_CUSPIDAL_MEMBER,
     SurfaceSpec,
     tlct,
-    validate,
 )
 
 RIGID = "rigid"
@@ -209,13 +213,13 @@ class RigidityVerdict(Record):
         return "\n".join(lines + [str(cls) for cls in self.detail])
 
 
-def _checked_fiber(side: FibrationSpec | SurfaceSpec, name: str) -> FibrationSpec:
+def _side(side: FibrationSpec | SurfaceSpec, name: str) -> tuple[FibrationSpec, Fraction]:
+    """The side as a FibrationSpec and its fiber's tlct, which validates the fiber."""
     fib = side if isinstance(side, FibrationSpec) else FibrationSpec(side)
-    report = validate(fib.fiber)
-    if not report:
-        reasons = "; ".join(reason for _, reason in report.violations)
-        raise InvalidSurfaceError(f"{name} fiber fails validation: {reasons}")
-    return fib
+    try:
+        return fib, tlct(fib.fiber).value
+    except InvalidSurfaceError as exc:
+        raise InvalidSurfaceError(f"{name} fiber fails validation: {exc}") from None
 
 
 def _admissible(threshold: Fraction) -> tuple[TargetClass, ...]:
@@ -234,9 +238,8 @@ def rigidity_gate(
     out by the sum condition when the flags hold, or every class when an
     assumption is missing.
     """
-    fx, fy = _checked_fiber(x, "x"), _checked_fiber(y, "y")
-    x_value = tlct(fx.fiber).value
-    total = x_value + tlct(fy.fiber).value
+    (fx, x_value), (fy, y_value) = _side(x, "x"), _side(y, "y")
+    total = x_value + y_value
     missing = tuple(f"x:{n}" for n in fx.missing_assumptions)
     missing += tuple(f"y:{n}" for n in fy.missing_assumptions)
     if total > 1 and not missing:
@@ -252,13 +255,13 @@ def possible_targets(x: FibrationSpec | SurfaceSpec) -> list[TargetClass]:
     tlct <= 1 - tlct(S_X); the list is ascending and empty exactly when
     tlct(S_X) = 1 (every birational map is then biregular).
     """
-    fib = _checked_fiber(x, "x")
+    fib, value = _side(x, "x")
     if fib.missing_assumptions:
         raise AssumptionNotAssertedError(
             "possible_targets needs every assumption asserted; missing: "
             + ", ".join(fib.missing_assumptions)
         )
-    return list(_admissible(tlct(fib.fiber).value))
+    return list(_admissible(value))
 
 
 def source_constraints(y_class: TargetClass) -> tuple[str, ...]:

@@ -15,6 +15,11 @@ type of a minimizing member.
 
 from __future__ import annotations
 
+__all__ = [
+    "SurfaceSpec", "ValidationReport", "validate", "TlctResult", "tlct",
+    "realizable_configurations", "iter_valid_specs",
+]
+
 from fractions import Fraction
 from typing import Iterable, Iterator
 

@@ -1,5 +1,7 @@
 """The exact gcd over Z[x][y] and the repeated factor, against sympy as an oracle."""
 
+import inspect
+import sys
 import time
 from fractions import Fraction
 
@@ -93,6 +95,47 @@ def test_primes_follow_the_mersenne_prime_downwards():
     for _ in range(4):
         expected.append(sympy.prevprime(expected[-1]))
     assert [next(primes) for _ in expected] == expected
+
+
+def _lines_run(call):
+    """The result of call() and the line numbers of _gcd_primitive it ran."""
+    code, seen, previous = bivariate._gcd_primitive.__code__, set(), sys.gettrace()
+
+    def local(frame, event, arg):
+        if event == "line":
+            seen.add(frame.f_lineno)
+        return local
+
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        return call(), seen
+    finally:
+        sys.settrace(previous)
+
+
+def _line_of(comment):
+    lines, start = inspect.getsourcelines(bivariate._gcd_primitive)
+    return start + next(i for i, text in enumerate(lines) if text.endswith(f"# {comment}\n"))
+
+
+# Primes in the hundreds, so that one prime cannot hold the gcd's
+# coefficients and a prime can divide what the inputs differ by.  They stay
+# above the number of points taken, so that no two points coincide modulo one.
+SMALL_PRIMES = [101, 103, 107, 109, 113, 127, 131, 137, 139, 149]
+
+
+@pytest.mark.parametrize("p, q, branch", [
+    # at x = 2 both cofactors are y - 2: the second point's image has degree 2
+    ("(y - x^3 - 200*x)*(y - x)", "(y - x^3 - 200*x)*(y - 2*x + 2)", "an unlucky point"),
+    # modulo 103, the second prime, y - 103 is y: its first image has degree 2
+    ("(y - 1000*x)*y", "(y - 1000*x)*(y - 103)", "an unlucky prime"),
+])
+def test_unlucky_points_and_primes_cost_another_one(monkeypatch, p, q, branch):
+    monkeypatch.setattr(bivariate, "_primes", lambda: iter(SMALL_PRIMES))
+    p, q = CurveGerm(p).poly, CurveGerm(q).poly
+    found, lines = _lines_run(lambda: bivariate.gcd(columns(p), columns(q)))
+    assert _line_of(branch) in lines
+    assert associated(as_poly(found), sympy.gcd(p, q))
 
 
 def test_a_long_repeated_factor_is_rejected_fast():

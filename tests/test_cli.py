@@ -133,6 +133,21 @@ def test_domain_errors_exit_1(call):
     )
 
 
+CONFIG_FLAG_ERRORS = [
+    (("config", "E8", "--smooth", "nodal"), "--smooth excludes a singularity type and --variant"),
+    (("kodaira", "--smooth", "nodal", "--variant", "transverse"),
+     "--smooth excludes a singularity type and --variant"),
+    (("config",), "give a singularity type or --smooth"),
+    (("lct-config",), "give a singularity type or --smooth"),
+]
+
+
+@pytest.mark.parametrize("argv, reason", CONFIG_FLAG_ERRORS,
+                         ids=[" ".join(argv) for argv, _ in CONFIG_FLAG_ERRORS])
+def test_conflicting_or_missing_config_flags_exit_1(call, argv, reason):
+    assert call(*argv, expect=1).err == f"InvalidSurfaceError: {reason}\n"
+
+
 # A germ or factor text past 80 characters is cut to 77 and "...", as the
 # parser's own errors are: at most three texts of 80 and a short frame each.
 LONG_TEXT_ERRORS = [

@@ -241,6 +241,32 @@ def test_unrecognized_configuration():
         kodaira_type(AnticanonicalConfiguration(comps, ()))
 
 
+# one configuration for each way kodaira_type rejects: the multiplicities of
+# D, E1, E2, ... and the meetings
+UNRECOGNIZED = [
+    ((1,), [Meeting(("D", "D"), contact=2)], "no single-component pattern matches"),
+    ((1, 1), [Meeting(("D",), cuspidal=True), Meeting(("D", "E1"))],
+     "cusp record in a multi-component configuration"),
+    ((1, 1, 1), [Meeting(("D", "E1"), contact=2), Meeting(("E1", "E2"))],
+     "tangency does not match the two-line pattern"),
+    ((1, 1, 1, 1), [Meeting(("D", "E1", "E2")), Meeting(("E2", "E3"))],
+     "triple point does not match the three-line pattern"),
+    ((1, 2, 1, 1), [Meeting(("D", "E1")), Meeting(("E1", "E2")), Meeting(("E1", "E3"))],
+     "I*_m needs 0 <= m <= 4 here"),  # a tree of four components, one double
+    ((1, 1), [Meeting(("D", "E1"))], "configuration matches no Kodaira pattern"),
+]
+
+
+@pytest.mark.parametrize("mults,meetings,reason", UNRECOGNIZED,
+                         ids=[reason for _, _, reason in UNRECOGNIZED])
+def test_each_unrecognized_pattern_is_typed(mults, meetings, reason):
+    comps = (Component("D", 1, "strict_transform"),) + tuple(
+        Component(f"E{i}", m, "exceptional") for i, m in enumerate(mults[1:], start=1))
+    with pytest.raises(UnrecognizedConfigurationError) as info:
+        kodaira_type(AnticanonicalConfiguration(comps, tuple(meetings)))
+    assert str(info.value) == reason
+
+
 def test_configuration_validation():
     with pytest.raises(InvalidConfigurationError):
         AnticanonicalConfiguration((Component("D", 2, "strict_transform"),), ())

@@ -13,6 +13,7 @@ since imported these modules.
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -32,6 +33,7 @@ LAZY = {
     "lct_germ": "lct",
     "lct_weighted_germs": "lct",
 }
+CORE = ("cycles", "dynkin", "errors", "rigidity", "surfaces")
 SPEC = json.dumps({"singularities": ["E7", "A1"], "cusp": "A1"})
 # what a fresh call with no tower and no line to factor leaves unloaded:
 # sympy, and the dataclasses module with inspect (and ast, dis, tokenize)
@@ -209,6 +211,26 @@ def test_every_public_name_resolves_and_is_listed():
     for name in delpezzo1.__all__:
         getattr(delpezzo1, name)
     assert set(delpezzo1.__all__) <= set(dir(delpezzo1))
+
+
+def test_all_lists_each_name_once_and_star_import_binds_exactly_it():
+    assert len(delpezzo1.__all__) == len(set(delpezzo1.__all__))
+    namespace = {}
+    exec("from delpezzo1 import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(delpezzo1.__all__)
+
+
+def test_each_core_module_declares_the_names_the_package_exports():
+    # the package's list is the five modules' lists and the engine's names;
+    # __init__.py itself names none of the modules' public names
+    core = [importlib.import_module(f"delpezzo1.{m}") for m in CORE]
+    declared = [name for module in core for name in module.__all__]
+    assert sorted(delpezzo1.__all__) == sorted(declared + list(LAZY))
+    for module in core:  # each declares only what it defines (a constant has no __module__)
+        for name in module.__all__:
+            assert getattr(getattr(module, name), "__module__", module.__name__) == module.__name__
+    source = Path(delpezzo1.__file__).read_text()
+    assert not [name for name in declared if re.search(rf"\b{name}\b", source)]
 
 
 def test_unknown_attribute_raises_plain_attribute_error():

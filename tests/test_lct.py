@@ -24,6 +24,7 @@ from delpezzo1.blowup import lct_of_branches
 from delpezzo1.cli import run
 from delpezzo1.dynkin import ALL_TYPES
 from delpezzo1.errors import (
+    DepthExceededError,
     InvalidGermError,
     NonSquarefreeError,
     NotQuasihomogeneousError,
@@ -102,6 +103,16 @@ def test_lct_weighted_germs_names_two_branches_with_a_common_factor(germs, share
     assert message.startswith("branches ") and " share the factor " in message
     i, j = [int(word) for word in message.split() if word.isdigit()][:2]
     assert sympy.gcd(CurveGerm(germs[i - 1][0]).expr, CurveGerm(germs[j - 1][0]).expr) != 1
+
+
+@pytest.mark.parametrize("germs", [
+    [("y^2 - x^127", 1), ("x", 1)],
+    [("y^2 - x^200", 2), ("y^2 - 2*x^200", 1)],
+], ids=["cusp-and-line", "two-binomials"])
+def test_coprime_branches_past_the_depth_cap_keep_its_error(germs):
+    # the branches share no factor, so the depth cap's error is raised again
+    with pytest.raises(DepthExceededError, match="exceeded depth"):
+        lct_weighted_germs(germs)
 
 
 def test_common_factor_error_shortens_long_branches():

@@ -138,6 +138,17 @@ def test_inverse_of_a_quadratic_element_by_hand():
         K.zero, K.convert(-1), -t, K.one, t]
 
 
+def test_coefficients_of_any_length_are_reduced_modulo_g():
+    K = NumberField((Fraction(-2), Fraction(0), Fraction(1)))  # Q(sqrt 2)
+    short, long = Element(K, (1,)), Element(K, (0, 0, 1))
+    # a short tuple is padded: the sum keeps t, and 1 is K.one
+    assert short + K.gen == K.one + K.gen and hash(short + K.gen) == hash(K.one + K.gen)
+    assert short == K.one and hash(short) == hash(K.one)
+    # a long one is reduced: t^2 = 2, and t^5 - t^3 = 4 t - 2 t
+    assert long == K.convert(2) and hash(long) == hash(K.convert(2))
+    assert Element(K, (0, 0, 0, -1, 0, 1)) == 2 * K.gen and Element(K, ()) == K.zero
+
+
 # A tower: K = Q[t]/(t^2 - a) extended by a root of v^2 - (b + c t), checked
 # irreducible over K by sympy.  Its field L has degree 4, and the map of K
 # into L must be a ring homomorphism that sends t to a root of t^2 - a and

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from delpezzo1 import surfaces
 from delpezzo1.errors import (
     AssumptionNotAssertedError,
     InvalidSurfaceError,
@@ -26,6 +27,7 @@ from delpezzo1.surfaces import (
     CUSP_AT_SMOOTH_POINT,
     NO_CUSPIDAL_MEMBER,
     SurfaceSpec,
+    ValidationReport,
     iter_valid_specs,
     tlct,
     validate,
@@ -154,6 +156,26 @@ def test_gate_rejects_invalid_fibers():
         rigidity_gate(fib(["E8", "A1"]), fib(["E8"]))
     with pytest.raises(InvalidSurfaceError):
         rigidity_gate(fib(["E8"]), fib(["A4", "A4", "A1"]))
+
+
+def test_each_fiber_is_validated_once(monkeypatch):
+    # validate builds one report per call, wherever it is called from
+    reports = []
+    monkeypatch.setattr(surfaces, "ValidationReport",
+                        lambda v: reports.append(v) or ValidationReport(v))
+    x, y = fib(["E7", "A1"]), fib(["A4"])
+    rigidity_gate(x, y)
+    assert len(reports) == 2
+    reports.clear()
+    possible_targets(x)
+    assert len(reports) == 1
+    # the failing side is named, with the reasons tlct gives
+    with pytest.raises(InvalidSurfaceError,
+                       match=r"^y fiber fails validation: rank sum 9 exceeds 8$"):
+        rigidity_gate(x, fib(["A4", "A4", "A1"]))
+    # an invalid fiber is reported before a missing assumption
+    with pytest.raises(InvalidSurfaceError, match=r"^x fiber fails validation: "):
+        possible_targets(fib(["E8", "A1"], one_complement=False))
 
 
 def test_gate_matches_arithmetic_on_all_valid_pairs():
