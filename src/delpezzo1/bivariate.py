@@ -3,6 +3,8 @@
 A polynomial is a list of columns, the coefficient of y^b at index b, each
 a dense list of ints in x as in univariate (constant term first, no
 trailing zero); the last column is nonzero and the zero polynomial is [].
+A germ's numerators are read as they are; the only Fractions here are in
+the gcds of contents in Z[x], Euclid's over Q made primitive (_gcd_x).
 
 gcd is Brown's dense modular algorithm (W. S. Brown, "On Euclid's algorithm
 and the computation of polynomial greatest common divisors", JACM 1971; von
@@ -21,7 +23,6 @@ from __future__ import annotations
 
 from itertools import count, islice, zip_longest
 from math import gcd as igcd
-from math import lcm
 from operator import mul
 from typing import Iterator
 
@@ -34,11 +35,10 @@ WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # Miller-Rabin, exact 
 
 
 def from_dict(d: dict) -> Poly:
-    """{(a, b): rational coefficient of x^a y^b} over Z, denominators cleared."""
-    den = lcm(*(c.denominator for c in d.values()))
+    """{(a, b): int coefficient of x^a y^b}, such as a germ's numerators, as columns."""
     columns: dict = {}
     for (a, b), c in d.items():
-        columns.setdefault(b, {})[a] = c.numerator * (den // c.denominator)
+        columns.setdefault(b, {})[a] = c
     return [univariate.from_dict(columns.get(b, {})) for b in range(max(columns) + 1)]
 
 
@@ -57,10 +57,7 @@ def derivative(p: Poly) -> Poly:
 
 
 def _integral(p: list) -> Poly:
-    """The columns p of rationals scaled to coprime ints, the top one positive."""
-    if any(type(c) is not int for col in p for c in col):
-        den = lcm(*(c.denominator for col in p for c in col))
-        p = [[c.numerator * (den // c.denominator) for c in col] for col in p]
+    """The columns p of ints divided by their content in Z, the top one positive."""
     g = igcd(*(c for col in p for c in col))
     if p[-1][-1] < 0:
         g = -g
@@ -78,32 +75,19 @@ def primitive(p: Poly) -> tuple[list, Poly]:
     if k:
         p = [col[k:] for col in p]
     content, *rest = sorted((col for col in p if col), key=len)
+    content = _integral([content])[0]
+    for col in rest:
+        if len(content) == 1:
+            break
+        content = _gcd_x(content, col)
     if len(content) > 1:
-        for col in rest:
-            content = univariate.gcd(content, col)
-            if len(content) == 1:
-                break
-    if len(content) > 1:
-        p = [univariate.divide(col, content)[0] for col in p]
-    return [0] * k + _integral([content])[0], _integral(p)
+        p = [univariate.exact_quotient(col, content) for col in p]
+    return [0] * k + content, _integral(p)
 
 
-def _exact_quotient(p: list, q: list) -> list | None:
-    """p / q in Z[x] when q divides p there, else None."""
-    rem = list(p)
-    if len(rem) < len(q):
-        return None if rem else []
-    quo = [0] * (len(rem) - len(q) + 1)
-    lead = q[-1]
-    for s in range(len(quo) - 1, -1, -1):
-        c, r = divmod(rem.pop(), lead)
-        if r:
-            return None
-        quo[s] = c
-        if c:
-            for j in range(len(q) - 1):
-                rem[s + j] -= c * q[j]
-    return None if any(rem) else quo
+def _gcd_x(a: list, b: list) -> list:
+    """gcd(a, b) in Z[x] for nonzero a, b: the monic gcd over Q, primitive over its denominator."""
+    return list(univariate.integral(univariate.gcd(a, b))[0])
 
 
 def divide(p: Poly, h: Poly) -> Poly | None:
@@ -119,7 +103,7 @@ def divide(p: Poly, h: Poly) -> Poly | None:
         return None
     quo: Poly = [[]] * (len(rem) - n)
     for s in range(len(quo) - 1, -1, -1):
-        c = _exact_quotient(rem.pop(), h[-1])
+        c = univariate.exact_quotient(rem.pop(), h[-1])
         if c is None:
             return None
         quo[s] = c
@@ -135,7 +119,7 @@ def gcd(p: Poly, q: Poly) -> Poly:
     cp, p = primitive(p)
     cq, q = primitive(q)
     h = _gcd_primitive(p, q) if len(p) > 1 and len(q) > 1 else ONE
-    c = _integral([univariate.gcd(cp, cq)])[0]
+    c = _gcd_x(cp, cq)
     return [univariate.mul(c, col) for col in h]
 
 
@@ -146,13 +130,13 @@ def repeated_factor(p: Poly) -> Poly:
     repeated in c divides g = gcd(c, c'), and one repeated in q divides
     g = gcd(q, q_y); in each case gcd(g, c/g), resp. gcd(g, q/g), is the
     product of the repeated factors (characteristic 0).  The content stays
-    exact and univariate, over Q.
+    univariate.
     """
     content, q = primitive(p)
     factor = [1]
-    g = univariate.gcd(content, univariate.derivative(content)) if len(content) > 2 else [1]
+    g = _gcd_x(content, univariate.derivative(content)) if len(content) > 2 else [1]
     if len(g) > 1:
-        factor = _integral([univariate.gcd(g, univariate.divide(content, g)[0])])[0]
+        factor = _gcd_x(g, univariate.exact_quotient(content, g))
     g = _gcd_primitive(q, derivative(q)) if len(q) > 2 else ONE
     if len(g) > 1:
         g = _gcd_primitive(g, divide(q, g))
@@ -289,8 +273,8 @@ def _gcd_primitive(p: Poly, q: Poly) -> Poly:
     every image before it.
     """
     lp, lq = p[-1], q[-1]
-    common = univariate.gcd(lp, lq) if len(lp) > 1 and len(lq) > 1 else [1]
-    gamma = [igcd(*lp, *lq) * c for c in _integral([common])[0]]
+    common = _gcd_x(lp, lq) if len(lp) > 1 and len(lq) > 1 else [1]
+    gamma = [igcd(*lp, *lq) * c for c in common]
     bound = len(gamma) + min(max(map(len, p)), max(map(len, q))) - 2
     width = max(map(len, p + q))
     degree = None  # least image degree seen

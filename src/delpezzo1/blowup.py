@@ -16,13 +16,16 @@ exceptional divisor being smooth.  Its points are the clusters of the chart
 x = u, y = u v, and one more centre: the origin of the chart x = u v, y = v.
 
 Polynomials are stored as dicts {(deg_x, deg_y): coefficient} over a
-field K, and every field under the resolution is Q (Fractions) or a number
-field Q[t]/(g) (numberfield.NumberField).  Points on one exceptional line
-are enumerated as Galois orbits: each irreducible factor of the
-restriction of the transform to the line is one cluster, blown up once on
-behalf of all its conjugate points, which carry identical (k, m) data.  A
-cluster of degree >= 2 gets a field only when it needs a blowup: K.extend
-gives Q[t]/(g) over Q, at the point t, and over a NumberField a tower.
+field K, and every field under the resolution is Q or a number field
+Q[t]/(g) (numberfield.NumberField).  Over Q an object is a primitive dict
+of ints, a curve being its polynomial up to a constant; only the cluster
+keys, and the gcds over Q that find them, are Fractions.  Points on one
+exceptional line are enumerated as Galois orbits: each irreducible factor
+of the restriction of the transform to the line is one cluster, blown up
+once on behalf of all its conjugate points, which carry identical (k, m)
+data.  A cluster of degree >= 2 gets a field only when it needs a blowup:
+K.extend gives Q[t]/(g) over Q, at the point t, and over a NumberField a
+tower.
 
 A cluster is keyed by the coefficient tuple of its monic factor over K,
 constant term first, so the point v = r is (-r, 1).  The clusters of a line
@@ -39,6 +42,7 @@ build a tower.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
@@ -55,7 +59,7 @@ DEPTH_CAP = 64
 
 
 class _Rationals:
-    """The field Q with Fraction elements, with the field interface of a NumberField."""
+    """The field Q, with the interface of a NumberField: Fractions in keys, ints in objects."""
 
     one = Fraction(1)
     zero = Fraction(0)
@@ -99,7 +103,14 @@ def _rational(c: Any) -> Fraction:
         raise InvalidGermError(f"coefficient {c!r} is not rational") from exc
 
 
-# a polynomial is a dict {(a, b): coeff} with coeff a nonzero element of K
+def _primitive(d: dict) -> dict:
+    """A nonzero dict of ints divided by the gcd of its values."""
+    g = math.gcd(*d.values())
+    return d if g == 1 else {k: c // g for k, c in d.items()}
+
+
+# a polynomial is a dict {(a, b): coeff}, coeff a nonzero element of K, and
+# over Q a primitive dict of ints: a curve is its polynomial up to a constant
 PolyDict = dict
 Field: TypeAlias = "_Rationals | NumberField"
 # An object through the current centre: a curve of weight w is (f, 0, w), an
@@ -181,18 +192,27 @@ def _lowest_form(d: PolyDict, mu: int) -> list:
 
 
 def _shift_y(d: PolyDict, theta: Any, K: Field) -> PolyDict:
-    """Substitute y -> y + theta, exactly, over K."""
+    """Substitute y -> y + theta, exactly, over K.
+
+    Over Q, by theta = a/q: f(x, y + a/q) q^top, top the degree in y, made primitive.
+    """
     if not theta:
         return dict(d)
-    powers = [K.one]
-    for _ in range(max(b for _, b in d)):
-        powers.append(powers[-1] * theta)
+    top = max(b for _, b in d)
+    if K is Q:
+        a, q = theta.numerator, theta.denominator
+        powers = [a**i * q ** (top - i) for i in range(top + 1)]
+    else:
+        powers = [K.one]
+        for _ in range(top):
+            powers.append(powers[-1] * theta)
     rows = {b: [math.comb(b, j) * powers[b - j] for j in range(b + 1)] for b in {b for _, b in d}}
     out: PolyDict = {}
     for (a, b), c in d.items():
-        for j, r in enumerate(rows[b]):  # r first: an Element takes a Fraction c directly
+        for j, r in enumerate(rows[b]):  # r first: an Element takes an int c directly
             out[a, j] = out.get((a, j), 0) + r * c
-    return {k: c for k, c in out.items() if c}
+    out = {k: c for k, c in out.items() if c}
+    return _primitive(out) if K is Q else out
 
 
 def _factor_on_line(p: univariate.Dense, K: Field) -> list[tuple]:
@@ -206,24 +226,37 @@ def _factor_on_line(p: univariate.Dense, K: Field) -> list[tuple]:
     return K.factor(p)
 
 
+def _through(p: tuple, polys: list[univariate.Dense], K: Field) -> list[int]:
+    """The indices of the polys that the monic cluster factor p divides.
+
+    Over Q, integral polys and p made primitive: exact division in Z[v] (Gauss's lemma).
+    """
+    if K is Q:
+        q = univariate.integral(p)[0]
+        return [i for i, f in enumerate(polys) if univariate.exact_quotient(f, q) is not None]
+    return [i for i, f in enumerate(polys) if not univariate.divide(f, p)[1]]
+
+
 def _line_clusters(lines: list[dict[int, Any]], K: Field) -> dict[tuple, list[int]]:
     """The clusters on an exceptional line through two objects, or through one object twice.
 
-    lines[i] is the restriction of object i to the line; each cluster maps
-    to the indices of the objects through it.  A cluster that one object
-    crosses simply is an SNC point: it is left out, so that it is neither
-    factored nor given a field.  With the powers of v taken out, the monic
-    factor of a linear restriction is read off and counted; of the
-    restrictions of degree >= 2 only the multiple roots of their product P,
-    the squarefree part of gcd(P, P'), are factored.  An object is through
-    a cluster when the cluster's factor divides its restriction exactly.
+    lines[i] is the restriction of object i to the line, integral over Q;
+    each cluster maps to the indices of the objects through it.  A cluster
+    that one object crosses simply is an SNC point: it is left out, so that
+    it is neither factored nor given a field.  With the powers of v taken
+    out, the monic factor of a linear restriction is read off and counted;
+    of the restrictions of degree >= 2 only the multiple roots of their
+    product P, the squarefree part of gcd(P, P'), are factored, over Q in
+    Fractions.  An object is through a cluster when the cluster's factor
+    divides its restriction exactly.
     """
+    dense = [univariate.from_dict(ud) for ud in lines]
     orders = [min(ud) for ud in lines]
-    rests = [univariate.from_dict({b - k: c for b, c in ud.items()}) for ud, k in zip(lines, orders)]
-    linear = Counter((r[0] / r[1], K.one) for r in rests if len(r) == 2)
+    rests = [f[k:] for f, k in zip(dense, orders)]
+    ratio = Fraction if K is Q else operator.truediv
+    linear = Counter((ratio(r[0], r[1]), K.one) for r in rests if len(r) == 2)
     higher = [r for r in rests if len(r) > 2]
-    keys = [p for p, n in linear.items()
-            if n > 1 or any(not univariate.evaluate(h, -p[0]) for h in higher)]
+    keys = [p for p, n in linear.items() if n > 1 or _through(p, higher, K)]
     if max(orders) > 1 or sum(k > 0 for k in orders) > 1:
         keys.append((K.zero, K.one))
     if higher:
@@ -234,9 +267,7 @@ def _line_clusters(lines: list[dict[int, Any]], K: Field) -> dict[tuple, list[in
                 repeated, univariate.derivative(repeated)))[0]
         # a linear restriction's factor among them is a key already
         keys += [p for p in _factor_on_line(repeated, K) if p not in linear]
-    return {p: [i for i, ud in enumerate(lines)
-                if not univariate.divide(univariate.from_dict(ud), p)[1]]
-            for p in keys}
+    return {p: _through(p, dense, K) for p in keys}
 
 
 def _cluster_point(p: tuple, K: Field) -> tuple[Any, Field, Callable[[Any], Any] | None]:
@@ -286,12 +317,12 @@ def _centres(objects: list[Object], k: int, m: int, K: Field) -> Iterator[tuple[
             through = [({key: conv(c) for key, c in d.items()}, k_i, m_i)
                        for d, k_i, m_i in through]
         through = [(_shift_y(d, theta, K2), k_i, m_i) for d, k_i, m_i in through]
-        yield through + [({(1, 0): K2.one}, k, m)], K2
+        yield through + [({(1, 0): 1 if K2 is Q else K2.one}, k, m)], K2
     # an object passes through the chart-2 origin iff x divides its tangent cone
     strict = [(_strict2(d, multiplicity(d)), k_i, m_i) for d, k_i, m_i in objects]
     through = [o for o in strict if (0, 0) not in o[0]]
     if through:
-        yield through + [({(0, 1): K.one}, k, m)], K
+        yield through + [({(0, 1): 1 if K is Q else K.one}, k, m)], K
 
 
 def _resolve(objects: list[Object], K: Field, depth: int) -> BlowupNode | None:
@@ -316,19 +347,21 @@ def _resolve(objects: list[Object], K: Field, depth: int) -> BlowupNode | None:
 
 
 def _validated(branches: Sequence[tuple[PolyDict, int]]) -> list[Object]:
-    """The branches as curve objects (f, 0, w), their coefficients Fractions, checked."""
+    """The branches as curve objects (f, 0, w), f made a primitive dict of ints, checked."""
     if not branches:
         raise InvalidGermError("at least one branch is required")
     cleaned = []
     for d, w in branches:
-        d = {k: _rational(c) for k, c in d.items() if c}
+        d = {k: c for k, c in d.items() if c}
+        if any(type(c) is not int for c in d.values()):  # over the common denominator
+            d = dict(zip(d, univariate.integral([_rational(c) for c in d.values()])[0]))
         if not d:
             raise InvalidGermError("zero polynomial is not a branch")
         if (0, 0) in d:
             raise InvalidGermError("branch does not vanish at the origin")
         if isinstance(w, bool) or not (isinstance(w, int) and w >= 1):
             raise InvalidGermError("weights must be positive integers")
-        cleaned.append((d, 0, w))
+        cleaned.append((_primitive(d), 0, w))
     return cleaned
 
 

@@ -452,10 +452,11 @@ def kodaira_type(c: AnticanonicalConfiguration) -> KodairaLabel:
         by_max = {2: ("I*", n - 5), 3: ("IV*", None), 4: ("III*", None), 6: ("II*", None)}
         if mmax in by_max:
             series, idx = by_max[mmax]
-            try:
-                label = KodairaLabel(series, idx)
-            except ValueError as exc:
-                raise UnrecognizedConfigurationError(str(exc)) from exc
+            if series == "I*" and not 0 <= idx <= 4:  # I*_0 to I*_4: 5 to 9 components
+                few = "few" if idx < 0 else "many"
+                raise UnrecognizedConfigurationError(
+                    f"{n} components are too {few} for largest multiplicity 2")
+            label = KodairaLabel(series, idx)
             if label.component_count == n:
                 return label
 

@@ -18,25 +18,29 @@ unicode minus) is read as "-" and whitespace is ignored.  Anything else
 (another name, a call, a negative or fractional exponent, a division by a
 polynomial) raises InvalidGermError.
 
-Products and powers are expanded exactly, under fixed limits checked before
-each multiplication from the sizes of its operands, so that no text can make
-the parser run long.  Going over a limit raises InvalidGermError.
+Text is expanded in integers: each value is integer numerators over one
+positive denominator in lowest terms, as numberfield.Element holds a number,
+and no Fraction is made.  Fixed limits, checked before each multiplication
+from the sizes of its operands, keep any text from making the parser run
+long; going over a limit raises InvalidGermError.
 
 - The total degree of a product, and every exponent, is at most MAX_DEGREE.
 - The term-by-term products formed over the whole text number at most
   MAX_TERMS.  A power of a monomial with coefficient 1, such as x^a, is
   built in one step and counts as one.
-- The coefficients of the two factors, the bits of the largest numerator
-  and of the common denominator counted together, have at most MAX_BITS
-  bits between them; so have a literal and the common denominator of a sum.
+- The coefficients of the two factors, the bits of the largest reduced
+  numerator and of the common denominator counted together, have at most
+  MAX_BITS bits between them (reduced only when the unreduced numerators
+  are over); so have a literal and the common denominator of a sum.
   Sums are linear in the text, so the germ itself has no bit limit, as for
   a germ built from a sympy expression.
 - Parentheses nest at most MAX_NESTING deep.
 
-A CurveGerm keeps the parser's dict, its coefficients made Fractions, and
-prints it as sympy.sstr does.  Its squarefree test, and the repeated
-factor that a rejection names, come from exact gcds over Z[x][y] computed
-modulo word-size primes (bivariate).  Nothing here imports sympy at module
+A CurveGerm keeps that integer form, nums over den, which the engine and
+the squarefree test read directly; native_dict is its Fraction view, and it
+prints as sympy.sstr does.  The squarefree test, and the repeated factor
+that a rejection names, come from exact gcds over Z[x][y] computed modulo
+word-size primes (bivariate).  Nothing here imports sympy at module
 level: it is loaded only by the sympy views .poly and .expr and by a germ
 given as a sympy expression.
 """
@@ -76,19 +80,27 @@ _NUMBER = re.compile(r"[0-9]+\.?[0-9]*|\.[0-9]+")
 _TOKEN = re.compile(_NUMBER.pattern + r"|\*\*|\S")
 _INTEGER = re.compile(r"[0-9]+")
 
-# a polynomial is a dict {(a, b): coefficient}, no zero stored; the parser
-# keeps an integral coefficient as an int, which multiplies faster than a
-# Fraction, and CurveGerm makes every coefficient a Fraction once
+# A polynomial is a pair (nums, den): a dict {(a, b): int} with no zero
+# stored and an int den > 0, in lowest terms (gcd(den, *nums) = 1), so that
+# it has one form; the coefficient of x^a y^b is nums[a, b]/den, and den is
+# the lcm of the coefficients' own denominators.
 
 
-def _bits(p: dict) -> int:
-    """Bits of the largest numerator plus those of the common denominator."""
-    num = max([abs(c.numerator) for c in p.values()], default=0)
-    return num.bit_length() + lcm(*[c.denominator for c in p.values()]).bit_length()
+def _bits(p: tuple, exact: bool) -> int:
+    """Bits of the largest numerator, reduced if exact (else a bound at no gcd), and of den."""
+    nums, den = p
+    tops = [abs(c) // gcd(c, den) for c in nums.values()] if exact else map(abs, nums.values())
+    return max(tops, default=0).bit_length() + den.bit_length()
 
 
-def _degree(p: dict) -> int:
-    return max((a + b for a, b in p), default=0)
+def _reduced(nums: dict, den: int) -> tuple:
+    """(nums, den) for den > 0 and no zero in nums, in lowest terms by one gcd."""
+    g = gcd(den, *nums.values())
+    return (nums, den) if g == 1 else ({k: c // g for k, c in nums.items()}, den // g)
+
+
+def _degree(p: tuple) -> int:
+    return max((a + b for a, b in p[0]), default=0)
 
 
 class _Parser:
@@ -96,7 +108,7 @@ class _Parser:
 
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _TOKEN.findall(text.replace("−", "-"))
+        self.tokens = _TOKEN.findall(text.replace("−", "-")) + [""]  # "" ends the text
         self.pos = 0
         self.nesting = 0
         self.products = 0
@@ -109,56 +121,59 @@ class _Parser:
         self.fail(f"expected {what}, found {repr(token) if token else 'the end'}")
 
     def peek(self) -> str:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else ""
+        return self.tokens[self.pos]
 
     def take(self) -> str:
         token = self.peek()
         self.pos += 1
         return token
 
-    def germ(self) -> dict:
+    def germ(self) -> tuple:
         value = self.sum()
-        if self.pos < len(self.tokens):
+        if self.peek():
             self.expected("an operator or the end")
         return value
 
-    def sum(self) -> dict:
-        value = self.product()
-        den = lcm(*(c.denominator for c in value.values()))
-        out = dict(value)
+    def sum(self) -> tuple:
+        out, den = self.product()  # a dict of its own, as every value here
         while self.peek() in ("+", "-"):
             sign = 1 if self.take() == "+" else -1
-            value = self.product()
+            nums, d = self.product()
             # bounds the size, hence the cost, of every addition below
-            den = lcm(den, *(c.denominator for c in value.values()))
-            if den.bit_length() > MAX_BITS:
+            common = lcm(den, d)
+            if common.bit_length() > MAX_BITS:
                 self.fail(f"a common denominator exceeds {MAX_BITS} bits")
-            for k, c in value.items():
-                out[k] = out.get(k, 0) + sign * c
-        return {k: c for k, c in out.items() if c}
+            if common != den:
+                out = {k: c * (common // den) for k, c in out.items()}
+                den = common
+            scale = sign * (den // d)
+            for k, c in nums.items():
+                out[k] = out.get(k, 0) + scale * c
+        return _reduced({k: c for k, c in out.items() if c}, den)
 
-    def product(self) -> dict:
+    def product(self) -> tuple:
         value = self.signed()
         while self.peek() in ("*", "/"):
             if self.take() == "*":
                 factor = self.signed()
             else:  # by a nonzero constant: multiply by its inverse
-                divisor = self.signed()
-                if set(divisor) != {(0, 0)}:
-                    self.fail("division by a non-constant" if divisor else "division by zero")
-                factor = {(0, 0): Fraction(1) / divisor[(0, 0)]}
+                nums, den = self.signed()
+                if set(nums) != {(0, 0)}:
+                    self.fail("division by a non-constant" if nums else "division by zero")
+                c = nums[0, 0]
+                factor = {(0, 0): den if c > 0 else -den}, abs(c)
             value = self.mul(value, factor)
         return value
 
-    def signed(self) -> dict:
+    def signed(self) -> tuple:
         sign = 1
         while self.peek() in ("+", "-"):
             if self.take() == "-":
                 sign = -sign
         value = self.power()
-        return value if sign > 0 else {k: -c for k, c in value.items()}
+        return value if sign > 0 else ({k: -c for k, c in value[0].items()}, value[1])
 
-    def power(self) -> dict:
+    def power(self) -> tuple:
         base = self.atom()
         exponents = []
         while self.peek() in ("^", "**"):
@@ -177,11 +192,12 @@ class _Parser:
             if n > MAX_DEGREE:
                 self.fail(f"exponent {n} exceeds {MAX_DEGREE}")
         if n == 0:
-            return {(0, 0): 1}
-        if list(base.values()) == [1]:  # a monomial such as x^a: one term product
-            ((a, b),) = base
+            return {(0, 0): 1}, 1
+        nums, den = base
+        if den == 1 and list(nums.values()) == [1]:  # a monomial such as x^a: one term product
+            ((a, b),) = nums
             self.charge((a + b) * n, 1)
-            return {(a * n, b * n): 1}
+            return {(a * n, b * n): 1}, 1
         result = None
         while n:  # square and multiply
             if n & 1:
@@ -191,12 +207,12 @@ class _Parser:
                 base = self.mul(base, base)
         return result
 
-    def atom(self) -> dict:
+    def atom(self) -> tuple:
         token = self.take()
         if token == "x":
-            return {(1, 0): 1}
+            return {(1, 0): 1}, 1
         if token == "y":
-            return {(0, 1): 1}
+            return {(0, 1): 1}, 1
         if token == "(":
             self.nesting += 1
             if self.nesting > MAX_NESTING:
@@ -211,13 +227,12 @@ class _Parser:
             if len(token) > MAX_BITS:  # before int() converts it
                 self.fail(f"a literal exceeds {MAX_BITS} bits")
             whole, _, frac = token.partition(".")
-            c = Fraction(int(whole + frac), 10 ** len(frac))
-            if c.denominator == 1:
-                c = c.numerator
-            value = {(0, 0): c} if c else {}
-            if _bits(value) > MAX_BITS:
+            c, den = int(whole + frac), 10 ** len(frac)
+            g = gcd(c, den)  # den when c = 0, the zero polynomial ({}, 1)
+            c, den = c // g, den // g
+            if c.bit_length() + den.bit_length() > MAX_BITS:
                 self.fail(f"a literal exceeds {MAX_BITS} bits")
-            return value
+            return {(0, 0): c} if c else {}, den
         self.pos -= 1
         self.expected("x, y, a number or '('")
 
@@ -229,28 +244,30 @@ class _Parser:
         if self.products > MAX_TERMS:
             self.fail(f"expansion exceeds {MAX_TERMS} term products")
 
-    def mul(self, p: dict, q: dict) -> dict:
-        if len(p) == len(q) == 1:  # two terms, such as 2/3 and x: one term product
-            ((a1, b1), c1), = p.items()
-            ((a2, b2), c2), = q.items()
+    def mul(self, p: tuple, q: tuple) -> tuple:
+        (pn, pd), (qn, qd) = p, q
+        if len(pn) == len(qn) == 1:  # two terms, such as 2/3 and x: one term product
+            ((a1, b1), c1), = pn.items()
+            ((a2, b2), c2), = qn.items()
             self.charge(a1 + b1 + a2 + b2, 1)
-            if sum(abs(c.numerator).bit_length() + c.denominator.bit_length()
-                   for c in (c1, c2)) > MAX_BITS:
+            if (abs(c1).bit_length() + pd.bit_length() + abs(c2).bit_length()
+                    + qd.bit_length() > MAX_BITS):  # a term in lowest terms: exact
                 self.fail(f"coefficients exceed {MAX_BITS} bits")
-            return {(a1 + a2, b1 + b2): c1 * c2}
-        self.charge(_degree(p) + _degree(q), len(p) * len(q))
-        if _bits(p) + _bits(q) > MAX_BITS:
+            return _reduced({(a1 + a2, b1 + b2): c1 * c2}, pd * qd)
+        self.charge(_degree(p) + _degree(q), len(pn) * len(qn))
+        if (_bits(p, False) + _bits(q, False) > MAX_BITS
+                and _bits(p, True) + _bits(q, True) > MAX_BITS):
             self.fail(f"coefficients exceed {MAX_BITS} bits")
         out: dict = {}
-        for (a1, b1), c1 in p.items():
-            for (a2, b2), c2 in q.items():
+        for (a1, b1), c1 in pn.items():
+            for (a2, b2), c2 in qn.items():
                 k = (a1 + a2, b1 + b2)
                 out[k] = out.get(k, 0) + c1 * c2
-        return {k: c for k, c in out.items() if c}
+        return _reduced({k: c for k, c in out.items() if c}, pd * qd)
 
 
-def _from_sympy(obj: Any) -> dict:
-    """The coefficient dict of a sympy Expr or Poly in x and y over Q.
+def _from_sympy(obj: Any) -> tuple:
+    """The (nums, den) of a sympy Expr or Poly in x and y over Q.
 
     Only a caller holding a sympy object gets here, so sympy is loaded already.
     """
@@ -265,8 +282,9 @@ def _from_sympy(obj: Any) -> dict:
     extra = p.free_symbols - set(gens)
     if extra:
         raise InvalidGermError(f"unexpected symbols {sorted(map(str, extra))}")
-    return {k: Fraction(int(c.numerator), int(c.denominator))
-            for k, c in p.as_dict(native=True).items()}
+    coeffs = p.as_dict(native=True)
+    den = lcm(*(int(c.denominator) for c in coeffs.values()))
+    return {k: int(c.numerator) * (den // int(c.denominator)) for k, c in coeffs.items()}, den
 
 
 def __getattr__(name: str) -> Any:
@@ -282,31 +300,38 @@ class CurveGerm:
     """A bivariate polynomial germ, validated to vanish at the origin.
 
     Germ text, another CurveGerm, or a sympy Expr or Poly in x and y (told
-    apart by its as_poly method).  The germ is its dict native_dict
-    {(a, b): Fraction} of the coefficients of x^a y^b; .poly and .expr are
-    sympy views of it, and reading one loads sympy.
+    apart by its as_poly method).  The germ is nums {(a, b): int} over den,
+    integer numerators over one positive denominator in lowest terms, the
+    engine's input (a curve is its polynomial up to a constant).
+    native_dict {(a, b): Fraction} is the coefficient of x^a y^b; .poly and
+    .expr are sympy views, and reading one loads sympy.
     """
 
     def __init__(self, poly: "CurveGerm | str | Any"):
         if isinstance(poly, CurveGerm):
-            self.native_dict = poly.native_dict
+            self.nums, self.den = poly.nums, poly.den
         elif isinstance(poly, str):
-            self.native_dict = {k: Fraction(c) for k, c in _Parser(poly).germ().items()}
+            self.nums, self.den = _Parser(poly).germ()
         elif hasattr(poly, "as_poly"):
-            self.native_dict = _from_sympy(poly)
+            self.nums, self.den = _from_sympy(poly)
         else:
             raise InvalidGermError(f"not a bivariate polynomial over Q: {poly!r}")
-        if not self.native_dict:
+        if not self.nums:
             raise InvalidGermError("the zero polynomial is not a germ")
-        if (0, 0) in self.native_dict:
+        if (0, 0) in self.nums:
             raise NotAtOriginError(f"germ {brief(self)} does not vanish at the origin")
+
+    @cached_property
+    def native_dict(self) -> dict:
+        """{(a, b): the Fraction coefficient of x^a y^b}."""
+        return {k: Fraction(c, self.den) for k, c in self.nums.items()}
 
     @cached_property
     def poly(self) -> Any:
         """The germ as a sympy Poly in x, y over QQ."""
         from sympy import QQ, Poly, Symbol
 
-        coeffs = {k: QQ(c.numerator, c.denominator) for k, c in self.native_dict.items()}
+        coeffs = {k: QQ(c, self.den) for k, c in self.nums.items()}
         return Poly.from_dict(coeffs, Symbol("x"), Symbol("y"), domain=QQ)
 
     @property
@@ -315,7 +340,7 @@ class CurveGerm:
 
     @cached_property
     def multiplicity(self) -> int:
-        return multiplicity(self.native_dict)
+        return multiplicity(self.nums)
 
     @cached_property
     def repeated_factor(self) -> dict | None:
@@ -326,7 +351,7 @@ class CurveGerm:
         over Z[x][y] (bivariate.repeated_factor); for a squarefree germ the
         first image modulo a prime is in practice the whole proof.
         """
-        factor = bivariate.repeated_factor(bivariate.from_dict(self.native_dict))
+        factor = bivariate.repeated_factor(bivariate.from_dict(self.nums))
         return None if factor == bivariate.ONE else bivariate.to_dict(factor)
 
     @cached_property
@@ -335,10 +360,10 @@ class CurveGerm:
         return self.repeated_factor is None
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, CurveGerm) and self.native_dict == other.native_dict
+        return isinstance(other, CurveGerm) and (self.nums, self.den) == (other.nums, other.den)
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.native_dict.items()))
+        return hash((frozenset(self.nums.items()), self.den))
 
     def __str__(self) -> str:
         return sstr(self.native_dict)
@@ -399,7 +424,7 @@ def classify_germ(g: "CurveGerm | str | Any") -> str:
     if mu > 2:
         return OTHER
     try:
-        lct = lct_of_branches([(germ.native_dict, 1)])
+        lct = lct_of_branches([(germ.nums, 1)])
     except DepthExceededError:
         return OTHER  # a node or a cusp resolves within three blowups
     return {Fraction(1): NODE, Fraction(5, 6): CUSP}.get(lct, OTHER)
@@ -413,7 +438,7 @@ def lct_quasihomogeneous(g: "CurveGerm | str | Any") -> Fraction:
     Raises NotQuasihomogeneous otherwise.
     """
     germ = ensure_squarefree(as_germ(g))
-    monos = sorted(germ.native_dict)
+    monos = sorted(germ.nums)
     a0, b0 = monos[0]
     deltas = [(a - a0, b - b0) for a, b in monos[1:]]
     if not deltas:

@@ -50,7 +50,7 @@ def _germs_of(germs: Sequence[tuple[CurveGerm | str, int]]) -> list[tuple[CurveG
 
 
 def _branches_of(germs: Sequence[tuple[CurveGerm | str, int]]):
-    return [(g.native_dict, w) for g, w in _germs_of(germs)]
+    return [(g.nums, w) for g, w in _germs_of(germs)]
 
 
 def lct_germ(g: CurveGerm | str) -> Fraction:
@@ -64,7 +64,7 @@ def _check_coprime(germs: list[tuple[CurveGerm, int]]) -> None:
     from .germs import brief, sstr
 
     for (i, (f, _)), (j, (g, _)) in combinations(enumerate(germs, start=1), 2):
-        common = bivariate.gcd(*(bivariate.from_dict(h.native_dict) for h in (f, g)))
+        common = bivariate.gcd(*(bivariate.from_dict(h.nums) for h in (f, g)))
         if common != bivariate.ONE:
             shared = brief(sstr(bivariate.to_dict(common)))
             raise NonSquarefreeError(
@@ -80,7 +80,7 @@ def lct_weighted_germs(germs: Sequence[tuple[CurveGerm | str, int]]) -> Fraction
     """
     checked = _germs_of(germs)
     try:
-        return lct_of_branches([(g.native_dict, w) for g, w in checked])
+        return lct_of_branches([(g.nums, w) for g, w in checked])
     except DepthExceededError:
         _check_coprime(checked)
         raise

@@ -38,7 +38,7 @@ class NumberField:
     def __init__(self, modulus: Sequence[Fraction]) -> None:
         self.modulus = tuple(modulus)
         self.degree = n = len(self.modulus) - 1
-        nums, self.low_den = _integral(self.modulus)
+        nums, self.low_den = univariate.integral(self.modulus)
         self.low = nums[:n]  # g = t^n + low/low_den
         self.zero = self.convert(0)
         self.one = self.convert(1)
@@ -197,7 +197,7 @@ class Element:
     __slots__ = ("field", "nums", "den")
 
     def __init__(self, field: NumberField, coeffs: Sequence) -> None:
-        nums, den = _integral(coeffs)
+        nums, den = univariate.integral(coeffs)
         e = field._reduce(list(nums) + [0] * (field.degree - len(nums)), den)
         self.field, self.nums, self.den = field, e.nums, e.den
 
@@ -336,15 +336,6 @@ class Element:
             last = pivot
         scale = self.den if last > 0 else -self.den
         return _reduced(field, [scale * D**j * rows[j][n] for j in range(n)], abs(last))
-
-
-def _integral(coeffs: Sequence) -> tuple[tuple[int, ...], int]:
-    """Rationals (ints, Fractions, sympy's QQ) as integer numerators over one denominator.
-
-    Over the least common denominator they are in lowest terms.
-    """
-    den = math.lcm(*(int(c.denominator) for c in coeffs))
-    return tuple(int(c.numerator) * (den // int(c.denominator)) for c in coeffs), den
 
 
 def _element(field: NumberField, nums: tuple, den: int) -> Element:

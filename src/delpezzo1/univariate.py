@@ -2,19 +2,21 @@
 
 A polynomial is a list of coefficients, constant term first, with no
 trailing zero; the zero polynomial is [].  The coefficients lie in a
-field under the blowup engine, Q (Fractions; ints are taken as rationals)
-or a numberfield.NumberField.  A zero is tested by truthiness, as such an
-element never compares equal to the int 0, and the int 0 that pads a list
-is only ever added to or multiplied, never divided by a field element.
-The line step of the blowup engine and the contents in bivariate are
-built from these gcds (von zur Gathen and Gerhard, Modern Computer
-Algebra, 2013, ch. 3 and 14).
+field under the blowup engine, Q (ints and Fractions, an int taken as a
+rational) or a numberfield.NumberField.  A zero is tested by truthiness,
+as such an element never compares equal to the int 0, and the int 0 that
+pads a list is only ever added to or multiplied, never divided by a field
+element.  The line step of the blowup engine and the contents in
+bivariate are built from these gcds, which over Q come out in Fractions
+(von zur Gathen and Gerhard, Modern Computer Algebra, 2013, ch. 3 and
+14); integral polynomials divide in Z[x] by exact_quotient.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Any
+from typing import Any, Sequence
 
 Dense = list
 
@@ -39,6 +41,12 @@ def from_dict(d: dict[int, Any]) -> Dense:
 def _inverse(c: Any) -> Any:
     """1/c in the field of the nonzero c, an int being a rational."""
     return Fraction(1, c) if isinstance(c, int) else c ** -1
+
+
+def integral(coeffs: Sequence) -> tuple[tuple[int, ...], int]:
+    """Rationals (ints, Fractions, sympy's QQ) as numerators over their lcm denominator."""
+    den = math.lcm(*(int(c.denominator) for c in coeffs))
+    return tuple(int(c.numerator) * (den // int(c.denominator)) for c in coeffs), den
 
 
 def derivative(p: Dense) -> Dense:
@@ -77,6 +85,24 @@ def divide(p: Dense, q: Dense) -> tuple[Dense, Dense]:
             for j in range(len(q) - 1):
                 rem[shift + j] -= c * q[j]
     return quo, trim(rem)
+
+
+def exact_quotient(p: Dense, q: Dense) -> Dense | None:
+    """p / q in Z[x] for ints p and a nonzero q, when q divides p there, else None."""
+    rem = list(p)
+    if len(rem) < len(q):
+        return None if rem else []
+    quo = [0] * (len(rem) - len(q) + 1)
+    lead = q[-1]
+    for s in range(len(quo) - 1, -1, -1):
+        c, r = divmod(rem.pop(), lead)
+        if r:
+            return None
+        quo[s] = c
+        if c:
+            for j in range(len(q) - 1):
+                rem[s + j] -= c * q[j]
+    return None if any(rem) else quo
 
 
 def monic(p: Dense) -> Dense:

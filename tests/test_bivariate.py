@@ -3,7 +3,6 @@
 import inspect
 import sys
 import time
-from fractions import Fraction
 
 import pytest
 import sympy
@@ -11,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import QQ, Poly
 
-from delpezzo1 import bivariate
+from delpezzo1 import bivariate, univariate
 from delpezzo1.errors import NonSquarefreeError
 from delpezzo1.germs import CurveGerm, ensure_squarefree, x, y
 
@@ -19,8 +18,9 @@ WIDE = 2**100  # coefficients wider than one 61-bit prime, so that the CRT runs
 
 
 def columns(poly):
-    return bivariate.from_dict({k: Fraction(int(c.numerator), int(c.denominator))
-                                for k, c in poly.as_dict(native=True).items()})
+    """A Poly over QQ as columns: from_dict takes ints, so its denominators are cleared."""
+    coeffs = poly.as_dict(native=True)
+    return bivariate.from_dict(dict(zip(coeffs, univariate.integral(list(coeffs.values()))[0])))
 
 
 def as_poly(cols):

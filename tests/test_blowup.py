@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -37,11 +38,28 @@ def test_strict_transform_charts():
     assert _strict2(cusp, 2) == {(0, 0): QQ(1), (3, 1): QQ(-1)}
 
 
+def _shifted_primitive(d, r):
+    """The oracle: f(x, y + r) by Fraction substitution, made a primitive dict of ints."""
+    out = {}
+    for (a, b), c in d.items():
+        for j in range(b + 1):
+            out[a, j] = out.get((a, j), 0) + c * math.comb(b, j) * Fraction(r) ** (b - j)
+    out = {k: c for k, c in out.items() if c}
+    nums, _ = univariate.integral(list(out.values()))
+    g = math.gcd(*nums)
+    return {k: n // g for k, n in zip(out, nums)}
+
+
 def test_shift_y_exact():
-    # (y+3)^2 - x = y^2 + 6y + 9 - x, over Q with the germ's Fractions
-    shifted = {(0, 2): Fraction(1), (0, 1): Fraction(6), (0, 0): Fraction(9), (1, 0): Fraction(-1)}
-    assert _shift_y(nd("y^2 - x"), Fraction(3), Q) == shifted
-    assert _shift_y(nd("x*y"), Fraction(0), Q) == nd("x*y")
+    # over Q an object is a primitive dict of ints, and so is its shift:
+    # (y + 3)^2 - x = y^2 + 6y + 9 - x, and (y + 1/2)^2 - x times 4
+    f = {(0, 2): 1, (1, 0): -1}
+    assert _shift_y(f, Fraction(3), Q) == {(0, 2): 1, (0, 1): 6, (0, 0): 9, (1, 0): -1}
+    assert _shift_y(f, Fraction(1, 2), Q) == {(0, 2): 4, (0, 1): 4, (0, 0): 1, (1, 0): -4}
+    assert _shift_y({(1, 1): 1}, Fraction(0), Q) == {(1, 1): 1}
+    for r in (Fraction(3), Fraction(1, 2), Fraction(-5, 6)):
+        d = {(0, 3): 6, (1, 1): -4, (2, 0): 9, (1, 2): 3}
+        assert _shift_y(d, r, Q) == _shifted_primitive(d, r)
     # rationals shifted by theta in Q[t]/(t^2 - 2) become elements, as the
     # rationals embedded first do: the engine maps no coefficient from Q
     K = NumberField((Fraction(-2), Fraction(0), Fraction(1)))
@@ -52,6 +70,42 @@ def test_shift_y_exact():
     assert all(type(c) is Element for c in shifted.values())
     # (y + theta)^3 = y^3 + 3 theta y^2 + 3 theta^2 y + theta^3
     assert [shifted[0, j] for j in range(4)] == [theta**3, 3 * theta**2, 3 * theta, K.one]
+
+
+_small = st.integers(-30, 30).filter(bool)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 5)), _small,
+                       min_size=1, max_size=8),
+       st.builds(Fraction, st.integers(-40, 40), st.integers(1, 40)))
+def test_shift_y_over_q_is_the_primitive_multiple_of_the_substitution(d, r):
+    g = math.gcd(*d.values())
+    d = {k: c // g for k, c in d.items()}  # primitive, as every object over Q
+    shifted = _shift_y(d, r, Q)
+    assert shifted == _shifted_primitive(d, r)
+    assert all(type(c) is int for c in shifted.values())
+
+
+def test_cluster_keys_over_q_are_fractions(monkeypatch):
+    # the objects over Q are integral, and a key is the monic factor over Q:
+    # Fraction(a, b), where a / b of two ints would be a float
+    clusters, keys = blowup._line_clusters, []
+
+    def checked(lines, K):
+        found = clusters(lines, K)
+        if K is Q:
+            assert all(type(c) is int for ud in lines for c in ud.values())
+            keys.extend(found)
+        return found
+
+    monkeypatch.setattr(blowup, "_line_clusters", checked)
+    for line in LINES:
+        if line["group"] == "rational":
+            assert entry(line["kind"], line["args"]) == {
+                k: v for k, v in line.items() if k != "group"}
+    assert len(keys) > 500
+    assert all(type(p) is tuple and all(type(c) is Fraction for c in p) for p in keys)
 
 
 def test_multiplicity_helper():
@@ -182,11 +236,11 @@ def _poly(coeffs, K):
 
 
 def _line(poly, K=Q):
-    """A univariate dict as the engine builds it: Fractions over Q, else elements of K."""
+    """A univariate dict as the engine builds it: integral over Q, else elements of K."""
     items = poly.as_dict(native=True).items()
     if K is not Q:
         return {b: K.from_anp(c) for (b,), c in items}
-    return {b: Fraction(int(c.numerator), int(c.denominator)) for (b,), c in items}
+    return dict(zip((b for (b,), _ in items), univariate.integral([c for _, c in items])[0]))
 
 
 def _sympy_factors(ud, K=Q):

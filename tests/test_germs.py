@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import subprocess
@@ -11,7 +12,12 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import QQ, Poly
-from sympy.parsing.sympy_parser import convert_xor, parse_expr, standard_transformations
+from sympy.parsing.sympy_parser import (
+    convert_xor,
+    parse_expr,
+    rationalize,
+    standard_transformations,
+)
 
 from delpezzo1.errors import (
     InvalidGermError,
@@ -179,10 +185,57 @@ def test_limits(text, accepted):
     assert ok == accepted and seconds < 0.25, seconds
 
 
+def _odd(bits):
+    """The largest number of exactly this many bits that is prime to 2, 3 and 5."""
+    n = 2**bits - 1
+    while n % 3 == 0 or n % 5 == 0:
+        n -= 2
+    return n
+
+
+def _edge_texts(over):
+    """Texts whose bit count is MAX_BITS + over: literals, products, a sum's denominator."""
+    n, d = str(_odd(MAX_BITS - (10**100).bit_length() + over)), 100  # n / 10^100
+    decimal = f"{n[:-d]}.{n[-d:]}"
+    q1, k = 2**600, 1
+    while math.lcm(q1, 3**k).bit_length() < MAX_BITS + over:
+        k += 1
+    while math.lcm(q1, 3**k).bit_length() > MAX_BITS + over:
+        q1 //= 2
+    return [
+        ("integer literal", f"x + {_odd(MAX_BITS - 1 + over)} - {_odd(MAX_BITS - 1 + over)}"),
+        ("decimal literal", f"x + {decimal} - {decimal}"),
+        # bits(a) + 2 and bits(b) + 3
+        ("product", f"(x/3 + {_odd(500)}*y)*(x/5 + {_odd(MAX_BITS - 505 + over)}*y)"),
+        # x/9 + m/3*y and x/10 + k/2*y: bits(m) + 4 and bits(k) + 4, reduced;
+        # the unreduced numerators 3m and 5k are over the limit in both texts
+        ("reduced product",
+         f"(x/9 + {3 * _odd(500)}/9*y)*(x/10 + {5 * _odd(MAX_BITS - 508 + over)}/10*y)"),
+        ("common denominator", f"x/{q1} + y/{3**k}"),
+    ]
+
+
+# the outcome of each text one bit over MAX_BITS, as the Fraction parser gave it
+_EDGE_REASONS = {"integer literal": "a literal exceeds", "decimal literal": "a literal exceeds",
+                 "product": "coefficients exceed", "reduced product": "coefficients exceed",
+                 "common denominator": "a common denominator exceeds"}
+
+
+@pytest.mark.parametrize("over", [0, 1], ids=["at-the-limit", "one-bit-over"])
+def test_bit_limit_at_its_edge(over):
+    for case, text in _edge_texts(over):
+        if over:
+            reason = re.escape(f"{_EDGE_REASONS[case]} {MAX_BITS} bits") + "$"
+            with pytest.raises(InvalidGermError, match=reason):
+                CurveGerm(text)
+        else:
+            assert CurveGerm(text).native_dict == _oracle_dict(text), case
+
+
 def test_power_of_a_monomial_is_one_term_product():
     # x^a, y^b and (x*y)^c are built in one step, after the degree check
     parser = _Parser("x^7*y^3 - (x*y)^2/2")
-    assert parser.germ() == {(7, 3): 1, (2, 2): Fraction(-1, 2)}
+    assert parser.germ() == ({(7, 3): 2, (2, 2): -1}, 2)  # integers over 2
     # one each: x^7, y^3, x^7*y^3, x*y, (x*y)^2 and the division by 2
     assert parser.products == 6
     with pytest.raises(InvalidGermError, match=f"degree 258 exceeds {MAX_DEGREE}"):
@@ -191,7 +244,7 @@ def test_power_of_a_monomial_is_one_term_product():
 
 def test_product_of_two_terms_is_one_term_product_under_the_same_limits():
     parser = _Parser("2/3*x^5*y")
-    assert parser.germ() == {(5, 1): Fraction(2, 3)}
+    assert parser.germ() == ({(5, 1): 2}, 3)
     # one each: 2/3, x^5, 2/3*x^5 and the product with y
     assert parser.products == 4
     with pytest.raises(InvalidGermError, match=f"degree 300 exceeds {MAX_DEGREE}"):
@@ -202,7 +255,7 @@ def test_product_of_two_terms_is_one_term_product_under_the_same_limits():
 
 # -- the parser against sympy's parse_expr as an oracle (tests only) ---------
 
-_ORACLE = standard_transformations + (convert_xor,)
+_ORACLE = standard_transformations + (convert_xor, rationalize)  # "0.1" is 1/10
 
 
 def _oracle_dict(text):
@@ -251,6 +304,38 @@ def test_parser_agrees_with_sympy_and_round_trips(d, data):
         germ = CurveGerm(text)
         assert germ.native_dict == _oracle_dict(text) == expected.as_dict(native=True), text
         assert CurveGerm(str(germ)) == germ
+
+
+# texts with decimals, divisions by constants, unary signs and nested powers;
+# sympy reads each decimal as the exact rational (rationalize) and expands
+_decimal = st.one_of(
+    st.builds("{}.{}".format, st.integers(0, 99), st.integers(0, 999)),
+    st.builds(".{}".format, st.integers(0, 999)), st.builds("{}.".format, st.integers(0, 99)))
+_literal = st.one_of(st.integers(0, 99).map(str), _decimal)
+_divisor = _literal.filter(lambda s: Fraction(s.rstrip(".") or "0"))
+_expression = st.recursive(
+    st.one_of(st.sampled_from(["x", "y"]), _literal),
+    lambda inner: st.one_of(
+        st.builds("{} {} {}".format, inner, st.sampled_from(["+", "-", "*"]), inner),
+        st.builds("({})/{}".format, inner, _divisor),
+        st.builds("{}({})".format, st.sampled_from(["-", "+", "--", "- +"]), inner),
+        st.builds("({})^{}".format, inner, st.integers(0, 3)),
+        st.builds("(({})^{})**{}".format, inner, st.integers(0, 2), st.integers(1, 2))),
+    max_leaves=8)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_expression)
+def test_parser_agrees_with_sympy_expand_in_lowest_terms(text):
+    expr = parse_expr(text, local_dict={"x": x, "y": y}, transformations=_ORACLE)
+    expected = Poly(sympy.expand(expr), x, y, domain=QQ).as_dict(native=True)
+    nums, den = _Parser(text).germ()
+    assert den > 0 and math.gcd(den, *nums.values()) == 1
+    assert all(type(c) is int and c for c in nums.values())
+    assert {k: Fraction(c, den) for k, c in nums.items()} == expected, text
+    if expected and (0, 0) not in expected:
+        germ = CurveGerm(text)
+        assert (germ.nums, germ.den) == (nums, den) and germ.native_dict == expected
 
 
 def test_round_trip_holds_past_the_bit_limit_over_a_common_denominator():

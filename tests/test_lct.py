@@ -24,6 +24,7 @@ from delpezzo1.blowup import lct_of_branches
 from delpezzo1.cli import run
 from delpezzo1.dynkin import ALL_TYPES
 from delpezzo1.errors import (
+    DelPezzoError,
     DepthExceededError,
     InvalidGermError,
     NonSquarefreeError,
@@ -46,6 +47,9 @@ from delpezzo1.lct import (
     lct_weighted_germs,
 )
 from delpezzo1.surfaces import iter_valid_specs, realizable_configurations
+
+from tests.data.make_resolution_corpus import engine_form
+from tests.test_resolution_corpus import LINES
 
 from .oracles import newton_edges, newton_lct
 
@@ -446,3 +450,36 @@ def test_newton_oracle_needs_nondegeneracy():
 def test_newton_oracle_agrees_with_the_engine(a, b, ca, cb, interior):
     # x^a and y^b make the germ convenient; up to three monomials inside
     _check_newton({**interior, (a, 0): ca, (0, b): cb})
+
+
+# -- a curve is its polynomial up to a constant: c*f resolves as f does ------
+
+
+def _corpus_germs(group):
+    texts = []
+    for line in LINES:
+        if line["group"] == group:
+            arg = line["args"][0]
+            texts += [arg] if isinstance(arg, str) else [g for g, _ in arg]
+    return sorted(set(texts))
+
+
+def _outcome(f, text):
+    try:
+        value = f(text)
+    except DelPezzoError as exc:
+        return type(exc).__name__
+    return [engine_form(root) for root in value] if f is germ_blowup_tree else value
+
+
+_scalars = st.builds(Fraction, st.integers(-10**6, 10**6).filter(bool), st.integers(1, 10**6))
+
+
+@pytest.mark.parametrize("group", ["algebraic", "demo", "heavy", "rational"])
+@settings(deadline=None, max_examples=20)
+@given(data=st.data(), c=_scalars)
+def test_a_germ_times_a_constant_resolves_as_the_germ(group, data, c):
+    text = data.draw(st.sampled_from(_corpus_germs(group)))
+    scaled = f"({c})*({text})"
+    for f in (lct_germ, classify_germ, germ_blowup_tree):
+        assert _outcome(f, scaled) == _outcome(f, text), (f.__name__, text, c)
