@@ -192,10 +192,7 @@ def _lowest_form(d: PolyDict, mu: int) -> list:
 
 
 def _shift_y(d: PolyDict, theta: Any, K: Field) -> PolyDict:
-    """Substitute y -> y + theta, exactly, over K.
-
-    Over Q, by theta = a/q: f(x, y + a/q) q^top, top the degree in y, made primitive.
-    """
+    """Substitute y -> y + theta over K; over Q, theta = a/q: f(x, y + a/q) q^deg_y, primitive."""
     if not theta:
         return dict(d)
     top = max(b for _, b in d)
@@ -227,11 +224,8 @@ def _factor_on_line(p: univariate.Dense, K: Field) -> list[tuple]:
 
 
 def _through(p: tuple, polys: list[univariate.Dense], K: Field) -> list[int]:
-    """The indices of the polys that the monic cluster factor p divides.
-
-    Over Q, integral polys and p made primitive: exact division in Z[v] (Gauss's lemma).
-    """
-    if K is Q:
+    """The indices of the polys that the monic cluster factor p divides (over Q, in Z[v])."""
+    if K is Q:  # p made primitive: Gauss's lemma
         q = univariate.integral(p)[0]
         return [i for i, f in enumerate(polys) if univariate.exact_quotient(f, q) is not None]
     return [i for i, f in enumerate(polys) if not univariate.divide(f, p)[1]]
@@ -298,6 +292,12 @@ def _is_snc(polys: list[PolyDict]) -> bool:
     return False
 
 
+def _monic_in_y(d: PolyDict) -> PolyDict:
+    """d divided by its coefficient at its largest key in (y, x) order, as germs are written."""
+    inverse = d[max(d, key=lambda ab: (ab[1], ab[0]))] ** -1
+    return {key: c * inverse for key, c in d.items()}
+
+
 def _centres(objects: list[Object], k: int, m: int, K: Field) -> Iterator[tuple[list, Field]]:
     """The centres on the new exceptional divisor E = (f, k, m) that may need a blowup.
 
@@ -313,8 +313,8 @@ def _centres(objects: list[Object], k: int, m: int, K: Field) -> Iterator[tuple[
     for p in sorted(clusters, key=lambda p: (len(p), p)):
         theta, K2, conv = _cluster_point(p, K)
         through = [strict[i] for i in clusters[p]]
-        if conv is not None:
-            through = [({key: conv(c) for key, c in d.items()}, k_i, m_i)
+        if conv is not None:  # monic in y first: sympy's embedding slows as numbers grow
+            through = [({key: conv(c) for key, c in _monic_in_y(d).items()}, k_i, m_i)
                        for d, k_i, m_i in through]
         through = [(_shift_y(d, theta, K2), k_i, m_i) for d, k_i, m_i in through]
         yield through + [({(1, 0): 1 if K2 is Q else K2.one}, k, m)], K2

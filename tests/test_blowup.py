@@ -57,8 +57,8 @@ def test_shift_y_exact():
     assert _shift_y(f, Fraction(3), Q) == {(0, 2): 1, (0, 1): 6, (0, 0): 9, (1, 0): -1}
     assert _shift_y(f, Fraction(1, 2), Q) == {(0, 2): 4, (0, 1): 4, (0, 0): 1, (1, 0): -4}
     assert _shift_y({(1, 1): 1}, Fraction(0), Q) == {(1, 1): 1}
+    d = {(0, 3): 6, (1, 1): -4, (2, 0): 9, (1, 2): 3}
     for r in (Fraction(3), Fraction(1, 2), Fraction(-5, 6)):
-        d = {(0, 3): 6, (1, 1): -4, (2, 0): 9, (1, 2): 3}
         assert _shift_y(d, r, Q) == _shifted_primitive(d, r)
     # rationals shifted by theta in Q[t]/(t^2 - 2) become elements, as the
     # rationals embedded first do: the engine maps no coefficient from Q
