@@ -489,6 +489,30 @@ def test_objects_over_a_number_field_hold_elements_only(monkeypatch):
     assert len(tacnodes) == 72 and len(fields) > 2 * len(tacnodes)
 
 
+def test_objects_enter_a_tower_monic_in_y(monkeypatch):
+    # a primitive object over Q carries the germ's common denominator in
+    # every coefficient; sympy's embedding into a tower slows as numbers
+    # grow, so each object is divided by its leading coefficient in y first
+    cluster_point, shift_y, entered = blowup._cluster_point, blowup._shift_y, []
+
+    def point(p, K):
+        theta, K2, conv = cluster_point(p, K)
+        if conv is not None:
+            entered.append(K2)
+        return theta, K2, conv
+
+    def shift(d, theta, K):
+        if entered and K is entered[-1]:
+            assert d[max(d, key=lambda ab: (ab[1], ab[0]))] == K.one
+        return shift_y(d, theta, K)
+
+    monkeypatch.setattr(blowup, "_cluster_point", point)
+    monkeypatch.setattr(blowup, "_shift_y", shift)
+    # the corpus's cusp product with c = 97/89: its primitive form is 89^4 y^8 + ...
+    (line,) = [line for line in LINES if "388/89*x^5*y^6" in line["args"][0]]
+    assert lct_germ(line["args"][0]) == Fraction(line["value"]) and entered
+
+
 def test_nodes_count_their_conjugate_points():
     # the tacnode's root is the origin; each node below it stands for the two
     # conjugate points over Q(sqrt 2), and the cusp product's deepest for four
