@@ -453,9 +453,8 @@ def kodaira_type(c: AnticanonicalConfiguration) -> KodairaLabel:
         if mmax in by_max:
             series, idx = by_max[mmax]
             if series == "I*" and not 0 <= idx <= 4:  # I*_0 to I*_4: 5 to 9 components
-                few = "few" if idx < 0 else "many"
-                raise UnrecognizedConfigurationError(
-                    f"{n} components are too {few} for largest multiplicity 2")
+                amount = "few" if idx < 0 else "many"
+                raise UnrecognizedConfigurationError(f"too {amount} components for multiplicity 2")
             label = KodairaLabel(series, idx)
             if label.component_count == n:
                 return label

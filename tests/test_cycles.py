@@ -252,7 +252,7 @@ UNRECOGNIZED = [
     ((1, 1, 1, 1), [Meeting(("D", "E1", "E2")), Meeting(("E2", "E3"))],
      "triple point does not match the three-line pattern"),
     ((1, 2, 1, 1), [Meeting(("D", "E1")), Meeting(("E1", "E2")), Meeting(("E1", "E3"))],
-     "4 components are too few for largest multiplicity 2"),  # a tree of four, one double
+     "too few components for multiplicity 2"),  # a tree of four components, one double
     ((1, 1), [Meeting(("D", "E1"))], "configuration matches no Kodaira pattern"),
 ]
 
