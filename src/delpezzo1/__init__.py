@@ -7,15 +7,17 @@ fibration pairs.  All arithmetic is exact (integers, fractions, algebraic
 numbers); nothing here floats.  Every field under a resolution is Q or a
 number field Q[t]/(g), numberfield.NumberField, towers included.
 
-Importing the package loads only the combinatorial core (dynkin, cycles,
-surfaces, rigidity, errors), which needs integers and Fraction alone; each
-of those modules declares its public names in __all__, and the package
-re-exports them.  Its records are plain classes on records.Record, so the
-package imports neither the standard library's data-class module nor
-inspect, and builds no method by exec.  The germ engine's public names, the
-keys of _LAZY, are resolved on first use: reading one of them imports its
-submodule and binds that submodule's names.  The engine's submodules
-(germs, blowup, lct) are package attributes the same way.
+Importing the package loads none of its submodules (PEP 562): every
+submodule is a package attribute, and every public name is bound, on first
+read, so a call loads only the modules it uses.  The first read of a name
+of the combinatorial core (dynkin, cycles, surfaces, rigidity, errors), of
+__all__ or of dir() imports those five modules, which need integers and
+Fraction alone and each declare their public names in __all__, and binds
+the names as a star import of each would.  The germ engine's public names,
+the keys of _LAZY, are bound per submodule (germs or lct), which loads
+errors and records but no other core module.  The records are plain
+classes on records.Record, so the package imports neither the standard
+library's data-class module nor inspect, and builds no method by exec.
 
 Germ text, squarefree tests, rejections and the blowups over Q and over
 one extension Q[t]/(g) need no sympy, so reading these names, lct_config,
@@ -28,15 +30,10 @@ views CurveGerm.poly and CurveGerm.expr.
 
 import importlib
 
-from . import cycles, dynkin, errors, rigidity, surfaces
-from .cycles import *
-from .dynkin import *
-from .errors import *
-from .rigidity import *
-from .surfaces import *
-
 __version__ = "0.1.0"
 
+# the combinatorial core: the modules whose __all__ the package re-exports
+_CORE_MODULES = ("cycles", "dynkin", "errors", "rigidity", "surfaces")
 # the germ engine, and its public names -> the submodule owning them
 _ENGINE_MODULES = ("germs", "blowup", "lct")
 _LAZY = {
@@ -48,28 +45,39 @@ _LAZY = {
     "lct_germ": "lct",
     "lct_weighted_germs": "lct",
 }
-
-__all__ = list(_LAZY)  # bound on first read, by __getattr__
-__all__ += cycles.__all__
-__all__ += dynkin.__all__
-__all__ += errors.__all__
-__all__ += rigidity.__all__
-__all__ += surfaces.__all__
+_SUBMODULES = (*_CORE_MODULES, *_ENGINE_MODULES,
+               "bivariate", "cli", "numberfield", "records", "univariate")
 
 
 def __getattr__(name: str):
-    if name in _ENGINE_MODULES:
+    # A submodule resolves first: `from . import bivariate` inside the package
+    # reads the name here before it imports the submodule, and must not load
+    # the core on the way.
+    if name in _SUBMODULES:
         return importlib.import_module(f".{name}", __name__)
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    # Bind every name of the submodule that was read, so that later reads are
-    # plain lookups; the other submodule stays unimported.
-    module = importlib.import_module(f".{_LAZY[name]}", __name__)
-    for lazy, owner in _LAZY.items():
-        if owner == _LAZY[name]:
-            globals()[lazy] = getattr(module, lazy)
-    return globals()[name]
+    if name in _LAZY:
+        # Bind every name of the submodule that was read, so that later reads
+        # are plain lookups; the other submodule stays unimported.
+        module = importlib.import_module(f".{_LAZY[name]}", __name__)
+        for lazy, owner in _LAZY.items():
+            if owner == _LAZY[name]:
+                globals()[lazy] = getattr(module, lazy)
+        return globals()[name]
+    if "__all__" not in globals():
+        # the first read of a core name, of __all__ or of dir(): bind the five
+        # modules' names, as `from .<module> import *` of each would
+        names = list(_LAZY)  # bound on first read, above
+        for module_name in _CORE_MODULES:
+            module = importlib.import_module(f".{module_name}", __name__)
+            globals().update((n, getattr(module, n)) for n in module.__all__)
+            names += module.__all__
+        globals()["__all__"] = names
+        if name in globals():
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list[str]:
+    if "__all__" not in globals():
+        __getattr__("__all__")
     return sorted(set(globals()) | set(_ENGINE_MODULES) | set(_LAZY))

@@ -22,15 +22,17 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .blowup import BlowupNode, blowup_tree, lct_of_branches
-from .cycles import AnticanonicalConfiguration
 from .errors import (
     DepthExceededError,
     NonSquarefreeError,
     UnrecognizedConfigurationError,
 )
+
+if TYPE_CHECKING:  # annotations only: a germ call loads no core module but errors and records
+    from .cycles import AnticanonicalConfiguration
 
 # local meeting models with their thresholds kept; a full sweep over every
 # realizable configuration of every valid spec meets 16 of them

@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from delpezzo1.cli import run
+from delpezzo1.cycles import POINT_VARIANTS, SMOOTH_VARIANTS
+from delpezzo1.surfaces import CUSP_DATA
 
 
 @pytest.fixture()
@@ -215,6 +217,46 @@ def test_usage_errors_exit_2(call):
     call(expect=2)
     call("cycle", expect=2)  # missing the type argument
     call("rigidity", "--x", "{}", expect=2)  # missing --y
+
+
+# the help of the package and of each subcommand at COLUMNS=80, captured
+# under Python 3.11 before the parser set up only the subcommand called
+HELP = json.loads((Path(__file__).parent / "data" / "cli_help.json").read_text())
+COMMANDS = [argv.split()[0] for argv in HELP if argv != "--help"]
+
+
+def test_help_lists_every_subcommand(call):
+    out = call("--help").out
+    assert len(COMMANDS) == 11
+    listed = [line.split()[0] for line in out.splitlines()
+              if line.startswith("    ") and not line[4].isspace()]
+    assert listed == COMMANDS
+
+
+@pytest.mark.parametrize("argv", list(HELP))
+def test_help_text_is_unchanged(call, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    out = call(*argv.split()).out
+    if sys.version_info[:2] == (3, 11):
+        assert out == HELP[argv]
+    else:  # another argparse may break the lines elsewhere
+        assert out.split() == HELP[argv].split()
+
+
+BAD_CHOICES = [
+    (("config", "A1", "--variant", "nope"), "--variant", POINT_VARIANTS),
+    (("lct-config", "--smooth", "nope"), "--smooth", SMOOTH_VARIANTS),
+    (("tlct", "--cusp", "nope"), "--cusp", CUSP_DATA),
+]
+
+
+@pytest.mark.parametrize("argv, flag, values", BAD_CHOICES, ids=[flag for _, flag, _ in BAD_CHOICES])
+def test_bad_choice_exits_2_naming_the_library_values(call, argv, flag, values):
+    line = call(*argv, expect=2).err.splitlines()[-1]
+    start = f"delpezzo1 {argv[0]}: error: argument {flag}: invalid choice: 'nope' (choose from "
+    assert line.startswith(start) and line.endswith(")")
+    # argparse quotes the values in some versions and not in others
+    assert [v.strip("'") for v in line[len(start):-1].split(", ")] == list(values)
 
 
 def test_json_and_text_agree(call):

@@ -5,7 +5,10 @@ combinatorial core (with the CLI) imports neither sympy nor the germ engine
 at module level, so that importing it never loads sympy.  Nor do germs,
 blowup and lct import sympy at module level, so that rational germs and
 lct_config run without it; blowup and lct do not import germs there either,
-so that lct_config never loads the germ parser.  Blowup never imports
+so that lct_config never loads the germ parser.  No module of the germ
+engine imports a combinatorial module (cycles, dynkin, surfaces, rigidity)
+at module level, and neither the package nor the CLI imports any submodule
+or json there, so that a call loads only what it runs.  Blowup never imports
 sympy; numberfield imports it only to build a field's sympy image, to
 factor a line and to build a tower; germs and lct, only for sympy input
 and the sympy views; the gcd modules never import it.  No module turns text into code: none
@@ -22,6 +25,9 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "delpezzo1"
 CORE = ("__init__", "records", "dynkin", "cycles", "surfaces", "rigidity", "errors", "cli")
 ENGINE = ("sympy", "delpezzo1.germs", "delpezzo1.blowup", "delpezzo1.lct")
 RATIONAL_ENGINE = ("blowup", "lct", "germs", "univariate", "bivariate", "numberfield")
+# the combinatorial modules a germ call never loads (errors and records it does)
+COMBINATORIAL = ("delpezzo1.cycles", "delpezzo1.dynkin", "delpezzo1.surfaces",
+                 "delpezzo1.rigidity")
 SYMPY_BACKED = ("sympy", "delpezzo1.germs")
 
 
@@ -42,9 +48,15 @@ def test_no_private_names_imported_across_modules(path):
 
 
 def _run_at_import(nodes):
-    """The nodes executed when the module is imported: all but function bodies."""
+    """The nodes executed when the module is imported.
+
+    All but function bodies and the body of `if TYPE_CHECKING:`.
+    """
     for node in nodes:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING":
+            yield from _run_at_import(node.orelse)
             continue
         yield node
         yield from _run_at_import(ast.iter_child_nodes(node))
@@ -79,6 +91,37 @@ def test_core_imports_no_sympy_at_module_level(name):
 def test_rational_engine_imports_no_sympy_or_germs_at_module_level(name):
     path = PACKAGE / f"{name}.py"
     assert list(_engine_imports(path.read_text(), path.name, SYMPY_BACKED)) == []
+
+
+@pytest.mark.parametrize("name", RATIONAL_ENGINE)
+def test_germ_engine_imports_no_combinatorial_module_at_module_level(name):
+    path = PACKAGE / f"{name}.py"
+    assert list(_engine_imports(path.read_text(), path.name, COMBINATORIAL)) == []
+
+
+def test_combinatorial_import_guard_skips_type_checking_blocks():
+    source = "\n".join([
+        "from typing import TYPE_CHECKING",
+        "from .errors import InvalidGermError",
+        "from .records import Record",
+        "if TYPE_CHECKING:",
+        "    from .cycles import AnticanonicalConfiguration",
+        "else:",
+        "    from . import dynkin",
+        "from .surfaces import tlct",
+        "def f():",
+        "    from .rigidity import rigidity_gate",
+    ])
+    assert list(_engine_imports(source, "m.py", COMBINATORIAL)) == [
+        "m.py:7 imports delpezzo1.dynkin",
+        "m.py:8 imports delpezzo1.surfaces",
+    ]
+
+
+@pytest.mark.parametrize("name", ["__init__", "cli"])
+def test_package_and_cli_import_no_submodule_or_json_at_module_level(name):
+    path = PACKAGE / f"{name}.py"
+    assert list(_engine_imports(path.read_text(), path.name, ("delpezzo1", "json"))) == []
 
 
 def test_engine_import_guard_names_the_offending_line():

@@ -34,21 +34,27 @@ LAZY = {
     "lct_weighted_germs": "lct",
 }
 CORE = ("cycles", "dynkin", "errors", "rigidity", "surfaces")
+SUBMODULES = sorted(path.stem for path in (SRC / "delpezzo1").glob("*.py")
+                    if path.stem != "__init__")
 SPEC = json.dumps({"singularities": ["E7", "A1"], "cusp": "A1"})
 # what a fresh call with no tower and no line to factor leaves unloaded:
 # sympy, and the dataclasses module with inspect (and ast, dis, tokenize)
 UNUSED = ("sympy", "dataclasses", "inspect")
 
 
-def loaded_after(code, *modules):
-    """Run `code` in a fresh interpreter; the set of `modules` in sys.modules at its end."""
+def fresh(code):
+    """Run `code` in a fresh interpreter; the words of the last line it prints."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    script = f"{code}\nimport sys\nprint(*(m for m in {modules!r} if m in sys.modules))"
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return set(proc.stdout.splitlines()[-1].split())
+    return proc.stdout.splitlines()[-1].split()
+
+
+def loaded_after(code, *modules):
+    """Run `code` in a fresh interpreter; the set of `modules` in sys.modules at its end."""
+    return set(fresh(f"{code}\nimport sys\nprint(*(m for m in {modules!r} if m in sys.modules))"))
 
 
 def cli_call(*argv):
@@ -97,6 +103,54 @@ def test_lct_config_subcommand_leaves_sympy_unloaded(argv):
 ], ids=lambda argv: argv[0])
 def test_germ_subcommands_leave_sympy_unloaded(argv):
     assert loaded_after(cli_call(*argv), *UNUSED) == set()
+
+
+def footprint(*argv):
+    """The submodules, and json and fractions if loaded, after one fresh CLI call."""
+    code = (
+        "import contextlib, io, runpy, sys\n"
+        f"sys.argv = ['delpezzo1', *{list(argv)!r}]\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):\n"
+        "    runpy.run_module('delpezzo1.cli', run_name='__main__')"
+    )
+    watched = [f"delpezzo1.{m}" for m in SUBMODULES] + ["json", "fractions"]
+    return {m.removeprefix("delpezzo1.") for m in loaded_after(code, *watched)}
+
+
+LABELS = {"dynkin", "errors", "records"}
+CONFIGS = LABELS | {"cycles"}
+SURFACES = CONFIGS | {"surfaces", "fractions"}
+FIBRATIONS = SURFACES | {"rigidity", "json"}
+GERMS = {"germs", "blowup", "bivariate", "univariate", "errors", "records", "fractions"}
+FOOTPRINTS = [
+    (("--help",), set()),
+    (("matrix", "E8"), LABELS),
+    (("matrix", "E8", "--json"), LABELS | {"json"}),
+    (("cycle", "E8", "--attachment"), CONFIGS),
+    (("config", "A1", "--variant", "tangential"), CONFIGS),
+    (("kodaira", "E8", "--json"), CONFIGS | {"json"}),
+    (("lct-germ", "y^2 - x^3"), GERMS | {"lct"}),
+    (("lct-germ", "x^2*y"), GERMS | {"lct"}),  # rejected, exit status 1
+    (("lct-germ", "y^2 - x^5", "--json"), GERMS | {"lct", "json"}),
+    (("classify", "x*y"), GERMS),
+    (("lct-config", "E8"), CONFIGS | {"lct", "blowup", "univariate", "fractions"}),
+    (("tlct", "--sings", "E7,A1"), SURFACES),
+    (("validate", "--sings", "E8,A1"), SURFACES),
+    (("rigidity", "--x", SPEC, "--y", SPEC), FIBRATIONS),
+    (("targets", "--x", SPEC), FIBRATIONS),
+]
+
+
+def test_import_loads_no_submodule():
+    watched = [f"delpezzo1.{m}" for m in SUBMODULES] + ["json", "fractions"]
+    assert loaded_after("import delpezzo1", *watched) == set()
+
+
+@pytest.mark.parametrize("argv, modules", FOOTPRINTS, ids=[" ".join(a[:2]) + " --json" * ("--json" in a) for a, _ in FOOTPRINTS])
+def test_cli_call_loads_only_what_its_subcommand_runs(argv, modules):
+    # the germ engine loads no combinatorial module but errors and records
+    assert footprint(*argv) == modules
+    assert ("json" in modules) == ("--json" in argv or argv[0] in ("rigidity", "targets"))
 
 
 def test_germ_with_an_irrational_cluster_loads_sympy():
@@ -204,6 +258,48 @@ def test_first_read_binds_its_own_module_names(first):
 def test_engine_submodule_is_a_package_attribute(name):
     assert getattr(delpezzo1, name) is importlib.import_module(f"delpezzo1.{name}")
     assert name in dir(delpezzo1)
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_every_submodule_is_a_package_attribute_on_first_read(name):
+    assert fresh(
+        "import sys, delpezzo1\n"
+        f"print(delpezzo1.{name} is sys.modules['delpezzo1.{name}'])"
+    ) == ["True"]
+
+
+@pytest.mark.parametrize("first", ["tlct", "DelPezzoError", "__all__"])
+def test_first_read_of_a_core_name_binds_every_core_name(first):
+    core = [importlib.import_module(f"delpezzo1.{m}") for m in CORE]
+    names = [name for module in core for name in module.__all__]
+    loaded = loaded_after(
+        "import delpezzo1\n"
+        f"delpezzo1.{first}\n"
+        f"assert set({names!r}) <= set(vars(delpezzo1))\n"
+        f"assert not set({sorted(LAZY)!r}) & set(vars(delpezzo1))",
+        "sympy", "delpezzo1.germs", "delpezzo1.lct",
+    )
+    assert loaded == set()
+
+
+# what `import delpezzo1` bound when it imported the five core modules: their
+# names, the modules with records, and the package's own public names
+EAGER_MODULES = ("blowup", "cycles", "dynkin", "errors", "germs", "lct", "records",
+                 "rigidity", "surfaces")
+DUNDERS = ("__all__", "__builtins__", "__cached__", "__dir__", "__doc__", "__file__",
+           "__getattr__", "__loader__", "__name__", "__package__", "__path__", "__spec__",
+           "__version__")
+
+
+def test_fresh_namespace_is_the_one_the_eager_import_had():
+    core = [importlib.import_module(f"delpezzo1.{m}") for m in CORE]
+    expected_all = list(LAZY) + [name for module in core for name in module.__all__]
+    assert fresh("import delpezzo1\nprint(*delpezzo1.__all__)") == expected_all
+    listed = fresh("import delpezzo1\nprint(*dir(delpezzo1))")
+    public = [n for n in listed if not n.startswith("_") or n.startswith("__")]
+    assert public == sorted([*expected_all, *EAGER_MODULES, "importlib", *DUNDERS])
+    bound = fresh("from delpezzo1 import *\nprint(*sorted(n for n in dir() if n[0] != '_'))")
+    assert bound == sorted(expected_all)
 
 
 def test_every_public_name_resolves_and_is_listed():
