@@ -4,9 +4,12 @@ The combinatorial core, lct_config, rational germ queries and germs whose
 irrational points lie in one extension of Q never load sympy; a point over
 such an extension that needs a further one (a tower) does.  A call that
 leaves sympy unloaded loads neither dataclasses nor inspect: the records
-are plain classes, so a fresh call pays for neither.
+are plain classes, so a fresh call pays for neither.  Importing the
+package loads no submodule, a CLI call loads only the modules its
+subcommand runs, and the names the package binds on first read are the
+ones its eager import bound.
 
-Each check runs in a fresh interpreter, because the test process has long
+Most checks run in a fresh interpreter, because the test process has long
 since imported these modules.
 """
 
@@ -36,6 +39,7 @@ LAZY = {
 CORE = ("cycles", "dynkin", "errors", "rigidity", "surfaces")
 SUBMODULES = sorted(path.stem for path in (SRC / "delpezzo1").glob("*.py")
                     if path.stem != "__init__")
+WATCHED = [f"delpezzo1.{m}" for m in SUBMODULES] + ["json", "fractions"]
 SPEC = json.dumps({"singularities": ["E7", "A1"], "cusp": "A1"})
 # what a fresh call with no tower and no line to factor leaves unloaded:
 # sympy, and the dataclasses module with inspect (and ast, dis, tokenize)
@@ -113,8 +117,7 @@ def footprint(*argv):
         "with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):\n"
         "    runpy.run_module('delpezzo1.cli', run_name='__main__')"
     )
-    watched = [f"delpezzo1.{m}" for m in SUBMODULES] + ["json", "fractions"]
-    return {m.removeprefix("delpezzo1.") for m in loaded_after(code, *watched)}
+    return {m.removeprefix("delpezzo1.") for m in loaded_after(code, *WATCHED)}
 
 
 LABELS = {"dynkin", "errors", "records"}
@@ -142,13 +145,12 @@ FOOTPRINTS = [
 
 
 def test_import_loads_no_submodule():
-    watched = [f"delpezzo1.{m}" for m in SUBMODULES] + ["json", "fractions"]
-    assert loaded_after("import delpezzo1", *watched) == set()
+    assert loaded_after("import delpezzo1", *WATCHED) == set()
 
 
-@pytest.mark.parametrize("argv, modules", FOOTPRINTS, ids=[" ".join(a[:2]) + " --json" * ("--json" in a) for a, _ in FOOTPRINTS])
+@pytest.mark.parametrize("argv, modules", FOOTPRINTS, ids=[
+    " ".join(argv[:2]) + " --json" * ("--json" in argv) for argv, _ in FOOTPRINTS])
 def test_cli_call_loads_only_what_its_subcommand_runs(argv, modules):
-    # the germ engine loads no combinatorial module but errors and records
     assert footprint(*argv) == modules
     assert ("json" in modules) == ("--json" in argv or argv[0] in ("rigidity", "targets"))
 
@@ -282,8 +284,8 @@ def test_first_read_of_a_core_name_binds_every_core_name(first):
     assert loaded == set()
 
 
-# what `import delpezzo1` bound when it imported the five core modules: their
-# names, the modules with records, and the package's own public names
+# the submodules dir() listed when `import delpezzo1` imported the five core
+# modules (records with them) and listed the engine's three by name
 EAGER_MODULES = ("blowup", "cycles", "dynkin", "errors", "germs", "lct", "records",
                  "rigidity", "surfaces")
 DUNDERS = ("__all__", "__builtins__", "__cached__", "__dir__", "__doc__", "__file__",
