@@ -377,8 +377,6 @@ class KodairaLabel(Record):
 
 
 def _connected(n_ids: set[str], edges: list[tuple[str, str]]) -> bool:
-    if not n_ids:
-        return True
     seen = {next(iter(sorted(n_ids)))}
     frontier = list(seen)
     while frontier:

@@ -180,8 +180,6 @@ def _det_int(rows: list[list[int]]) -> int:
     """Determinant of an integer matrix by fraction-free (Bareiss) elimination."""
     a = [row[:] for row in rows]
     n = len(a)
-    if n == 0:
-        return 1
     sign = 1
     prev = 1
     for k in range(n - 1):

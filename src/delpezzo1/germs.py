@@ -279,9 +279,6 @@ def _from_sympy(obj: Any) -> tuple:
         p = Poly(obj, *gens, domain=QQ)
     except (PolynomialError, CoercionFailed, GeneratorsError) as exc:
         raise InvalidGermError(f"not a bivariate polynomial over Q: {obj}") from exc
-    extra = p.free_symbols - set(gens)
-    if extra:
-        raise InvalidGermError(f"unexpected symbols {sorted(map(str, extra))}")
     coeffs = p.as_dict(native=True)
     den = lcm(*(int(c.denominator) for c in coeffs.values()))
     return {k: int(c.numerator) * (den // int(c.denominator)) for k, c in coeffs.items()}, den

@@ -51,13 +51,9 @@ def _germs_of(germs: Sequence[tuple[CurveGerm | str, int]]) -> list[tuple[CurveG
     return [(ensure_squarefree(as_germ(g)), w) for g, w in germs]
 
 
-def _branches_of(germs: Sequence[tuple[CurveGerm | str, int]]):
-    return [(g.nums, w) for g, w in _germs_of(germs)]
-
-
 def lct_germ(g: CurveGerm | str) -> Fraction:
     """Log canonical threshold of a squarefree germ at the origin."""
-    return lct_of_branches(_branches_of([(g, 1)]))
+    return lct_weighted_germs([(g, 1)])
 
 
 def _check_coprime(germs: list[tuple[CurveGerm, int]]) -> None:
@@ -90,7 +86,7 @@ def lct_weighted_germs(germs: Sequence[tuple[CurveGerm | str, int]]) -> Fraction
 
 def germ_blowup_tree(g: CurveGerm | str) -> list[BlowupNode]:
     """Resolution tree of a squarefree germ (root nodes; empty when SNC)."""
-    return blowup_tree(_branches_of([(g, 1)]))
+    return blowup_tree([(h.nums, w) for h, w in _germs_of([(g, 1)])])
 
 
 # local models for one meeting record, as branch dicts over Q
@@ -133,7 +129,7 @@ def lct_config(c: AnticanonicalConfiguration) -> Fraction:
     The minimum of the reciprocal multiplicities (the SNC answer) and of the
     engine values at every non-transverse meeting.
     """
-    best = min(Fraction(1, comp.multiplicity) for comp in c.components)
+    best = Fraction(1, c.max_multiplicity)
     for m in c.incidence:
         weights = tuple(c.multiplicity_of(cid) for cid in m.members)
         best = min(best, _meeting_lct(m.cuspidal, m.contact, weights))

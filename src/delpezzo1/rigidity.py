@@ -33,6 +33,7 @@ from .surfaces import (
     CUSP_AT_A1,
     CUSP_AT_A2,
     CUSP_AT_SMOOTH_POINT,
+    CUSPIDAL_MEMBERS,
     NO_CUSPIDAL_MEMBER,
     SurfaceSpec,
     tlct,
@@ -68,14 +69,6 @@ class FibrationSpec(Record):
     @property
     def missing_assumptions(self) -> tuple[str, ...]:
         return tuple(name for name in ASSUMPTIONS if not getattr(self, name))
-
-    def as_dict(self) -> dict:
-        out = {"fiber": self.fiber.as_dict()}
-        if self.missing_assumptions:
-            out["assumptions"] = {
-                name: getattr(self, name) for name in ASSUMPTIONS
-            }
-        return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "FibrationSpec":
@@ -267,15 +260,16 @@ def possible_targets(x: FibrationSpec | SurfaceSpec) -> list[TargetClass]:
 def source_constraints(y_class: TargetClass) -> tuple[str, ...]:
     """Cusp assertions forced on an all-An source by a given target class.
 
-    A target in the E6 class needs the source threshold at most 2/3, which
-    for An-only fibers means a member cusping at an A2 point; the E7 class
-    allows 3/4 as well, so a cusp at an A1 or an A2 point.
+    The source must satisfy tlct(S_X) <= 1 - tlct(S_Y).  An all-An source
+    below 1 has the threshold its cuspidal member forces (CUSPIDAL_MEMBERS),
+    so the answer is every cusp assertion whose threshold meets the bound:
+    for the E6 class (bound 2/3) a cusp at an A2 point, for the E7 class
+    (bound 3/4) a cusp at an A1 or an A2 point.
     """
-    if y_class.tlct_value == Fraction(1, 3):
-        return (CUSP_AT_A2,)
-    if y_class.tlct_value == Fraction(1, 4):
-        return (CUSP_AT_A1, CUSP_AT_A2)
-    raise UnsupportedClassError(
-        f"source constraints are defined for the E6 and E7 classes only, "
-        f"not {y_class.description!r}"
-    )
+    if y_class.tlct_value not in (Fraction(1, 3), Fraction(1, 4)):
+        raise UnsupportedClassError(
+            f"source constraints are defined for the E6 and E7 classes only, "
+            f"not {y_class.description!r}"
+        )
+    bound = 1 - y_class.tlct_value
+    return tuple(cusp for cusp, member in CUSPIDAL_MEMBERS.items() if member[2] <= bound)

@@ -11,6 +11,13 @@ and tlct() evaluates the total log canonical threshold
 
 by the priority table over singularity types, reporting the Kodaira fiber
 type of a minimizing member.
+
+Two rules of the classification are stated once, as tables that every
+function applying them reads: ADMITTED_NEIGHBOURS, the singularities that
+may sit beside an A8/D8/E8, A7/D7/E7 or E6 point (validate clauses (b)-(d)),
+and CUSPIDAL_MEMBERS, the cuspidal member each cusp assertion licenses with
+the threshold and fiber it forces (read by SurfaceSpec, tlct,
+realizable_configurations, iter_valid_specs and rigidity).
 """
 
 from __future__ import annotations
@@ -28,15 +35,13 @@ from .cycles import (
     ELLIPTIC,
     NODAL,
     ONE_POINT,
-    STANDARD,
     TANGENTIAL,
-    TRANSVERSE,
-    TWO_POINTS,
     AnticanonicalConfiguration,
     KodairaLabel,
+    allowed_variants,
     build_configuration,
 )
-from .dynkin import ALL_TYPES, DynkinType, as_dynkin, parse_dynkin
+from .dynkin import ALL_TYPES, DynkinType, as_dynkin
 from .errors import InvalidSurfaceError
 from .records import Record
 
@@ -47,7 +52,25 @@ CUSP_AT_A1 = "A1"
 CUSP_AT_A2 = "A2"
 CUSP_DATA = (NO_CUSPIDAL_MEMBER, CUSP_AT_SMOOTH_POINT, CUSP_AT_A1, CUSP_AT_A2)
 
+# cusp assertion -> the cuspidal member it licenses: the type of the point
+# it cusps at (None in the smooth locus), its contact variant there, and the
+# threshold and Kodaira fiber it forces when only A types are present
+CUSPIDAL_MEMBERS = {
+    CUSP_AT_SMOOTH_POINT: (None, CUSPIDAL, Fraction(5, 6), KodairaLabel("II")),
+    CUSP_AT_A1: ("A1", TANGENTIAL, Fraction(3, 4), KodairaLabel("III")),
+    CUSP_AT_A2: ("A2", ONE_POINT, Fraction(2, 3), KodairaLabel("IV")),
+}
+
 MAX_RANK_SUM = 8  # the minimal resolution has Picard rank 9
+
+# (clause, large point types, the types admitted beside one, reason): a
+# point of such a type allows at most one extra singularity, of an
+# admitted type; {} in the reason is the large point's label
+ADMITTED_NEIGHBOURS = (
+    ("b", ("A8", "D8", "E8"), (), "{} must be the unique singularity"),
+    ("c", ("A7", "D7", "E7"), ("A1",), "{} allows at most one extra singularity, of type A1"),
+    ("d", ("E6",), ("A1", "A2"), "{} allows at most one extra singularity, of type A1 or A2"),
+)
 
 
 class SurfaceSpec(Record):
@@ -69,11 +92,11 @@ class SurfaceSpec(Record):
             raise InvalidSurfaceError(
                 f"unknown cusp data {cusp_data!r}; choose from {CUSP_DATA}"
             )
-        for needed in ("A1", "A2"):
-            if cusp_data == needed and parse_dynkin(needed) not in types:
-                raise InvalidSurfaceError(
-                    f"cusp data {cusp_data!r} needs an {needed} singularity"
-                )
+        needed = CUSPIDAL_MEMBERS.get(cusp_data, (None,))[0]
+        if needed is not None and needed not in [t.label for t in types]:
+            raise InvalidSurfaceError(
+                f"cusp data {cusp_data!r} needs an {needed} singularity"
+            )
 
     @property
     def rank_sum(self) -> int:
@@ -145,36 +168,21 @@ def validate(s: SurfaceSpec) -> ValidationReport:
 
     (a) rank sum at most 8; (b) a rank-8 point is the unique singularity;
     (c) an A7/D7/E7 point allows at most one extra singularity, of type A1;
-    (d) an E6 point allows at most one extra, of type A1 or A2.  Passing
-    means "not excluded", not a guarantee that the surface exists.
+    (d) an E6 point allows at most one extra, of type A1 or A2; (b)-(d)
+    are the rows of ADMITTED_NEIGHBOURS.  Passing means "not excluded",
+    not a guarantee that the surface exists.
     """
     found: list[tuple[str, str]] = []
     if s.rank_sum > MAX_RANK_SUM:
         found.append(
             ("a", f"rank sum {s.rank_sum} exceeds {MAX_RANK_SUM}")
         )
-    counts: dict[str, int] = {}
-    for t in s.singularities:
-        counts[t.label] = counts.get(t.label, 0) + 1
-    total = len(s.singularities)
-    for label in ("A8", "D8", "E8"):
-        if counts.get(label) and total > 1:
-            found.append(("b", f"{label} must be the unique singularity"))
-    for label in ("A7", "D7", "E7"):
-        if counts.get(label):
-            extras = total - 1
-            extra_a1 = counts.get("A1", 0)
-            if extras > 1 or extras != extra_a1:
-                found.append(
-                    ("c", f"{label} allows at most one extra singularity, of type A1")
-                )
-    if counts.get("E6"):
-        extras = total - 1
-        allowed = counts.get("A1", 0) + counts.get("A2", 0)
-        if extras > 1 or extras != allowed:
-            found.append(
-                ("d", "E6 allows at most one extra singularity, of type A1 or A2")
-            )
+    labels = s.labels
+    extras = len(labels) - 1
+    for clause, large, admitted, reason in ADMITTED_NEIGHBOURS:
+        for label in large:
+            if label in labels and (extras > 1 or extras != sum(map(labels.count, admitted))):
+                found.append((clause, reason.format(label)))
     return ValidationReport(tuple(found))
 
 
@@ -218,12 +226,9 @@ def tlct(s: SurfaceSpec) -> TlctResult:
     d_ranks = s.ranks_of("D")
     if d_ranks:
         return TlctResult(Fraction(1, 2), KodairaLabel("I*", max(d_ranks) - 4))
-    if s.cusp_data == CUSP_AT_A2:
-        return TlctResult(Fraction(2, 3), KodairaLabel("IV"))
-    if s.cusp_data == CUSP_AT_A1:
-        return TlctResult(Fraction(3, 4), KodairaLabel("III"))
-    if s.cusp_data == CUSP_AT_SMOOTH_POINT:
-        return TlctResult(Fraction(5, 6), KodairaLabel("II"))
+    member = CUSPIDAL_MEMBERS.get(s.cusp_data)
+    if member is not None:
+        return TlctResult(member[2], member[3])
     a_ranks = s.ranks_of("A")
     if a_ranks:
         return TlctResult(Fraction(1), KodairaLabel("I", max(a_ranks) + 1))
@@ -233,25 +238,19 @@ def tlct(s: SurfaceSpec) -> TlctResult:
 def realizable_configurations(s: SurfaceSpec) -> Iterator[AnticanonicalConfiguration]:
     """Anticanonical-member configurations the spec admits.
 
-    One configuration per singular point (with the degenerate A1/A2
-    variants only when the cusp assertion licenses them) plus the
-    smooth-locus members.  tlct(s) is the minimum of lct_config over these.
+    The smooth-locus members, the first allowed variant at each singular
+    point, and the variant the cusp assertion licenses at its point
+    (CUSPIDAL_MEMBERS).  tlct(s) is the minimum of lct_config over these.
     """
     yield build_configuration(smooth=ELLIPTIC)
     yield build_configuration(smooth=NODAL)
     if s.cusp_data != NO_CUSPIDAL_MEMBER:
         yield build_configuration(smooth=CUSPIDAL)
+    member = CUSPIDAL_MEMBERS.get(s.cusp_data, (None,))
     for t in sorted(set(s.singularities)):
-        if t.label == "A1":
-            yield build_configuration([(t, TRANSVERSE)])
-            if s.cusp_data == CUSP_AT_A1:
-                yield build_configuration([(t, TANGENTIAL)])
-        elif t.label == "A2":
-            yield build_configuration([(t, TWO_POINTS)])
-            if s.cusp_data == CUSP_AT_A2:
-                yield build_configuration([(t, ONE_POINT)])
-        else:
-            yield build_configuration([(t, STANDARD)])
+        yield build_configuration([(t, allowed_variants(t)[0])])
+        if t.label == member[0]:
+            yield build_configuration([(t, member[1])])
 
 
 def _multisets(budget: int, pool: tuple[DynkinType, ...]) -> Iterator[tuple]:
@@ -268,8 +267,9 @@ def iter_valid_specs() -> Iterator[SurfaceSpec]:
     """Every SurfaceSpec passing validate, with every compatible cusp assertion."""
     for types in _multisets(MAX_RANK_SUM, tuple(ALL_TYPES)):
         labels = {t.label for t in types}
-        cusps = [NO_CUSPIDAL_MEMBER, CUSP_AT_SMOOTH_POINT]
-        cusps += [c for c in (CUSP_AT_A1, CUSP_AT_A2) if c in labels]
+        cusps = [NO_CUSPIDAL_MEMBER]
+        cusps += [c for c, member in CUSPIDAL_MEMBERS.items()
+                  if member[0] is None or member[0] in labels]
         for cusp in cusps:
             s = SurfaceSpec(types, cusp)
             if validate(s):

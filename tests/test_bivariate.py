@@ -89,6 +89,14 @@ def test_repeated_factor_examples(text, repeated):
                           repeated_by_factor_list(germ.poly))
 
 
+def test_a_divisor_of_higher_degree_in_y_does_not_divide():
+    line = bivariate.from_dict({(1, 0): 1, (0, 1): 1})  # x + y
+    conic = bivariate.from_dict({(0, 2): 1, (1, 0): 1})  # y^2 + x
+    product = bivariate.from_dict({(1, 2): 1, (2, 0): 1, (0, 3): 1, (1, 1): 1})
+    assert bivariate.divide(line, conic) is None
+    assert bivariate.divide(product, conic) == line
+
+
 def test_primes_follow_the_mersenne_prime_downwards():
     primes = bivariate._primes()
     expected = [2**61 - 1]

@@ -17,10 +17,12 @@ from delpezzo1.cycles import (
     build_configuration,
     fundamental_cycle,
     kodaira_type,
+    _laufer,
 )
 from delpezzo1.dynkin import ALL_TYPES, intersection_matrix, parse_dynkin
 from delpezzo1.errors import (
     InvalidConfigurationError,
+    NonTerminationError,
     OutOfRangeError,
     UnrecognizedConfigurationError,
     VariantMismatchError,
@@ -105,6 +107,12 @@ def test_start_node_independence(t):
     base = fundamental_cycle(t).coeffs
     for start in range(1, t.rank + 1):
         assert fundamental_cycle(t, start=start).coeffs == base
+
+
+def test_cycle_iteration_stops_at_its_cap_on_a_matrix_not_negative_definite():
+    # Z . E_1 = 2 Z stays positive, so the iteration never settles
+    with pytest.raises(NonTerminationError, match="did not settle within 50 steps"):
+        _laufer(((2,),), 0)
 
 
 @pytest.mark.parametrize("start", [0, -1, 9, 99])
@@ -283,6 +291,10 @@ def test_configuration_validation():
         Meeting(("D", "E1", "E2"), contact=2)
     with pytest.raises(InvalidConfigurationError):
         Meeting(("D",))
+    c = build_configuration([("A2", TWO_POINTS)])
+    assert c.multiplicity_of("E2") == 1
+    with pytest.raises(KeyError):
+        c.multiplicity_of("E3")
 
 
 @pytest.mark.parametrize("bad", [1.5, True, 2.0, "2", None])

@@ -22,6 +22,7 @@ def test_parse_valid_labels():
     assert parse_dynkin("a3") == DynkinType("A", 3)
     assert parse_dynkin("e8") == DynkinType("E", 8)
     assert parse_dynkin(" D5 ") == DynkinType("D", 5)
+    assert str(parse_dynkin("e8")) == "E8"
 
 
 def test_parse_out_of_range():
@@ -59,6 +60,9 @@ def test_all_types_enumeration():
 def test_a2_matrix_example():
     m = intersection_matrix(parse_dynkin("A2"))
     assert m.entries == ((-2, 1), (1, -2))
+    assert m.dot([1, 1]) == [-1, -1]
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        m.dot([1, 1, 1])
 
 
 def test_matrix_shape_for_all_types():

@@ -136,6 +136,8 @@ def test_inverse_of_a_quadratic_element_by_hand():
     # highest power first: (), (-1), (-1, 0), (1), (1, 0)
     assert sorted([t, -t, K.one, K.zero, K.convert(-1)]) == [
         K.zero, K.convert(-1), -t, K.one, t]
+    assert repr(K) == "NumberField(-2 + 1*t^2)"
+    assert repr((1 + t) / 3) == "Element(1/3 + 1/3*t mod -2 + 1*t^2)"
 
 
 def test_coefficients_of_any_length_are_reduced_modulo_g():

@@ -11,6 +11,7 @@ from delpezzo1.surfaces import (
     CUSP_AT_A1,
     CUSP_AT_A2,
     CUSP_AT_SMOOTH_POINT,
+    CUSPIDAL_MEMBERS,
     NO_CUSPIDAL_MEMBER,
     SurfaceSpec,
     iter_valid_specs,
@@ -18,7 +19,7 @@ from delpezzo1.surfaces import (
     tlct,
     validate,
 )
-from delpezzo1.cycles import kodaira_type
+from delpezzo1.cycles import KodairaLabel, build_configuration, kodaira_type
 
 
 def spec(labels, cusp=NO_CUSPIDAL_MEMBER):
@@ -32,6 +33,8 @@ def test_spec_construction():
     assert s.cusp_data == NO_CUSPIDAL_MEMBER
     assert spec([]).rank_sum == 0
     assert spec([parse_dynkin("D5")]).labels == ("D5",)
+    assert str(spec(["E7", "A1"], CUSP_AT_A1)) == "{A1, E7}/A1"
+    assert str(spec([], CUSP_AT_SMOOTH_POINT)) == "{smooth}/smooth"
 
 
 def test_spec_round_trip():
@@ -110,6 +113,31 @@ def test_validate_rejects(labels, clause):
     assert clause in report.clauses
 
 
+# every violation validate reports, in order, with its reason
+VIOLATIONS = {
+    ("A8", "A1"): [("a", "rank sum 9 exceeds 8"), ("b", "A8 must be the unique singularity")],
+    ("D8",): [],
+    ("D8", "E8"): [("a", "rank sum 16 exceeds 8"), ("b", "D8 must be the unique singularity"),
+                   ("b", "E8 must be the unique singularity")],
+    ("E7", "A1"): [],
+    ("E7", "A2"): [("a", "rank sum 9 exceeds 8"),
+                   ("c", "E7 allows at most one extra singularity, of type A1")],
+    ("A7", "A1", "A1"): [("a", "rank sum 9 exceeds 8"),
+                         ("c", "A7 allows at most one extra singularity, of type A1")],
+    ("E7", "E6"): [("a", "rank sum 13 exceeds 8"),
+                   ("c", "E7 allows at most one extra singularity, of type A1"),
+                   ("d", "E6 allows at most one extra singularity, of type A1 or A2")],
+    ("E6", "A2"): [],
+    ("E6", "A1", "A1"): [("d", "E6 allows at most one extra singularity, of type A1 or A2")],
+}
+
+
+@pytest.mark.parametrize("labels,violations", VIOLATIONS.items(),
+                         ids=["+".join(labels) for labels in VIOLATIONS])
+def test_validate_reports_each_clause_with_its_reason(labels, violations):
+    assert list(validate(spec(labels)).violations) == violations
+
+
 def test_validate_report_shape():
     report = validate(spec(["E8", "E8"]))
     assert set(report.clauses) == {"a", "b"}
@@ -136,6 +164,31 @@ TLCT_TABLE = [
     (["A2", "A4"], NO_CUSPIDAL_MEMBER, Fraction(1), "I5"),
     ([], NO_CUSPIDAL_MEMBER, Fraction(1), "I0"),
 ]
+
+
+# the cuspidal member each cusp assertion licenses: the point it cusps at,
+# its variant there, and the threshold and fiber the engine computes for it
+CUSPIDAL_MEMBER_ROWS = [
+    (CUSP_AT_SMOOTH_POINT, None, "cuspidal", Fraction(5, 6), "II"),
+    (CUSP_AT_A1, "A1", "tangential", Fraction(3, 4), "III"),
+    (CUSP_AT_A2, "A2", "one-point", Fraction(2, 3), "IV"),
+]
+
+
+@pytest.mark.parametrize("cusp,point,variant,value,fiber", CUSPIDAL_MEMBER_ROWS,
+                         ids=[row[0] for row in CUSPIDAL_MEMBER_ROWS])
+def test_each_cuspidal_member_forces_its_threshold_and_fiber(cusp, point, variant, value, fiber):
+    if point is None:
+        c = build_configuration(smooth=variant)
+    else:
+        c = build_configuration([(point, variant)])
+    assert (lct_config(c), kodaira_type(c).text) == (value, fiber)
+    assert CUSPIDAL_MEMBERS[cusp] == (point, variant, value, KodairaLabel(fiber))
+
+
+def test_cuspidal_members_run_from_the_smooth_point_to_the_worst_cusp():
+    # iter_valid_specs and source_constraints list cusp assertions in this order
+    assert list(CUSPIDAL_MEMBERS) == [CUSP_AT_SMOOTH_POINT, CUSP_AT_A1, CUSP_AT_A2]
 
 
 @pytest.mark.parametrize("labels,cusp,value,kodaira", TLCT_TABLE)
