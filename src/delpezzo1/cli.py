@@ -40,7 +40,7 @@ def _load_fibration(text: str):
 
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax, deep nesting, a huge int
         raise InvalidSurfaceError(f"not valid JSON: {exc}") from exc
     return FibrationSpec.from_dict(data)
 

@@ -33,6 +33,12 @@ _RANK_RANGE = {"A": (1, 8), "D": (4, 8), "E": (6, 8)}
 _LABEL_RE = re.compile(r"([ADEade])([0-9]+)")
 
 
+def _out_of_range(kind: str, rank: object) -> OutOfRangeError:
+    lo, hi = _RANK_RANGE[kind]
+    return OutOfRangeError(
+        f"{kind}{rank} is not admissible: {kind}-series rank must lie in [{lo}, {hi}]")
+
+
 @total_ordering
 class DynkinType(Record):
     """One of the sixteen Du Val types admissible on a degree-1 surface.
@@ -49,10 +55,7 @@ class DynkinType(Record):
             raise MalformedLabelError(f"unknown series {kind!r}")
         lo, hi = _RANK_RANGE[kind]
         if not lo <= rank <= hi:
-            raise OutOfRangeError(
-                f"{kind}{rank} is not admissible: "
-                f"{kind}-series rank must lie in [{lo}, {hi}]"
-            )
+            raise _out_of_range(kind, rank)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "rank", rank)
 
@@ -82,13 +85,18 @@ def parse_dynkin(label: str) -> DynkinType:
 
     Raises MalformedLabel for anything not of the shape [ADE][0-9]+, and
     OutOfRange for well-formed labels outside the admissible rank window.
+    The rank is judged by value: leading zeros are dropped, and two or more
+    digits are refused before int() sees them, the label cut to 80 characters.
     """
     if not isinstance(label, str):
         raise MalformedLabelError(f"label must be a string, got {type(label).__name__}")
     m = _LABEL_RE.fullmatch(label.strip())
     if m is None:
         raise MalformedLabelError(f"malformed Dynkin label {label!r}")
-    return DynkinType(m.group(1).upper(), int(m.group(2)))
+    kind, digits = m.group(1).upper(), m.group(2).lstrip("0") or "0"
+    if len(digits) > 1:
+        raise _out_of_range(kind, digits if len(digits) <= 79 else digits[:76] + "...")
+    return DynkinType(kind, int(digits))
 
 
 def adjacency(t: DynkinType) -> frozenset[frozenset[int]]:

@@ -181,9 +181,10 @@ class _Parser:
             if not _INTEGER.fullmatch(self.peek()):
                 self.expected("a non-negative integer exponent")
             token = self.take()
-            if len(token) > len(str(MAX_DEGREE)):  # before int() converts it
-                self.fail(f"exponent {token} exceeds {MAX_DEGREE}")
-            exponents.append(int(token))
+            digits = token.lstrip("0") or "0"  # int() counts leading zeros to its digit limit
+            if len(digits) > len(str(MAX_DEGREE)):  # before int() converts it
+                self.fail(f"exponent {brief(token)} exceeds {MAX_DEGREE}")
+            exponents.append(int(digits))
         if not exponents:
             return base
         n = 1
@@ -224,10 +225,12 @@ class _Parser:
             self.nesting -= 1
             return value
         if _NUMBER.fullmatch(token):
-            if len(token) > MAX_BITS:  # before int() converts it
-                self.fail(f"a literal exceeds {MAX_BITS} bits")
             whole, _, frac = token.partition(".")
-            c, den = int(whole + frac), 10 ** len(frac)
+            frac = frac.rstrip("0")
+            digits = (whole + frac).lstrip("0") or "0"  # the value's, as for an exponent
+            if len(digits) + len(frac) > MAX_BITS:  # before int(): every digit left adds a bit
+                self.fail(f"a literal exceeds {MAX_BITS} bits")
+            c, den = int(digits), 10 ** len(frac)
             g = gcd(c, den)  # den when c = 0, the zero polynomial ({}, 1)
             c, den = c // g, den // g
             if c.bit_length() + den.bit_length() > MAX_BITS:

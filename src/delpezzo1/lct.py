@@ -3,11 +3,10 @@
 lct_germ resolves a squarefree germ by iterated blowups and takes the
 minimum of (k_E + 1)/m_E over the exceptional divisors together with the
 reciprocal component multiplicities.  lct_config evaluates the weighted
-total transform D~ + Gamma: simple normal crossings contribute 1/m, and the
-finitely many non-SNC local models (tangency, triple point, cusp) are fed
-to the same engine with their weights.  The local models have rational
-points only, so lct_config never loads sympy; their thresholds are
-memoised, as a few models recur across all configurations.
+total transform D~ + Gamma: simple normal crossings contribute 1/m, and
+each non-SNC meeting (cusp, tangency, three or more transverse branches)
+the closed form read off its chain of blowups, so it runs no resolution
+and needs neither the germ parser nor sympy.
 
 Germs are read and checked squarefree without sympy as well, and weighted
 branches that run into the depth cap are compared for a common factor by
@@ -20,31 +19,21 @@ a line to factor (see numberfield).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from typing import TYPE_CHECKING, Sequence
 
 from .blowup import BlowupNode, blowup_tree, lct_of_branches
-from .errors import (
-    DepthExceededError,
-    NonSquarefreeError,
-    UnrecognizedConfigurationError,
-)
+from .errors import DepthExceededError, NonSquarefreeError
 
 if TYPE_CHECKING:  # annotations only: a germ call loads no core module but errors and records
     from .cycles import AnticanonicalConfiguration
-
-# local meeting models with their thresholds kept; a full sweep over every
-# realizable configuration of every valid spec meets 16 of them
-LOCAL_MODEL_CACHE = 256
 
 
 def _germs_of(germs: Sequence[tuple[CurveGerm | str, int]]) -> list[tuple[CurveGerm, int]]:
     """The germs, checked squarefree.
 
-    germs is imported here and not at module level: lct_config builds its
-    local models as dicts and never needs the germ parser.  CurveGerm in the
-    annotations is its class.
+    germs is imported here and not at module level: lct_config never needs
+    the germ parser.  CurveGerm in the annotations is its class.
     """
     from .germs import as_germ, ensure_squarefree
 
@@ -89,48 +78,23 @@ def germ_blowup_tree(g: CurveGerm | str) -> list[BlowupNode]:
     return blowup_tree([(h.nums, w) for h, w in _germs_of([(g, 1)])])
 
 
-# local models for one meeting record, as branch dicts over Q
-_X = {(1, 0): Fraction(1)}
-_Y = {(0, 1): Fraction(1)}
-_CUSP = {(0, 2): Fraction(1), (3, 0): Fraction(-1)}
-
-
-def _line(slope: int) -> dict:
-    return {(1, 0): Fraction(1), (0, 1): Fraction(slope)}
-
-
-def _local_branches(cuspidal: bool, contact: int, weights: tuple[int, ...]) -> list[tuple[dict, int]]:
-    if cuspidal:
-        return [(_CUSP, weights[0])]
-    if len(weights) == 2:
-        if contact == 1:
-            return [(_X, weights[0]), (_Y, weights[1])]
-        # two smooth branches with contact order c: y = 0 against y = x^c
-        tangent = {(0, 1): Fraction(1), (contact, 0): Fraction(-1)}
-        return [(_Y, weights[0]), (tangent, weights[1])]
-    if contact == 1:
-        # pairwise transverse branches through one point: distinct lines
-        lines = [_Y, _X] + [_line(s) for s in range(1, len(weights) - 1)]
-        return list(zip(lines, weights))
-    raise UnrecognizedConfigurationError(
-        f"no local model for {len(weights)} branches with contact {contact}"
-    )
-
-
-@lru_cache(maxsize=LOCAL_MODEL_CACHE)
-def _meeting_lct(cuspidal: bool, contact: int, weights: tuple[int, ...]) -> Fraction:
-    """Threshold of the local model of one meeting, whose branches have these weights."""
-    return lct_of_branches(_local_branches(cuspidal, contact, weights))
-
-
 def lct_config(c: AnticanonicalConfiguration) -> Fraction:
     """Threshold of the weighted configuration sum m_i C_i.
 
-    The minimum of the reciprocal multiplicities (the SNC answer) and of the
-    engine values at every non-transverse meeting.
+    The minimum of the reciprocal multiplicities (the SNC answer) and of a
+    closed form at every meeting but a transverse pair (Kollar 1997, section
+    8): blowing the meeting up gives a chain of exceptional divisors
+    (k_E, m_E), and the form is the least (k_E + 1)/m_E along it.
+    - A cusp of weight w: (1, 2w), (2, 3w), (4, 6w), so 5/(6w).
+    - Branches of weights summing to s with contact c (c = 1 for three or
+      more transverse branches): (i, i*s) for i <= c, so (c + 1)/(c*s).
+    A transverse pair is SNC, and 2/s never falls below 1/max m.
     """
     best = Fraction(1, c.max_multiplicity)
     for m in c.incidence:
-        weights = tuple(c.multiplicity_of(cid) for cid in m.members)
-        best = min(best, _meeting_lct(m.cuspidal, m.contact, weights))
+        if m.cuspidal:
+            best = min(best, Fraction(5, 6 * c.multiplicity_of(m.members[0])))
+        elif m.contact > 1 or len(m.members) > 2:
+            s = sum(c.multiplicity_of(cid) for cid in m.members)
+            best = min(best, Fraction(m.contact + 1, m.contact * s))
     return best

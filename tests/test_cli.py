@@ -122,6 +122,9 @@ def test_domain_errors_exit_1(call):
     bad = call("cycle", "F4", expect=1)
     assert "MalformedLabelError" in bad.err
     assert call("cycle", "A9", expect=1).err.startswith("OutOfRangeError")
+    # ranks past int()'s 4300 digits
+    assert call("matrix", "A" + "9" * 5000, expect=1).err.startswith("OutOfRangeError")
+    assert call("tlct", "--sings", "D" + "1" * 4400, expect=1).err.startswith("OutOfRangeError")
     assert call("lct-germ", "x^2*y", expect=1).err.startswith("NonSquarefreeError")
     assert call("lct-germ", "x + 1", expect=1).err.startswith("NotAtOriginError")
     assert call("tlct", "--sings", "E8,E8", expect=1).err.startswith(
@@ -188,6 +191,18 @@ def test_malformed_spec_json_exits_1(call, spec):
         ("rigidity", "--x", good, "--y", json.dumps(spec)),
     ):
         assert call(*argv, expect=1).err.startswith("InvalidSurfaceError")
+
+
+# texts json.loads itself refuses: nesting past the recursion limit, and an
+# integer past Python's 4300-digit limit
+HOSTILE_JSON = ["[" * 2000, '{"singularities": [' + "9" * 5000 + "]}"]
+
+
+@pytest.mark.parametrize("text", HOSTILE_JSON, ids=["deep-nesting", "huge-int"])
+def test_hostile_json_exits_1(call, text):
+    good = json.dumps({"singularities": ["E8"]})
+    for argv in (("targets", "--x", text), ("rigidity", "--x", good, "--y", text)):
+        assert call(*argv, expect=1).err.startswith("InvalidSurfaceError: not valid JSON")
 
 
 MALFORMED_GERMS = [

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -23,11 +25,20 @@ def test_parse_valid_labels():
     assert parse_dynkin("e8") == DynkinType("E", 8)
     assert parse_dynkin(" D5 ") == DynkinType("D", 5)
     assert str(parse_dynkin("e8")) == "E8"
+    # the rank is judged by value: leading zeros change nothing
+    assert parse_dynkin("E0000000008") == DynkinType("E", 8)
+    assert parse_dynkin("e" + "0" * 5000 + "7") == DynkinType("E", 7)
 
 
 def test_parse_out_of_range():
     for label in ["A0", "A9", "D3", "D9", "E5", "E9", "E10", "D12"]:
         with pytest.raises(OutOfRangeError):
+            parse_dynkin(label)
+    # ranks past int()'s 4300 digits are refused without it, the label cut
+    for label, shown in [("A000", "A0"), ("D012", "D12"),
+                         ("A" + "9" * 5000, "A" + "9" * 76 + "..."),
+                         ("D" + "1" * 4400, "D" + "1" * 76 + "...")]:
+        with pytest.raises(OutOfRangeError, match=re.escape(shown) + " is not admissible"):
             parse_dynkin(label)
 
 

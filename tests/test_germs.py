@@ -90,6 +90,23 @@ def test_parse_grammar_details():
     assert CurveGerm("x/2/3") == CurveGerm("x/6")
     assert CurveGerm("x/(2/3)") == CurveGerm("3/2*x")
     assert CurveGerm("2^3*x + x^0*y") == CurveGerm("8*x + y")
+    # exponents and literals are judged by value: leading zeros, and a
+    # decimal's trailing zeros, change nothing
+    assert CurveGerm("y^0002 - x^03") == CurveGerm("y^02 - x^3") == CurveGerm("y^2 - x^3")
+    assert lct_germ("y^0002 - x^3") == Fraction(5, 6)
+    assert CurveGerm("007*x - 0.50*y") == CurveGerm("7*x - y/2")
+    assert CurveGerm("x^" + "0" * 5000 + "2") == CurveGerm("x^2")
+    assert CurveGerm("0" * 5000 + "3*x + 1." + "0" * 5000 + "*y") == CurveGerm("3*x + y")
+
+
+def test_an_exponent_over_the_limit_is_named_as_typed_and_cut():
+    with pytest.raises(InvalidGermError, match=f"exponent 257 exceeds {MAX_DEGREE}$"):
+        CurveGerm("x^0257")
+    with pytest.raises(InvalidGermError, match=f"exponent 0001000 exceeds {MAX_DEGREE}$"):
+        CurveGerm("x^0001000")
+    with pytest.raises(InvalidGermError) as info:
+        CurveGerm("x^" + "1" * 5000)
+    assert str(info.value).endswith(f"exponent {'1' * 77}... exceeds {MAX_DEGREE}")
 
 
 def test_text_runs_no_code():
@@ -173,6 +190,11 @@ _MONOMIALS = [(a, d - a) for d in range(1, 60) for a in range(d + 1)][:1000]
     pytest.param("9" * (MAX_BITS // 4) + "*x", True, id="long-literal"),
     pytest.param("9" * MAX_BITS + "*x", False, id="literal-over-limit"),
     pytest.param("9" * 100_000 + "*x", False, id="huge-literal"),
+    pytest.param("0" * 100_000 + "9*x", True, id="literal-with-many-leading-zeros"),
+    pytest.param("x*1." + "0" * 100_000, True, id="decimal-with-many-trailing-zeros"),
+    pytest.param("x*0." + "0" * MAX_BITS + "1", False, id="decimal-over-limit"),
+    pytest.param("x^" + "0" * 100_000 + "256", True, id="exponent-with-many-leading-zeros"),
+    pytest.param("x^" + "0" * 100_000 + "257", False, id="exponent-over-limit-with-leading-zeros"),
     pytest.param("x/3^200/3^200/3^200", True, id="denominator-at-limit"),
     pytest.param("x/3^200/3^200/3^200/3^200", False, id="denominator-over-limit"),
     pytest.param("+".join(f"x/{p}" for p in range(2, 2000)), False,

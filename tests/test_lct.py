@@ -1,5 +1,6 @@
 """Thresholds: the blowup engine against closed forms and configurations."""
 
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -12,12 +13,17 @@ from hypothesis import strategies as st
 from delpezzo1.cycles import (
     CUSPIDAL,
     ELLIPTIC,
+    EXCEPTIONAL,
     NODAL,
     ONE_POINT,
     STANDARD,
+    STRICT_TRANSFORM,
     TANGENTIAL,
     TRANSVERSE,
     TWO_POINTS,
+    AnticanonicalConfiguration,
+    Component,
+    Meeting,
     build_configuration,
 )
 from delpezzo1.blowup import lct_of_branches
@@ -26,10 +32,8 @@ from delpezzo1.dynkin import ALL_TYPES
 from delpezzo1.errors import (
     DelPezzoError,
     DepthExceededError,
-    InvalidGermError,
     NonSquarefreeError,
     NotQuasihomogeneousError,
-    UnrecognizedConfigurationError,
 )
 from delpezzo1.germs import (
     NODE,
@@ -38,9 +42,6 @@ from delpezzo1.germs import (
     lct_quasihomogeneous,
 )
 from delpezzo1.lct import (
-    LOCAL_MODEL_CACHE,
-    _local_branches,
-    _meeting_lct,
     germ_blowup_tree,
     lct_config,
     lct_germ,
@@ -345,20 +346,34 @@ def test_all_config_thresholds_in_range():
     }
 
 
-# -- the memoised local models ----------------------------------------------
+# -- the closed forms against the engine on each meeting's local model -------
 
-def _uncached_lct_config(c):
-    """lct_config with every meeting's local model resolved afresh."""
-    best = min(Fraction(1, comp.multiplicity) for comp in c.components)
+def _local_model(m, weights):
+    """The meeting as weighted branches: the cusp y^2 = x^3, y = 0 against
+    y = x^c, or pairwise transverse lines."""
+    if m.cuspidal:
+        return [({(0, 2): 1, (3, 0): -1}, weights[0])]
+    if m.contact > 1:
+        return [({(0, 1): 1}, weights[0]), ({(0, 1): 1, (m.contact, 0): -1}, weights[1])]
+    lines = [{(0, 1): 1}, {(1, 0): 1}] + [{(1, 0): 1, (0, 1): s} for s in range(1, len(weights) - 1)]
+    return list(zip(lines, weights))
+
+
+def _engine_lct_config(c):
+    """lct_config with every meeting's local model resolved by the blowup engine."""
+    best = Fraction(1, c.max_multiplicity)
     for m in c.incidence:
-        weights = tuple(c.multiplicity_of(cid) for cid in m.members)
-        best = min(best, lct_of_branches(_local_branches(m.cuspidal, m.contact, weights)))
+        weights = [c.multiplicity_of(cid) for cid in m.members]
+        best = min(best, lct_of_branches(_local_model(m, weights)))
     return best
 
 
-def _model_keys(c):
-    return {(m.cuspidal, m.contact, tuple(c.multiplicity_of(cid) for cid in m.members))
-            for m in c.incidence}
+def _one_meeting(weights, contact=1, cuspidal=False, members=None):
+    """D plus one exceptional component per weight, meeting at one point."""
+    ids = [f"E{i}" for i in range(len(weights))]
+    components = (Component("D", 1, STRICT_TRANSFORM),) + tuple(
+        Component(cid, w, EXCEPTIONAL) for cid, w in zip(ids, weights))
+    return AnticanonicalConfiguration(components, (Meeting(members or tuple(ids), contact, cuspidal),))
 
 
 def test_lct_config_over_the_sweep_matches_uncached_values_and_the_table():
@@ -366,33 +381,65 @@ def test_lct_config_over_the_sweep_matches_uncached_values_and_the_table():
     table[build_configuration(smooth=ELLIPTIC)] = Fraction(1)
     table[build_configuration(smooth=NODAL)] = Fraction(1)
     table[build_configuration(smooth=CUSPIDAL)] = Fraction(5, 6)
-    _meeting_lct.cache_clear()
-    models, calls = set(), 0
+    calls = 0
     for spec in iter_valid_specs():
         for c in realizable_configurations(spec):
-            value = lct_config(c)
-            assert value == _uncached_lct_config(c) == table[c]
-            models |= _model_keys(c)
+            assert lct_config(c) == _engine_lct_config(c) == table[c]
             calls += 1
     assert calls == 1466
-    info = _meeting_lct.cache_info()
-    # every local model is resolved once, and the memo holds each one
-    assert info.misses == info.currsize == len(models) <= LOCAL_MODEL_CACHE
-    assert info.hits > 10 * info.misses
 
 
-def test_errors_of_a_local_model_are_never_cached():
-    _meeting_lct.cache_clear()
-    for key, error in [
-        ((False, 2, (1, 1, 1)), UnrecognizedConfigurationError),  # no such model
-        ((False, 1, (1, 0)), InvalidGermError),  # a weight of 0
-    ]:
-        for _ in range(2):
-            with pytest.raises(error):
-                _meeting_lct(*key)
-        assert _meeting_lct.cache_info().currsize == 0
-    assert _meeting_lct(True, 1, (1,)) == Fraction(5, 6)
-    assert _meeting_lct.cache_info().currsize == 1
+@pytest.mark.parametrize("w", range(1, 7))
+def test_a_cusp_of_weight_w_gives_five_over_6w(w):
+    c = _one_meeting([w], cuspidal=True)
+    assert lct_config(c) == _engine_lct_config(c) == Fraction(5, 6 * w)
+
+
+@pytest.mark.parametrize("contact", range(2, 13))
+def test_a_tangency_of_contact_c_matches_the_engine(contact):
+    for ws in itertools.product(range(1, 6), repeat=2):
+        c = _one_meeting(ws, contact)
+        closed = Fraction(contact + 1, contact * sum(ws))
+        assert lct_config(c) == _engine_lct_config(c) == min(Fraction(1, max(ws)), closed), ws
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_transverse_branches_match_the_engine(n):
+    # n = 2 is the SNC pair, whose 2/(w1 + w2) never undercuts 1/max m
+    for ws in itertools.combinations_with_replacement(range(1, 5), n):
+        c = _one_meeting(ws)
+        closed = Fraction(2, sum(ws)) if n > 2 else Fraction(1)
+        assert lct_config(c) == _engine_lct_config(c) == min(Fraction(1, max(ws)), closed), ws
+
+
+@pytest.mark.parametrize("contact", [1, 2, 5])
+def test_a_self_meeting_weighs_its_component_twice(contact):
+    c = _one_meeting([3], contact, members=("E0", "E0"))
+    assert lct_config(c) == _engine_lct_config(c)
+
+
+def test_contact_past_the_depth_cap_has_its_closed_form():
+    # the local model needs 65 blowups, past the engine's cap of 64
+    c = _one_meeting([1, 2], 65)
+    with pytest.raises(DepthExceededError):
+        _engine_lct_config(c)
+    assert lct_config(c) == Fraction(66, 65 * 3)
+
+
+# -- the first Puiseux pair as an independent oracle (Igusa 1977) -----------
+
+
+@pytest.mark.parametrize("n, m, m2", [
+    (2, 3, None), (3, 5, None), (4, 6, 7), (4, 6, 9), (4, 10, 11), (6, 8, 9), (6, 9, 10),
+    (6, 10, 11),
+])
+def test_first_puiseux_pair_oracle(n, m, m2):
+    # x = t^n, y = t^m + t^m2 with gcd(n, m, m2) = 1 and n not dividing m is
+    # an irreducible germ whose lct is 1/n + 1/m; Res_t eliminates t
+    t = sympy.Symbol("t")
+    assert math.gcd(n, m, m2 or m) == 1 and m % n
+    f = sympy.resultant(t**n - x, t**m + (t**m2 if m2 else 0) - y, t)
+    assert lct_germ(sympy.expand(f)) == Fraction(1, n) + Fraction(1, m)
 
 
 # -- the Newton-polygon oracle (Howald 2001; Varchenko 1982) -----------------

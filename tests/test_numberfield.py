@@ -151,6 +151,18 @@ def test_coefficients_of_any_length_are_reduced_modulo_g():
     assert Element(K, (0, 0, 0, -1, 0, 1)) == 2 * K.gen and Element(K, ()) == K.zero
 
 
+@pytest.mark.parametrize("other", ["t", 1.5], ids=["str", "float"])
+def test_an_element_refuses_what_is_not_a_rational(other):
+    # each operator returns NotImplemented, so Python falls back or raises
+    K = NumberField((Fraction(-2), Fraction(0), Fraction(1)))  # Q(sqrt 2)
+    t = K.gen
+    assert t != other and not t == other
+    for op in (lambda: t < other, lambda: t + other, lambda: other + t, lambda: t * other,
+               lambda: t / other, lambda: other / t):
+        with pytest.raises(TypeError):
+            op()
+
+
 # A tower: K = Q[t]/(t^2 - a) extended by a root of v^2 - (b + c t), checked
 # irreducible over K by sympy.  Its field L has degree 4, and the map of K
 # into L must be a ring homomorphism that sends t to a root of t^2 - a and
