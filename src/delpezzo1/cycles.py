@@ -344,17 +344,19 @@ class KodairaLabel(Record):
     _COMPONENTS = {"II": 1, "III": 2, "IV": 3, "IV*": 7, "III*": 8, "II*": 9}
 
     def __init__(self, series: str, index: int | None = None) -> None:
+        if series in ("I", "I*") and index is not None:
+            _require_int(index, "Kodaira index")
         if series == "I":
             if index is None or index < 0:
-                raise ValueError("I_n needs n >= 0")
+                raise InvalidConfigurationError("I_n needs n >= 0")
         elif series == "I*":
             if index is None or not 0 <= index <= 4:
-                raise ValueError("I*_m needs 0 <= m <= 4 here")
+                raise InvalidConfigurationError("I*_m needs 0 <= m <= 4 here")
         elif series in self._COMPONENTS:
             if index is not None:
-                raise ValueError(f"{series} carries no index")
+                raise InvalidConfigurationError(f"{series} carries no index")
         else:
-            raise ValueError(f"unknown Kodaira series {series!r}")
+            raise InvalidConfigurationError(f"unknown Kodaira series {series!r}")
         object.__setattr__(self, "series", series)
         object.__setattr__(self, "index", index)
 

@@ -25,7 +25,7 @@ __all__ = [
 import re
 from functools import cache, total_ordering
 
-from .errors import MalformedLabelError, NotSymmetricError, OutOfRangeError
+from .errors import MalformedLabelError, NotSymmetricError, OutOfRangeError, brief
 from .records import Record
 
 _RANK_RANGE = {"A": (1, 8), "D": (4, 8), "E": (6, 8)}
@@ -35,8 +35,8 @@ _LABEL_RE = re.compile(r"([ADEade])([0-9]+)")
 
 def _out_of_range(kind: str, rank: object) -> OutOfRangeError:
     lo, hi = _RANK_RANGE[kind]
-    return OutOfRangeError(
-        f"{kind}{rank} is not admissible: {kind}-series rank must lie in [{lo}, {hi}]")
+    return OutOfRangeError(f"{brief(kind + str(rank))} is not admissible: "
+                           f"{kind}-series rank must lie in [{lo}, {hi}]")
 
 
 @total_ordering
@@ -92,10 +92,10 @@ def parse_dynkin(label: str) -> DynkinType:
         raise MalformedLabelError(f"label must be a string, got {type(label).__name__}")
     m = _LABEL_RE.fullmatch(label.strip())
     if m is None:
-        raise MalformedLabelError(f"malformed Dynkin label {label!r}")
+        raise MalformedLabelError(f"malformed Dynkin label {brief(label)!r}")
     kind, digits = m.group(1).upper(), m.group(2).lstrip("0") or "0"
     if len(digits) > 1:
-        raise _out_of_range(kind, digits if len(digits) <= 79 else digits[:76] + "...")
+        raise _out_of_range(kind, digits)
     return DynkinType(kind, int(digits))
 
 

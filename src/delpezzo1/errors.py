@@ -13,6 +13,12 @@ __all__ = [
 ]
 
 
+def brief(obj: object) -> object:
+    """obj as an error message quotes it; past 80 characters, str(obj) cut to 77 and "..."."""
+    text = str(obj)
+    return obj if len(text) <= 80 else text[:77] + "..."
+
+
 class DelPezzoError(Exception):
     """Base class for all domain errors raised by delpezzo1."""
 

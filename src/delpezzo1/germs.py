@@ -61,6 +61,7 @@ from .errors import (
     NonSquarefreeError,
     NotAtOriginError,
     NotQuasihomogeneousError,
+    brief,
 )
 
 # Limits on germ text, like blowup.DEPTH_CAP on the engine.  MAX_DEGREE
@@ -387,12 +388,6 @@ def sstr(d: dict) -> str:
             text = "-"
         text += term
     return text
-
-
-def brief(obj: object) -> str:
-    """str(obj) as an error message shows it: past 80 characters, cut to 77 and "..."."""
-    text = str(obj)
-    return text if len(text) <= 80 else text[:77] + "..."
 
 
 def as_germ(g: "CurveGerm | str | Any") -> CurveGerm:

@@ -23,7 +23,7 @@ from itertools import combinations
 from typing import TYPE_CHECKING, Sequence
 
 from .blowup import BlowupNode, blowup_tree, lct_of_branches
-from .errors import DepthExceededError, NonSquarefreeError
+from .errors import DepthExceededError, NonSquarefreeError, brief
 
 if TYPE_CHECKING:  # annotations only: a germ call loads no core module but errors and records
     from .cycles import AnticanonicalConfiguration
@@ -48,7 +48,7 @@ def lct_germ(g: CurveGerm | str) -> Fraction:
 def _check_coprime(germs: list[tuple[CurveGerm, int]]) -> None:
     """Raise NonSquarefreeError naming the first two branches with a common factor."""
     from . import bivariate
-    from .germs import brief, sstr
+    from .germs import sstr
 
     for (i, (f, _)), (j, (g, _)) in combinations(enumerate(germs, start=1), 2):
         common = bivariate.gcd(*(bivariate.from_dict(h.nums) for h in (f, g)))

@@ -27,6 +27,7 @@ from .errors import (
     AssumptionNotAssertedError,
     InvalidSurfaceError,
     UnsupportedClassError,
+    brief,
 )
 from .records import Record
 from .surfaces import (
@@ -80,20 +81,20 @@ class FibrationSpec(Record):
             return cls(SurfaceSpec.from_dict(data))
         extra = set(data) - {"fiber", "assumptions"}
         if extra:
-            raise InvalidSurfaceError(f"unknown fibration keys {sorted(extra)}")
+            raise InvalidSurfaceError(f"unknown fibration keys {[brief(k) for k in sorted(extra)]}")
         flags = data.get("assumptions", {})
         if not isinstance(flags, dict):
             raise InvalidSurfaceError('"assumptions" must be a JSON object')
         extra = set(flags) - set(ASSUMPTIONS)
         if extra:
-            raise InvalidSurfaceError(f"unknown assumption flags {sorted(extra)}")
+            raise InvalidSurfaceError(f"unknown assumption flags {[brief(k) for k in sorted(extra)]}")
         if not all(isinstance(v, bool) for v in flags.values()):
             raise InvalidSurfaceError("assumption flags must be true or false")
         return cls(SurfaceSpec.from_dict(data["fiber"]), **flags)
 
 
 class TargetClass(Record):
-    """One threshold class of special fibers, with a validated witness."""
+    """One threshold class of special fibers: a validated witness and its tlct."""
 
     __slots__ = ("tlct_value", "description", "witness")
     tlct_value: Fraction
@@ -112,47 +113,21 @@ class TargetClass(Record):
         return f"{self.tlct_value} {self.description}"
 
 
-TARGET_CLASSES = (
-    TargetClass(
-        Fraction(1, 6),
-        "unique singular point, of type E8",
-        SurfaceSpec(["E8"]),
-    ),
-    TargetClass(
-        Fraction(1, 4),
-        "E7 present, no E8; at most one extra singularity, of type A1",
-        SurfaceSpec(["E7"]),
-    ),
-    TargetClass(
-        Fraction(1, 3),
-        "E6 present, no E7 or E8; at most one extra singularity, of type A1 or A2",
-        SurfaceSpec(["E6"]),
-    ),
-    TargetClass(
-        Fraction(1, 2),
-        "some Dn present, no exceptional type",
-        SurfaceSpec(["D4"]),
-    ),
-    TargetClass(
-        Fraction(2, 3),
-        "only An singularities; a member cusps at an A2 point",
-        SurfaceSpec(["A2"], CUSP_AT_A2),
-    ),
-    TargetClass(
-        Fraction(3, 4),
-        "only An singularities; a member cusps at an A1 point, none at an A2",
-        SurfaceSpec(["A1"], CUSP_AT_A1),
-    ),
-    TargetClass(
-        Fraction(5, 6),
-        "only An singularities; a cuspidal member, none cusping at a singular point",
-        SurfaceSpec([], CUSP_AT_SMOOTH_POINT),
-    ),
-    TargetClass(
-        Fraction(1),
-        "only An singularities; no cuspidal member",
-        SurfaceSpec([], NO_CUSPIDAL_MEMBER),
-    ),
+TARGET_CLASSES = tuple(
+    TargetClass(tlct(witness).value, description, witness)
+    for description, witness in (
+        ("unique singular point, of type E8", SurfaceSpec(["E8"])),
+        ("E7 present, no E8; at most one extra singularity, of type A1", SurfaceSpec(["E7"])),
+        ("E6 present, no E7 or E8; at most one extra singularity, of type A1 or A2",
+         SurfaceSpec(["E6"])),
+        ("some Dn present, no exceptional type", SurfaceSpec(["D4"])),
+        ("only An singularities; a member cusps at an A2 point", SurfaceSpec(["A2"], CUSP_AT_A2)),
+        ("only An singularities; a member cusps at an A1 point, none at an A2",
+         SurfaceSpec(["A1"], CUSP_AT_A1)),
+        ("only An singularities; a cuspidal member, none cusping at a singular point",
+         SurfaceSpec([], CUSP_AT_SMOOTH_POINT)),
+        ("only An singularities; no cuspidal member", SurfaceSpec([], NO_CUSPIDAL_MEMBER)),
+    )
 )
 
 

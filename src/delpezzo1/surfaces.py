@@ -9,7 +9,8 @@ and tlct() evaluates the total log canonical threshold
 
     tlct(S) = inf { lct(S, D) : D in |-K_S| }
 
-by the priority table over singularity types, reporting the Kodaira fiber
+as the smaller of the thresholds of the general member through the worst
+singular point and of the asserted cuspidal member, with the Kodaira fiber
 type of a minimizing member.
 
 Two rules of the classification are stated once, as tables that every
@@ -28,6 +29,7 @@ __all__ = [
 ]
 
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Iterator
 
 from .cycles import (
@@ -40,9 +42,10 @@ from .cycles import (
     KodairaLabel,
     allowed_variants,
     build_configuration,
+    kodaira_type,
 )
 from .dynkin import ALL_TYPES, DynkinType, as_dynkin
-from .errors import InvalidSurfaceError
+from .errors import InvalidSurfaceError, brief
 from .records import Record
 
 # worst cuspidal behavior over the members of |-K_S|
@@ -90,7 +93,7 @@ class SurfaceSpec(Record):
         object.__setattr__(self, "cusp_data", cusp_data)
         if cusp_data not in CUSP_DATA:
             raise InvalidSurfaceError(
-                f"unknown cusp data {cusp_data!r}; choose from {CUSP_DATA}"
+                f"unknown cusp data {brief(cusp_data)!r}; choose from {CUSP_DATA}"
             )
         needed = CUSPIDAL_MEMBERS.get(cusp_data, (None,))[0]
         if needed is not None and needed not in [t.label for t in types]:
@@ -118,7 +121,7 @@ class SurfaceSpec(Record):
             raise InvalidSurfaceError("surface spec must be a JSON object")
         extra = set(data) - {"singularities", "cusp"}
         if extra:
-            raise InvalidSurfaceError(f"unknown spec keys {sorted(extra)}")
+            raise InvalidSurfaceError(f"unknown spec keys {[brief(k) for k in sorted(extra)]}")
         labels = data.get("singularities", [])
         if not isinstance(labels, list) or not all(isinstance(t, str) for t in labels):
             raise InvalidSurfaceError('"singularities" must be a list of label strings')
@@ -204,35 +207,39 @@ class TlctResult(Record):
         return f"{self.value} ({self.kodaira})"
 
 
-def tlct(s: SurfaceSpec) -> TlctResult:
-    """Total log canonical threshold by the singularity priority table.
+@cache
+def _general_member(t: DynkinType) -> tuple[int, TlctResult]:
+    """Gamma's largest coefficient m, and 1/m with the fiber of the general member at a t point."""
+    c = build_configuration([(t, allowed_variants(t)[0])])
+    return c.max_multiplicity, TlctResult(Fraction(1, c.max_multiplicity), kodaira_type(c))
 
-    Exceptional and D types force the threshold regardless of cusp data
-    (members through them always cusp there); with only A types the cusp
-    assertion decides among 2/3, 3/4, 5/6 and 1.
+
+def tlct(s: SurfaceSpec) -> TlctResult:
+    """Total log canonical threshold: the least lct over the members the spec admits.
+
+    Through a Du Val point the general member pulls back to D~ + Gamma,
+    which is SNC, so its threshold is 1/m for m the largest coefficient of
+    the fundamental cycle Gamma (Artin, "On isolated rational singularities
+    of surfaces", 1966: at a rational double point the maximal-ideal cycle
+    is the fundamental cycle; Kollár, "Singularities of pairs", 1997, §8),
+    and its fiber is the Kodaira type of that configuration.  The worst
+    point has the largest (m, rank); with none, the general member is a
+    smooth I0 of threshold 1.  The cuspidal member the spec asserts
+    (CUSPIDAL_MEMBERS) wins only when strictly lower, which needs m = 1;
+    among equal minimisers the fiber is the worst point's.
     """
     report = validate(s)
     if not report:
-        raise InvalidSurfaceError(
-            "; ".join(reason for _, reason in report.violations)
-        )
-    for rank, value, label in (
-        (8, Fraction(1, 6), "II*"),
-        (7, Fraction(1, 4), "III*"),
-        (6, Fraction(1, 3), "IV*"),
-    ):
-        if rank in s.ranks_of("E"):
-            return TlctResult(value, KodairaLabel(label))
-    d_ranks = s.ranks_of("D")
-    if d_ranks:
-        return TlctResult(Fraction(1, 2), KodairaLabel("I*", max(d_ranks) - 4))
+        raise InvalidSurfaceError("; ".join(reason for _, reason in report.violations))
+    if s.singularities:
+        worst = max(s.singularities, key=lambda t: (_general_member(t)[0], t.rank))
+        result = _general_member(worst)[1]
+    else:
+        result = TlctResult(Fraction(1), KodairaLabel("I", 0))
     member = CUSPIDAL_MEMBERS.get(s.cusp_data)
-    if member is not None:
-        return TlctResult(member[2], member[3])
-    a_ranks = s.ranks_of("A")
-    if a_ranks:
-        return TlctResult(Fraction(1), KodairaLabel("I", max(a_ranks) + 1))
-    return TlctResult(Fraction(1), KodairaLabel("I", 0))
+    if member is not None and member[2] < result.value:
+        result = TlctResult(member[2], member[3])
+    return result
 
 
 def realizable_configurations(s: SurfaceSpec) -> Iterator[AnticanonicalConfiguration]:

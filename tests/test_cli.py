@@ -205,6 +205,31 @@ def test_hostile_json_exits_1(call, text):
         assert call(*argv, expect=1).err.startswith("InvalidSurfaceError: not valid JSON")
 
 
+# calls whose error line quotes an outside input: a label, a cusp, a spec key,
+# an assumption flag and a singularity
+QUOTING_CALLS = [
+    (lambda text: ("matrix", text), "MalformedLabelError"),
+    (lambda text: ("targets", "--x", json.dumps({"singularities": [], "cusp": text})),
+     "InvalidSurfaceError"),
+    (lambda text: ("targets", "--x", json.dumps({"singularities": [], text: 1})),
+     "InvalidSurfaceError"),
+    (lambda text: ("targets", "--x", json.dumps(
+        {"fiber": {"singularities": []}, "assumptions": {text: True}})), "InvalidSurfaceError"),
+    (lambda text: ("targets", "--x", json.dumps({"singularities": [text]})),
+     "MalformedLabelError"),
+]
+
+
+@pytest.mark.parametrize("argv, error", QUOTING_CALLS,
+                         ids=["label", "cusp", "spec-key", "assumption-flag", "singularity"])
+def test_an_input_past_80_characters_is_cut_in_the_error_line(call, argv, error):
+    for n in (80, 81, 5000):
+        text = "F" + "9" * (n - 1)
+        err = call(*argv(text), expect=1).err
+        assert err.startswith(f"{error}: ") and len(err.encode()) < 300
+        assert (text in err) == (n <= 80) and (text[:77] + "..." in err) == (n > 80)
+
+
 MALFORMED_GERMS = [
     "y^2-(x", "y^2 - x^3 +", "x/0", "x^-1", "x^(1/2)", "1/x", "x/y", "2^x", "sin(x)",
     "z", "x!", "", "__import__('os').getpid()*0 + x", "(x+y)**2000",

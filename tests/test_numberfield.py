@@ -12,9 +12,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from sympy import QQ, CRootOf, Poly, Symbol
+from sympy import QQ, CRootOf, Poly, Rational, Symbol, sqrt
 
-from delpezzo1.numberfield import Element, NumberField
+from delpezzo1.numberfield import Element, NumberField, _apart_from_zero
 
 V = Symbol("v")
 _rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
@@ -211,3 +211,15 @@ def test_a_tower_builds_no_field_for_a_root_of_a_conjugate(monkeypatch):
     assert [(g, str(r.poly.as_expr()), r.index) for g, r in builds] == [
         (gamma, "_T**4 - 6*_T**2 + 7", 1)]
     assert not sum((phi(pi) * theta**i for i, pi in enumerate(p)), L.zero)
+
+
+@pytest.mark.parametrize("theta, apart", [(Rational(1, 2), True), (sqrt(3), False)],
+                         ids=["rational", "no-interval-form"])
+def test_intervals_read_a_rational_root_and_pass_over_any_other_form(theta, apart):
+    # p = v^2 - 3 over Q(sqrt 2): a rational theta is its own interval, and
+    # p(gamma, 1/2) = -11/4 is kept from 0; sqrt(3) has no interval form, so
+    # the intervals show nothing and the exact check is left to decide
+    K = NumberField((Fraction(-2), Fraction(0), Fraction(1)))
+    p = (K.one * -3, K.zero, K.one)
+    gamma = CRootOf(Symbol("t") ** 2 - 2, 1)
+    assert _apart_from_zero(p, gamma, theta) is apart

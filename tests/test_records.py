@@ -183,12 +183,18 @@ INVALID = [
      InvalidConfigurationError, "duplicate component ids"),
     (lambda: AnticanonicalConfiguration((STRICT,), (Meeting(("D", "E9")),)),
      InvalidConfigurationError, "meeting references unknown id 'E9'"),
-    (lambda: KodairaLabel("I"), ValueError, "I_n needs n >= 0"),
-    (lambda: KodairaLabel("I", -1), ValueError, "I_n needs n >= 0"),
-    (lambda: KodairaLabel("I*"), ValueError, "I*_m needs 0 <= m <= 4 here"),
-    (lambda: KodairaLabel("I*", 5), ValueError, "I*_m needs 0 <= m <= 4 here"),
-    (lambda: KodairaLabel("II", 0), ValueError, "II carries no index"),
-    (lambda: KodairaLabel("V"), ValueError, "unknown Kodaira series 'V'"),
+    (lambda: KodairaLabel("I"), InvalidConfigurationError, "I_n needs n >= 0"),
+    (lambda: KodairaLabel("I", -1), InvalidConfigurationError, "I_n needs n >= 0"),
+    (lambda: KodairaLabel("I", True), InvalidConfigurationError,
+     "Kodaira index must be an integer, got True"),
+    (lambda: KodairaLabel("I", 2.5), InvalidConfigurationError,
+     "Kodaira index must be an integer, got 2.5"),
+    (lambda: KodairaLabel("I*"), InvalidConfigurationError, "I*_m needs 0 <= m <= 4 here"),
+    (lambda: KodairaLabel("I*", 5), InvalidConfigurationError, "I*_m needs 0 <= m <= 4 here"),
+    (lambda: KodairaLabel("I*", True), InvalidConfigurationError,
+     "Kodaira index must be an integer, got True"),
+    (lambda: KodairaLabel("II", 0), InvalidConfigurationError, "II carries no index"),
+    (lambda: KodairaLabel("V"), InvalidConfigurationError, "unknown Kodaira series 'V'"),
     (lambda: SurfaceSpec([], "A3"), InvalidSurfaceError,
      "unknown cusp data 'A3'; choose from ('none', 'smooth', 'A1', 'A2')"),
     (lambda: SurfaceSpec(["A2"], "A1"), InvalidSurfaceError,
