@@ -52,7 +52,9 @@ class DynkinType(Record):
 
     def __init__(self, kind: str, rank: int) -> None:
         if kind not in _RANK_RANGE:
-            raise MalformedLabelError(f"unknown series {kind!r}")
+            raise MalformedLabelError(f"unknown series {brief(kind)!r}")
+        if isinstance(rank, bool) or not isinstance(rank, int):
+            raise MalformedLabelError(f"Dynkin rank must be an integer, got {brief(rank)!r}")
         lo, hi = _RANK_RANGE[kind]
         if not lo <= rank <= hi:
             raise _out_of_range(kind, rank)

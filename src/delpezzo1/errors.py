@@ -13,10 +13,15 @@ __all__ = [
 ]
 
 
-def brief(obj: object) -> object:
-    """obj as an error message quotes it; past 80 characters, str(obj) cut to 77 and "..."."""
+def brief(obj: object, width: int = 80) -> object:
+    """obj as an error message quotes it; past width characters, str(obj) cut to fit with "..."."""
     text = str(obj)
-    return obj if len(text) <= 80 else text[:77] + "..."
+    return obj if len(text) <= width else text[:width - 3] + "..."
+
+
+def brief_keys(keys: set) -> object:
+    """Keys of any types as an error message lists them: by repr, each cut, the list to 200."""
+    return brief([brief(k) for k in sorted(keys, key=repr)], 200)
 
 
 class DelPezzoError(Exception):

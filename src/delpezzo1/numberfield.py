@@ -100,7 +100,7 @@ class NumberField:
         sympy builds L = Q(gamma, theta), gamma generating sympy_field and
         theta a root of the norm Res_t(g(t), p(t, T)) in CRootOf's order, and
         a coefficient goes in by from_sympy.  A root is kept when p vanishes
-        at it in L; one that real intervals show is not p's gets no L.
+        at it in L: a root of a conjugate of p is built and rejected exactly.
         """
         import sympy
 
@@ -113,8 +113,6 @@ class NumberField:
         for h, _ in sorted(factors, key=lambda he: (sympy.degree(he[0], T), str(he[0]))):
             for j in range(sympy.degree(h, T)):
                 theta = sympy.CRootOf(h, j, radicals=False)
-                if gamma.is_real and theta.is_real and _apart_from_zero(p, gamma, theta):
-                    continue
                 try:
                     L = sympy.QQ.algebraic_field(gamma, theta)
                     root = L.from_sympy(theta)
@@ -127,40 +125,6 @@ class NumberField:
                     field = NumberField([_fraction(c / mod[0]) for c in reversed(mod)])
                     return field.from_anp(root), field, lambda c: field.from_anp(embed(c))
         raise InvalidGermError("could not realize an infinitely-near point in a number field")
-
-
-def _apart_from_zero(p: Sequence["Element"], gamma: Any, theta: Any) -> bool:
-    """Whether rational intervals around the real gamma and theta show p(gamma, theta) != 0.
-
-    sympy gives each as a rational, or as s*r with s rational and r a CRootOf: a root
-    of a polynomial in s*T comes back scaled.  r lies within dx of r.eval_rational(dx),
-    so s*r within |s|*dx of s times it, and the interval value of p holds p(gamma, theta).
-    Any other form shows nothing, and the exact check decides.
-    """
-    eps = Fraction(1, 2**32)
-    boxes = []
-    for r in (gamma, theta):
-        scale, root = r.as_coeff_Mul()
-        if root.is_Rational:
-            center, width = Fraction(str(root)), 0
-        elif hasattr(root, "eval_rational"):
-            center, width = Fraction(str(root.eval_rational(dx=eps))), eps
-        else:
-            return False
-        s = Fraction(str(scale))
-        boxes.append(tuple(sorted((s * (center - width), s * (center + width)))))
-    x, y = boxes
-    lo, hi = _interval([_interval([(q, q) for q in c.coeffs], x) for c in p], y)
-    return lo > 0 or hi < 0
-
-
-def _interval(coeffs: Sequence[tuple], x: tuple) -> tuple:
-    """Bounds on a polynomial over the interval x, its coefficients intervals, constant first."""
-    lo = hi = 0
-    for a, b in reversed(coeffs):
-        products = (lo * x[0], lo * x[1], hi * x[0], hi * x[1])
-        lo, hi = min(products) + a, max(products) + b
-    return lo, hi
 
 
 def _fraction(c: Any) -> Fraction:

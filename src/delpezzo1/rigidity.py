@@ -27,7 +27,7 @@ from .errors import (
     AssumptionNotAssertedError,
     InvalidSurfaceError,
     UnsupportedClassError,
-    brief,
+    brief_keys,
 )
 from .records import Record
 from .surfaces import (
@@ -81,13 +81,13 @@ class FibrationSpec(Record):
             return cls(SurfaceSpec.from_dict(data))
         extra = set(data) - {"fiber", "assumptions"}
         if extra:
-            raise InvalidSurfaceError(f"unknown fibration keys {[brief(k) for k in sorted(extra)]}")
+            raise InvalidSurfaceError(f"unknown fibration keys {brief_keys(extra)}")
         flags = data.get("assumptions", {})
         if not isinstance(flags, dict):
             raise InvalidSurfaceError('"assumptions" must be a JSON object')
         extra = set(flags) - set(ASSUMPTIONS)
         if extra:
-            raise InvalidSurfaceError(f"unknown assumption flags {[brief(k) for k in sorted(extra)]}")
+            raise InvalidSurfaceError(f"unknown assumption flags {brief_keys(extra)}")
         if not all(isinstance(v, bool) for v in flags.values()):
             raise InvalidSurfaceError("assumption flags must be true or false")
         return cls(SurfaceSpec.from_dict(data["fiber"]), **flags)

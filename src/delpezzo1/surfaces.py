@@ -45,7 +45,7 @@ from .cycles import (
     kodaira_type,
 )
 from .dynkin import ALL_TYPES, DynkinType, as_dynkin
-from .errors import InvalidSurfaceError, brief
+from .errors import InvalidSurfaceError, brief, brief_keys
 from .records import Record
 
 # worst cuspidal behavior over the members of |-K_S|
@@ -121,7 +121,7 @@ class SurfaceSpec(Record):
             raise InvalidSurfaceError("surface spec must be a JSON object")
         extra = set(data) - {"singularities", "cusp"}
         if extra:
-            raise InvalidSurfaceError(f"unknown spec keys {[brief(k) for k in sorted(extra)]}")
+            raise InvalidSurfaceError(f"unknown spec keys {brief_keys(extra)}")
         labels = data.get("singularities", [])
         if not isinstance(labels, list) or not all(isinstance(t, str) for t in labels):
             raise InvalidSurfaceError('"singularities" must be a list of label strings')

@@ -25,6 +25,7 @@ from delpezzo1.germs import CurveGerm
 from delpezzo1.lct import germ_blowup_tree, lct_germ, lct_weighted_germs
 from delpezzo1.numberfield import Element, NumberField
 from tests.data.make_resolution_corpus import canonical_form, engine_form, entry
+from tests.test_numberfield import candidates, watch_towers
 from tests.test_resolution_corpus import LINES
 
 
@@ -470,6 +471,19 @@ CUSP_PRODUCT = (
     " - 4*x^15*y^2 - 116*x^17 + 54*x^18 - 12*x^19 + x^20"
 )
 
+# the four conjugate cusps (y - t x - theta x^2)^2 - x^5 over t^2 = 2 and
+# theta^2 = 3 + t: the second extension, by v^2 - (3 + t) over Q(t), meets a
+# root of the conjugate v^2 - (3 - t) first
+CONJUGATE_CUSPS = (
+    "y^8 - 8*x^2*y^6 + 24*x^4*y^4 - 32*x^6*y^2 + 16*x^8 - 12*x^4*y^6 - 16*x^5*y^5"
+    " + 24*x^6*y^4 + 64*x^7*y^3 + 48*x^8*y^2 - 64*x^9*y - 96*x^10 - 4*x^5*y^6"
+    " + 8*x^7*y^4 + 16*x^9*y^2 - 32*x^11 + 50*x^8*y^4 + 96*x^9*y^3 + 152*x^10*y^2"
+    " + 192*x^11*y + 200*x^12 + 12*x^9*y^4 - 32*x^10*y^3 - 240*x^11*y^2 - 64*x^12*y"
+    " + 48*x^13 + 6*x^10*y^4 - 76*x^12*y^2 - 112*x^13*y - 144*x^14 + 12*x^13*y^2"
+    " - 96*x^14*y + 24*x^15 + 12*x^14*y^2 + 48*x^15*y + 73*x^16 - 4*x^15*y^2"
+    " - 92*x^17 + 50*x^18 - 12*x^19 + x^20"
+)
+
 
 def test_objects_over_a_number_field_hold_elements_only(monkeypatch):
     # the cluster keys and the Counter of _line_clusters compare coefficients:
@@ -526,6 +540,22 @@ def test_nodes_count_their_conjugate_points():
     assert engine_form(root) == [1, 8, [[2, 12, [[3, 13, [[6, 26, []]]]]]]]
     assert sum(1 for _ in root.walk()) == 4
     assert [node.points for node in blowup_tree([(nd("y^2 - x^3"), 1)])[0].walk()] == [1, 1, 1]
+
+
+def test_a_tower_that_meets_a_conjugates_root_first_resolves_exactly(monkeypatch):
+    x, y = sympy.symbols("x y")
+    product = 1
+    for t in (sympy.sqrt(2), -sympy.sqrt(2)):
+        for theta in (sympy.sqrt(3 + t), -sympy.sqrt(3 + t)):
+            product *= (y - t * x - theta * x**2) ** 2 - x**5
+    assert sympy.expand(product - sympy.sympify(CONJUGATE_CUSPS.replace("^", "**"))) == 0
+    builds = watch_towers(monkeypatch)
+    assert lct_germ(CONJUGATE_CUSPS) == Fraction(1, 4)
+    # the root of the conjugate is built, rejected exactly, and the next one kept
+    assert [c[1:] for c in candidates(builds)] == [("T**4 - 6*T**2 + 7", j) for j in (0, 1)]
+    (root,) = germ_blowup_tree(CONJUGATE_CUSPS)
+    assert [(node.k, node.m, node.points) for node in root.walk()] == [
+        (1, 8, 1), (2, 12, 2), (3, 13, 4), (6, 26, 4)]
 
 
 # -- chart symmetry: exchanging x and y moves chart-1 points to chart 2 -----

@@ -205,6 +205,13 @@ def test_hostile_json_exits_1(call, text):
         assert call(*argv, expect=1).err.startswith("InvalidSurfaceError: not valid JSON")
 
 
+def test_a_thousand_unknown_keys_make_one_short_error_line(call):
+    spec = {"singularities": [], **{f"k{i:09d}": 1 for i in range(1000)}}
+    err = call("targets", "--x", json.dumps(spec), expect=1).err
+    assert err.startswith("InvalidSurfaceError: unknown spec keys ['k000000000', ")
+    assert len(err.encode()) < 300
+
+
 # calls whose error line quotes an outside input: a label, a cusp, a spec key,
 # an assumption flag and a singularity
 QUOTING_CALLS = [

@@ -237,6 +237,10 @@ def test_kodaira_label_text_forms():
         KodairaLabel("II", 3)
     with pytest.raises(ValueError):
         KodairaLabel("V")
+    # a long series is cut: the message is the prefix and 82 characters
+    with pytest.raises(InvalidConfigurationError) as info:
+        KodairaLabel("V" * 5000)
+    assert str(info.value) == "unknown Kodaira series " + repr("V" * 77 + "...")
 
 
 def test_unrecognized_configuration():

@@ -48,6 +48,23 @@ def test_parse_malformed():
             parse_dynkin(label)
 
 
+@pytest.mark.parametrize("kind, rank, shown", [
+    ("A", True, "True"), ("A", 2.0, "2.0"), ("E", "8", "'8'"), ("D", None, "None"),
+    ("A", "9" * 5000, repr("9" * 77 + "...")),
+], ids=["bool", "float", "str", "none", "long"])
+def test_a_rank_that_is_not_an_int_is_refused(kind, rank, shown):
+    # True would print as ATrue and equal A1; 2.0 would fail later, in
+    # intersection_matrix, with a bare TypeError
+    with pytest.raises(MalformedLabelError, match=re.escape(f"must be an integer, got {shown}")):
+        DynkinType(kind, rank)
+
+
+def test_an_unknown_series_is_cut_in_the_message():
+    with pytest.raises(MalformedLabelError) as info:
+        DynkinType("A" * 5000, 1)
+    assert str(info.value) == "unknown series " + repr("A" * 77 + "...")
+
+
 def test_intersection_matrix_accepts_labels_and_is_built_once():
     m = intersection_matrix(parse_dynkin("E8"))
     assert intersection_matrix("E8") is m

@@ -12,11 +12,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from sympy import QQ, CRootOf, Poly, Rational, Symbol, sqrt
+from sympy import QQ, CRootOf, Poly, Symbol
 
-from delpezzo1.numberfield import Element, NumberField, _apart_from_zero
+from delpezzo1.errors import InvalidGermError
+from delpezzo1.numberfield import Element, NumberField
 
-V = Symbol("v")
+V, T = Symbol("v"), Symbol("T")
 _rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 
 
@@ -196,30 +197,63 @@ def test_a_tower_embeds_its_field_exactly(a, b, c, pairs):
         assert phi(x * y) == phi(x) * phi(y) and phi(x + y) == phi(x) + phi(y)
 
 
-def test_a_tower_builds_no_field_for_a_root_of_a_conjugate(monkeypatch):
+def watch_towers(monkeypatch, failing=()):
+    """The (gamma, theta) of each tower QQ.algebraic_field builds, in order.
+
+    The builds whose indices are in failing raise NotImplementedError, as
+    sympy's primitive element search may.
+    """
+    builds, algebraic_field = [], type(QQ).algebraic_field
+
+    def build(self, *gens, **kw):
+        if len(gens) == 2:
+            builds.append(gens)
+            if len(builds) - 1 in failing:
+                raise NotImplementedError
+        return algebraic_field(self, *gens, **kw)
+
+    monkeypatch.setattr(type(QQ), "algebraic_field", build)
+    return builds
+
+
+def candidates(builds):
+    """(gamma, theta's polynomial in T, theta's index) of each build.
+
+    The polynomial is written in T: a CRootOf that sympy hands back from its
+    cache keeps the symbol of the first polynomial equal to it up to renaming.
+    """
+    return [(g, str(r.poly.as_expr(T)), r.index) for g, r in builds]
+
+
+def test_a_tower_builds_and_rejects_a_root_of_a_conjugate_first(monkeypatch):
     # over K = Q[t]/(t^2 - 2), t = -sqrt 2, the first real root of the norm
     # T^4 - 6 T^2 + 7 of v^2 - (t + 3) is -sqrt(3 + sqrt 2), a root of the
-    # conjugate factor: intervals pass it over, and one field Q(t, theta) is
-    # built, for the root -sqrt(3 - sqrt 2)
+    # conjugate factor: its field is built and the exact check rejects it;
+    # the second, -sqrt(3 - sqrt 2), is kept
     K = NumberField((Fraction(-2), Fraction(0), Fraction(1)))
     gamma = K.sympy_field.ext.as_expr()
-    builds, algebraic_field = [], type(QQ).algebraic_field
-    monkeypatch.setattr(type(QQ), "algebraic_field", lambda self, *gens, **kw: (
-        builds.append(gens) if len(gens) == 2 else None) or algebraic_field(self, *gens, **kw))
+    builds = watch_towers(monkeypatch)
     p = (-K.gen - 3, K.zero, K.one)
     theta, L, phi = K.extend(p)
-    assert [(g, str(r.poly.as_expr()), r.index) for g, r in builds] == [
-        (gamma, "_T**4 - 6*_T**2 + 7", 1)]
+    assert candidates(builds) == [(gamma, "T**4 - 6*T**2 + 7", j) for j in (0, 1)]
     assert not sum((phi(pi) * theta**i for i, pi in enumerate(p)), L.zero)
 
 
-@pytest.mark.parametrize("theta, apart", [(Rational(1, 2), True), (sqrt(3), False)],
-                         ids=["rational", "no-interval-form"])
-def test_intervals_read_a_rational_root_and_pass_over_any_other_form(theta, apart):
-    # p = v^2 - 3 over Q(sqrt 2): a rational theta is its own interval, and
-    # p(gamma, 1/2) = -11/4 is kept from 0; sqrt(3) has no interval form, so
-    # the intervals show nothing and the exact check is left to decide
+def test_a_tower_passes_over_a_root_whose_field_sympy_cannot_build(monkeypatch):
+    # v^2 - 3 over Q(sqrt 2): both roots of the norm (T^2 - 3)^2 are p's, and
+    # when the first one's field cannot be built, the second one's is returned
     K = NumberField((Fraction(-2), Fraction(0), Fraction(1)))
+    gamma = K.sympy_field.ext.as_expr()
+    builds = watch_towers(monkeypatch, failing={0})
     p = (K.one * -3, K.zero, K.one)
-    gamma = CRootOf(Symbol("t") ** 2 - 2, 1)
-    assert _apart_from_zero(p, gamma, theta) is apart
+    theta, L, phi = K.extend(p)
+    assert candidates(builds) == [(gamma, "T**2 - 3", j) for j in (0, 1)]
+    assert not sum((phi(pi) * theta**i for i, pi in enumerate(p)), L.zero)
+
+
+def test_a_tower_that_sympy_cannot_build_is_a_typed_error(monkeypatch):
+    K = NumberField((Fraction(-2), Fraction(0), Fraction(1)))
+    builds = watch_towers(monkeypatch, failing={0, 1})
+    with pytest.raises(InvalidGermError, match="could not realize"):
+        K.extend((K.one * -3, K.zero, K.one))
+    assert len(builds) == 2

@@ -72,6 +72,7 @@ def test_fibration_spec_from_dict():
         {"fiber": {}, "assumptions": {"special_fiber_plt": None}},
         {"fiber": {}, "assumption": {"surjectivity": False}},
         {"fiber": {"singularities": "E8"}},
+        {"fiber": {}, "assumptions": {"plt": True, 5: False}},
     ],
     ids=repr,
 )

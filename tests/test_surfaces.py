@@ -48,6 +48,12 @@ def test_spec_round_trip():
         SurfaceSpec.from_dict(["E8"])
 
 
+def test_unknown_keys_of_mixed_types_are_named_in_repr_order():
+    with pytest.raises(InvalidSurfaceError) as info:
+        SurfaceSpec.from_dict({"x": 1, 5: 2})
+    assert str(info.value) == "unknown spec keys ['x', 5]"
+
+
 @pytest.mark.parametrize(
     "labels", [5, "E8", {"E8": 1}, ("E8",), [8], ["E8", None]], ids=repr
 )
