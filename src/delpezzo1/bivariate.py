@@ -3,8 +3,7 @@
 A polynomial is a list of columns, the coefficient of y^b at index b, each
 a dense list of ints in x as in univariate (constant term first, no
 trailing zero); the last column is nonzero and the zero polynomial is [].
-A germ's numerators are read as they are; the only Fractions here are in
-the gcds of contents in Z[x], Euclid's over Q made primitive (_gcd_x).
+A germ's numerators are read as they are, and no Fraction is made.
 
 gcd is Brown's dense modular algorithm (W. S. Brown, "On Euclid's algorithm
 and the computation of polynomial greatest common divisors", JACM 1971; von
@@ -16,7 +15,9 @@ and the images of several primes are combined by the Chinese remainder
 theorem.  An image of degree 0 at a point where both leading coefficients
 survive proves the gcd constant; any other candidate is accepted only once
 it divides both inputs exactly (scaled as its leading coefficient needs).
-An unlucky prime or point costs another one, never a wrong answer.
+An unlucky prime or point costs another one, never a wrong answer.  gcd_z
+is the same in one variable, with no point to evaluate at: it gives the
+gcds of contents in Z[x] here, and the blowup engine's gcds on a line over Q.
 """
 
 from __future__ import annotations
@@ -79,15 +80,10 @@ def primitive(p: Poly) -> tuple[list, Poly]:
     for col in rest:
         if len(content) == 1:
             break
-        content = _gcd_x(content, col)
+        content = gcd_z(content, col)
     if len(content) > 1:
         p = [univariate.exact_quotient(col, content) for col in p]
     return [0] * k + content, _integral(p)
-
-
-def _gcd_x(a: list, b: list) -> list:
-    """gcd(a, b) in Z[x] for nonzero a, b: the monic gcd over Q, primitive over its denominator."""
-    return list(univariate.integral(univariate.gcd(a, b))[0])
 
 
 def divide(p: Poly, h: Poly) -> Poly | None:
@@ -119,7 +115,7 @@ def gcd(p: Poly, q: Poly) -> Poly:
     cp, p = primitive(p)
     cq, q = primitive(q)
     h = _gcd_primitive(p, q) if len(p) > 1 and len(q) > 1 else ONE
-    c = _gcd_x(cp, cq)
+    c = gcd_z(cp, cq)
     return [univariate.mul(c, col) for col in h]
 
 
@@ -134,9 +130,9 @@ def repeated_factor(p: Poly) -> Poly:
     """
     content, q = primitive(p)
     factor = [1]
-    g = _gcd_x(content, univariate.derivative(content)) if len(content) > 2 else [1]
+    g = gcd_z(content, univariate.derivative(content)) if len(content) > 2 else [1]
     if len(g) > 1:
-        factor = _gcd_x(g, univariate.exact_quotient(content, g))
+        factor = gcd_z(g, univariate.exact_quotient(content, g))
     g = _gcd_primitive(q, derivative(q)) if len(q) > 2 else ONE
     if len(g) > 1:
         g = _gcd_primitive(g, divide(q, g))
@@ -257,6 +253,26 @@ def _lift(m: int, cols: Poly) -> Poly | None:
     return lifted if lifted[-1] else None
 
 
+def gcd_z(a: list, b: list) -> list:
+    """gcd(a, b) in Z[x] of the nonzero dense a and b, primitive, its leading coefficient > 0.
+
+    Brown's algorithm as gcd runs it, a polynomial being one column and the
+    images scaled to gamma = gcd(lc a, lc b); a and b need not be primitive
+    (Gauss's lemma).  A lower image degree discards the images before it.
+    """
+    gamma, degree, acc = igcd(a[-1], b[-1]), None, None
+    for ell in _primes():
+        if a[-1] % ell and b[-1] % ell:
+            g = _gcd_mod([c % ell for c in a], [c % ell for c in b], ell)
+            if degree is None or len(g) < degree:
+                degree, acc = len(g), None
+            if len(g) == degree:  # else an unlucky prime
+                acc = _crt(acc, ell, [[c * gamma % ell for c in g]])
+                h = _integral(_lift(*acc))[0]  # its top coefficient is gamma, nonzero
+                if all(univariate.exact_quotient(f, h) is not None for f in (a, b)):
+                    return h
+
+
 def _gcd_primitive(p: Poly, q: Poly) -> Poly:
     """gcd(p, q) of the primitive p and the nonzero q, both of y-degree >= 1.
 
@@ -273,7 +289,7 @@ def _gcd_primitive(p: Poly, q: Poly) -> Poly:
     every image before it.
     """
     lp, lq = p[-1], q[-1]
-    common = _gcd_x(lp, lq) if len(lp) > 1 and len(lq) > 1 else [1]
+    common = gcd_z(lp, lq) if len(lp) > 1 and len(lq) > 1 else [1]
     gamma = [igcd(*lp, *lq) * c for c in common]
     bound = len(gamma) + min(max(map(len, p)), max(map(len, q))) - 2
     width = max(map(len, p + q))

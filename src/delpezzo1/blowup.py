@@ -18,9 +18,9 @@ x = u, y = u v, and one more centre: the origin of the chart x = u v, y = v.
 Polynomials are stored as dicts {(deg_x, deg_y): coefficient} over a
 field K, and every field under the resolution is Q or a number field
 Q[t]/(g) (numberfield.NumberField).  Over Q an object is a primitive dict
-of ints, a curve being its polynomial up to a constant; only the cluster
-keys, and the gcds over Q that find them, are Fractions.  Points on one
-exceptional line are enumerated as Galois orbits: each irreducible factor
+of ints, a curve being its polynomial up to a constant, and the gcds that
+find its clusters run in Z[v]; only the cluster keys are Fractions.  Points
+on one exceptional line are enumerated as Galois orbits: each irreducible factor
 of the restriction of the transform to the line is one cluster, blown up
 once on behalf of all its conjugate points, which carry identical (k, m)
 data.  A cluster of degree >= 2 gets a field only when it needs a blowup:
@@ -42,13 +42,12 @@ build a tower.
 from __future__ import annotations
 
 import math
-import operator
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence, TypeAlias
 
-from . import univariate
+from . import bivariate, univariate
 from .errors import DepthExceededError, InvalidGermError
 from .records import Record
 
@@ -76,7 +75,7 @@ class _Rationals:
         disc = b * b - 4 * a * c
         root = Fraction(math.isqrt(abs(disc.numerator)), math.isqrt(disc.denominator))
         if root * root != disc:  # always so for disc < 0
-            return [(c / a, b / a, Q.one)]
+            return [(Fraction(c, a), Fraction(b, a), Q.one)]
         return [((b + root) / (2 * a), Q.one), ((b - root) / (2 * a), Q.one)]
 
     @staticmethod
@@ -215,12 +214,13 @@ def _shift_y(d: PolyDict, theta: Any, K: Field) -> PolyDict:
 def _factor_on_line(p: univariate.Dense, K: Field) -> list[tuple]:
     """The monic irreducible factors over K of a squarefree p prime to v, as cluster keys.
 
-    A linear p is read off and any other goes to K.factor; over Q either way
-    a key is a tuple of Fractions, so one point is one key.
+    A linear p is read off and any other goes to K.factor; over Q, where p
+    is integral, either way a key is a tuple of Fractions, so one point is
+    one key.
     """
-    if len(p) < 3:
-        return [(p[0] / p[1], K.one)] if len(p) == 2 else []
-    return K.factor(p)
+    if len(p) == 2:
+        return [(Fraction(p[0], p[1]) if K is Q else p[0] / p[1], K.one)]
+    return K.factor(p) if len(p) > 2 else []
 
 
 def _through(p: tuple, polys: list[univariate.Dense], K: Field) -> list[int]:
@@ -240,25 +240,26 @@ def _line_clusters(lines: list[dict[int, Any]], K: Field) -> dict[tuple, list[in
     it is neither factored nor given a field.  With the powers of v taken
     out, the monic factor of a linear restriction is read off and counted;
     of the restrictions of degree >= 2 only the multiple roots of their
-    product P, the squarefree part of gcd(P, P'), are factored, over Q in
-    Fractions.  An object is through a cluster when the cluster's factor
-    divides its restriction exactly.
+    product P, the squarefree part of gcd(P, P'), are factored; over Q the
+    gcds run in Z[v] (bivariate.gcd_z).  An object is through a cluster
+    when the cluster's factor divides its restriction exactly.
     """
     dense = [univariate.from_dict(ud) for ud in lines]
     orders = [min(ud) for ud in lines]
     rests = [f[k:] for f, k in zip(dense, orders)]
-    ratio = Fraction if K is Q else operator.truediv
-    linear = Counter((ratio(r[0], r[1]), K.one) for r in rests if len(r) == 2)
+    linear = Counter(_factor_on_line(r, K)[0] for r in rests if len(r) == 2)
     higher = [r for r in rests if len(r) > 2]
     keys = [p for p, n in linear.items() if n > 1 or _through(p, higher, K)]
     if max(orders) > 1 or sum(k > 0 for k in orders) > 1:
         keys.append((K.zero, K.one))
     if higher:
         product = reduce(univariate.mul, higher)
-        repeated = univariate.gcd(product, univariate.derivative(product))
+        gcd = bivariate.gcd_z if K is Q else univariate.gcd
+        repeated = gcd(product, univariate.derivative(product))
         if len(repeated) > 2:  # its squarefree part: each point once
-            repeated = univariate.divide(repeated, univariate.gcd(
-                repeated, univariate.derivative(repeated)))[0]
+            part = gcd(repeated, univariate.derivative(repeated))
+            repeated = (univariate.exact_quotient(repeated, part) if K is Q
+                        else univariate.divide(repeated, part)[0])
         # a linear restriction's factor among them is a key already
         keys += [p for p in _factor_on_line(repeated, K) if p not in linear]
     return {p: _through(p, dense, K) for p in keys}

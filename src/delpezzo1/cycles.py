@@ -26,7 +26,7 @@ from .errors import (
     OutOfRangeError,
     UnrecognizedConfigurationError,
     VariantMismatchError,
-    brief,
+    quoted,
 )
 from .records import Record
 
@@ -357,7 +357,7 @@ class KodairaLabel(Record):
             if index is not None:
                 raise InvalidConfigurationError(f"{series} carries no index")
         else:
-            raise InvalidConfigurationError(f"unknown Kodaira series {brief(series)!r}")
+            raise InvalidConfigurationError(f"unknown Kodaira series {quoted(series)}")
         object.__setattr__(self, "series", series)
         object.__setattr__(self, "index", index)
 

@@ -25,7 +25,7 @@ __all__ = [
 import re
 from functools import cache, total_ordering
 
-from .errors import MalformedLabelError, NotSymmetricError, OutOfRangeError, brief
+from .errors import MalformedLabelError, NotSymmetricError, OutOfRangeError, brief, quoted
 from .records import Record
 
 _RANK_RANGE = {"A": (1, 8), "D": (4, 8), "E": (6, 8)}
@@ -52,9 +52,9 @@ class DynkinType(Record):
 
     def __init__(self, kind: str, rank: int) -> None:
         if kind not in _RANK_RANGE:
-            raise MalformedLabelError(f"unknown series {brief(kind)!r}")
+            raise MalformedLabelError(f"unknown series {quoted(kind)}")
         if isinstance(rank, bool) or not isinstance(rank, int):
-            raise MalformedLabelError(f"Dynkin rank must be an integer, got {brief(rank)!r}")
+            raise MalformedLabelError(f"Dynkin rank must be an integer, got {quoted(rank)}")
         lo, hi = _RANK_RANGE[kind]
         if not lo <= rank <= hi:
             raise _out_of_range(kind, rank)
@@ -94,7 +94,7 @@ def parse_dynkin(label: str) -> DynkinType:
         raise MalformedLabelError(f"label must be a string, got {type(label).__name__}")
     m = _LABEL_RE.fullmatch(label.strip())
     if m is None:
-        raise MalformedLabelError(f"malformed Dynkin label {brief(label)!r}")
+        raise MalformedLabelError(f"malformed Dynkin label {quoted(label)}")
     kind, digits = m.group(1).upper(), m.group(2).lstrip("0") or "0"
     if len(digits) > 1:
         raise _out_of_range(kind, digits)

@@ -19,6 +19,19 @@ def brief(obj: object, width: int = 80) -> object:
     return obj if len(text) <= width else text[:width - 3] + "..."
 
 
+def quoted(obj: object, width: int = 80) -> str:
+    """repr(brief(obj)), as an error message quotes obj, cut further where escapes lengthen it.
+
+    A repr longer than width + 2 characters (two for the quotes) is the repr
+    of a shorter cut of str(obj), so that no input fills a message however
+    many of its characters print as escapes.
+    """
+    text, k = brief(obj, width), width - 3
+    while len(repr(text)) > width + 2:
+        text, k = str(obj)[:k] + "...", k - 1
+    return repr(text)
+
+
 def brief_keys(keys: set) -> object:
     """Keys of any types as an error message lists them: by repr, each cut, the list to 200."""
     return brief([brief(k) for k in sorted(keys, key=repr)], 200)

@@ -62,6 +62,7 @@ from .errors import (
     NotAtOriginError,
     NotQuasihomogeneousError,
     brief,
+    quoted,
 )
 
 # Limits on germ text, like blowup.DEPTH_CAP on the engine.  MAX_DEGREE
@@ -115,11 +116,11 @@ class _Parser:
         self.products = 0
 
     def fail(self, reason: str) -> NoReturn:
-        raise InvalidGermError(f"cannot parse germ {brief(self.text)!r}: {reason}")
+        raise InvalidGermError(f"cannot parse germ {quoted(self.text)}: {reason}")
 
     def expected(self, what: str) -> NoReturn:
         token = self.peek()
-        self.fail(f"expected {what}, found {repr(token) if token else 'the end'}")
+        self.fail(f"expected {what}, found {quoted(token) if token else 'the end'}")
 
     def peek(self) -> str:
         return self.tokens[self.pos]

@@ -6,7 +6,7 @@ reciprocal component multiplicities.  lct_config evaluates the weighted
 total transform D~ + Gamma: simple normal crossings contribute 1/m, and
 each non-SNC meeting (cusp, tangency, three or more transverse branches)
 the closed form read off its chain of blowups, so it runs no resolution
-and needs neither the germ parser nor sympy.
+and needs neither the germ parser, the engine nor sympy.
 
 Germs are read and checked squarefree without sympy as well, and weighted
 branches that run into the depth cap are compared for a common factor by
@@ -22,18 +22,30 @@ from fractions import Fraction
 from itertools import combinations
 from typing import TYPE_CHECKING, Sequence
 
-from .blowup import BlowupNode, blowup_tree, lct_of_branches
 from .errors import DepthExceededError, NonSquarefreeError, brief
 
 if TYPE_CHECKING:  # annotations only: a germ call loads no core module but errors and records
+    from .blowup import BlowupNode
     from .cycles import AnticanonicalConfiguration
+
+_ENGINE_NAMES = ("BlowupNode", "blowup_tree", "lct_of_branches")
+
+
+def __getattr__(name: str) -> object:
+    """The engine's names, read through this module; blowup is loaded when one is read."""
+    if name in _ENGINE_NAMES:
+        from . import blowup
+
+        return getattr(blowup, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _germs_of(germs: Sequence[tuple[CurveGerm | str, int]]) -> list[tuple[CurveGerm, int]]:
     """The germs, checked squarefree.
 
-    germs is imported here and not at module level: lct_config never needs
-    the germ parser.  CurveGerm in the annotations is its class.
+    germs, and blowup with it, are imported in the germ functions and not at
+    module level: lct_config never needs the germ parser or the engine.
+    CurveGerm in the annotations is its class.
     """
     from .germs import as_germ, ensure_squarefree
 
@@ -65,6 +77,8 @@ def lct_weighted_germs(germs: Sequence[tuple[CurveGerm | str, int]]) -> Fraction
     into the depth cap; only then are the branches compared, and the pair
     found is reported as NonSquarefreeError.
     """
+    from .blowup import lct_of_branches
+
     checked = _germs_of(germs)
     try:
         return lct_of_branches([(g.nums, w) for g, w in checked])
@@ -75,6 +89,8 @@ def lct_weighted_germs(germs: Sequence[tuple[CurveGerm | str, int]]) -> Fraction
 
 def germ_blowup_tree(g: CurveGerm | str) -> list[BlowupNode]:
     """Resolution tree of a squarefree germ (root nodes; empty when SNC)."""
+    from .blowup import blowup_tree
+
     return blowup_tree([(h.nums, w) for h, w in _germs_of([(g, 1)])])
 
 

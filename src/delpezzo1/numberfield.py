@@ -275,8 +275,10 @@ class Element:
         Column j of M is nums t^j modulo g, times D^j so that it stays integral
         (g = t^n + low/D); fraction-free Gauss-Jordan elimination (Bareiss)
         turns [M | 1] into [det I | det y] with exact integer divisions, and
-        x_j = D^j y_j.
+        x_j = D^j y_j.  A rational, such as one, is inverted as a rational.
         """
+        if not any(self.nums[1:]):  # Fraction raises ZeroDivisionError at 0
+            return self.field.convert(Fraction(self.den, self.nums[0]))
         field = self.field
         n, low, D = field.degree, field.low, field.low_den
         columns = [list(self.nums)]

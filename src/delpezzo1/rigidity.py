@@ -191,7 +191,8 @@ def _side(side: FibrationSpec | SurfaceSpec, name: str) -> tuple[FibrationSpec, 
 
 
 def _admissible(threshold: Fraction) -> tuple[TargetClass, ...]:
-    return tuple(c for c in TARGET_CLASSES if c.tlct_value <= 1 - threshold)
+    bound = 1 - threshold
+    return tuple(c for c in TARGET_CLASSES if c.tlct_value <= bound)
 
 
 def rigidity_gate(

@@ -45,7 +45,7 @@ from .cycles import (
     kodaira_type,
 )
 from .dynkin import ALL_TYPES, DynkinType, as_dynkin
-from .errors import InvalidSurfaceError, brief, brief_keys
+from .errors import InvalidSurfaceError, brief_keys, quoted
 from .records import Record
 
 # worst cuspidal behavior over the members of |-K_S|
@@ -93,7 +93,7 @@ class SurfaceSpec(Record):
         object.__setattr__(self, "cusp_data", cusp_data)
         if cusp_data not in CUSP_DATA:
             raise InvalidSurfaceError(
-                f"unknown cusp data {brief(cusp_data)!r}; choose from {CUSP_DATA}"
+                f"unknown cusp data {quoted(cusp_data)}; choose from {CUSP_DATA}"
             )
         needed = CUSPIDAL_MEMBERS.get(cusp_data, (None,))[0]
         if needed is not None and needed not in [t.label for t in types]:

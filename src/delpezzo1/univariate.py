@@ -1,21 +1,20 @@
-"""Dense univariate polynomials over a field, for exact gcds without sympy.
+"""Dense univariate polynomials, for exact gcds without sympy.
 
 A polynomial is a list of coefficients, constant term first, with no
-trailing zero; the zero polynomial is [].  The coefficients lie in a
-field under the blowup engine, Q (ints and Fractions, an int taken as a
-rational) or a numberfield.NumberField.  A zero is tested by truthiness,
-as such an element never compares equal to the int 0, and the int 0 that
-pads a list is only ever added to or multiplied, never divided by a field
-element.  The line step of the blowup engine and the contents in
-bivariate are built from these gcds, which over Q come out in Fractions
-(von zur Gathen and Gerhard, Modern Computer Algebra, 2013, ch. 3 and
-14); integral polynomials divide in Z[x] by exact_quotient.
+trailing zero; the zero polynomial is [].  Under the blowup engine the
+coefficients are ints, or elements of a numberfield.NumberField.  A zero
+is tested by truthiness, as such an element never compares equal to the
+int 0, and the int 0 that pads a list is only ever added to or
+multiplied, never divided by a field element.  Over a NumberField the
+line step of the blowup engine runs Euclid's gcd (von zur Gathen and
+Gerhard, Modern Computer Algebra, 2013, ch. 3); in Z[x] it and the
+contents in bivariate take bivariate.gcd_z, and integral polynomials
+divide by exact_quotient.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Any, Sequence
 
 Dense = list
@@ -36,11 +35,6 @@ def from_dict(d: dict[int, Any]) -> Dense:
     for b, c in d.items():
         p[b] = c
     return trim(p)
-
-
-def _inverse(c: Any) -> Any:
-    """1/c in the field of the nonzero c, an int being a rational."""
-    return Fraction(1, c) if isinstance(c, int) else c ** -1
 
 
 def integral(coeffs: Sequence) -> tuple[tuple[int, ...], int]:
@@ -72,11 +66,11 @@ def mul(p: Dense, q: Dense) -> Dense:
 
 
 def divide(p: Dense, q: Dense) -> tuple[Dense, Dense]:
-    """Quotient and remainder of p by a nonzero q."""
+    """Quotient and remainder of p by a nonzero q over a field."""
     rem = list(p)
     if len(rem) < len(q):
         return [], rem
-    inverse = _inverse(q[-1])
+    inverse = q[-1] ** -1
     quo = [0] * (len(rem) - len(q) + 1)
     for shift in range(len(quo) - 1, -1, -1):
         c = rem.pop() * inverse
@@ -106,7 +100,7 @@ def exact_quotient(p: Dense, q: Dense) -> Dense | None:
 
 
 def monic(p: Dense) -> Dense:
-    inverse = _inverse(p[-1])
+    inverse = p[-1] ** -1
     return [c * inverse for c in p]
 
 

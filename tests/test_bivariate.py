@@ -8,7 +8,7 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import QQ, Poly
+from sympy import QQ, ZZ, Poly
 
 from delpezzo1 import bivariate, univariate
 from delpezzo1.errors import NonSquarefreeError
@@ -153,3 +153,70 @@ def test_a_long_repeated_factor_is_rejected_fast():
         ensure_squarefree(germ)
     # 10.6 s with sympy's dense gcd; about 1 s on a 2-vCPU VM
     assert time.perf_counter() - start < 5
+
+
+# -- gcd_z: the gcd in Z[x] of contents here, and of the engine's lines over Q --
+
+
+def dense(poly):
+    """A Poly over ZZ in x as a dense list of ints, constant term first."""
+    return univariate.trim([int(c) for c in reversed(poly.all_coeffs())])
+
+
+def normalized(poly):
+    """The primitive part with a positive leading coefficient, dense."""
+    part = poly.primitive()[1]
+    return dense(-part if part.LC() < 0 else part)
+
+
+factors = st.lists(coefficients, min_size=1, max_size=4).map(
+    lambda cs: Poly(list(reversed(cs)), x, domain=ZZ))
+scalars = st.integers(-30, 30).filter(bool)
+
+
+@settings(deadline=None, max_examples=150)
+@given(factors, factors, factors, scalars, scalars, st.integers(1, 3))
+def test_gcd_z_and_the_squarefree_part_agree_with_sympy_over_zz(f, g, h, c, d, e):
+    # contents c and d, leading coefficients of either sign, constants (a
+    # one-term f, g or h), a shared factor repeated e times, and coefficients
+    # wider than one prime
+    for p, q in [(c * f**e * g, d * f * h), (c * f**(e + 1) * g, d * f**e * g**2),
+                 (c * g, d * h), (c * f**e * g**2, (f**e * g**2).diff(x))]:
+        if p.is_zero or q.is_zero:
+            continue
+        assert bivariate.gcd_z(dense(p), dense(q)) == normalized(sympy.gcd(p, q)), (p, q)
+        if p.degree() > 0:  # the squarefree part as the engine takes it, p / gcd(p, p')
+            part = univariate.exact_quotient(dense(p), bivariate.gcd_z(dense(p), dense(p.diff(x))))
+            assert normalized(Poly(list(reversed(part)), x, domain=ZZ)) == normalized(p.sqf_part())
+
+
+# (x - 1000) x against (x - 1000) times a second factor: modulo 101 or 103
+# the second factor can be x, and 1000 needs the CRT of two primes
+SMALL_PRIME_CASES = [
+    # modulo 101, x - 101 is x: that image has degree 2, and 103's discards it
+    ([0, -1000, 1], [101000, -1101, 1], [(True, 101), (True, 103), (False, 107)]),
+    # modulo 103, x - 103 is x: an unlucky prime between two lucky ones
+    ([0, -1000, 1], [103000, -1103, 1], [(True, 101), (False, 107)]),
+    # 101 divides a leading coefficient, so it is passed over
+    ([0, -101000, 101], [7000, -1007, 1], [(True, 103), (False, 107)]),
+]
+
+
+@pytest.mark.parametrize("p, q, combined", SMALL_PRIME_CASES)
+def test_gcd_z_passes_over_unlucky_primes(monkeypatch, p, q, combined):
+    monkeypatch.setattr(bivariate, "_primes", lambda: iter(SMALL_PRIMES))
+    crt, calls = bivariate._crt, []
+
+    def watched(acc, ell, cols):
+        calls.append((acc is None, ell))
+        return crt(acc, ell, cols)
+
+    monkeypatch.setattr(bivariate, "_crt", watched)
+    assert bivariate.gcd_z(p, q) == [-1000, 1]
+    assert calls == combined
+
+
+def test_gcd_z_of_constants_and_coprime_polynomials_is_one():
+    assert bivariate.gcd_z([6], [-4]) == [1]
+    assert bivariate.gcd_z([0, 0, 3], [-2, 1]) == [1]
+    assert bivariate.gcd_z([-6, 0, -3], [4, 0, 2]) == [2, 0, 1]  # x^2 + 2, made positive

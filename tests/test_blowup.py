@@ -1,5 +1,7 @@
 import math
+import time
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 import sympy
@@ -107,6 +109,38 @@ def test_cluster_keys_over_q_are_fractions(monkeypatch):
                 k: v for k, v in line.items() if k != "group"}
     assert len(keys) > 500
     assert all(type(p) is tuple and all(type(c) is Fraction for c in p) for p in keys)
+
+
+def _line_of(*factors):
+    """A restriction as the engine builds it over Q: the product of int factors, as a dict."""
+    return dict(enumerate(univariate.trim(reduce(univariate.mul, factors))))
+
+
+def test_cluster_keys_over_q_are_the_fractions_of_the_monic_factors():
+    # each line holds its repeated factor twice: the gcds run in Z[v], and
+    # the keys are the monic factors over Q, with Fraction coefficients
+    F = Fraction
+    cases = [
+        ([-2, 3], {(F(-2, 3), F(1)): [0]}),  # a linear cluster, 3v - 2
+        ([-4, 5, 6], {(F(-1, 2), F(1)): [0], (F(4, 3), F(1)): [0]}),  # (2v - 1)(3v + 4)
+        ([-3, 0, 5], {(F(-3, 5), F(0), F(1)): [0]}),  # irreducible, 5v^2 - 3
+    ]
+    for repeated, keys in cases:
+        found = _line_clusters([_line_of(repeated, repeated, [7, 1])], Q)
+        assert found == keys
+        assert all(type(c) is Fraction for p in found for c in p)
+
+
+def test_a_product_of_128_rational_lines_resolves_in_seconds():
+    # lines of slopes p/q, 0 < q <= 10, |p| <= 12: the restriction to the
+    # first exceptional line has coefficients of 377 bits.  Its gcd with its
+    # derivative takes minutes by Euclid over Q in Fractions, and
+    # milliseconds in Z[v]
+    slopes = sorted({Fraction(p, q) for q in range(1, 11) for p in range(-12, 13)})[:128]
+    text = "*".join(f"({r.denominator}*y - {r.numerator}*x)" for r in slopes)
+    start = time.perf_counter()
+    assert lct_germ(text) == Fraction(2, 128)
+    assert time.perf_counter() - start < 10
 
 
 def test_multiplicity_helper():

@@ -170,6 +170,22 @@ def test_errors_shorten_long_germs_and_factors(call, argv, start):
     assert len(err.splitlines()[0]) <= 2 * 80 + 60
 
 
+# A quoted input is cut after it is quoted, so that escapes cannot lengthen
+# it: 80 control characters print as 320, and a quote keeps at most 82.
+@pytest.mark.parametrize("argv", [("matrix", "\x01" * 80), ("tlct", "--sings", "\x01" * 80)],
+                         ids=["matrix", "tlct"])
+def test_errors_quote_control_characters_short(call, argv):
+    kind, message = call(*argv, expect=1).err.rstrip("\n").split(": ", 1)
+    assert kind == "MalformedLabelError" and message.endswith("...'") and len(message) <= 120
+
+
+def test_germ_errors_quote_control_characters_and_long_tokens_short(call):
+    # the text and the token the parser stopped at are quoted the same way
+    for text in ("\x00" * 80, "x 1" + "2" * 5000):
+        err = call("lct-germ", text, expect=1).err
+        assert err.startswith("InvalidGermError: cannot parse germ ") and len(err) <= 2 * 82 + 80
+
+
 MALFORMED_SPECS = [
     {"singularities": 5},
     {"singularities": "E8"},

@@ -241,6 +241,10 @@ def test_kodaira_label_text_forms():
     with pytest.raises(InvalidConfigurationError) as info:
         KodairaLabel("V" * 5000)
     assert str(info.value) == "unknown Kodaira series " + repr("V" * 77 + "...")
+    # control characters are quoted as escapes, and then cut
+    with pytest.raises(InvalidConfigurationError) as info:
+        KodairaLabel("\x00" * 80)
+    assert str(info.value).endswith("...'") and len(str(info.value)) <= 120
 
 
 def test_unrecognized_configuration():

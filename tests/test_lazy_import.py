@@ -136,7 +136,7 @@ FOOTPRINTS = [
     (("lct-germ", "x^2*y"), GERMS | {"lct"}),  # rejected, exit status 1
     (("lct-germ", "y^2 - x^5", "--json"), GERMS | {"lct", "json"}),
     (("classify", "x*y"), GERMS),
-    (("lct-config", "E8"), CONFIGS | {"lct", "blowup", "univariate", "fractions"}),
+    (("lct-config", "E8"), CONFIGS | {"lct", "fractions"}),
     (("tlct", "--sings", "E7,A1"), SURFACES),
     (("validate", "--sings", "E8,A1"), SURFACES),
     (("rigidity", "--x", SPEC, "--y", SPEC), FIBRATIONS),
@@ -153,6 +153,14 @@ def test_import_loads_no_submodule():
 def test_cli_call_loads_only_what_its_subcommand_runs(argv, modules):
     assert footprint(*argv) == modules
     assert ("json" in modules) == ("--json" in argv or argv[0] in ("rigidity", "targets"))
+
+
+def test_lct_loads_the_engine_only_for_a_germ_or_an_engine_name():
+    assert loaded_after("import delpezzo1.lct", "delpezzo1.blowup") == set()
+    assert fresh(
+        "from delpezzo1 import blowup, lct\n"
+        "print(all(getattr(lct, n) is getattr(blowup, n) for n in lct._ENGINE_NAMES))"
+    ) == ["True"]
 
 
 def test_germ_with_an_irrational_cluster_loads_sympy():

@@ -141,6 +141,23 @@ def test_inverse_of_a_quadratic_element_by_hand():
     assert repr((1 + t) / 3) == "Element(1/3 + 1/3*t mod -2 + 1*t^2)"
 
 
+@_settings
+@given(_fields(), _rationals)
+def test_a_rational_element_is_inverted_as_a_rational(K, r):
+    # one leads every monic cluster factor; a rational (negative, non-integral
+    # or zero) skips the elimination and agrees with what it gives for r t,
+    # times t: (r t)^-1 t = 1/r
+    a = K.convert(r)
+    if not r:
+        with pytest.raises(ZeroDivisionError):
+            a ** -1
+        return
+    inverse = a ** -1
+    assert inverse == K.convert(1 / r) == (a * K.gen) ** -1 * K.gen
+    assert K.to_anp(inverse) == K.to_anp(a) ** -1
+    assert K.one ** -1 == K.one and 1 / a == inverse
+
+
 def test_coefficients_of_any_length_are_reduced_modulo_g():
     K = NumberField((Fraction(-2), Fraction(0), Fraction(1)))  # Q(sqrt 2)
     short, long = Element(K, (1,)), Element(K, (0, 0, 1))
