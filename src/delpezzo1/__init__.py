@@ -19,10 +19,11 @@ errors and records but no other core module.  The records are plain
 classes on records.Record, so the package imports neither the standard
 library's data-class module nor inspect, and builds no method by exec.
 
+The core, the thresholds of configurations included, never loads sympy.
 Germ text, squarefree tests, rejections and the blowups over Q and over
-one extension Q[t]/(g) need no sympy, so reading these names, lct_config,
-and a germ whose blown-up points are rational or lie in one Q[t]/(g) leave
-it unloaded.  numberfield loads it for a tower over Q[t]/(g) and for a
+one extension Q[t]/(g) need none either, so reading the engine's names and
+a germ whose blown-up points are rational or lie in one Q[t]/(g) leave it
+unloaded.  numberfield loads it for a tower over Q[t]/(g) and for a
 line to factor (three or more points over Q, two or more over a number
 field); germs loads it for a germ given as a sympy expression and for the
 views CurveGerm.poly and CurveGerm.expr.
@@ -41,7 +42,6 @@ _LAZY = {
     "classify_germ": "germs",
     "lct_quasihomogeneous": "germs",
     "germ_blowup_tree": "lct",
-    "lct_config": "lct",
     "lct_germ": "lct",
     "lct_weighted_germs": "lct",
 }

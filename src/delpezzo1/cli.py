@@ -119,7 +119,7 @@ def _lct_germ(sub):
 
 
 def _lct_config(sub):
-    from .lct import lct_config
+    from .cycles import lct_config
 
     configuration = _configuration(sub)
     return lambda a: lct_config(configuration(a))

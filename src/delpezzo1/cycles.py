@@ -5,7 +5,8 @@ Gamma = sum a_i E_i is the smallest positive cycle with Gamma . E_j <= 0 for
 all j.  An anticanonical member D through the point pulls back to
 D~ + Gamma, and the attachment numbers d_j = D~ . E_j are forced by
 0 = (D~ + Gamma) . E_j.  The resulting total-transform configuration is a
-degenerate elliptic curve and matches one of Kodaira's fiber types.
+degenerate elliptic curve, which matches one of Kodaira's fiber types and
+whose threshold lct_config reads off its meetings, with no resolution.
 """
 
 from __future__ import annotations
@@ -13,11 +14,11 @@ from __future__ import annotations
 __all__ = [
     "FundamentalCycle", "AttachmentVector", "fundamental_cycle", "attachment_vector",
     "Component", "Meeting", "AnticanonicalConfiguration", "allowed_variants",
-    "build_configuration", "KodairaLabel", "kodaira_type",
+    "build_configuration", "KodairaLabel", "kodaira_type", "lct_config",
 ]
 
 from functools import cache
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .dynkin import DynkinType, adjacency, as_dynkin, intersection_matrix
 from .errors import (
@@ -29,6 +30,9 @@ from .errors import (
     quoted,
 )
 from .records import Record
+
+if TYPE_CHECKING:  # lct_config imports fractions when called: cycle, config, kodaira never do
+    from fractions import Fraction
 
 LAUFER_CAP = 50
 
@@ -136,7 +140,7 @@ def attachment_vector(t: DynkinType | str) -> AttachmentVector:
 
 def _require_int(value: object, what: str) -> None:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidConfigurationError(f"{what} must be an integer, got {value!r}")
+        raise InvalidConfigurationError(f"{what} must be an integer, got {quoted(value)}")
 
 
 class Component(Record):
@@ -150,7 +154,7 @@ class Component(Record):
         if multiplicity < 1:
             raise InvalidConfigurationError("component multiplicity must be positive")
         if kind not in (STRICT_TRANSFORM, EXCEPTIONAL):
-            raise InvalidConfigurationError(f"unknown component kind {kind!r}")
+            raise InvalidConfigurationError(f"unknown component kind {quoted(kind)}")
         object.__setattr__(self, "id", id)
         object.__setattr__(self, "multiplicity", multiplicity)
         object.__setattr__(self, "kind", kind)
@@ -222,7 +226,7 @@ class AnticanonicalConfiguration(Record):
         for m in incidence:
             for cid in m.members:
                 if cid not in known:
-                    raise InvalidConfigurationError(f"meeting references unknown id {cid!r}")
+                    raise InvalidConfigurationError(f"meeting references unknown id {quoted(cid)}")
         object.__setattr__(self, "components", components)
         object.__setattr__(self, "incidence", incidence)
 
@@ -289,7 +293,7 @@ def build_configuration(
             )
         if smooth not in SMOOTH_VARIANTS:
             raise VariantMismatchError(
-                f"unknown smooth-locus variant {smooth!r}; choose from {SMOOTH_VARIANTS}"
+                f"unknown smooth-locus variant {quoted(smooth)}; choose from {SMOOTH_VARIANTS}"
             )
         d_comp = Component("D", 1, STRICT_TRANSFORM)
         if smooth == ELLIPTIC:
@@ -302,7 +306,7 @@ def build_configuration(
     t = as_dynkin(t)
     if variant not in allowed_variants(t):
         raise VariantMismatchError(
-            f"variant {variant!r} is not defined for {t.label}; "
+            f"variant {quoted(variant)} is not defined for {t.label}; "
             f"allowed: {allowed_variants(t)}"
         )
     return _point_configuration(t, variant)
@@ -461,3 +465,27 @@ def kodaira_type(c: AnticanonicalConfiguration) -> KodairaLabel:
                 return label
 
     raise UnrecognizedConfigurationError("configuration matches no Kodaira pattern")
+
+
+def lct_config(c: AnticanonicalConfiguration) -> Fraction:
+    """Threshold of the weighted configuration sum m_i C_i.
+
+    The minimum of the reciprocal multiplicities (the SNC answer) and of a
+    closed form at every meeting but a transverse pair (Kollar 1997, section
+    8): blowing the meeting up gives a chain of exceptional divisors
+    (k_E, m_E), and the form is the least (k_E + 1)/m_E along it.
+    - A cusp of weight w: (1, 2w), (2, 3w), (4, 6w), so 5/(6w).
+    - Branches of weights summing to s with contact c (c = 1 for three or
+      more transverse branches): (i, i*s) for i <= c, so (c + 1)/(c*s).
+    A transverse pair is SNC, and 2/s never falls below 1/max m.
+    """
+    import fractions
+
+    best = fractions.Fraction(1, c.max_multiplicity)
+    for m in c.incidence:
+        if m.cuspidal:
+            best = min(best, fractions.Fraction(5, 6 * c.multiplicity_of(m.members[0])))
+        elif m.contact > 1 or len(m.members) > 2:
+            s = sum(c.multiplicity_of(cid) for cid in m.members)
+            best = min(best, fractions.Fraction(m.contact + 1, m.contact * s))
+    return best

@@ -33,9 +33,12 @@ _RANK_RANGE = {"A": (1, 8), "D": (4, 8), "E": (6, 8)}
 _LABEL_RE = re.compile(r"([ADEade])([0-9]+)")
 
 
-def _out_of_range(kind: str, rank: object) -> OutOfRangeError:
+def _out_of_range(kind: str, rank: int | str) -> OutOfRangeError:
+    if isinstance(rank, int):  # str() refuses 4300 digits: keep 80 or more, for brief to cut
+        shift = max(0, abs(rank).bit_length() * 3 // 10 - 80)  # 3/10 < log10(2)
+        rank = "-" * (rank < 0) + str(abs(rank) // 10 ** shift)
     lo, hi = _RANK_RANGE[kind]
-    return OutOfRangeError(f"{brief(kind + str(rank))} is not admissible: "
+    return OutOfRangeError(f"{brief(kind + rank)} is not admissible: "
                            f"{kind}-series rank must lie in [{lo}, {hi}]")
 
 

@@ -64,6 +64,7 @@ from .errors import (
     brief,
     quoted,
 )
+from .univariate import integral
 
 # Limits on germ text, like blowup.DEPTH_CAP on the engine.  MAX_DEGREE
 # admits y^2 - x^201 (A_200, deeper than DEPTH_CAP); at each limit the worst
@@ -285,8 +286,8 @@ def _from_sympy(obj: Any) -> tuple:
     except (PolynomialError, CoercionFailed, GeneratorsError) as exc:
         raise InvalidGermError(f"not a bivariate polynomial over Q: {obj}") from exc
     coeffs = p.as_dict(native=True)
-    den = lcm(*(int(c.denominator) for c in coeffs.values()))
-    return {k: int(c.numerator) * (den // int(c.denominator)) for k, c in coeffs.items()}, den
+    nums, den = integral(coeffs.values())
+    return dict(zip(coeffs, nums)), den
 
 
 def __getattr__(name: str) -> Any:

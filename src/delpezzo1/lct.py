@@ -1,14 +1,13 @@
-"""Log canonical thresholds of germs and of anticanonical configurations.
+"""Log canonical thresholds of curve germs.
 
 lct_germ resolves a squarefree germ by iterated blowups and takes the
 minimum of (k_E + 1)/m_E over the exceptional divisors together with the
-reciprocal component multiplicities.  lct_config evaluates the weighted
-total transform D~ + Gamma: simple normal crossings contribute 1/m, and
-each non-SNC meeting (cusp, tangency, three or more transverse branches)
-the closed form read off its chain of blowups, so it runs no resolution
-and needs neither the germ parser, the engine nor sympy.
+reciprocal component multiplicities; lct_weighted_germs does the same for
+a weighted union of pairwise coprime germs.  The thresholds of
+anticanonical configurations are read off their meetings, without a
+resolution, by cycles.lct_config.
 
-Germs are read and checked squarefree without sympy as well, and weighted
+Germs are read and checked squarefree without sympy, and weighted
 branches that run into the depth cap are compared for a common factor by
 the same exact gcd (bivariate).  Irrational points in one extension of Q
 are blown up in the engine's own field Q[t]/(g) (numberfield); sympy is
@@ -20,35 +19,25 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
+from . import bivariate
+from .blowup import BlowupNode, blowup_tree, lct_of_branches
 from .errors import DepthExceededError, NonSquarefreeError, brief
-
-if TYPE_CHECKING:  # annotations only: a germ call loads no core module but errors and records
-    from .blowup import BlowupNode
-    from .cycles import AnticanonicalConfiguration
-
-_ENGINE_NAMES = ("BlowupNode", "blowup_tree", "lct_of_branches")
+from .germs import CurveGerm, as_germ, ensure_squarefree, sstr
 
 
 def __getattr__(name: str) -> object:
-    """The engine's names, read through this module; blowup is loaded when one is read."""
-    if name in _ENGINE_NAMES:
-        from . import blowup
+    """cycles.lct_config, read here by perfbench's tracer; reading it loads cycles."""
+    if name == "lct_config":
+        from .cycles import lct_config
 
-        return getattr(blowup, name)
+        return lct_config
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _germs_of(germs: Sequence[tuple[CurveGerm | str, int]]) -> list[tuple[CurveGerm, int]]:
-    """The germs, checked squarefree.
-
-    germs, and blowup with it, are imported in the germ functions and not at
-    module level: lct_config never needs the germ parser or the engine.
-    CurveGerm in the annotations is its class.
-    """
-    from .germs import as_germ, ensure_squarefree
-
+    """The germs, checked squarefree."""
     return [(ensure_squarefree(as_germ(g)), w) for g, w in germs]
 
 
@@ -59,9 +48,6 @@ def lct_germ(g: CurveGerm | str) -> Fraction:
 
 def _check_coprime(germs: list[tuple[CurveGerm, int]]) -> None:
     """Raise NonSquarefreeError naming the first two branches with a common factor."""
-    from . import bivariate
-    from .germs import sstr
-
     for (i, (f, _)), (j, (g, _)) in combinations(enumerate(germs, start=1), 2):
         common = bivariate.gcd(*(bivariate.from_dict(h.nums) for h in (f, g)))
         if common != bivariate.ONE:
@@ -77,8 +63,6 @@ def lct_weighted_germs(germs: Sequence[tuple[CurveGerm | str, int]]) -> Fraction
     into the depth cap; only then are the branches compared, and the pair
     found is reported as NonSquarefreeError.
     """
-    from .blowup import lct_of_branches
-
     checked = _germs_of(germs)
     try:
         return lct_of_branches([(g.nums, w) for g, w in checked])
@@ -89,28 +73,4 @@ def lct_weighted_germs(germs: Sequence[tuple[CurveGerm | str, int]]) -> Fraction
 
 def germ_blowup_tree(g: CurveGerm | str) -> list[BlowupNode]:
     """Resolution tree of a squarefree germ (root nodes; empty when SNC)."""
-    from .blowup import blowup_tree
-
     return blowup_tree([(h.nums, w) for h, w in _germs_of([(g, 1)])])
-
-
-def lct_config(c: AnticanonicalConfiguration) -> Fraction:
-    """Threshold of the weighted configuration sum m_i C_i.
-
-    The minimum of the reciprocal multiplicities (the SNC answer) and of a
-    closed form at every meeting but a transverse pair (Kollar 1997, section
-    8): blowing the meeting up gives a chain of exceptional divisors
-    (k_E, m_E), and the form is the least (k_E + 1)/m_E along it.
-    - A cusp of weight w: (1, 2w), (2, 3w), (4, 6w), so 5/(6w).
-    - Branches of weights summing to s with contact c (c = 1 for three or
-      more transverse branches): (i, i*s) for i <= c, so (c + 1)/(c*s).
-    A transverse pair is SNC, and 2/s never falls below 1/max m.
-    """
-    best = Fraction(1, c.max_multiplicity)
-    for m in c.incidence:
-        if m.cuspidal:
-            best = min(best, Fraction(5, 6 * c.multiplicity_of(m.members[0])))
-        elif m.contact > 1 or len(m.members) > 2:
-            s = sum(c.multiplicity_of(cid) for cid in m.members)
-            best = min(best, Fraction(m.contact + 1, m.contact * s))
-    return best

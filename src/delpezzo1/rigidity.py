@@ -28,6 +28,7 @@ from .errors import (
     InvalidSurfaceError,
     UnsupportedClassError,
     brief_keys,
+    quoted,
 )
 from .records import Record
 from .surfaces import (
@@ -236,16 +237,17 @@ def possible_targets(x: FibrationSpec | SurfaceSpec) -> list[TargetClass]:
 def source_constraints(y_class: TargetClass) -> tuple[str, ...]:
     """Cusp assertions forced on an all-An source by a given target class.
 
-    The source must satisfy tlct(S_X) <= 1 - tlct(S_Y).  An all-An source
-    below 1 has the threshold its cuspidal member forces (CUSPIDAL_MEMBERS),
-    so the answer is every cusp assertion whose threshold meets the bound:
-    for the E6 class (bound 2/3) a cusp at an A2 point, for the E7 class
-    (bound 3/4) a cusp at an A1 or an A2 point.
+    The source must satisfy tlct(S_X) <= 1 - tlct(S_Y), and a cusp assertion
+    forces the tlct of its smallest spec (its cuspidal member's point alone).
+    Defined for a class of TARGET_CLASSES whose bound admits some assertions
+    but not all: the E6 class (a cusp at an A2 point) and the E7 class (at
+    an A1 or an A2 point).
     """
-    if y_class.tlct_value not in (Fraction(1, 3), Fraction(1, 4)):
-        raise UnsupportedClassError(
-            f"source constraints are defined for the E6 and E7 classes only, "
-            f"not {y_class.description!r}"
-        )
-    bound = 1 - y_class.tlct_value
-    return tuple(cusp for cusp, member in CUSPIDAL_MEMBERS.items() if member[2] <= bound)
+    if y_class.tlct_value in [c.tlct_value for c in TARGET_CLASSES]:
+        bound = 1 - y_class.tlct_value
+        admitted = tuple(cusp for cusp, (point, _) in CUSPIDAL_MEMBERS.items()
+                         if tlct(SurfaceSpec([point] if point else [], cusp)).value <= bound)
+        if 0 < len(admitted) < len(CUSPIDAL_MEMBERS):
+            return admitted
+    raise UnsupportedClassError("source constraints are defined for the E6 and E7 classes "
+                                f"only, not {quoted(y_class.description)}")

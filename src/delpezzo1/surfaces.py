@@ -9,15 +9,16 @@ and tlct() evaluates the total log canonical threshold
 
     tlct(S) = inf { lct(S, D) : D in |-K_S| }
 
-as the smaller of the thresholds of the general member through the worst
-singular point and of the asserted cuspidal member, with the Kodaira fiber
-type of a minimizing member.
+as the least threshold over the members the spec licenses, with the
+Kodaira fiber type of a minimizing member.  Each member's threshold and
+fiber are read off its configuration (cycles.lct_config and
+cycles.kodaira_type); no value of the paper's table is written here.
 
 Two rules of the classification are stated once, as tables that every
 function applying them reads: ADMITTED_NEIGHBOURS, the singularities that
 may sit beside an A8/D8/E8, A7/D7/E7 or E6 point (validate clauses (b)-(d)),
-and CUSPIDAL_MEMBERS, the cuspidal member each cusp assertion licenses with
-the threshold and fiber it forces (read by SurfaceSpec, tlct,
+and CUSPIDAL_MEMBERS, the point and contact variant of the cuspidal member
+each cusp assertion licenses (read by SurfaceSpec, tlct,
 realizable_configurations, iter_valid_specs and rigidity).
 """
 
@@ -43,6 +44,7 @@ from .cycles import (
     allowed_variants,
     build_configuration,
     kodaira_type,
+    lct_config,
 )
 from .dynkin import ALL_TYPES, DynkinType, as_dynkin
 from .errors import InvalidSurfaceError, brief_keys, quoted
@@ -56,12 +58,11 @@ CUSP_AT_A2 = "A2"
 CUSP_DATA = (NO_CUSPIDAL_MEMBER, CUSP_AT_SMOOTH_POINT, CUSP_AT_A1, CUSP_AT_A2)
 
 # cusp assertion -> the cuspidal member it licenses: the type of the point
-# it cusps at (None in the smooth locus), its contact variant there, and the
-# threshold and Kodaira fiber it forces when only A types are present
+# it cusps at (None in the smooth locus) and its contact variant there
 CUSPIDAL_MEMBERS = {
-    CUSP_AT_SMOOTH_POINT: (None, CUSPIDAL, Fraction(5, 6), KodairaLabel("II")),
-    CUSP_AT_A1: ("A1", TANGENTIAL, Fraction(3, 4), KodairaLabel("III")),
-    CUSP_AT_A2: ("A2", ONE_POINT, Fraction(2, 3), KodairaLabel("IV")),
+    CUSP_AT_SMOOTH_POINT: (None, CUSPIDAL),
+    CUSP_AT_A1: ("A1", TANGENTIAL),
+    CUSP_AT_A2: ("A2", ONE_POINT),
 }
 
 MAX_RANK_SUM = 8  # the minimal resolution has Picard rank 9
@@ -208,38 +209,38 @@ class TlctResult(Record):
 
 
 @cache
-def _general_member(t: DynkinType) -> tuple[int, TlctResult]:
-    """Gamma's largest coefficient m, and 1/m with the fiber of the general member at a t point."""
-    c = build_configuration([(t, allowed_variants(t)[0])])
-    return c.max_multiplicity, TlctResult(Fraction(1, c.max_multiplicity), kodaira_type(c))
+def _member(point: DynkinType | str | None, variant: str | None = None) -> TlctResult:
+    """Threshold and fiber of the member through a point of this type (None: smooth locus).
+
+    With no variant, the general member: the point's first allowed variant.
+    """
+    if point is None:
+        c = build_configuration(smooth=variant)
+    else:
+        c = build_configuration([(point, variant or allowed_variants(point)[0])])
+    return TlctResult(lct_config(c), kodaira_type(c))
 
 
 def tlct(s: SurfaceSpec) -> TlctResult:
     """Total log canonical threshold: the least lct over the members the spec admits.
 
-    Through a Du Val point the general member pulls back to D~ + Gamma,
-    which is SNC, so its threshold is 1/m for m the largest coefficient of
-    the fundamental cycle Gamma (Artin, "On isolated rational singularities
-    of surfaces", 1966: at a rational double point the maximal-ideal cycle
-    is the fundamental cycle; Kollár, "Singularities of pairs", 1997, §8),
-    and its fiber is the Kodaira type of that configuration.  The worst
-    point has the largest (m, rank); with none, the general member is a
-    smooth I0 of threshold 1.  The cuspidal member the spec asserts
-    (CUSPIDAL_MEMBERS) wins only when strictly lower, which needs m = 1;
-    among equal minimisers the fiber is the worst point's.
+    The members are the general one at each singular point, from E8 down
+    to A1 (the smooth elliptic one if there is none), then the asserted
+    cuspidal member (CUSPIDAL_MEMBERS); the first least wins a tie.  Each
+    value and fiber is read off the member's configuration: at a Du Val
+    point D~ + Gamma is SNC, so 1/m for m the largest coefficient of the
+    fundamental cycle Gamma (Artin, "On isolated rational singularities of
+    surfaces", 1966; Kollár, "Singularities of pairs", 1997, §8).  No two
+    series share an m, so two points tie only within one series, and there
+    the larger rank comes first.
     """
     report = validate(s)
     if not report:
         raise InvalidSurfaceError("; ".join(reason for _, reason in report.violations))
-    if s.singularities:
-        worst = max(s.singularities, key=lambda t: (_general_member(t)[0], t.rank))
-        result = _general_member(worst)[1]
-    else:
-        result = TlctResult(Fraction(1), KodairaLabel("I", 0))
-    member = CUSPIDAL_MEMBERS.get(s.cusp_data)
-    if member is not None and member[2] < result.value:
-        result = TlctResult(member[2], member[3])
-    return result
+    members = [_member(t) for t in reversed(s.singularities)] or [_member(None, ELLIPTIC)]
+    if s.cusp_data in CUSPIDAL_MEMBERS:
+        members.append(_member(*CUSPIDAL_MEMBERS[s.cusp_data]))
+    return min(members, key=lambda member: member.value)
 
 
 def realizable_configurations(s: SurfaceSpec) -> Iterator[AnticanonicalConfiguration]:

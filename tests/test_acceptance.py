@@ -20,11 +20,12 @@ from delpezzo1.cycles import (
     build_configuration,
     fundamental_cycle,
     kodaira_type,
+    lct_config,
 )
 from delpezzo1.dynkin import ALL_TYPES, intersection_matrix, parse_dynkin
 from delpezzo1.errors import OutOfRangeError
 from delpezzo1.germs import lct_quasihomogeneous
-from delpezzo1.lct import lct_config, lct_germ
+from delpezzo1.lct import lct_germ
 from delpezzo1.rigidity import (
     RIGID,
     FibrationSpec,

@@ -247,6 +247,25 @@ def test_kodaira_label_text_forms():
     assert str(info.value).endswith("...'") and len(str(info.value)) <= 120
 
 
+LONG = "x" * 5000
+D = Component("D", 1, "strict_transform")
+# each message that echoes input, fed 5000 characters of it
+ECHOES = {
+    "component kind": lambda: Component("E1", 1, LONG),
+    "integer field": lambda: Component("E1", LONG, "exceptional"),
+    "meeting id": lambda: AnticanonicalConfiguration((D,), (Meeting(("D", LONG)),)),
+    "point variant": lambda: build_configuration([("A1", LONG)]),
+    "smooth variant": lambda: build_configuration(smooth=LONG),
+}
+
+
+@pytest.mark.parametrize("build", ECHOES.values(), ids=ECHOES)
+def test_a_message_cuts_the_input_it_echoes(build):
+    with pytest.raises((InvalidConfigurationError, VariantMismatchError)) as info:
+        build()
+    assert len(str(info.value)) <= 200 and repr("x" * 77 + "...") in str(info.value)
+
+
 def test_unrecognized_configuration():
     # a disconnected two-component configuration matches nothing
     comps = (

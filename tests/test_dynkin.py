@@ -42,6 +42,15 @@ def test_parse_out_of_range():
             parse_dynkin(label)
 
 
+def test_a_huge_int_rank_is_out_of_range_with_its_leading_digits():
+    # str() refuses an int past 4300 digits; the message shows 76 digits, cut
+    for rank, shown in [(10**5000, "A1" + "0" * 75), (-(10**5000), "A-1" + "0" * 74),
+                        (10**4400 - 1, "A" + "9" * 76)]:
+        with pytest.raises(OutOfRangeError) as info:
+            DynkinType("A", rank)
+        assert str(info.value) == f"{shown}... is not admissible: A-series rank must lie in [1, 8]"
+
+
 def test_parse_malformed():
     for label in ["F4", "B2", "", "A", "8", "A-1", "A 1", "AA1", "A1b", "1A"]:
         with pytest.raises(MalformedLabelError):

@@ -1,6 +1,6 @@
 """The package runs without sympy, except where a germ needs a tower of fields.
 
-The combinatorial core, lct_config, rational germ queries and germs whose
+The combinatorial core (lct_config in it), rational germ queries and germs whose
 irrational points lie in one extension of Q never load sympy; a point over
 such an extension that needs a further one (a tower) does.  A call that
 leaves sympy unloaded loads neither dataclasses nor inspect: the records
@@ -32,7 +32,6 @@ LAZY = {
     "classify_germ": "germs",
     "lct_quasihomogeneous": "germs",
     "germ_blowup_tree": "lct",
-    "lct_config": "lct",
     "lct_germ": "lct",
     "lct_weighted_germs": "lct",
 }
@@ -136,7 +135,7 @@ FOOTPRINTS = [
     (("lct-germ", "x^2*y"), GERMS | {"lct"}),  # rejected, exit status 1
     (("lct-germ", "y^2 - x^5", "--json"), GERMS | {"lct", "json"}),
     (("classify", "x*y"), GERMS),
-    (("lct-config", "E8"), CONFIGS | {"lct", "fractions"}),
+    (("lct-config", "E8"), CONFIGS | {"fractions"}),
     (("tlct", "--sings", "E7,A1"), SURFACES),
     (("validate", "--sings", "E8,A1"), SURFACES),
     (("rigidity", "--x", SPEC, "--y", SPEC), FIBRATIONS),
@@ -155,12 +154,13 @@ def test_cli_call_loads_only_what_its_subcommand_runs(argv, modules):
     assert ("json" in modules) == ("--json" in argv or argv[0] in ("rigidity", "targets"))
 
 
-def test_lct_loads_the_engine_only_for_a_germ_or_an_engine_name():
-    assert loaded_after("import delpezzo1.lct", "delpezzo1.blowup") == set()
+def test_lct_reads_the_engine_names_and_lct_config_from_their_modules():
     assert fresh(
-        "from delpezzo1 import blowup, lct\n"
-        "print(all(getattr(lct, n) is getattr(blowup, n) for n in lct._ENGINE_NAMES))"
-    ) == ["True"]
+        "from delpezzo1 import blowup, cycles, lct\n"
+        "names = ('BlowupNode', 'blowup_tree', 'lct_of_branches')\n"
+        "print(all(getattr(lct, n) is getattr(blowup, n) for n in names),"
+        " lct.lct_config is cycles.lct_config)"
+    ) == ["True", "True"]
 
 
 def test_germ_with_an_irrational_cluster_loads_sympy():
@@ -250,7 +250,7 @@ def test_lazy_name_is_the_submodule_object(name):
     assert getattr(delpezzo1, name) is getattr(owner, name)
 
 
-@pytest.mark.parametrize("first", ["lct_config", "CurveGerm"])
+@pytest.mark.parametrize("first", ["lct_germ", "CurveGerm"])
 def test_first_read_binds_its_own_module_names(first):
     own = sorted(name for name, module in LAZY.items() if module == LAZY[first])
     other = sorted(set(LAZY) - set(own))

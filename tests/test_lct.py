@@ -25,6 +25,7 @@ from delpezzo1.cycles import (
     Component,
     Meeting,
     build_configuration,
+    lct_config,
 )
 from delpezzo1.blowup import lct_of_branches
 from delpezzo1.cli import run
@@ -41,12 +42,7 @@ from delpezzo1.germs import (
     classify_germ,
     lct_quasihomogeneous,
 )
-from delpezzo1.lct import (
-    germ_blowup_tree,
-    lct_config,
-    lct_germ,
-    lct_weighted_germs,
-)
+from delpezzo1.lct import germ_blowup_tree, lct_germ, lct_weighted_germs
 from delpezzo1.surfaces import iter_valid_specs, realizable_configurations
 
 from tests.data.make_resolution_corpus import engine_form

@@ -83,5 +83,6 @@ def test_a_general_section_has_the_threshold_of_the_worst_point(t):
     (CUSP_AT_A2, lambda x, y, z: x - y),
 ])
 def test_a_cusp_through_a_point_has_its_cuspidal_members_threshold(cusp, curve):
-    point, _, value, _ = CUSPIDAL_MEMBERS[cusp]
-    assert lct_germ(str(sympy.expand(curve(*invariants(parse_dynkin(point)))))) == value
+    point, _ = CUSPIDAL_MEMBERS[cusp]
+    value = lct_germ(str(sympy.expand(curve(*invariants(parse_dynkin(point))))))
+    assert value == tlct(SurfaceSpec([point], cusp)).value

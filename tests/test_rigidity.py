@@ -16,6 +16,7 @@ from delpezzo1.rigidity import (
     TARGET_CLASSES,
     FibrationSpec,
     RigidityVerdict,
+    TargetClass,
     possible_targets,
     rigidity_gate,
     source_constraints,
@@ -240,6 +241,19 @@ def test_source_constraints():
     for value in (Fraction(1, 6), Fraction(1, 2), Fraction(2, 3), Fraction(1)):
         with pytest.raises(UnsupportedClassError):
             source_constraints(target_class_for(value))
+
+
+def test_source_constraints_judge_a_class_outside_the_table_by_its_value():
+    with pytest.raises(UnsupportedClassError):
+        source_constraints(TargetClass(Fraction(1, 5), "a fifth", SurfaceSpec(["E7"])))
+    e6_like = TargetClass(Fraction(1, 3), "a custom E6 class", SurfaceSpec(["E6"]))
+    assert source_constraints(e6_like) == (CUSP_AT_A2,)
+
+
+def test_source_constraints_cut_a_long_description():
+    with pytest.raises(UnsupportedClassError) as info:
+        source_constraints(TargetClass(Fraction(1), "x" * 5000, SurfaceSpec([])))
+    assert len(str(info.value)) <= 200
 
 
 def test_verdict_serialization():

@@ -6,7 +6,6 @@ import pytest
 
 from delpezzo1.dynkin import parse_dynkin
 from delpezzo1.errors import InvalidSurfaceError
-from delpezzo1.lct import lct_config
 from delpezzo1.surfaces import (
     CUSP_AT_A1,
     CUSP_AT_A2,
@@ -19,7 +18,7 @@ from delpezzo1.surfaces import (
     tlct,
     validate,
 )
-from delpezzo1.cycles import KodairaLabel, build_configuration, kodaira_type
+from delpezzo1.cycles import build_configuration, kodaira_type, lct_config
 
 
 def spec(labels, cusp=NO_CUSPIDAL_MEMBER):
@@ -169,6 +168,8 @@ TLCT_TABLE = [
     (["A5"], NO_CUSPIDAL_MEMBER, Fraction(1), "I6"),
     (["A2", "A4"], NO_CUSPIDAL_MEMBER, Fraction(1), "I5"),
     ([], NO_CUSPIDAL_MEMBER, Fraction(1), "I0"),
+    (["A1", "A2"], NO_CUSPIDAL_MEMBER, Fraction(1), "I3"),  # a tie: the larger rank's fiber
+    (["A1"], CUSP_AT_A1, Fraction(3, 4), "III"),  # the cusp below the general member
 ]
 
 
@@ -189,7 +190,7 @@ def test_each_cuspidal_member_forces_its_threshold_and_fiber(cusp, point, varian
     else:
         c = build_configuration([(point, variant)])
     assert (lct_config(c), kodaira_type(c).text) == (value, fiber)
-    assert CUSPIDAL_MEMBERS[cusp] == (point, variant, value, KodairaLabel(fiber))
+    assert CUSPIDAL_MEMBERS[cusp] == (point, variant)
 
 
 def test_cuspidal_members_run_from_the_smooth_point_to_the_worst_cusp():
