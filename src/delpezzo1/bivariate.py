@@ -133,7 +133,7 @@ def repeated_factor(p: Poly) -> Poly:
     g = gcd_z(content, univariate.derivative(content)) if len(content) > 2 else [1]
     if len(g) > 1:
         factor = gcd_z(g, univariate.exact_quotient(content, g))
-    g = _gcd_primitive(q, derivative(q)) if len(q) > 2 else ONE
+    g = _gcd_primitive(q, derivative(q), py=True) if len(q) > 2 else ONE
     if len(g) > 1:
         g = _gcd_primitive(g, divide(q, g))
     return [univariate.mul(factor, col) for col in g]
@@ -256,14 +256,24 @@ def _lift(m: int, cols: Poly) -> Poly | None:
 def gcd_z(a: list, b: list) -> list:
     """gcd(a, b) in Z[x] of the nonzero dense a and b, primitive, its leading coefficient > 0.
 
+    A constant or linear argument is settled by one exact division: the gcd
+    is its primitive part when that divides the other, else 1.  Otherwise
     Brown's algorithm as gcd runs it, a polynomial being one column and the
     images scaled to gamma = gcd(lc a, lc b); a and b need not be primitive
-    (Gauss's lemma).  A lower image degree discards the images before it.
+    (Gauss's lemma).  An image of degree 0 proves the gcd 1 at once, and a
+    lower image degree discards the images before it.
     """
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) <= 2:
+        h = _integral([b])[0]
+        return h if len(h) == 2 and univariate.exact_quotient(a, h) is not None else [1]
     gamma, degree, acc = igcd(a[-1], b[-1]), None, None
     for ell in _primes():
         if a[-1] % ell and b[-1] % ell:
             g = _gcd_mod([c % ell for c in a], [c % ell for c in b], ell)
+            if len(g) == 1:
+                return [1]
             if degree is None or len(g) < degree:
                 degree, acc = len(g), None
             if len(g) == degree:  # else an unlucky prime
@@ -273,7 +283,7 @@ def gcd_z(a: list, b: list) -> list:
                     return h
 
 
-def _gcd_primitive(p: Poly, q: Poly) -> Poly:
+def _gcd_primitive(p: Poly, q: Poly, py: bool = False) -> Poly:
     """gcd(p, q) of the primitive p and the nonzero q, both of y-degree >= 1.
 
     The images are scaled to gamma = gcd(lc_y p, lc_y q) in Z[x], a multiple
@@ -286,7 +296,8 @@ def _gcd_primitive(p: Poly, q: Poly) -> Poly:
     points, when a candidate is tried; while no prime is done, one is also
     tried after 1, 2, 4, ... points.  A point whose image has a higher
     degree than the least seen is unlucky, and a lower degree discards
-    every image before it.
+    every image before it.  With py, q is p_y, and its image at a point is
+    the y-derivative of p's image there: q itself is never evaluated.
     """
     lp, lq = p[-1], q[-1]
     common = gcd_z(lp, lq) if len(lp) > 1 and len(lq) > 1 else [1]
@@ -296,9 +307,10 @@ def _gcd_primitive(p: Poly, q: Poly) -> Poly:
     degree = None  # least image degree seen
     acc = None  # modulus and residues of the scaled gcd over the primes done
     points = count(1)  # each prime takes new points: finitely many integers are unlucky
+    evaluated = (p,) if py else (p, q)
     for ell in _primes():
         residues = _Residues(ell, max(width, bound + 1))
-        rows = None  # the rows of p and q packed, once a prime takes a second point
+        rows = None  # the rows of p (and q) packed, once a prime takes a second point
         xs: list = []
         images: list = []
         for x0 in islice(points, bound + len(lp) + len(lq)):
@@ -306,12 +318,12 @@ def _gcd_primitive(p: Poly, q: Poly) -> Poly:
             for i in range(1, width):
                 powers[i] = powers[i - 1] * x0 % ell
             if xs:
-                rows = rows or (residues.columns(p, width), residues.columns(q, width))
-                a = residues.combine(powers, rows[0], len(p))
-                b = residues.combine(powers, rows[1], len(q))
+                rows = rows or [residues.columns(f, width) for f in evaluated]
+                values = [residues.combine(powers, r, len(f)) for r, f in zip(rows, evaluated)]
             else:
-                a = [sum(map(mul, col, powers)) % ell for col in p]
-                b = [sum(map(mul, col, powers)) % ell for col in q]
+                values = [[sum(map(mul, col, powers)) % ell for col in f] for f in evaluated]
+            a = values[0]
+            b = [i * c % ell for i, c in enumerate(a)][1:] if py else values[1]
             if not a[-1] or not b[-1]:
                 continue
             g = _gcd_mod(a, b, ell)

@@ -19,7 +19,13 @@ Polynomials are stored as dicts {(deg_x, deg_y): coefficient} over a
 field K, and every field under the resolution is Q or a number field
 Q[t]/(g) (numberfield.NumberField).  Over Q an object is a primitive dict
 of ints, a curve being its polynomial up to a constant, and the gcds that
-find its clusters run in Z[v]; only the cluster keys are Fractions.  Points
+find its clusters run in Z[v]; only the cluster keys are Fractions.  Over
+Q[t]/(g) the shift y -> y + theta to a cluster's point is integer
+arithmetic too: every coefficient and every power of theta as integer
+numerators over one denominator, integer convolutions, and one reduction
+modulo g per new coefficient.  Each object's multiplicity is computed once
+per blowup, for the SNC test, its strict transforms and the chart-2
+origin, which only the objects without a y^mu term pass through.  Points
 on one exceptional line are enumerated as Galois orbits: each irreducible factor
 of the restriction of the transform to the line is one cluster, blown up
 once on behalf of all its conjugate points, which carry identical (k, m)
@@ -32,7 +38,9 @@ constant term first, so the point v = r is (-r, 1).  The clusters of a line
 are blown up in (degree, coefficients) order, as Fractions and the elements
 of a number field are ordered.  On every line the points that need a
 blowup, those through two objects or through one object twice, are found
-by gcds over K (_line_clusters), and only their squarefree part goes to
+by gcds over K (_line_clusters), or on a small line by cheaper exact
+routes: a quadratic's discriminant, and no key for a linear restriction
+that no other restriction could meet.  Only their squarefree part goes to
 K.factor: sympy factors a line only when it holds three or more such
 points over Q, conjugates counted, or two or more over a NumberField.
 This module never imports sympy; numberfield does, to factor a line or to
@@ -191,24 +199,50 @@ def _lowest_form(d: PolyDict, mu: int) -> list:
 
 
 def _shift_y(d: PolyDict, theta: Any, K: Field) -> PolyDict:
-    """Substitute y -> y + theta over K; over Q, theta = a/q: f(x, y + a/q) q^deg_y, primitive."""
+    """Substitute y -> y + theta over K.
+
+    Over Q, theta = a/q: f(x, y + a/q) q^deg_y, primitive.  Over a
+    NumberField every coefficient (int, Fraction or element) and every
+    power of theta is taken to integer numerators over one common
+    denominator; each new coefficient is then a sum of integer
+    convolutions, reduced modulo g once (Cohen 1993, section 4.2).
+    """
     if not theta:
         return dict(d)
     top = max(b for _, b in d)
     if K is Q:
         a, q = theta.numerator, theta.denominator
         powers = [a**i * q ** (top - i) for i in range(top + 1)]
-    else:
-        powers = [K.one]
-        for _ in range(top):
-            powers.append(powers[-1] * theta)
-    rows = {b: [math.comb(b, j) * powers[b - j] for j in range(b + 1)] for b in {b for _, b in d}}
-    out: PolyDict = {}
-    for (a, b), c in d.items():
-        for j, r in enumerate(rows[b]):  # r first: an Element takes an int c directly
-            out[a, j] = out.get((a, j), 0) + r * c
-    out = {k: c for k, c in out.items() if c}
-    return _primitive(out) if K is Q else out
+        rows = {b: [math.comb(b, j) * powers[b - j] for j in range(b + 1)]
+                for b in {b for _, b in d}}
+        out: PolyDict = {}
+        for (a, b), c in d.items():
+            for j, r in enumerate(rows[b]):
+                out[a, j] = out.get((a, j), 0) + r * c
+        return _primitive({k: c for k, c in out.items() if c})
+    powers = [K.one]
+    for _ in range(top):
+        powers.append(powers[-1] * theta)
+    pden = math.lcm(*(e.den for e in powers))
+    pnums = [[x * (pden // e.den) for x in e.nums] for e in powers]
+    coeffs = {key: (c.nums, c.den) if hasattr(c, "nums") else ((c.numerator,), c.denominator)
+              for key, c in d.items()}  # an element holds nums over den
+    cden = math.lcm(*(den for _, den in coeffs.values()))
+    width = 2 * K.degree - 1
+    sums: dict = {}
+    for (a, b), (nums, den) in coeffs.items():
+        scale = cden // den
+        for j in range(b + 1):
+            acc = sums.setdefault((a, j), [0] * width)
+            power = pnums[b - j]
+            w = math.comb(b, j) * scale
+            for i, x in enumerate(nums):
+                if x:
+                    x *= w
+                    for s, y in enumerate(power, i):
+                        acc[s] += x * y
+    den = cden * pden
+    return {key: c for key, p in sums.items() if (c := K.reduce(p, den))}
 
 
 def _factor_on_line(p: univariate.Dense, K: Field) -> list[tuple]:
@@ -224,10 +258,16 @@ def _factor_on_line(p: univariate.Dense, K: Field) -> list[tuple]:
 
 
 def _through(p: tuple, polys: list[univariate.Dense], K: Field) -> list[int]:
-    """The indices of the polys that the monic cluster factor p divides (over Q, in Z[v])."""
+    """The indices of the polys that the monic cluster factor p divides (over Q, in Z[v]).
+
+    Over a NumberField a point v = r is on f when f(r) = 0, by Horner's rule.
+    """
     if K is Q:  # p made primitive: Gauss's lemma
         q = univariate.integral(p)[0]
         return [i for i, f in enumerate(polys) if univariate.exact_quotient(f, q) is not None]
+    if len(p) == 2:
+        r = -p[0]
+        return [i for i, f in enumerate(polys) if not univariate.evaluate(f, r)]
     return [i for i, f in enumerate(polys) if not univariate.divide(f, p)[1]]
 
 
@@ -238,28 +278,37 @@ def _line_clusters(lines: list[dict[int, Any]], K: Field) -> dict[tuple, list[in
     each cluster maps to the indices of the objects through it.  A cluster
     that one object crosses simply is an SNC point: it is left out, so that
     it is neither factored nor given a field.  With the powers of v taken
-    out, the monic factor of a linear restriction is read off and counted;
-    of the restrictions of degree >= 2 only the multiple roots of their
-    product P, the squarefree part of gcd(P, P'), are factored; over Q the
-    gcds run in Z[v] (bivariate.gcd_z).  An object is through a cluster
-    when the cluster's factor divides its restriction exactly.
+    out, the monic factor of a linear restriction is read off and counted,
+    unless it is the only restriction of positive degree; of the
+    restrictions of degree >= 2 only the multiple roots of their product P,
+    the squarefree part of gcd(P, P'), are factored.  A quadratic P has one
+    when its discriminant vanishes; otherwise, over Q, the gcds run in Z[v]
+    (bivariate.gcd_z).  An object is through a cluster when the cluster's
+    factor divides its restriction exactly.
     """
     dense = [univariate.from_dict(ud) for ud in lines]
     orders = [min(ud) for ud in lines]
     rests = [f[k:] for f, k in zip(dense, orders)]
-    linear = Counter(_factor_on_line(r, K)[0] for r in rests if len(r) == 2)
+    linears = [r for r in rests if len(r) == 2]
     higher = [r for r in rests if len(r) > 2]
+    linear: Counter = Counter()
+    if len(linears) > 1 or higher:  # else no restriction could share a line's point
+        linear.update(_factor_on_line(r, K)[0] for r in linears)
     keys = [p for p, n in linear.items() if n > 1 or _through(p, higher, K)]
     if max(orders) > 1 or sum(k > 0 for k in orders) > 1:
         keys.append((K.zero, K.one))
     if higher:
         product = reduce(univariate.mul, higher)
-        gcd = bivariate.gcd_z if K is Q else univariate.gcd
-        repeated = gcd(product, univariate.derivative(product))
-        if len(repeated) > 2:  # its squarefree part: each point once
-            part = gcd(repeated, univariate.derivative(repeated))
-            repeated = (univariate.exact_quotient(repeated, part) if K is Q
-                        else univariate.divide(repeated, part)[0])
+        if len(product) == 3:
+            c, b, a = product
+            repeated = [] if b * b - 4 * a * c else [b, 2 * a]
+        else:
+            gcd = bivariate.gcd_z if K is Q else univariate.gcd
+            repeated = gcd(product, univariate.derivative(product))
+            part = gcd(repeated, univariate.derivative(repeated)) if len(repeated) > 2 else [1]
+            if len(part) > 1:  # the squarefree part of repeated: each point once
+                repeated = (univariate.exact_quotient(repeated, part) if K is Q
+                            else univariate.divide(repeated, part)[0])
         # a linear restriction's factor among them is a key already
         keys += [p for p in _factor_on_line(repeated, K) if p not in linear]
     return {p: _through(p, dense, K) for p in keys}
@@ -276,20 +325,24 @@ def _cluster_point(p: tuple, K: Field) -> tuple[Any, Field, Callable[[Any], Any]
     return K.extend(p)
 
 
-def _is_snc(polys: list[PolyDict]) -> bool:
-    """Is the union of the given branches simple normal crossing at the origin?
+def _is_snc(objects: list[Object], mults: list[int]) -> bool:
+    """Is the union of the objects, of the given multiplicities, simple normal crossing here?
 
-    True when the total multiplicity is at most 1, or equals 2 with the
-    product of tangent cones a squarefree binary quadratic (two distinct
-    directions: two smooth transverse branches).
+    True when the total multiplicity is at most 1, or equals 2 with two
+    distinct tangent directions: one object whose tangent cone is a
+    squarefree binary quadratic, or two smooth objects whose tangent lines
+    differ.
     """
-    mults = [multiplicity(d) for d in polys]
     mu = sum(mults)
     if mu <= 1:
         return True
     if mu == 2:
-        q = reduce(univariate.mul, [_lowest_form(d, m) for d, m in zip(polys, mults)])
-        return bool(q[1] * q[1] - 4 * q[0] * q[2])
+        forms = [_lowest_form(d, m) for (d, _, _), m in zip(objects, mults)]
+        if len(forms) == 1:
+            c, b, a = forms[0]
+            return bool(b * b - 4 * a * c)
+        (a1, b1), (a2, b2) = forms
+        return bool(a1 * b2 - a2 * b1)
     return False
 
 
@@ -299,17 +352,19 @@ def _monic_in_y(d: PolyDict) -> PolyDict:
     return {key: c * inverse for key, c in d.items()}
 
 
-def _centres(objects: list[Object], k: int, m: int, K: Field) -> Iterator[tuple[list, Field]]:
+def _centres(objects: list[Object], mults: list[int], k: int, m: int,
+             K: Field) -> Iterator[tuple[list, Field]]:
     """The centres on the new exceptional divisor E = (f, k, m) that may need a blowup.
 
-    Each comes with its field and the objects through it, E among them,
+    mults are the objects' multiplicities at the blown-up point.  Each
+    centre comes with its field and the objects through it, E among them,
     moved to its origin: first the clusters of the chart x = u, y = u v in
     (degree, coefficients) order of their keys, then the origin of the
     chart x = u v, y = v, the one direction [0:1] that chart 1 misses.  A
     centre is made only when it is reached, so the recursion on one runs
     before the next is factored or extended.
     """
-    strict = [(_strict1(d, multiplicity(d)), k_i, m_i) for d, k_i, m_i in objects]
+    strict = [(_strict1(d, mu), k_i, m_i) for (d, k_i, m_i), mu in zip(objects, mults)]
     clusters = _line_clusters([_restrict1(d) for d, _, _ in strict], K)
     for p in sorted(clusters, key=lambda p: (len(p), p)):
         theta, K2, conv = _cluster_point(p, K)
@@ -319,9 +374,10 @@ def _centres(objects: list[Object], k: int, m: int, K: Field) -> Iterator[tuple[
                        for d, k_i, m_i in through]
         through = [(_shift_y(d, theta, K2), k_i, m_i) for d, k_i, m_i in through]
         yield through + [({(1, 0): 1 if K2 is Q else K2.one}, k, m)], K2
-    # an object passes through the chart-2 origin iff x divides its tangent cone
-    strict = [(_strict2(d, multiplicity(d)), k_i, m_i) for d, k_i, m_i in objects]
-    through = [o for o in strict if (0, 0) not in o[0]]
+    # an object passes through the chart-2 origin iff x divides its tangent
+    # cone, that is, iff y^mu is not one of its terms
+    through = [(_strict2(d, mu), k_i, m_i)
+               for (d, k_i, m_i), mu in zip(objects, mults) if (0, mu) not in d]
     if through:
         yield through + [({(0, 1): 1 if K is Q else K.one}, k, m)], K
 
@@ -329,18 +385,20 @@ def _centres(objects: list[Object], k: int, m: int, K: Field) -> Iterator[tuple[
 def _resolve(objects: list[Object], K: Field, depth: int) -> BlowupNode | None:
     """Blow up the origin if needed; return the node, or None when already SNC.
 
-    Every object passes through the origin.  The new divisor has
-    k = 1 + sum k_i and m = sum m_i mult(f_i), as mult(f_i) = 1 for an
-    exceptional divisor, which is smooth.
+    Every object passes through the origin, and its multiplicity there is
+    computed once.  The new divisor has k = 1 + sum k_i and
+    m = sum m_i mult(f_i), as mult(f_i) = 1 for an exceptional divisor,
+    which is smooth.
     """
-    if _is_snc([d for d, _, _ in objects]):
+    mults = [multiplicity(d) for d, _, _ in objects]
+    if _is_snc(objects, mults):
         return None
     if depth >= DEPTH_CAP:
         raise DepthExceededError(f"blowup tree exceeded depth {DEPTH_CAP}")
     node = BlowupNode(1 + sum(k for _, k, _ in objects),
-                      sum(m * multiplicity(d) for d, _, m in objects),
+                      sum(m * mu for (_, _, m), mu in zip(objects, mults)),
                       points=K.degree)
-    for sub, K2 in _centres(objects, node.k, node.m, K):
+    for sub, K2 in _centres(objects, mults, node.k, node.m, K):
         child = _resolve(sub, K2, depth + 1)
         if child is not None:
             node.children.append(child)

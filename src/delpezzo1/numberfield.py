@@ -10,7 +10,10 @@ tuple of integer numerators over one positive denominator in lowest terms
 arithmetic, with one reduction modulo g and one gcd per result, where a
 tuple of Fractions pays a gcd for every coefficient of every step; an
 inverse solves the integer linear system of multiplication by the
-numerators, fraction-free.  Elements mix with ints and Fractions on either
+numerators, fraction-free.  NumberField.reduce makes an element of any
+integer polynomial in t over a denominator, so that the blowup engine
+can sum many integer products, as in its shift y -> y + theta, and reduce
+once.  Elements mix with ints and Fractions on either
 side, as univariate's polynomials need, a zero is falsy, equal elements
 have one form and so one hash, and they are ordered as sympy orders its
 own: by the coefficients, highest power first, without leading zeros.
@@ -51,8 +54,10 @@ class NumberField:
         """The rational c as the element c·1."""
         return _element(self, (c.numerator,) + (0,) * (self.degree - 1), c.denominator)
 
-    def _reduce(self, p: list, den: int) -> "Element":
-        """The element p/den for n or more integers p and den > 0, reduced modulo g.
+    def reduce(self, p: list, den: int) -> "Element":
+        """The element p/den for a list p of n or more integers and den > 0, reduced modulo g.
+
+        p is consumed.
 
         t^i is t^(i-n) (t^n - g) = -t^(i-n) low/low_den: when low_den does not
         divide the leading numerator, all of p and den are first multiplied by it.
@@ -162,7 +167,7 @@ class Element:
 
     def __init__(self, field: NumberField, coeffs: Sequence) -> None:
         nums, den = univariate.integral(coeffs)
-        e = field._reduce(list(nums) + [0] * (field.degree - len(nums)), den)
+        e = field.reduce(list(nums) + [0] * (field.degree - len(nums)), den)
         self.field, self.nums, self.den = field, e.nums, e.den
 
     @property
@@ -237,7 +242,7 @@ class Element:
                 if x:
                     for j, y in enumerate(b):
                         product[i + j] += x * y
-            return self.field._reduce(product, self.den * other.den)
+            return self.field.reduce(product, self.den * other.den)
         if isinstance(other, (int, Fraction)):
             return _reduced(self.field, [x * other.numerator for x in self.nums],
                             self.den * other.denominator)

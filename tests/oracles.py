@@ -4,11 +4,15 @@ These deliberately avoid the library's own algorithms: definiteness is
 checked with Fraction LDL pivots instead of integer minors, fundamental
 cycles are found by exhaustive search over a coefficient box instead of the
 cycle iteration, and the lct of a germ that is nondegenerate with respect
-to its Newton polygon is read off the polygon instead of a resolution.
+to its Newton polygon is read off the polygon instead of a resolution.  A
+germ is moved by a change of coordinates with plain Fraction arithmetic
+here, and the data a resolution tree must share with the moved germ's is
+counted by point_multiset.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -98,3 +102,62 @@ def newton_lct(d: dict) -> Fraction:
             if dp > 0 > dq:  # (t, t) = (-dq p + dp q) / (dp - dq)
                 t = min(t, Fraction(-dq * p[0] + dp * q[0], dp - dq))
     return min(Fraction(1), 1 / t)
+
+
+def _mul(p: dict, q: dict) -> dict:
+    out: dict = {}
+    for (a, b), c in p.items():
+        for (e, f), d in q.items():
+            out[a + e, b + f] = out.get((a + e, b + f), 0) + c * d
+    return {k: c for k, c in out.items() if c}
+
+
+def change_coordinates(d: dict, matrix: tuple, c: Fraction, j: int) -> dict:
+    """The germ {(a, b): c} moved by an automorphism of the plane that fixes the origin.
+
+    x -> p x + q y and y -> r x + s y, for matrix ((p, q), (r, s)) in
+    GL2(Q), and then y -> y + c x^j (j >= 1): the germ becomes
+    sum c_ab X^a Y^b with X = p x + q (y + c x^j), Y = r x + s (y + c x^j),
+    expanded exactly in Fractions.
+    """
+    (p, q), (r, s) = matrix
+    assert p * s - q * r, "the matrix must be invertible"
+    images = []
+    for u, v in ((p, q), (r, s)):  # u x + v (y + c x^j)
+        image = {(1, 0): Fraction(u), (0, 1): Fraction(v)}
+        image[j, 0] = image.get((j, 0), 0) + v * Fraction(c)
+        images.append({k: w for k, w in image.items() if w})
+    top = max(max(a, b) for a, b in d)
+    xs, ys = [{(0, 0): Fraction(1)}], [{(0, 0): Fraction(1)}]
+    for _ in range(top):
+        xs.append(_mul(xs[-1], images[0]))
+        ys.append(_mul(ys[-1], images[1]))
+    out: dict = {}
+    for (a, b), coeff in d.items():
+        for key, w in _mul(xs[a], ys[b]).items():
+            out[key] = out.get(key, 0) + coeff * w
+    return {k: w for k, w in out.items() if w}
+
+
+def germ_text(d: dict) -> str:
+    """A germ {(a, b): rational} as text for the germ parser."""
+    return " + ".join(f"({Fraction(c)})*x^{a}*y^{b}" for (a, b), c in sorted(d.items()))
+
+
+def point_multiset(roots: list) -> Counter:
+    """The multiset of (k, m) over a resolution tree, each node counted `points` times.
+
+    A node stands for a Galois orbit of `points` conjugate centres.  The
+    minimal log resolution of a germ is unique (Casas-Alvero, Singularities
+    of Plane Curves, 2000, ch. 3; Wall, Singular Points of Plane Curves,
+    2004), so this multiset is an analytic invariant: a change of
+    coordinates at the origin keeps it, wherever the engine's charts put
+    the points.
+    """
+    counts: Counter = Counter()
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        counts[node.k, node.m] += node.points
+        stack.extend(node.children)
+    return counts

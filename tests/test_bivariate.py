@@ -220,3 +220,69 @@ def test_gcd_z_of_constants_and_coprime_polynomials_is_one():
     assert bivariate.gcd_z([6], [-4]) == [1]
     assert bivariate.gcd_z([0, 0, 3], [-2, 1]) == [1]
     assert bivariate.gcd_z([-6, 0, -3], [4, 0, 2]) == [2, 0, 1]  # x^2 + 2, made positive
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("this step should not run")
+
+
+def _as_zz(p):
+    return Poly(list(reversed(p)), x, domain=ZZ)
+
+
+@pytest.mark.parametrize("a, b, divisions", [
+    ([6], [3, 0, 9], 0),  # a constant: the gcd is 1 with no division
+    ([-4], [7], 0),
+    ([-12, 8], [9, -12, 4], 1),  # 4x^2 - 12x + 9 and its derivative: 2x - 3 divides
+    ([3, -2], [9, -12, 4], 1),  # the same line, its leading coefficient negative
+    ([1, 1], [9, -12, 4], 1),  # x + 1 does not divide: the gcd is 1
+    ([0, 5], [0, 0, 3], 1),  # 5x: x divides 3x^2
+    ([-5, 1], [6, -5, 1], 1),  # x - 5 against (x - 2)(x - 3)
+    ([2, 6], [-1, 3], 1),  # two lines: 3x - 1 does not divide 6x + 2
+    ([2 * WIDE, 2], [WIDE**2, 0, -1], 1),  # x + WIDE divides WIDE^2 - x^2
+])
+def test_gcd_z_settles_a_constant_or_linear_argument_by_one_division(monkeypatch, a, b,
+                                                                       divisions):
+    want = normalized(sympy.gcd(_as_zz(a), _as_zz(b)))
+    quotient, calls = univariate.exact_quotient, []
+
+    def counted(p, q):
+        calls.append(q)
+        return quotient(p, q)
+
+    monkeypatch.setattr(univariate, "exact_quotient", counted)
+    monkeypatch.setattr(bivariate, "_primes", _refuse)  # no prime is tried
+    assert bivariate.gcd_z(a, b) == want
+    assert bivariate.gcd_z(b, a) == want
+    assert len(calls) == 2 * divisions
+
+
+@pytest.mark.parametrize("a, b", [
+    ([6, -5, 1], [2, 0, 1]),  # (x - 2)(x - 3) and x^2 + 2
+    ([1, 1, 0, 1], [1, 0, 3]),  # x^3 + x + 1 and its derivative
+    ([WIDE, 0, 0, 1], [-WIDE, 1, 0, 7]),
+])
+def test_gcd_z_returns_one_at_an_image_of_degree_0(monkeypatch, a, b):
+    # both leading coefficients survive modulo 2^61 - 1 and the image there has
+    # degree 0, which proves the gcd 1: no CRT, no lift, no division
+    assert normalized(sympy.gcd(_as_zz(a), _as_zz(b))) == [1]
+    for name in ("_crt", "_lift"):
+        monkeypatch.setattr(bivariate, name, _refuse)
+    monkeypatch.setattr(univariate, "exact_quotient", _refuse)
+    assert bivariate.gcd_z(a, b) == [1]
+
+
+def test_repeated_factor_takes_the_image_of_p_y_from_the_image_of_p(monkeypatch):
+    # the y-derivative of p's image is p_y's image: p_y is never evaluated
+    germ = CurveGerm("(y^2 - x^3 - 3*x)^2*(y + x)")
+    p = columns(germ.poly)
+    py = bivariate.derivative(bivariate.primitive(p)[1])
+    packed, pack = [], bivariate._Residues.columns
+
+    def watched(self, f, width):
+        packed.append(f)
+        return pack(self, f, width)
+
+    monkeypatch.setattr(bivariate._Residues, "columns", watched)
+    assert associated(as_poly(bivariate.repeated_factor(p)), Poly("y**2 - x**3 - 3*x", x, y))
+    assert packed and py not in packed

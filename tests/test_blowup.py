@@ -311,6 +311,40 @@ _nonzero = st.integers(-9, 9).filter(bool)
 _scalar = st.builds(Fraction, _nonzero, st.integers(1, 9))
 
 
+# Q[t]/(t^2 - 2), a modulus with a denominator, t^2 + t + 3/2, and a cubic
+_SHIFT_FIELDS = [SQRT2, NumberField((Fraction(3, 2), Fraction(1), Fraction(1))),
+                 NumberField((Fraction(-2), Fraction(0), Fraction(0), Fraction(1)))]
+
+
+def _shifted_by_elements(d, theta, K):
+    """y -> y + theta term by term in element arithmetic: the reference for _shift_y over K."""
+    out = {}
+    for (a, b), c in d.items():
+        for j in range(b + 1):
+            out[a, j] = out.get((a, j), K.zero) + K.one * c * math.comb(b, j) * theta ** (b - j)
+    return {key: c for key, c in out.items() if c}
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from(_SHIFT_FIELDS), st.data())
+def test_shift_y_over_a_number_field_agrees_with_element_arithmetic(K, data):
+    # coefficients of all three kinds the engine hands over, on mixed denominators
+    def element():
+        den = data.draw(st.integers(1, 6))
+        return Element(K, [Fraction(data.draw(st.integers(-9, 9)), den) for _ in range(K.degree)])
+
+    kinds = {"int": lambda: data.draw(st.integers(-9, 9)), "fraction": lambda: data.draw(_scalar),
+             "element": element}
+    keys = data.draw(st.sets(st.tuples(st.integers(0, 3), st.integers(0, 4)), min_size=1,
+                             max_size=6))
+    d = {key: c for key in keys if (c := kinds[data.draw(st.sampled_from(sorted(kinds)))]())}
+    theta = element()
+    assume(d and theta)
+    shifted = _shift_y(d, theta, K)
+    assert shifted == _shifted_by_elements(d, theta, K)
+    assert all(type(c) is Element for c in shifted.values())
+
+
 @settings(deadline=None, max_examples=150)
 @given(_fields, _scalar, _nonzero, _nonzero, st.integers(-9, 9), st.integers(1, 9))
 def test_factor_on_line_peels_a_linear_remainder_exactly(field, c, a, b, b_gen, den):
@@ -471,6 +505,24 @@ def test_line_clusters_factor_only_the_points_blown_up(monkeypatch):
     # (v - 1)(v - 2) is a quadratic, split without factor_list
     quintic = _line(Poly((V - 1) ** 4 * (V - 2) ** 3 * (V + 5), V))
     assert _line_clusters([quintic], Q) == {(-1, 1): [0], (-2, 1): [0]}
+
+
+def test_small_lines_over_a_number_field_take_no_gcd_and_no_inverse(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a small line took the general route")
+
+    K = NumberField((Fraction(-2), Fraction(0), Fraction(1)))
+    t, one = K.gen, K.one
+    monkeypatch.setattr(univariate, "gcd", refuse)
+    # (v + t)^2: its discriminant vanishes, and v = -t is on it by Horner's rule
+    assert _line_clusters([{0: t * t, 1: 2 * t, 2: one}, {0: one}], K) == {(t, one): [0]}
+    monkeypatch.setattr(Element, "_inverse", refuse)
+    # a quadratic restriction with two simple points (v^2 + 1, discriminant
+    # -4), and a lone line t v + 1, whose point lies on nothing else: no cluster
+    assert _line_clusters([{0: one, 2: one}, {0: one}], K) == {}
+    assert _line_clusters([{0: one, 1: t}, {0: one}], K) == {}
+    # v^2 and v (v + 1): v = 0 lies on both, and v = -1 on one only
+    assert _line_clusters([{2: one}, {1: one, 2: one}], K) == {(K.zero, one): [0, 1]}
 
 
 # Germs whose tacnodal points are irrational: after one extension by a
