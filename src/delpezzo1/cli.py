@@ -73,8 +73,7 @@ def _cycle(sub):
 
 def _configuration(sub):
     """The flags of a configuration; the handler builds it."""
-    from .cycles import POINT_VARIANTS, SMOOTH_VARIANTS, allowed_variants, build_configuration
-    from .dynkin import parse_dynkin
+    from .cycles import POINT_VARIANTS, SMOOTH_VARIANTS, build_configuration
     from .errors import InvalidSurfaceError
 
     sub.add_argument("type", nargs="?", help="Dynkin label, e.g. E8")
@@ -90,16 +89,11 @@ def _configuration(sub):
     )
 
     def configuration(args):
-        if args.smooth is not None:
-            if args.type is not None or args.variant is not None:
-                raise InvalidSurfaceError(
-                    "--smooth excludes a singularity type and --variant"
-                )
-            return build_configuration(smooth=args.smooth)
-        if args.type is None:
+        if args.smooth is not None and (args.type is not None or args.variant is not None):
+            raise InvalidSurfaceError("--smooth excludes a singularity type and --variant")
+        if args.smooth is None and args.type is None:
             raise InvalidSurfaceError("give a singularity type or --smooth")
-        t = parse_dynkin(args.type)
-        return build_configuration([(t, args.variant or allowed_variants(t)[0])])
+        return build_configuration(args.type, args.variant or args.smooth)
 
     return configuration
 

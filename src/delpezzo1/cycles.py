@@ -7,6 +7,10 @@ D~ + Gamma, and the attachment numbers d_j = D~ . E_j are forced by
 0 = (D~ + Gamma) . E_j.  The resulting total-transform configuration is a
 degenerate elliptic curve, which matches one of Kodaira's fiber types and
 whose threshold lct_config reads off its meetings, with no resolution.
+
+A member passes through at most one singular point, so it is named by that
+point and its contact variant there, or by its variant in the smooth locus:
+build_configuration(point, variant) builds each of the 21 members once.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from .dynkin import DynkinType, adjacency, as_dynkin, intersection_matrix
 from .errors import (
     InvalidConfigurationError,
     NonTerminationError,
-    OutOfRangeError,
     UnrecognizedConfigurationError,
     VariantMismatchError,
     quoted,
@@ -111,23 +114,18 @@ def _laufer(entries: Sequence[Sequence[int]], start: int) -> list[int]:
     )
 
 
-def fundamental_cycle(t: DynkinType | str, start: int = 1) -> FundamentalCycle:
+def fundamental_cycle(t: DynkinType | str) -> FundamentalCycle:
     """The minimal positive cycle Gamma with Gamma . E_j <= 0 for all j.
 
-    `start` selects the initial curve (1-based); the result is independent
-    of it, which the test suite checks exhaustively.  Each (type, start) is
-    computed once.
+    Laufer's iteration from E_1; every start gives this cycle, which the
+    test suite checks from each node.  Each type is computed once.
     """
-    t = as_dynkin(t)
-    if not 1 <= start <= t.rank:
-        raise OutOfRangeError(f"start node must be in 1..{t.rank}")
-    return _fundamental_cycle(t, start)
+    return _fundamental_cycle(as_dynkin(t))
 
 
 @cache
-def _fundamental_cycle(t: DynkinType, start: int) -> FundamentalCycle:
-    m = intersection_matrix(t)
-    return FundamentalCycle(t, tuple(_laufer(m.entries, start - 1)))
+def _fundamental_cycle(t: DynkinType) -> FundamentalCycle:
+    return FundamentalCycle(t, tuple(_laufer(intersection_matrix(t).entries, 0)))
 
 
 def attachment_vector(t: DynkinType | str) -> AttachmentVector:
@@ -268,74 +266,56 @@ def allowed_variants(t: DynkinType) -> tuple[str, ...]:
 
 
 def build_configuration(
-    points: Sequence[tuple[DynkinType | str, str]] = (),
-    smooth: str | None = None,
+    point: DynkinType | str | None = None, variant: str | None = None
 ) -> AnticanonicalConfiguration:
-    """Assemble the total transform D~ + Gamma as a combinatorial configuration.
+    """The total transform D~ + Gamma of a member D of |-K_S|, as a configuration.
 
-    `points` lists the singular points D passes through (at most one), each
-    with its contact variant; with no points, `smooth` picks the behavior of
-    D inside the smooth locus: elliptic, nodal or cuspidal.
+    D passes through at most one singular point: `point` is its type, a
+    DynkinType or a label, and `variant` the contact there, by default the
+    general one (the first of allowed_variants).  With no point D lies in
+    the smooth locus, and `variant` is elliptic, nodal or cuspidal.
     """
-    if len(points) > 1:
-        raise InvalidConfigurationError(
-            "an anticanonical member passes through at most one singular point"
-        )
-    if points and smooth is not None:
-        raise InvalidConfigurationError(
-            "smooth-locus variant applies only to an empty point list"
-        )
-
-    if not points:
-        if smooth is None:
-            raise InvalidConfigurationError(
-                "empty point list requires a smooth-locus variant"
-            )
-        if smooth not in SMOOTH_VARIANTS:
+    if point is None:
+        if variant not in SMOOTH_VARIANTS:
             raise VariantMismatchError(
-                f"unknown smooth-locus variant {quoted(smooth)}; choose from {SMOOTH_VARIANTS}"
+                f"unknown smooth-locus variant {quoted(variant)}; choose from {SMOOTH_VARIANTS}"
             )
-        d_comp = Component("D", 1, STRICT_TRANSFORM)
-        if smooth == ELLIPTIC:
-            return AnticanonicalConfiguration((d_comp,), ())
-        if smooth == NODAL:
-            return AnticanonicalConfiguration((d_comp,), (Meeting(("D", "D")),))
-        return AnticanonicalConfiguration((d_comp,), (Meeting(("D",), cuspidal=True),))
-
-    t, variant = points[0]
-    t = as_dynkin(t)
-    if variant not in allowed_variants(t):
+        return _configuration(None, variant)
+    t = as_dynkin(point)
+    allowed = allowed_variants(t)
+    if variant is None:
+        variant = allowed[0]
+    elif variant not in allowed:
         raise VariantMismatchError(
-            f"variant {quoted(variant)} is not defined for {t.label}; "
-            f"allowed: {allowed_variants(t)}"
+            f"variant {quoted(variant)} is not defined for {t.label}; allowed: {allowed}"
         )
-    return _point_configuration(t, variant)
+    return _configuration(t, variant)
 
 
 @cache
-def _point_configuration(t: DynkinType, variant: str) -> AnticanonicalConfiguration:
-    """The configuration of a D through one point of type t, built once per (t, variant)."""
-    cyc = fundamental_cycle(t)
-    att = attachment_vector(t)
+def _configuration(t: DynkinType | None, variant: str) -> AnticanonicalConfiguration:
+    """The member through a point of type t (None: in the smooth locus), built once."""
     components = [Component("D", 1, STRICT_TRANSFORM)]
-    components += [
-        Component(f"E{i + 1}", cyc.coeffs[i], EXCEPTIONAL) for i in range(t.rank)
-    ]
-
-    meetings: list[Meeting]
-    if variant == TANGENTIAL:
+    meetings: list[Meeting] = []
+    if t is not None:
+        components += [Component(f"E{i + 1}", a, EXCEPTIONAL)
+                       for i, a in enumerate(fundamental_cycle(t).coeffs)]
+    if variant == NODAL:
+        meetings = [Meeting(("D", "D"))]
+    elif variant == CUSPIDAL:
+        meetings = [Meeting(("D",), cuspidal=True)]
+    elif variant == TANGENTIAL:
         meetings = [Meeting(("D", "E1"), contact=2)]
     elif variant == ONE_POINT:
         meetings = [Meeting(("D", "E1", "E2"))]
-    else:
+    elif t is not None:  # every meeting a transverse pair: the diagram, and D at E_j d_j times
         meetings = [
             Meeting((f"E{min(i, j)}", f"E{max(i, j)}"))
             for i, j in (tuple(sorted(e)) for e in adjacency(t))
         ]
-        for j, dj in enumerate(att.d):
+        for j, dj in enumerate(attachment_vector(t).d):
             meetings.extend(Meeting(("D", f"E{j + 1}")) for _ in range(dj))
         meetings.sort(key=lambda m: m.members)
-
     return AnticanonicalConfiguration(tuple(components), tuple(meetings))
 
 

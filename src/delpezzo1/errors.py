@@ -22,12 +22,12 @@ def brief(obj: object, width: int = 80) -> object:
 def quoted(obj: object, width: int = 80) -> str:
     """repr(brief(obj)), as an error message quotes obj, cut further where escapes lengthen it.
 
-    A repr longer than width + 2 characters (two for the quotes) is the repr
-    of a shorter cut of str(obj), so that no input fills a message however
-    many of its characters print as escapes.
+    A repr longer than width + 2 bytes in UTF-8 (two for the quotes) is the
+    repr of a shorter cut of str(obj), so that no input fills a message
+    however many of its characters print as escapes or as several bytes.
     """
     text, k = brief(obj, width), width - 3
-    while len(repr(text)) > width + 2:
+    while len(repr(text).encode()) > width + 2:
         text, k = str(obj)[:k] + "...", k - 1
     return repr(text)
 
@@ -46,8 +46,7 @@ class MalformedLabelError(DelPezzoError, ValueError):
 
 
 class OutOfRangeError(DelPezzoError, ValueError):
-    """A Dynkin label names a type outside A1..A8, D4..D8, E6..E8, or a
-    start node of fundamental_cycle lies outside 1..rank."""
+    """A Dynkin label names a type outside A1..A8, D4..D8, E6..E8."""
 
 
 class NotSymmetricError(DelPezzoError, ValueError):

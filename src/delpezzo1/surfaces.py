@@ -10,14 +10,17 @@ and tlct() evaluates the total log canonical threshold
     tlct(S) = inf { lct(S, D) : D in |-K_S| }
 
 as the least threshold over the members the spec licenses, with the
-Kodaira fiber type of a minimizing member.  Each member's threshold and
-fiber are read off its configuration (cycles.lct_config and
-cycles.kodaira_type); no value of the paper's table is written here.
+Kodaira fiber type of a minimizing member.  A member is named as
+cycles.build_configuration names it, by the point it passes through (None
+in the smooth locus) and its contact variant there, the general one unless
+given; its threshold and fiber are read off its configuration
+(cycles.lct_config and cycles.kodaira_type), and no value of the paper's
+table is written here.
 
 Two rules of the classification are stated once, as tables that every
 function applying them reads: ADMITTED_NEIGHBOURS, the singularities that
 may sit beside an A8/D8/E8, A7/D7/E7 or E6 point (validate clauses (b)-(d)),
-and CUSPIDAL_MEMBERS, the point and contact variant of the cuspidal member
+and CUSPIDAL_MEMBERS, the name (point, variant) of the cuspidal member
 each cusp assertion licenses (read by SurfaceSpec, tlct,
 realizable_configurations, iter_valid_specs and rigidity).
 """
@@ -41,7 +44,6 @@ from .cycles import (
     TANGENTIAL,
     AnticanonicalConfiguration,
     KodairaLabel,
-    allowed_variants,
     build_configuration,
     kodaira_type,
     lct_config,
@@ -210,14 +212,8 @@ class TlctResult(Record):
 
 @cache
 def _member(point: DynkinType | str | None, variant: str | None = None) -> TlctResult:
-    """Threshold and fiber of the member through a point of this type (None: smooth locus).
-
-    With no variant, the general member: the point's first allowed variant.
-    """
-    if point is None:
-        c = build_configuration(smooth=variant)
-    else:
-        c = build_configuration([(point, variant or allowed_variants(point)[0])])
+    """Threshold and fiber of the member build_configuration(point, variant) names."""
+    c = build_configuration(point, variant)
     return TlctResult(lct_config(c), kodaira_type(c))
 
 
@@ -246,19 +242,20 @@ def tlct(s: SurfaceSpec) -> TlctResult:
 def realizable_configurations(s: SurfaceSpec) -> Iterator[AnticanonicalConfiguration]:
     """Anticanonical-member configurations the spec admits.
 
-    The smooth-locus members, the first allowed variant at each singular
+    The elliptic and nodal members in the smooth locus (and the cuspidal
+    one under any cusp assertion), the general member at each singular
     point, and the variant the cusp assertion licenses at its point
     (CUSPIDAL_MEMBERS).  tlct(s) is the minimum of lct_config over these.
     """
-    yield build_configuration(smooth=ELLIPTIC)
-    yield build_configuration(smooth=NODAL)
+    yield build_configuration(None, ELLIPTIC)
+    yield build_configuration(None, NODAL)
     if s.cusp_data != NO_CUSPIDAL_MEMBER:
-        yield build_configuration(smooth=CUSPIDAL)
-    member = CUSPIDAL_MEMBERS.get(s.cusp_data, (None,))
+        yield build_configuration(None, CUSPIDAL)
+    point, variant = CUSPIDAL_MEMBERS.get(s.cusp_data, (None, None))
     for t in sorted(set(s.singularities)):
-        yield build_configuration([(t, allowed_variants(t)[0])])
-        if t.label == member[0]:
-            yield build_configuration([(t, member[1])])
+        yield build_configuration(t)
+        if t.label == point:
+            yield build_configuration(t, variant)
 
 
 def _multisets(budget: int, pool: tuple[DynkinType, ...]) -> Iterator[tuple]:

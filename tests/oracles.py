@@ -112,20 +112,27 @@ def _mul(p: dict, q: dict) -> dict:
     return {k: c for k, c in out.items() if c}
 
 
-def change_coordinates(d: dict, matrix: tuple, c: Fraction, j: int) -> dict:
+def change_coordinates(d: dict, matrix: tuple, c: Fraction, j: int, variable: str = "y") -> dict:
     """The germ {(a, b): c} moved by an automorphism of the plane that fixes the origin.
 
     x -> p x + q y and y -> r x + s y, for matrix ((p, q), (r, s)) in
-    GL2(Q), and then y -> y + c x^j (j >= 1): the germ becomes
-    sum c_ab X^a Y^b with X = p x + q (y + c x^j), Y = r x + s (y + c x^j),
+    GL2(Q), and then y -> y + c x^j, or x -> x + c y^j for variable "x"
+    (j >= 1): the germ becomes sum c_ab X^a Y^b with X = p x' + q y',
+    Y = r x' + s y' for (x', y') = (x, y + c x^j) or (x + c y^j, y),
     expanded exactly in Fractions.
     """
     (p, q), (r, s) = matrix
     assert p * s - q * r, "the matrix must be invertible"
+    x1, y1 = {(1, 0): Fraction(1)}, {(0, 1): Fraction(1)}
+    if variable == "y":
+        y1[j, 0] = Fraction(c)
+    else:
+        x1[0, j] = Fraction(c)
     images = []
-    for u, v in ((p, q), (r, s)):  # u x + v (y + c x^j)
-        image = {(1, 0): Fraction(u), (0, 1): Fraction(v)}
-        image[j, 0] = image.get((j, 0), 0) + v * Fraction(c)
+    for u, v in ((p, q), (r, s)):  # u x' + v y'
+        image = {key: u * w for key, w in x1.items()}
+        for key, w in y1.items():
+            image[key] = image.get(key, 0) + v * w
         images.append({k: w for k, w in image.items() if w})
     top = max(max(a, b) for a, b in d)
     xs, ys = [{(0, 0): Fraction(1)}], [{(0, 0): Fraction(1)}]

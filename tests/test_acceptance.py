@@ -124,16 +124,16 @@ def test_acceptance_2_brute_force_oracle(capsys):
 
 def _check_threshold_table():
     for label in ("A3", "A4", "A5", "A6", "A7", "A8"):
-        assert lct_config(build_configuration([(label, STANDARD)])) == 1
+        assert lct_config(build_configuration(label, STANDARD)) == 1
     for label in ("D4", "D5", "D6", "D7", "D8"):
-        assert lct_config(build_configuration([(label, STANDARD)])) == Fraction(1, 2)
+        assert lct_config(build_configuration(label, STANDARD)) == Fraction(1, 2)
     for label, value in (("E6", Fraction(1, 3)), ("E7", Fraction(1, 4)),
                          ("E8", Fraction(1, 6))):
-        assert lct_config(build_configuration([(label, STANDARD)])) == value
-    assert lct_config(build_configuration([("A1", TANGENTIAL)])) == Fraction(3, 4)
-    assert lct_config(build_configuration([("A2", ONE_POINT)])) == Fraction(2, 3)
-    assert lct_config(build_configuration([("A1", TRANSVERSE)])) == 1
-    assert lct_config(build_configuration([("A2", TWO_POINTS)])) == 1
+        assert lct_config(build_configuration(label, STANDARD)) == value
+    assert lct_config(build_configuration("A1", TANGENTIAL)) == Fraction(3, 4)
+    assert lct_config(build_configuration("A2", ONE_POINT)) == Fraction(2, 3)
+    assert lct_config(build_configuration("A1", TRANSVERSE)) == 1
+    assert lct_config(build_configuration("A2", TWO_POINTS)) == 1
     assert lct_germ("x*y") == 1
     assert lct_germ("y^2 - x^3") == Fraction(5, 6)
     assert lct_germ("y*(y - x^2)") == Fraction(3, 4)

@@ -1,15 +1,21 @@
 """The command-line surface: grammar, formats, exit codes."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, target
+from hypothesis import strategies as st
 
+from delpezzo1 import errors
 from delpezzo1.cli import run
 from delpezzo1.cycles import POINT_VARIANTS, SMOOTH_VARIANTS
+from delpezzo1.dynkin import ALL_TYPES
 from delpezzo1.surfaces import CUSP_DATA
 
 
@@ -434,3 +440,79 @@ def test_golden_covers_every_subcommand_in_both_forms():
                 "classify", "tlct", "validate", "rigidity", "targets"]
     pinned = {(p.values[0][0], "--json" in p.values[0]) for p in GOLDEN}
     assert pinned == {(name, form) for name in commands for form in (False, True)}
+
+
+# -- the input contract of the surface-side subcommands ----------------------
+
+SURFACE_SIDE = ("cycle", "config", "kodaira", "lct-config")
+ERROR_NAMES = {name for name, value in vars(errors).items()
+               if isinstance(value, type) and issubclass(value, errors.DelPezzoError)}
+# every argv of those subcommands that a test above pins
+PINNED = [
+    ["cycle", "E8"], ["cycle", "A4"], ["cycle", "D5"], ["cycle", "E7", "--json"],
+    ["cycle", "E8", "--attachment"], ["cycle", "D6", "--attachment", "--json"],
+    ["cycle", "F4"], ["cycle", "A9"], ["cycle"],
+    ["config", "A1", "--variant", "tangential"], ["kodaira", "A1", "--variant", "tangential"],
+    ["kodaira", "E8"], ["kodaira", "--smooth", "nodal"],
+    ["config", "A2", "--variant", "one-point", "--json"], ["config", "A1", "--variant", "one-point"],
+    ["lct-config", "E8"], ["lct-config", "A1", "--variant", "tangential"],
+    ["lct-config", "--smooth", "cuspidal"], ["lct-config", "E6"], ["lct-config", "E6", "--json"],
+    *(list(argv) for argv, _ in CONFIG_FLAG_ERRORS),
+    *(list(argv) for argv, _, _ in BAD_CHOICES if argv[0] in SURFACE_SIDE),
+    *(p.values[0] for p in GOLDEN if p.values[0][0] in SURFACE_SIDE),
+]
+
+labels = st.one_of(
+    st.sampled_from([t.label for t in ALL_TYPES] + ["e8", " a1 ", "F4", "A9", "A0", ""]),
+    st.text(st.characters(max_codepoint=0x1F), max_size=120),  # control characters
+    st.text(st.characters(min_codepoint=0x80), max_size=120),  # non-ASCII
+    st.builds(lambda c, n: c * n, st.characters(min_codepoint=0x80), st.integers(1, 120)),
+    st.text(max_size=40),
+    st.builds(lambda kind, zeros, digits: kind + "0" * zeros + digits,  # long digit runs
+              st.sampled_from("ADEadeF"), st.integers(0, 5000),
+              st.text("0123456789", max_size=8) | st.integers(1, 6000).map(lambda n: "9" * n)),
+)
+
+
+@st.composite
+def surface_side_argv(draw) -> list[str]:
+    """A subcommand of SURFACE_SIDE, an optional label, its flags and --json."""
+    command = draw(st.sampled_from(SURFACE_SIDE))
+    argv = [command] + draw(st.lists(labels, max_size=1))
+    if command == "cycle":
+        argv += draw(st.lists(st.just("--attachment"), max_size=1))
+    else:
+        for flag, values in (("--variant", POINT_VARIANTS), ("--smooth", SMOOTH_VARIANTS)):
+            value = draw(st.none() | st.sampled_from(values) | labels)
+            argv += [] if value is None else [flag, value]
+    return argv + draw(st.lists(st.just("--json"), max_size=1))
+
+
+def _examples(argvs):
+    def decorate(test):
+        for argv in argvs:
+            test = example(argv)(test)
+        return test
+    return decorate
+
+
+@_examples(PINNED)
+@example(["cycle", "\U0001cf00" * 39])  # found: 4-byte characters made a 366-byte line
+@example(["config", "\u20ac" * 80, "--json"])
+@settings(deadline=None, max_examples=300)
+@given(surface_side_argv())
+def test_a_surface_side_call_prints_output_one_typed_line_or_a_usage_error(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        status = run(argv)
+    if status == 0:
+        assert out.getvalue() and not err.getvalue()
+    elif status == 1:
+        line = err.getvalue()
+        assert line.endswith("\n") and line.count("\n") == 1 and not out.getvalue()
+        assert line.split(": ", 1)[0] in ERROR_NAMES
+        size = len(line.rstrip("\n").encode())
+        target(size)  # steer toward the longest lines
+        assert size <= 200, line
+    else:
+        assert status == 2

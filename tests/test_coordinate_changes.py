@@ -1,10 +1,11 @@
 """The engine against changes of coordinates, an oracle it does not share.
 
 An automorphism of the plane that fixes the origin (GL2(Q), then
-y -> y + c x^j) changes neither the threshold of a germ, nor its class, nor
-the multiset of (k, m) over its minimal log resolution
+y -> y + c x^j or x -> x + c y^j) changes neither the threshold of a germ,
+nor its class, nor the multiset of (k, m) over its minimal log resolution
 (oracles.point_multiset), and a germ that is rejected stays rejected with
-the same typed error.  The move is computed in tests/oracles.py with plain
+the same typed error; nor, moving every branch by the same map, the
+threshold and the multiset of a weighted union of branches.  The move is computed in tests/oracles.py with plain
 Fractions, and it moves points between the chart x = u, y = u v and the
 origin of the chart x = u v, y = v, so it drives _strict2, _shift_y over Q
 and over Q[t]/(g), and the line step of the engine.
@@ -19,9 +20,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from delpezzo1.blowup import blowup_tree
 from delpezzo1.errors import DelPezzoError, InvalidGermError
 from delpezzo1.germs import CurveGerm, classify_germ
-from delpezzo1.lct import germ_blowup_tree, lct_germ
+from delpezzo1.lct import _germs_of, germ_blowup_tree, lct_germ, lct_weighted_germs
 from tests.oracles import change_coordinates, germ_text, point_multiset
 
 CORPUS = Path(__file__).parent / "data" / "resolution_corpus.jsonl"
@@ -77,10 +79,10 @@ def test_the_tacnodes_have_real_and_non_real_tangents():
     assert len(RATIONAL) >= 60
 
 
-def _check(text: str, seed: int) -> None:
+def _check(text: str, seed: int, variable: str = "y") -> None:
     matrix, c, j = random_change(random.Random(seed))
-    moved = germ_text(change_coordinates(CurveGerm(text).native_dict, matrix, c, j))
-    assert invariants(moved) == invariants(text), (text, matrix, c, j, moved)
+    moved = germ_text(change_coordinates(CurveGerm(text).native_dict, matrix, c, j, variable))
+    assert invariants(moved) == invariants(text), (text, matrix, c, j, variable, moved)
 
 
 @pytest.mark.parametrize("index", range(len(TACNODES)))
@@ -91,6 +93,11 @@ def test_a_tacnode_keeps_its_invariants_under_a_change_of_coordinates(index):
 @pytest.mark.parametrize("index", range(len(RATIONAL)))
 def test_a_rational_germ_keeps_its_invariants_under_a_change_of_coordinates(index):
     _check(RATIONAL[index], 1000 + index)
+
+
+@pytest.mark.parametrize("index", range(len(TACNODES + RATIONAL)))
+def test_a_germ_keeps_its_invariants_when_x_moves_by_a_power_of_y(index):
+    _check((TACNODES + RATIONAL)[index], 2000 + index, "x")
 
 
 def test_a_tangent_moved_onto_the_chart_2_origin():
@@ -112,9 +119,36 @@ germs = st.builds(lambda b, a, c, rest: {**rest, (0, b): 1, (a, 0): c},
 
 
 @settings(deadline=None, max_examples=60)
-@given(germs, st.integers(0, 2**32))
-def test_a_sum_of_monomials_keeps_its_invariants_under_a_change_of_coordinates(d, seed):
+@given(germs, st.integers(0, 2**32), st.sampled_from("yx"))
+def test_a_sum_of_monomials_keeps_its_invariants_under_a_change_of_coordinates(d, seed, variable):
     text = germ_text(d)
     matrix, c, j = random_change(random.Random(seed))
-    moved = germ_text(change_coordinates(d, matrix, c, j))
-    assert invariants(moved) == invariants(text), (text, matrix, c, j, moved)
+    moved = germ_text(change_coordinates(d, matrix, c, j, variable))
+    assert invariants(moved) == invariants(text), (text, matrix, c, j, variable, moved)
+
+
+def union_invariants(branches: list) -> tuple:
+    """The threshold and the (k, m) multiset of a weighted union, each or its typed error."""
+    return (_outcome(lct_weighted_germs, branches),
+            _outcome(lambda b: point_multiset(blowup_tree(
+                [(g.nums, w) for g, w in _germs_of(b)])), branches))
+
+
+# branches through the origin: lines, smooth curves tangent to them, nodes,
+# cusps and a tacnode, so that a union has common tangents and contacts
+BRANCHES = ["y", "x", "y - x", "y + 2*x", "y - x^2", "y + x^2", "x - y^3", "y^2 - x^3",
+            "y^2 - x^5", "y^3 - x^4", "y^2 - x^2 - x^3", "(y - x^2)^2 - x^5",
+            "(y^2 - 2*x^2)^2 - x^7", *RATIONAL[:6]]
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.sampled_from(BRANCHES), min_size=2, max_size=3, unique=True),
+       st.lists(st.integers(1, 4), min_size=3, max_size=3),
+       st.integers(0, 2**32), st.sampled_from("yx"))
+def test_a_weighted_union_keeps_its_invariants_when_every_branch_moves(texts, weights, seed,
+                                                                      variable):
+    matrix, c, j = random_change(random.Random(seed))
+    union = list(zip(texts, weights))
+    moved = [(germ_text(change_coordinates(CurveGerm(t).native_dict, matrix, c, j, variable)), w)
+             for t, w in union]
+    assert union_invariants(moved) == union_invariants(union), (union, matrix, c, j, variable)

@@ -13,6 +13,7 @@ from delpezzo1.cycles import (
     Component,
     KodairaLabel,
     Meeting,
+    allowed_variants,
     attachment_vector,
     build_configuration,
     fundamental_cycle,
@@ -22,8 +23,8 @@ from delpezzo1.cycles import (
 from delpezzo1.dynkin import ALL_TYPES, intersection_matrix, parse_dynkin
 from delpezzo1.errors import (
     InvalidConfigurationError,
+    MalformedLabelError,
     NonTerminationError,
-    OutOfRangeError,
     UnrecognizedConfigurationError,
     VariantMismatchError,
 )
@@ -105,21 +106,14 @@ def test_cycle_invariants(t):
 @pytest.mark.parametrize("t", ALL_TYPES, ids=lambda t: t.label)
 def test_start_node_independence(t):
     base = fundamental_cycle(t).coeffs
-    for start in range(1, t.rank + 1):
-        assert fundamental_cycle(t, start=start).coeffs == base
+    for start in range(t.rank):
+        assert tuple(_laufer(intersection_matrix(t).entries, start)) == base
 
 
 def test_cycle_iteration_stops_at_its_cap_on_a_matrix_not_negative_definite():
     # Z . E_1 = 2 Z stays positive, so the iteration never settles
     with pytest.raises(NonTerminationError, match="did not settle within 50 steps"):
         _laufer(((2,),), 0)
-
-
-@pytest.mark.parametrize("start", [0, -1, 9, 99])
-def test_start_node_out_of_range_is_typed(start):
-    with pytest.raises(OutOfRangeError, match=r"1\.\.8"):
-        fundamental_cycle("E8", start=start)
-    assert issubclass(OutOfRangeError, ValueError)  # callers catching ValueError still do
 
 
 def test_max_coefficient_per_series():
@@ -137,7 +131,7 @@ def test_cycle_json_shape():
 
 
 def test_e8_configuration_example():
-    c = build_configuration([("E8", STANDARD)])
+    c = build_configuration("E8", STANDARD)
     assert len(c.components) == 9
     assert [comp.multiplicity for comp in c.components] == [1, 2, 3, 4, 5, 6, 4, 2, 3]
     d_meetings = [m for m in c.incidence if "D" in m.members]
@@ -145,14 +139,14 @@ def test_e8_configuration_example():
 
 
 def test_nodal_configuration_example():
-    c = build_configuration(smooth=NODAL)
+    c = build_configuration(None, NODAL)
     assert len(c.components) == 1
     assert c.components[0].multiplicity == 1
     assert c.incidence == (Meeting(("D", "D")),)
 
 
 def test_a2_one_point_example():
-    c = build_configuration([("A2", ONE_POINT)])
+    c = build_configuration("A2", ONE_POINT)
     assert len(c.components) == 3
     assert all(comp.multiplicity == 1 for comp in c.components)
     assert c.incidence == (Meeting(("D", "E1", "E2")),)
@@ -161,30 +155,41 @@ def test_a2_one_point_example():
 def test_component_count_invariant():
     for t in ALL_TYPES:
         variant = {"A1": TRANSVERSE, "A2": TWO_POINTS}.get(t.label, STANDARD)
-        c = build_configuration([(t, variant)])
+        c = build_configuration(t, variant)
         assert len(c.components) == t.rank + 1
 
 
 def test_variant_mismatch():
     with pytest.raises(VariantMismatchError):
-        build_configuration([("A1", STANDARD)])
+        build_configuration("A1", STANDARD)
     with pytest.raises(VariantMismatchError):
-        build_configuration([("A2", TANGENTIAL)])
+        build_configuration("A2", TANGENTIAL)
     with pytest.raises(VariantMismatchError):
-        build_configuration([("D5", TRANSVERSE)])
+        build_configuration("D5", TRANSVERSE)
     with pytest.raises(VariantMismatchError):
-        build_configuration([("E8", "weird")])
+        build_configuration("E8", "weird")
     with pytest.raises(VariantMismatchError):
-        build_configuration(smooth="weird")
+        build_configuration(None, "weird")
 
 
-def test_configuration_preconditions():
-    with pytest.raises(InvalidConfigurationError):
-        build_configuration([("A1", TRANSVERSE), ("A2", TWO_POINTS)])
-    with pytest.raises(InvalidConfigurationError):
-        build_configuration([("A1", TRANSVERSE)], smooth=ELLIPTIC)
-    with pytest.raises(InvalidConfigurationError):
-        build_configuration([])
+def test_a_member_needs_a_point_or_a_smooth_locus_variant():
+    # a member is one point and its variant: no variant names no member in
+    # the smooth locus, and a list of points is not a label
+    with pytest.raises(VariantMismatchError) as info:
+        build_configuration()
+    assert str(info.value) == (
+        "unknown smooth-locus variant None; choose from ('elliptic', 'nodal', 'cuspidal')")
+    with pytest.raises(MalformedLabelError, match="label must be a string, got list"):
+        build_configuration(["A1"])
+
+
+def test_the_general_variant_is_the_default():
+    for t in ALL_TYPES:
+        assert build_configuration(t) is build_configuration(t.label, allowed_variants(t)[0])
+    assert build_configuration("A1") == build_configuration("A1", TRANSVERSE)
+    assert build_configuration("A2") == build_configuration("A2", TWO_POINTS)
+    with pytest.raises(VariantMismatchError):  # only None asks for the default
+        build_configuration("A1", "")
 
 
 KODAIRA_EXPECTED = {
@@ -211,19 +216,19 @@ KODAIRA_EXPECTED = {
 
 @pytest.mark.parametrize("point,expected", sorted(KODAIRA_EXPECTED.items()))
 def test_kodaira_labels(point, expected):
-    label = kodaira_type(build_configuration([point]))
+    label = kodaira_type(build_configuration(*point))
     assert label.text == expected
 
 
 def test_kodaira_smooth_locus():
-    assert kodaira_type(build_configuration(smooth=ELLIPTIC)).text == "I0"
-    assert kodaira_type(build_configuration(smooth=NODAL)).text == "I1"
-    assert kodaira_type(build_configuration(smooth=CUSPIDAL)).text == "II"
+    assert kodaira_type(build_configuration(None, ELLIPTIC)).text == "I0"
+    assert kodaira_type(build_configuration(None, NODAL)).text == "I1"
+    assert kodaira_type(build_configuration(None, CUSPIDAL)).text == "II"
 
 
 def test_kodaira_component_counts():
     for point, expected in KODAIRA_EXPECTED.items():
-        c = build_configuration([point])
+        c = build_configuration(*point)
         assert kodaira_type(c).component_count == len(c.components)
 
 
@@ -254,8 +259,8 @@ ECHOES = {
     "component kind": lambda: Component("E1", 1, LONG),
     "integer field": lambda: Component("E1", LONG, "exceptional"),
     "meeting id": lambda: AnticanonicalConfiguration((D,), (Meeting(("D", LONG)),)),
-    "point variant": lambda: build_configuration([("A1", LONG)]),
-    "smooth variant": lambda: build_configuration(smooth=LONG),
+    "point variant": lambda: build_configuration("A1", LONG),
+    "smooth variant": lambda: build_configuration(None, LONG),
 }
 
 
@@ -318,7 +323,7 @@ def test_configuration_validation():
         Meeting(("D", "E1", "E2"), contact=2)
     with pytest.raises(InvalidConfigurationError):
         Meeting(("D",))
-    c = build_configuration([("A2", TWO_POINTS)])
+    c = build_configuration("A2", TWO_POINTS)
     assert c.multiplicity_of("E2") == 1
     with pytest.raises(KeyError):
         c.multiplicity_of("E3")
@@ -333,12 +338,13 @@ def test_component_multiplicity_and_contact_must_be_integers(bad):
 
 
 def test_point_configurations_are_built_once_per_type_and_variant():
-    c = build_configuration([("E8", STANDARD)])
-    assert build_configuration([(parse_dynkin("e8"), STANDARD)]) is c
-    assert build_configuration([("A1", TANGENTIAL)]) is not build_configuration(
-        [("A1", TRANSVERSE)])
+    c = build_configuration("E8", STANDARD)
+    assert build_configuration(parse_dynkin("e8"), STANDARD) is c
+    assert build_configuration("A1", TANGENTIAL) is not build_configuration(
+        "A1", TRANSVERSE)
     assert fundamental_cycle("E8") is fundamental_cycle(parse_dynkin("E8"))
+    assert build_configuration(None, NODAL) is build_configuration(None, NODAL)
     # the variant is checked before the memo, on every call
     for _ in range(2):
         with pytest.raises(VariantMismatchError):
-            build_configuration([("E8", TANGENTIAL)])
+            build_configuration("E8", TANGENTIAL)

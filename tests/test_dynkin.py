@@ -40,6 +40,7 @@ def test_parse_out_of_range():
                          ("D" + "1" * 4400, "D" + "1" * 76 + "...")]:
         with pytest.raises(OutOfRangeError, match=re.escape(shown) + " is not admissible"):
             parse_dynkin(label)
+    assert issubclass(OutOfRangeError, ValueError)  # callers catching ValueError still do
 
 
 def test_a_huge_int_rank_is_out_of_range_with_its_leading_digits():

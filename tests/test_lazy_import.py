@@ -179,9 +179,9 @@ def test_lct_config_leaves_sympy_unloaded_and_lct_germ_loads_it():
     assert not loaded_after(
         "from delpezzo1 import build_configuration, lct_config\n"
         "for smooth in ('elliptic', 'nodal', 'cuspidal'):\n"
-        "    lct_config(build_configuration(smooth=smooth))\n"
+        "    lct_config(build_configuration(None, smooth))\n"
         "for point in [('E8', 'standard'), ('A1', 'tangential'), ('A2', 'one-point')]:\n"
-        "    lct_config(build_configuration([point]))",
+        "    lct_config(build_configuration(*point))",
         "sympy",
     )
     # lct_germ loads sympy only for a cluster it must blow up over a tower of

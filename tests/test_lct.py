@@ -288,14 +288,14 @@ CONFIG_LCT = {
 
 @pytest.mark.parametrize("label,variant", sorted(CONFIG_LCT))
 def test_lct_config_table(label, variant):
-    c = build_configuration([(label, variant)])
+    c = build_configuration(label, variant)
     assert lct_config(c) == CONFIG_LCT[(label, variant)]
 
 
 def test_lct_config_smooth_locus():
-    assert lct_config(build_configuration(smooth=ELLIPTIC)) == Fraction(1)
-    assert lct_config(build_configuration(smooth=NODAL)) == Fraction(1)
-    assert lct_config(build_configuration(smooth=CUSPIDAL)) == Fraction(5, 6)
+    assert lct_config(build_configuration(None, ELLIPTIC)) == Fraction(1)
+    assert lct_config(build_configuration(None, NODAL)) == Fraction(1)
+    assert lct_config(build_configuration(None, CUSPIDAL)) == Fraction(5, 6)
 
 
 def test_snc_configurations_hit_multiplicity_bound():
@@ -303,13 +303,13 @@ def test_snc_configurations_hit_multiplicity_bound():
     # threshold is exactly the reciprocal of the largest multiplicity
     for t in ALL_TYPES:
         variant = {"A1": TRANSVERSE, "A2": TWO_POINTS}.get(t.label, STANDARD)
-        c = build_configuration([(t, variant)])
+        c = build_configuration(t, variant)
         assert lct_config(c) == Fraction(1, c.max_multiplicity)
 
 
 def test_degenerate_variants_strictly_decrease():
     def at(label, variant):
-        return lct_config(build_configuration([(label, variant)]))
+        return lct_config(build_configuration(label, variant))
 
     assert at("A1", TANGENTIAL) < at("A1", TRANSVERSE)
     assert at("A2", ONE_POINT) < at("A2", TWO_POINTS)
@@ -322,7 +322,7 @@ def test_node_cusp_dichotomy():
     for label, variant in ((
         ("A1", TANGENTIAL), ("A2", ONE_POINT),
     )):
-        assert lct_config(build_configuration([(label, variant)])) < 1
+        assert lct_config(build_configuration(label, variant)) < 1
 
 
 def test_all_config_thresholds_in_range():
@@ -333,7 +333,7 @@ def test_all_config_thresholds_in_range():
             else (TWO_POINTS, ONE_POINT) if t.label == "A2"
             else (STANDARD,)
         ):
-            v = lct_config(build_configuration([(t, variant)]))
+            v = lct_config(build_configuration(t, variant))
             assert 0 < v <= 1
             values.add(v)
     assert values == {
@@ -373,10 +373,10 @@ def _one_meeting(weights, contact=1, cuspidal=False, members=None):
 
 
 def test_lct_config_over_the_sweep_matches_uncached_values_and_the_table():
-    table = {build_configuration([point]): value for point, value in CONFIG_LCT.items()}
-    table[build_configuration(smooth=ELLIPTIC)] = Fraction(1)
-    table[build_configuration(smooth=NODAL)] = Fraction(1)
-    table[build_configuration(smooth=CUSPIDAL)] = Fraction(5, 6)
+    table = {build_configuration(*point): value for point, value in CONFIG_LCT.items()}
+    table[build_configuration(None, ELLIPTIC)] = Fraction(1)
+    table[build_configuration(None, NODAL)] = Fraction(1)
+    table[build_configuration(None, CUSPIDAL)] = Fraction(5, 6)
     calls = 0
     for spec in iter_valid_specs():
         for c in realizable_configurations(spec):

@@ -6,7 +6,10 @@ of pairs", 1997, §3.16).  A curve on the quotient is a polynomial in the three
 invariants X, Y, Z of G (Klein, 1884), and its pullback is a plane germ in
 (u, v) that the engine resolves.  The invariants are checked here with sympy,
 against the group's generators or the relation among the three, before any
-threshold is read from them.
+threshold is read from them.  Each threshold is then compared with lct_config
+of the member's configuration, so the oracle ties the engine to Laufer's
+cycles, not only to tlct; in the smooth locus G is trivial, and the member
+is a plane germ itself.
 """
 
 from fractions import Fraction
@@ -14,7 +17,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from delpezzo1.cycles import fundamental_cycle
+from delpezzo1.cycles import CUSPIDAL, NODAL, build_configuration, fundamental_cycle, lct_config
 from delpezzo1.dynkin import ALL_TYPES, DynkinType, parse_dynkin
 from delpezzo1.lct import lct_germ
 from delpezzo1.surfaces import CUSP_AT_A1, CUSP_AT_A2, CUSPIDAL_MEMBERS, SurfaceSpec, tlct
@@ -76,6 +79,7 @@ def test_a_general_section_has_the_threshold_of_the_worst_point(t):
     value = lct_germ(str(sympy.expand(2 * x + 3 * y + 5 * z)))
     assert value == Fraction(1, max(fundamental_cycle(t).coeffs))
     assert value == tlct(SurfaceSpec([t])).value
+    assert value == lct_config(build_configuration(t))
 
 
 @pytest.mark.parametrize("cusp, curve", [
@@ -86,3 +90,9 @@ def test_a_cusp_through_a_point_has_its_cuspidal_members_threshold(cusp, curve):
     point, _ = CUSPIDAL_MEMBERS[cusp]
     value = lct_germ(str(sympy.expand(curve(*invariants(parse_dynkin(point))))))
     assert value == tlct(SurfaceSpec([point], cusp)).value
+    assert value == lct_config(build_configuration(*CUSPIDAL_MEMBERS[cusp]))
+
+
+@pytest.mark.parametrize("germ, variant", [("y^2 - x^3", CUSPIDAL), ("y^2 - x^2 - x^3", NODAL)])
+def test_a_member_in_the_smooth_locus_has_its_configurations_threshold(germ, variant):
+    assert lct_germ(germ) == lct_config(build_configuration(None, variant))

@@ -185,10 +185,7 @@ CUSPIDAL_MEMBER_ROWS = [
 @pytest.mark.parametrize("cusp,point,variant,value,fiber", CUSPIDAL_MEMBER_ROWS,
                          ids=[row[0] for row in CUSPIDAL_MEMBER_ROWS])
 def test_each_cuspidal_member_forces_its_threshold_and_fiber(cusp, point, variant, value, fiber):
-    if point is None:
-        c = build_configuration(smooth=variant)
-    else:
-        c = build_configuration([(point, variant)])
+    c = build_configuration(point, variant)
     assert (lct_config(c), kodaira_type(c).text) == (value, fiber)
     assert CUSPIDAL_MEMBERS[cusp] == (point, variant)
 
