@@ -10,7 +10,10 @@ whose threshold lct_config reads off its meetings, with no resolution.
 
 A member passes through at most one singular point, so it is named by that
 point and its contact variant there, or by its variant in the smooth locus:
-build_configuration(point, variant) builds each of the 21 members once.
+build_configuration(point, variant) builds each of the 21 members once, and
+kodaira_type and lct_config compute each one's fiber and threshold once:
+each remembers its last MEMO_SIZE configurations, a bounded memo that holds
+all 21.  A configuration they reject raises again on every call.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ __all__ = [
     "build_configuration", "KodairaLabel", "kodaira_type", "lct_config",
 ]
 
-from functools import cache
+from functools import cache, lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 from .dynkin import DynkinType, adjacency, as_dynkin, intersection_matrix
@@ -38,6 +41,7 @@ if TYPE_CHECKING:  # lct_config imports fractions when called: cycle, config, ko
     from fractions import Fraction
 
 LAUFER_CAP = 50
+MEMO_SIZE = 64  # configurations kodaira_type and lct_config each remember
 
 # contact variants for the singular point D passes through
 STANDARD = "standard"
@@ -193,7 +197,7 @@ class Meeting(Record):
             raise InvalidConfigurationError(
                 "tangential contact is defined for exactly two branches"
             )
-        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "members", tuple(members))
         object.__setattr__(self, "contact", contact)
         object.__setattr__(self, "cuspidal", cuspidal)
 
@@ -225,8 +229,8 @@ class AnticanonicalConfiguration(Record):
             for cid in m.members:
                 if cid not in known:
                     raise InvalidConfigurationError(f"meeting references unknown id {quoted(cid)}")
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "incidence", incidence)
+        object.__setattr__(self, "components", tuple(components))
+        object.__setattr__(self, "incidence", tuple(incidence))
 
     def multiplicity_of(self, cid: str) -> int:
         for c in self.components:
@@ -376,6 +380,7 @@ def _connected(n_ids: set[str], edges: list[tuple[str, str]]) -> bool:
     return seen == n_ids
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def kodaira_type(c: AnticanonicalConfiguration) -> KodairaLabel:
     """Match a configuration against Kodaira's degenerate-fiber patterns."""
     n = len(c.components)
@@ -447,6 +452,7 @@ def kodaira_type(c: AnticanonicalConfiguration) -> KodairaLabel:
     raise UnrecognizedConfigurationError("configuration matches no Kodaira pattern")
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def lct_config(c: AnticanonicalConfiguration) -> Fraction:
     """Threshold of the weighted configuration sum m_i C_i.
 

@@ -32,9 +32,10 @@ def quoted(obj: object, width: int = 80) -> str:
     return repr(text)
 
 
-def brief_keys(keys: set) -> object:
-    """Keys of any types as an error message lists them: by repr, each cut, the list to 200."""
-    return brief([brief(k) for k in sorted(keys, key=repr)], 200)
+def brief_keys(keys: set) -> str:
+    """Keys of any types, each quoted, in repr order; the list cut with "..." to 120 bytes."""
+    text = ("[" + ", ".join(map(quoted, sorted(keys, key=repr))) + "]").encode()
+    return (text if len(text) <= 120 else text[:117] + b"...").decode("utf-8", "ignore")
 
 
 class DelPezzoError(Exception):

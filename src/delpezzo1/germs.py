@@ -117,11 +117,11 @@ class _Parser:
         self.products = 0
 
     def fail(self, reason: str) -> NoReturn:
-        raise InvalidGermError(f"cannot parse germ {quoted(self.text)}: {reason}")
+        raise InvalidGermError(f"cannot parse germ {quoted(self.text, 50)}: {reason}")
 
     def expected(self, what: str) -> NoReturn:
         token = self.peek()
-        self.fail(f"expected {what}, found {quoted(token) if token else 'the end'}")
+        self.fail(f"expected {what}, found {quoted(token, 60) if token else 'the end'}")
 
     def peek(self) -> str:
         return self.tokens[self.pos]
@@ -399,7 +399,7 @@ def as_germ(g: "CurveGerm | str | Any") -> CurveGerm:
 def ensure_squarefree(g: CurveGerm) -> CurveGerm:
     if not g.is_squarefree:
         raise NonSquarefreeError(
-            f"germ {brief(g)} has the repeated factor {brief(sstr(g.repeated_factor))}")
+            f"germ {brief(g, 70)} has the repeated factor {brief(sstr(g.repeated_factor), 70)}")
     return g
 
 

@@ -125,10 +125,12 @@ class SurfaceSpec(Record):
         extra = set(data) - {"singularities", "cusp"}
         if extra:
             raise InvalidSurfaceError(f"unknown spec keys {brief_keys(extra)}")
-        labels = data.get("singularities", [])
+        labels, cusp = data.get("singularities", []), data.get("cusp", NO_CUSPIDAL_MEMBER)
         if not isinstance(labels, list) or not all(isinstance(t, str) for t in labels):
             raise InvalidSurfaceError('"singularities" must be a list of label strings')
-        return cls(labels, data.get("cusp", NO_CUSPIDAL_MEMBER))
+        if not isinstance(cusp, str):  # str() of a deeply nested list raises RecursionError
+            raise InvalidSurfaceError('"cusp" must be a string')
+        return cls(labels, cusp)
 
     def __str__(self) -> str:
         inside = ", ".join(self.labels) if self.labels else "smooth"

@@ -192,6 +192,20 @@ def test_germ_errors_quote_control_characters_and_long_tokens_short(call):
         assert err.startswith("InvalidGermError: cannot parse germ ") and len(err) <= 2 * 82 + 80
 
 
+# found by the contract test below: a parse error quoted the text and the
+# token at 82 bytes each (241 bytes in all), and a repeated factor named the
+# germ and the factor at 80 characters each (210 bytes)
+LONG_GERM_ERRORS = [("lct-germ", "x 1" + "2" * 5000), ("classify", "y" + "\u20ac" * 80),
+                    ("lct-germ", "x^" + "1" * 5000 + "+" + "9" * 100),
+                    ("classify", "((x+y)^30+y^31)^2*(x-y)")]
+
+
+@pytest.mark.parametrize("argv", LONG_GERM_ERRORS, ids=["token", "euro", "exponent", "factor"])
+def test_a_germ_error_line_is_200_bytes_at_most(call, argv):
+    line = call(*argv, expect=1).err
+    assert line.count("\n") == 1 and len(line.rstrip("\n").encode()) <= 200
+
+
 MALFORMED_SPECS = [
     {"singularities": 5},
     {"singularities": "E8"},
@@ -232,6 +246,24 @@ def test_a_thousand_unknown_keys_make_one_short_error_line(call):
     err = call("targets", "--x", json.dumps(spec), expect=1).err
     assert err.startswith("InvalidSurfaceError: unknown spec keys ['k000000000', ")
     assert len(err.encode()) < 300
+
+
+# found: brief_keys cut the keys and their list by characters, so 80 euro
+# signs in one unknown key wrote a 283-byte line, in five keys 601 bytes, and
+# in an unknown assumption flag 290 bytes
+EURO_KEYS = {
+    "one-key": {"singularities": [], "\u20ac" * 80: 1},
+    "five-keys": {"singularities": [], **{"\u20ac" * 80 + str(i): 1 for i in range(5)}},
+    "assumption-flag": {"fiber": {"singularities": []}, "assumptions": {"\u20ac" * 80: True}},
+}
+
+
+@pytest.mark.parametrize("spec", EURO_KEYS.values(), ids=EURO_KEYS)
+def test_non_ascii_keys_make_one_error_line_of_200_bytes_at_most(call, spec):
+    for ensure_ascii in (True, False):
+        err = call("targets", "--x", json.dumps(spec, ensure_ascii=ensure_ascii), expect=1).err
+        assert err.startswith("InvalidSurfaceError: unknown ") and err.count("\n") == 1
+        assert "\u20ac" * 20 in err and len(err.rstrip("\n").encode()) <= 200
 
 
 # calls whose error line quotes an outside input: a label, a cusp, a spec key,
@@ -496,17 +528,13 @@ def _examples(argvs):
     return decorate
 
 
-@_examples(PINNED)
-@example(["cycle", "\U0001cf00" * 39])  # found: 4-byte characters made a 366-byte line
-@example(["config", "\u20ac" * 80, "--json"])
-@settings(deadline=None, max_examples=300)
-@given(surface_side_argv())
-def test_a_surface_side_call_prints_output_one_typed_line_or_a_usage_error(argv):
+def _assert_the_contract(argv):
+    """Exit 0 with output, exit 1 with one typed stderr line of at most 200 bytes, or exit 2."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         status = run(argv)
-    if status == 0:
-        assert out.getvalue() and not err.getvalue()
+    if status == 0:  # an empty list of targets prints nothing
+        assert (out.getvalue() or argv[0] == "targets") and not err.getvalue()
     elif status == 1:
         line = err.getvalue()
         assert line.endswith("\n") and line.count("\n") == 1 and not out.getvalue()
@@ -516,3 +544,151 @@ def test_a_surface_side_call_prints_output_one_typed_line_or_a_usage_error(argv)
         assert size <= 200, line
     else:
         assert status == 2
+
+
+@_examples(PINNED)
+@example(["cycle", "\U0001cf00" * 39])  # found: 4-byte characters made a 366-byte line
+@example(["config", "\u20ac" * 80, "--json"])
+@settings(deadline=None, max_examples=300)
+@given(surface_side_argv())
+def test_a_surface_side_call_prints_output_one_typed_line_or_a_usage_error(argv):
+    _assert_the_contract(argv)
+
+
+# -- the input contract of the other subcommands -----------------------------
+
+OTHER_SIDE = ("matrix", "tlct", "validate", "rigidity", "targets", "lct-germ", "classify")
+
+
+def _spec_argv(command, *specs):
+    """targets --x spec, or rigidity --x spec --y spec, each spec a JSON object."""
+    texts = [json.dumps(spec) for spec in specs]
+    if command == "targets":
+        return ["targets", "--x", texts[0]]
+    return ["rigidity", "--x", texts[0], "--y", texts[-1]]
+
+
+# every argv of those subcommands that a test above pins
+OTHER_PINNED = [
+    ["matrix", "A2"], ["matrix", "A2", "--json"], ["matrix", "A" + "9" * 5000],
+    ["matrix", "\x01" * 80],
+    ["lct-germ", "y^2 - x^3"], ["lct-germ", "x*y"], ["lct-germ", "y^2 - x^5", "--json"],
+    ["lct-germ", "x^2*y"], ["lct-germ", "x + 1"], ["lct-germ", "\x00" * 80],
+    ["lct-germ", "x 1" + "2" * 5000],
+    ["classify", "x*y"], ["classify", "y^2 - x^3"], ["classify", "x - y^2"],
+    ["tlct", "--sings", "E7,A1", "--cusp", "none"], ["tlct", "--sings", "", "--cusp", "smooth"],
+    ["tlct", "--sings", "A2", "--cusp", "A2", "--json"], ["tlct", "--sings", "D" + "1" * 4400],
+    ["tlct", "--sings", "E8,E8"], ["tlct", "--sings", "\x01" * 80],
+    ["validate", "--sings", "E7,A1"], ["validate", "--sings", "E6,A1,A1"],
+    ["validate", "--sings", "A4,A4,A1", "--json"],
+    ["rigidity", "--x", "{bad json", "--y", "{}"], ["rigidity", "--x", "{}"],
+    _spec_argv("rigidity", {"singularities": [], "cusp": "smooth"}, {"singularities": ["E8"]}),
+    _spec_argv("rigidity", {"singularities": ["A5"]}, {"singularities": ["E8"], "cusp": "none"}),
+    _spec_argv("targets", {"singularities": ["A1", "A2"], "cusp": "A1"}),
+    _spec_argv("targets", {"singularities": ["A4"]}),
+    _spec_argv("targets", {"singularities": [], **{f"k{i:09d}": 1 for i in range(1000)}}),
+    *(_spec_argv("targets", spec) for spec in EURO_KEYS.values()),
+    *(list(argv) for argv, _ in LONG_TEXT_ERRORS), *(list(argv) for argv in LONG_GERM_ERRORS),
+    *([command, germ] for germ in MALFORMED_GERMS for command in ("lct-germ", "classify")),
+    *(_spec_argv(command, spec) for spec in MALFORMED_SPECS for command in ("targets", "rigidity")),
+    *(["targets", "--x", text] for text in HOSTILE_JSON),
+    *(list(argv(text)) for argv, _ in QUOTING_CALLS
+      for text in ("F" + "9" * (n - 1) for n in (80, 81, 5000))),
+    *(list(argv) for argv, _, _ in BAD_CHOICES if argv[0] in OTHER_SIDE),
+    *(p.values[0] for p in GOLDEN if p.values[0][0] in OTHER_SIDE),
+]
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=20),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=10), inner,
+                                                                max_size=4),
+    max_leaves=12)
+json_keys = st.sampled_from(["singularities", "cusp", "fiber", "assumptions",
+                             "surjectivity", "one_complement", "special_fiber_plt"]) | labels
+extra_keys = st.one_of(
+    st.dictionaries(json_keys, json_values, max_size=3),
+    st.builds(lambda stem, n: {f"{stem}{i}": 1 for i in range(n)},  # numerous keys
+              st.text(max_size=80), st.integers(0, 1000)),
+)
+surface_specs = st.builds(
+    lambda spec, extra: {**extra, **spec},
+    st.fixed_dictionaries({}, optional={
+        "singularities": st.lists(labels, max_size=4) | json_values,
+        "cusp": st.sampled_from(CUSP_DATA) | labels | json_values}),
+    st.just({}) | extra_keys)
+fibration_specs = st.builds(
+    lambda spec, extra: {**extra, **spec},
+    st.fixed_dictionaries({"fiber": surface_specs}, optional={
+        "assumptions": st.dictionaries(json_keys, st.booleans() | json_values, max_size=4)
+        | json_values}),
+    st.just({}) | extra_keys)
+
+
+def _nested(opening, closing, inner=""):
+    """Text nested n deep, n up to 3000 and often near the recursion limit."""
+    depths = st.integers(1, 3000) | st.integers(900, 1000)
+    return depths.map(lambda n: opening * n + inner + closing * n)
+
+
+spec_texts = st.one_of(
+    st.builds(json.dumps, surface_specs | fibration_specs | json_values,
+              ensure_ascii=st.booleans()),
+    _nested("[", "]"),  # deep nesting, past the recursion limit or not
+    _nested('{"a": ', "}", "1"),
+    _nested("[", "]").map(lambda nest: '{"singularities": [], "cusp": %s}' % nest),
+    _nested("[", "]").map(lambda nest: '{"fiber": {}, "assumptions": {"surjectivity": %s}}'
+                          % nest),
+    st.integers(1, 6000).map(lambda n: '{"singularities": [%s]}' % ("9" * n)),  # huge ints
+    st.integers(1, 6000).map(lambda n: '{"cusp": -%s}' % ("9" * n)),
+    st.text(max_size=60),
+)
+
+# germ text near the parser's limits (MAX_DEGREE 256, MAX_BITS 1024,
+# MAX_NESTING 50) but below the sizes whose gcd takes seconds: powers of sums
+# stay at degree 48 or less
+germ_pieces = st.one_of(
+    st.sampled_from(["x", "y", "x*y", "y^2 - x^3", "x - y^2", "1", "0", "-x", "x/3", "0.5*y"]),
+    st.builds("y^{} - x^{}".format, st.integers(0, 260), st.integers(0, 260)),
+    st.builds("x^{}*y^{}".format, st.integers(0, 260), st.integers(0, 260)),
+    st.builds("({})^{}".format, st.sampled_from(["x+y", "x-y", "y-x^2", "x^2+y^3", "2*x-y"]),
+              st.integers(0, 24)),
+    st.integers(280, 330).map(lambda n: "7" * n),  # literals near MAX_BITS
+    st.integers(280, 330).map(lambda n: "x/" + "3" * n),
+    st.integers(1, 4).map(lambda n: "9" * n).map("x^{}".format),  # exponent digits
+)
+germ_texts = st.one_of(
+    st.builds(lambda pieces, ops: "".join(p + o for p, o in zip(pieces, ops)) + pieces[-1],
+              st.lists(germ_pieces, min_size=1, max_size=3),
+              st.lists(st.sampled_from(["+", "-", "*", " + ", "^2*", "/"]), max_size=2)),
+    st.builds(lambda n, germ: "(" * n + germ + ")" * n, st.integers(0, 60), germ_pieces),
+    st.builds(lambda germ, junk: germ + junk, germ_pieces, labels),
+    labels,
+    st.text(max_size=60),
+)
+sings = st.lists(labels, max_size=4).map(",".join) | labels
+
+
+@st.composite
+def other_side_argv(draw) -> list[str]:
+    """A subcommand of OTHER_SIDE with drawn arguments, and --json or not."""
+    command = draw(st.sampled_from(OTHER_SIDE))
+    if command == "matrix":
+        argv = ["matrix", draw(labels)]
+    elif command in ("tlct", "validate"):
+        argv = [command, "--sings", draw(sings)]
+        cusp = draw(st.none() | st.sampled_from(CUSP_DATA) | labels)
+        argv += [] if cusp is None else ["--cusp", cusp]
+    elif command == "targets":
+        argv = ["targets", "--x", draw(spec_texts)]
+    elif command == "rigidity":
+        argv = ["rigidity", "--x", draw(spec_texts), "--y", draw(spec_texts)]
+    else:
+        argv = [command, draw(germ_texts)]
+    return argv + draw(st.lists(st.just("--json"), max_size=1))
+
+
+@_examples(OTHER_PINNED)
+@settings(deadline=None, max_examples=300)
+@given(other_side_argv())
+def test_any_other_call_prints_output_one_typed_line_or_a_usage_error(argv):
+    _assert_the_contract(argv)

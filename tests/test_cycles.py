@@ -3,9 +3,13 @@ import pytest
 from delpezzo1.cycles import (
     CUSPIDAL,
     ELLIPTIC,
+    EXCEPTIONAL,
+    MEMO_SIZE,
     NODAL,
     ONE_POINT,
+    SMOOTH_VARIANTS,
     STANDARD,
+    STRICT_TRANSFORM,
     TANGENTIAL,
     TRANSVERSE,
     TWO_POINTS,
@@ -18,6 +22,7 @@ from delpezzo1.cycles import (
     build_configuration,
     fundamental_cycle,
     kodaira_type,
+    lct_config,
     _laufer,
 )
 from delpezzo1.dynkin import ALL_TYPES, intersection_matrix, parse_dynkin
@@ -28,6 +33,7 @@ from delpezzo1.errors import (
     UnrecognizedConfigurationError,
     VariantMismatchError,
 )
+from delpezzo1.surfaces import iter_valid_specs, realizable_configurations
 
 from .oracles import brute_force_min_cycle
 
@@ -348,3 +354,73 @@ def test_point_configurations_are_built_once_per_type_and_variant():
     for _ in range(2):
         with pytest.raises(VariantMismatchError):
             build_configuration("E8", TANGENTIAL)
+
+
+# -- the memos of kodaira_type and lct_config ---------------------------------
+
+# the 21 members of |-K_S|: a point and its variant, or None and a smooth-locus variant
+MEMBERS = [(t.label, v) for t in ALL_TYPES for v in allowed_variants(t)] + [
+    (None, v) for v in SMOOTH_VARIANTS]
+MEMOIZED = (kodaira_type, lct_config)
+
+
+def _by_hand(c):
+    """A configuration equal to c, built afresh from Component and Meeting (lists as members)."""
+    return AnticanonicalConfiguration(
+        tuple(Component(x.id, x.multiplicity, x.kind) for x in c.components),
+        tuple(Meeting(list(m.members), m.contact, m.cuspidal) for m in c.incidence))
+
+
+def _cycle_of(n, prefix):
+    """A hand-built I_n cycle: D and n - 1 curves named prefix + number, each meeting the next."""
+    ids = ["D"] + [f"{prefix}{i}" for i in range(1, n)]
+    comps = (Component("D", 1, STRICT_TRANSFORM),) + tuple(
+        Component(cid, 1, EXCEPTIONAL) for cid in ids[1:])
+    return AnticanonicalConfiguration(comps, tuple(
+        Meeting((a, b)) for a, b in zip(ids, ids[1:] + ["D"])))
+
+
+def test_there_are_21_members_and_the_memo_holds_them_all():
+    assert len(MEMBERS) == 21 and len({build_configuration(*m) for m in MEMBERS}) == 21
+    for f in MEMOIZED:
+        f.cache_clear()
+        for _ in range(2):
+            for member in MEMBERS:
+                f(build_configuration(*member))
+        assert f.cache_info().hits == 21 and f.cache_info().misses == 21
+
+
+@pytest.mark.parametrize("point,variant", MEMBERS)
+def test_a_member_gets_the_fiber_and_threshold_of_an_equal_configuration(point, variant):
+    c = build_configuration(point, variant)
+    twin = _by_hand(c)
+    assert twin == c and twin is not c
+    for f in MEMOIZED:
+        f.cache_clear()
+        first = f(twin)  # the memo now holds twin's value, which c reads back
+        assert f(c) == first == f.__wrapped__(c) == f.__wrapped__(twin)
+
+
+def test_the_memos_stay_within_their_bound():
+    for s in iter_valid_specs():
+        for c in realizable_configurations(s):
+            for f in MEMOIZED:
+                f(c)
+    for k in range(1000):
+        n = 2 + k % 9
+        c = _cycle_of(n, f"C{k}_")
+        assert kodaira_type(c) == KodairaLabel("I", n) and lct_config(c) == 1
+    for f in MEMOIZED:
+        info = f.cache_info()
+        assert info.maxsize == MEMO_SIZE and info.currsize <= MEMO_SIZE
+
+
+@pytest.mark.parametrize("mults,meetings,reason", UNRECOGNIZED,
+                         ids=[reason for _, _, reason in UNRECOGNIZED])
+def test_a_rejected_configuration_raises_on_every_call(mults, meetings, reason):
+    comps = (Component("D", 1, "strict_transform"),) + tuple(
+        Component(f"E{i}", m, "exceptional") for i, m in enumerate(mults[1:], start=1))
+    c = AnticanonicalConfiguration(comps, tuple(meetings))
+    for _ in range(3):
+        with pytest.raises(UnrecognizedConfigurationError, match=reason):
+            kodaira_type(c)

@@ -47,6 +47,21 @@ def test_spec_round_trip():
         SurfaceSpec.from_dict(["E8"])
 
 
+@pytest.mark.parametrize("cusp", [5, None, ["smooth"], {"A1": 1}], ids=repr)
+def test_a_cusp_that_is_not_a_string_is_refused(cusp):
+    with pytest.raises(InvalidSurfaceError, match='"cusp" must be a string'):
+        SurfaceSpec.from_dict({"singularities": ["A1"], "cusp": cusp})
+
+
+def test_a_cusp_nested_past_the_recursion_limit_is_refused_typed():
+    # found: the error message quoted it by str(), which raised RecursionError
+    deep = []
+    for _ in range(5000):
+        deep = [deep]
+    with pytest.raises(InvalidSurfaceError):
+        SurfaceSpec.from_dict({"cusp": deep})
+
+
 def test_unknown_keys_of_mixed_types_are_named_in_repr_order():
     with pytest.raises(InvalidSurfaceError) as info:
         SurfaceSpec.from_dict({"x": 1, 5: 2})
