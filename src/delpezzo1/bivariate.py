@@ -13,11 +13,12 @@ evaluated at x = 1, 2, 3, ... (each prime at new points); their univariate
 gcds there, scaled by a common leading coefficient, are interpolated in x,
 and the images of several primes are combined by the Chinese remainder
 theorem.  An image of degree 0 at a point where both leading coefficients
-survive proves the gcd constant; any other candidate is accepted only once
-it divides both inputs exactly (scaled as its leading coefficient needs).
-An unlucky prime or point costs another one, never a wrong answer.  gcd_z
-is the same in one variable, with no point to evaluate at: it gives the
-gcds of contents in Z[x] here, and the blowup engine's gcds on a line over Q.
+survive proves the gcd constant, so the first image comes before the gcd
+of the leading coefficients; any other candidate is accepted only once it
+divides both inputs exactly (scaled as its leading coefficient needs).  An
+unlucky prime or point costs another one, never a wrong answer.  gcd_z is
+the same in one variable: it gives the gcds of contents in Z[x], and the
+blowup engine's on a line over Q.
 """
 
 from __future__ import annotations
@@ -36,11 +37,13 @@ WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # Miller-Rabin, exact 
 
 
 def from_dict(d: dict) -> Poly:
-    """{(a, b): int coefficient of x^a y^b}, such as a germ's numerators, as columns."""
-    columns: dict = {}
+    """{(a, b): nonzero int coefficient of x^a y^b}, such as a germ's numerators, as columns."""
+    p: Poly = [[] for _ in range(1 + max(b for _, b in d))]
     for (a, b), c in d.items():
-        columns.setdefault(b, {})[a] = c
-    return [univariate.from_dict(columns.get(b, {})) for b in range(max(columns) + 1)]
+        col = p[b]
+        col += [0] * (a + 1 - len(col))  # nothing once the column is that long
+        col[a] = c
+    return p
 
 
 def to_dict(p: Poly) -> dict:
@@ -125,15 +128,18 @@ def repeated_factor(p: Poly) -> Poly:
     ONE when p is squarefree.  With p = c(x) q, q primitive: a factor
     repeated in c divides g = gcd(c, c'), and one repeated in q divides
     g = gcd(q, q_y); in each case gcd(g, c/g), resp. gcd(g, q/g), is the
-    product of the repeated factors (characteristic 0).  The content stays
-    univariate.
+    product of the repeated factors (characteristic 0).  When some column
+    is c or c x, c divides x and is never taken: _gcd_primitive reads p
+    as it is, and for a squarefree p its first image is the whole proof.
+    Else c comes first, as a large c would make every image cost more.
     """
-    content, q = primitive(p)
-    factor = [1]
-    g = gcd_z(content, univariate.derivative(content)) if len(content) > 2 else [1]
-    if len(g) > 1:
-        factor = gcd_z(g, univariate.exact_quotient(content, g))
-    g = _gcd_primitive(q, derivative(q), py=True) if len(q) > 2 else ONE
+    if any(len(col) == 1 or len(col) == 2 and not col[0] for col in p):
+        factor, q = [1], p
+    else:
+        content, q = primitive(p)
+        g = gcd_z(content, univariate.derivative(content)) if len(content) > 2 else [1]
+        factor = gcd_z(g, univariate.exact_quotient(content, g)) if len(g) > 1 else [1]
+    g = _gcd_primitive(q) if len(q) > 2 else ONE
     if len(g) > 1:
         g = _gcd_primitive(g, divide(q, g))
     return [univariate.mul(factor, col) for col in g]
@@ -171,18 +177,17 @@ def _primes() -> Iterator[int]:
 
 def _gcd_mod(a: list, b: list, ell: int) -> list:
     """The monic gcd of a and b over F_ell, both with a nonzero top coefficient."""
-    while b:
-        inv = pow(b[-1], -1, ell)
-        a = list(a)
-        n = len(b) - 1
-        while len(a) > n:
-            c = a.pop() * inv % ell
-            s = len(a) - n
-            if c:
-                a[s:] = [(u - c * v) % ell for u, v in zip(a[s:], b)]
+    while len(b) > 1:
+        lead, n = b[-1], len(b) - 1
+        while len(a) > n:  # a remainder up to a unit: scale a by lead, with no inverse
+            c, s = a[-1], len(a) - 1 - n
+            a = [u * lead % ell for u in a[:s]] + [(u * lead - c * v) % ell
+                                                    for u, v in zip(a[s:-1], b)]
             while a and not a[-1]:
                 a.pop()
         a, b = b, a
+    if b:
+        return [1]
     inv = pow(a[-1], -1, ell)
     return [c * inv % ell for c in a]
 
@@ -283,22 +288,39 @@ def gcd_z(a: list, b: list) -> list:
                     return h
 
 
-def _gcd_primitive(p: Poly, q: Poly, py: bool = False) -> Poly:
-    """gcd(p, q) of the primitive p and the nonzero q, both of y-degree >= 1.
+def _image_gcd(values: list, ell: int) -> list | None:
+    """gcd of the images [p, q], or [p] for q = p_y, None if a top coefficient vanishes."""
+    a = values[0]
+    b = [i * c % ell for i, c in enumerate(a)][1:] if len(values) == 1 else values[1]
+    return _gcd_mod(a, b, ell) if a[-1] and b[-1] else None
 
-    The images are scaled to gamma = gcd(lc_y p, lc_y q) in Z[x], a multiple
-    of the gcd's leading coefficient, so that they are images of one
-    integral polynomial H = (gamma / lc_y gcd) gcd, of x-degree at most
-    bound.  A candidate H passes when it divides gamma p and gamma q: then
-    every factor of its primitive part, which has a positive degree in y
-    and so is prime to gamma, divides p and q, and the degree of the images
-    makes that primitive part the gcd.  A prime is done after bound + 1
-    points, when a candidate is tried; while no prime is done, one is also
-    tried after 1, 2, 4, ... points.  A point whose image has a higher
-    degree than the least seen is unlucky, and a lower degree discards
-    every image before it.  With py, q is p_y, and its image at a point is
-    the y-derivative of p's image there: q itself is never evaluated.
+
+def _gcd_primitive(p: Poly, q: Poly | None = None) -> Poly:
+    """The primitive part of gcd(p, q), p and q (by default p_y) of y-degree >= 1.
+
+    The first image, at x = 1, comes before any gcd of leading
+    coefficients.  The images are scaled to gamma = gcd(lc_y p, lc_y q) in
+    Z[x], a multiple of the gcd's leading coefficient, so that they are
+    images of one integral polynomial H = (gamma / lc_y gcd) gcd, of
+    x-degree at most bound.  A candidate H passes when it divides gamma p
+    and gamma q: then every factor of its primitive part, which has a
+    positive degree in y and so is prime to gamma, divides p and q, and the
+    degree of the images makes that primitive part the gcd's, whatever the
+    contents of p and q.  A prime is done after bound + 1 points, when a
+    candidate is tried; while no prime is done, one is also tried after 1,
+    2, 4, ... points.  A point whose image has a higher degree than the
+    least seen is unlucky, and a lower degree discards every image before
+    it.  p_y's image at a point is the y-derivative of p's: p_y is built
+    only past a first image that is not constant, and never evaluated.
     """
+    ell = next(_primes())
+    evaluated = [p] if q is None else [p, q]
+    g = _image_gcd([[sum(col) % ell for col in f] for f in evaluated], ell)  # at x = 1
+    if g == [1]:
+        return ONE
+    if q is None:
+        p = _integral(p)  # an integer content would widen every lift
+        evaluated, q = [p], derivative(p)
     lp, lq = p[-1], q[-1]
     common = gcd_z(lp, lq) if len(lp) > 1 and len(lq) > 1 else [1]
     gamma = [igcd(*lp, *lq) * c for c in common]
@@ -307,26 +329,24 @@ def _gcd_primitive(p: Poly, q: Poly, py: bool = False) -> Poly:
     degree = None  # least image degree seen
     acc = None  # modulus and residues of the scaled gcd over the primes done
     points = count(1)  # each prime takes new points: finitely many integers are unlucky
-    evaluated = (p,) if py else (p, q)
     for ell in _primes():
         residues = _Residues(ell, max(width, bound + 1))
         rows = None  # the rows of p (and q) packed, once a prime takes a second point
         xs: list = []
         images: list = []
         for x0 in islice(points, bound + len(lp) + len(lq)):
-            powers = [1] * width
-            for i in range(1, width):
-                powers[i] = powers[i - 1] * x0 % ell
-            if xs:
-                rows = rows or [residues.columns(f, width) for f in evaluated]
-                values = [residues.combine(powers, r, len(f)) for r, f in zip(rows, evaluated)]
-            else:
-                values = [[sum(map(mul, col, powers)) % ell for col in f] for f in evaluated]
-            a = values[0]
-            b = [i * c % ell for i, c in enumerate(a)][1:] if py else values[1]
-            if not a[-1] or not b[-1]:
+            if x0 > 1:  # else g is the first image's, taken above
+                powers = [1] * width
+                for i in range(1, width):
+                    powers[i] = powers[i - 1] * x0 % ell
+                if xs:
+                    rows = rows or [residues.columns(f, width) for f in evaluated]
+                    values = [residues.combine(powers, r, len(f)) for r, f in zip(rows, evaluated)]
+                else:
+                    values = [[sum(map(mul, col, powers)) % ell for col in f] for f in evaluated]
+                g = _image_gcd(values, ell)
+            if g is None:
                 continue
-            g = _gcd_mod(a, b, ell)
             if len(g) == 1:
                 return ONE
             if degree is not None and len(g) > degree:

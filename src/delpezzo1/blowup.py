@@ -284,10 +284,15 @@ def _line_clusters(lines: list[dict[int, Any]], K: Field) -> dict[tuple, list[in
     the squarefree part of gcd(P, P'), are factored.  A quadratic P has one
     when its discriminant vanishes; otherwise, over Q, the gcds run in Z[v]
     (bivariate.gcd_z).  An object is through a cluster when the cluster's
-    factor divides its restriction exactly.
+    factor divides its restriction exactly.  When every restriction is a
+    monomial, v = 0 is the only candidate, and the objects of positive order
+    are through it.
     """
-    dense = [univariate.from_dict(ud) for ud in lines]
     orders = [min(ud) for ud in lines]
+    zero = max(orders) > 1 or sum(k > 0 for k in orders) > 1  # v = 0 is a cluster
+    if all(len(ud) == 1 for ud in lines):  # monomials: v = 0 is their only common point
+        return {(K.zero, K.one): [i for i, k in enumerate(orders) if k]} if zero else {}
+    dense = [univariate.from_dict(ud) for ud in lines]
     rests = [f[k:] for f, k in zip(dense, orders)]
     linears = [r for r in rests if len(r) == 2]
     higher = [r for r in rests if len(r) > 2]
@@ -295,7 +300,7 @@ def _line_clusters(lines: list[dict[int, Any]], K: Field) -> dict[tuple, list[in
     if len(linears) > 1 or higher:  # else no restriction could share a line's point
         linear.update(_factor_on_line(r, K)[0] for r in linears)
     keys = [p for p, n in linear.items() if n > 1 or _through(p, higher, K)]
-    if max(orders) > 1 or sum(k > 0 for k in orders) > 1:
+    if zero:
         keys.append((K.zero, K.one))
     if higher:
         product = reduce(univariate.mul, higher)

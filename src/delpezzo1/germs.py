@@ -18,11 +18,12 @@ unicode minus) is read as "-" and whitespace is ignored.  Anything else
 (another name, a call, a negative or fractional exponent, a division by a
 polynomial) raises InvalidGermError.
 
-Text is expanded in integers: each value is integer numerators over one
-positive denominator in lowest terms, as numberfield.Element holds a number,
-and no Fraction is made.  Fixed limits, checked before each multiplication
-from the sizes of its operands, keep any text from making the parser run
-long; going over a limit raises InvalidGermError.
+Text is expanded in integers, a term c/d x^a y^b at a time: only a sum, or
+a product with one, is a polynomial, integer numerators over one positive
+denominator in lowest terms as numberfield.Element holds a number, and no
+Fraction is made.  Fixed limits, checked before each multiplication from
+the sizes of its operands, keep any text from making the parser run long;
+going over a limit raises InvalidGermError.
 
 - The total degree of a product, and every exponent, is at most MAX_DEGREE.
 - The term-by-term products formed over the whole text number at most
@@ -40,9 +41,11 @@ A CurveGerm keeps that integer form, nums over den, which the engine and
 the squarefree test read directly; native_dict is its Fraction view, and it
 prints as sympy.sstr does.  The squarefree test, and the repeated factor
 that a rejection names, come from exact gcds over Z[x][y] computed modulo
-word-size primes (bivariate).  Nothing here imports sympy at module
-level: it is loaded only by the sympy views .poly and .expr and by a germ
-given as a sympy expression.
+word-size primes (bivariate); when some y^b has the coefficient c or c x,
+as in y^2 - x^3, the first image modulo a prime is the proof of a
+squarefree germ, and no content is taken.  Nothing here imports sympy at
+module level: it is loaded only by the sympy views .poly and .expr and by
+a germ given as a sympy expression.
 """
 
 from __future__ import annotations
@@ -83,10 +86,10 @@ _NUMBER = re.compile(r"[0-9]+\.?[0-9]*|\.[0-9]+")
 _TOKEN = re.compile(_NUMBER.pattern + r"|\*\*|\S")
 _INTEGER = re.compile(r"[0-9]+")
 
-# A polynomial is a pair (nums, den): a dict {(a, b): int} with no zero
-# stored and an int den > 0, in lowest terms (gcd(den, *nums) = 1), so that
-# it has one form; the coefficient of x^a y^b is nums[a, b]/den, and den is
-# the lcm of the coefficients' own denominators.
+# A value is a term (c, d, a, b), c/d x^a y^b with c != 0 < d in lowest
+# terms, or a polynomial (nums, den) of no term or of two or more: a dict
+# {(a, b): int} with no zero stored over an int den > 0, in lowest terms
+# (gcd(den, *nums) = 1), den the lcm of the coefficients' own denominators.
 
 
 def _bits(p: tuple, exact: bool) -> int:
@@ -97,8 +100,11 @@ def _bits(p: tuple, exact: bool) -> int:
 
 
 def _reduced(nums: dict, den: int) -> tuple:
-    """(nums, den) for den > 0 and no zero in nums, in lowest terms by one gcd."""
+    """The value of nums over den > 0, no zero in nums, in lowest terms by one gcd."""
     g = gcd(den, *nums.values())
+    if len(nums) == 1:
+        ((a, b), c), = nums.items()
+        return c // g, den // g, a, b
     return (nums, den) if g == 1 else ({k: c // g for k, c in nums.items()}, den // g)
 
 
@@ -106,13 +112,17 @@ def _degree(p: tuple) -> int:
     return max((a + b for a, b in p[0]), default=0)
 
 
+def _terms(p: tuple) -> tuple:
+    """(nums, den) of a value: a term becomes a new one-term dict."""
+    return ({(p[2], p[3]): p[0]}, p[1]) if len(p) == 4 else p
+
+
 class _Parser:
-    """One pass of recursive descent over the tokens of one germ text."""
+    """One pass of recursive descent over the tokens of one germ text, a stack: the next last."""
 
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _TOKEN.findall(text.replace("−", "-")) + [""]  # "" ends the text
-        self.pos = 0
+        self.tokens = (_TOKEN.findall(text.replace("−", "-")) + [""])[::-1]  # "" ends the text
         self.nesting = 0
         self.products = 0
 
@@ -120,88 +130,95 @@ class _Parser:
         raise InvalidGermError(f"cannot parse germ {quoted(self.text, 50)}: {reason}")
 
     def expected(self, what: str) -> NoReturn:
-        token = self.peek()
+        token = self.tokens[-1]
         self.fail(f"expected {what}, found {quoted(token, 60) if token else 'the end'}")
-
-    def peek(self) -> str:
-        return self.tokens[self.pos]
-
-    def take(self) -> str:
-        token = self.peek()
-        self.pos += 1
-        return token
 
     def germ(self) -> tuple:
         value = self.sum()
-        if self.peek():
+        if self.tokens[-1]:
             self.expected("an operator or the end")
-        return value
+        return _terms(value)
 
     def sum(self) -> tuple:
-        out, den = self.product()  # a dict of its own, as every value here
-        while self.peek() in ("+", "-"):
-            sign = 1 if self.take() == "+" else -1
-            nums, d = self.product()
-            # bounds the size, hence the cost, of every addition below
-            common = lcm(den, d)
-            if common.bit_length() > MAX_BITS:
-                self.fail(f"a common denominator exceeds {MAX_BITS} bits")
-            if common != den:
+        tokens = self.tokens
+        value = self.product()
+        if tokens[-1] not in ("+", "-"):
+            return value
+        out, den = _terms(value)
+        while tokens[-1] in ("+", "-"):
+            sign = 1 if tokens.pop() == "+" else -1
+            value = self.product()
+            d = value[1]
+            if den % d:  # a new common denominator, bounding the cost of every addition below
+                common = lcm(den, d)
+                if common.bit_length() > MAX_BITS:
+                    self.fail(f"a common denominator exceeds {MAX_BITS} bits")
                 out = {k: c * (common // den) for k, c in out.items()}
                 den = common
             scale = sign * (den // d)
-            for k, c in nums.items():
-                out[k] = out.get(k, 0) + scale * c
-        return _reduced({k: c for k, c in out.items() if c}, den)
+            if len(value) == 4:
+                c, _, a, b = value
+                out[a, b] = out.get((a, b), 0) + scale * c
+            else:
+                for k, c in value[0].items():
+                    out[k] = out.get(k, 0) + scale * c
+        return _reduced({k: c for k, c in out.items() if c} if 0 in out.values() else out, den)
 
     def product(self) -> tuple:
+        tokens = self.tokens
         value = self.signed()
-        while self.peek() in ("*", "/"):
-            if self.take() == "*":
+        while tokens[-1] in ("*", "/"):
+            if tokens.pop() == "*":
                 factor = self.signed()
             else:  # by a nonzero constant: multiply by its inverse
-                nums, den = self.signed()
-                if set(nums) != {(0, 0)}:
-                    self.fail("division by a non-constant" if nums else "division by zero")
-                c = nums[0, 0]
-                factor = {(0, 0): den if c > 0 else -den}, abs(c)
+                factor = self.signed()
+                if len(factor) != 4 or factor[2] or factor[3]:
+                    self.fail("division by zero" if factor == ({}, 1) else
+                              "division by a non-constant")
+                c, d, _, _ = factor
+                factor = d if c > 0 else -d, abs(c), 0, 0
             value = self.mul(value, factor)
         return value
 
     def signed(self) -> tuple:
+        tokens = self.tokens
         sign = 1
-        while self.peek() in ("+", "-"):
-            if self.take() == "-":
+        while tokens[-1] in ("+", "-"):
+            if tokens.pop() == "-":
                 sign = -sign
-        value = self.power()
-        return value if sign > 0 else ({k: -c for k, c in value[0].items()}, value[1])
+        token = tokens.pop()
+        value = (1, 1, 1, 0) if token == "x" else (1, 1, 0, 1) if token == "y" else self.atom(token)
+        if tokens[-1] in ("^", "**"):
+            value = self.power(value)
+        if sign > 0:
+            return value
+        return (-value[0],) + value[1:] if len(value) == 4 else (
+            {k: -c for k, c in value[0].items()}, value[1])
 
-    def power(self) -> tuple:
-        base = self.atom()
+    def power(self, base: tuple) -> tuple:
+        """The atom base raised to the exponents that follow it."""
+        tokens = self.tokens
         exponents = []
-        while self.peek() in ("^", "**"):
-            self.take()
-            if not _INTEGER.fullmatch(self.peek()):
+        while tokens[-1] in ("^", "**"):
+            tokens.pop()
+            if not _INTEGER.fullmatch(tokens[-1]):
                 self.expected("a non-negative integer exponent")
-            token = self.take()
+            token = tokens.pop()
             digits = token.lstrip("0") or "0"  # int() counts leading zeros to its digit limit
             if len(digits) > len(str(MAX_DEGREE)):  # before int() converts it
                 self.fail(f"exponent {brief(token)} exceeds {MAX_DEGREE}")
             exponents.append(int(digits))
-        if not exponents:
-            return base
         n = 1
         for e in reversed(exponents):  # right-associative: a^b^c = a^(b^c)
             n = e**n  # at most 999**MAX_DEGREE, a small integer
             if n > MAX_DEGREE:
                 self.fail(f"exponent {n} exceeds {MAX_DEGREE}")
         if n == 0:
-            return {(0, 0): 1}, 1
-        nums, den = base
-        if den == 1 and list(nums.values()) == [1]:  # a monomial such as x^a: one term product
-            ((a, b),) = nums
-            self.charge((a + b) * n, 1)
-            return {(a * n, b * n): 1}, 1
+            return 1, 1, 0, 0
+        if base[0] == base[1] == 1:  # a monomial such as x^a: one term product
+            a, b = base[2] * n, base[3] * n
+            self.charge(a + b, 1)
+            return 1, 1, a, b
         result = None
         while n:  # square and multiply
             if n & 1:
@@ -211,20 +228,16 @@ class _Parser:
                 base = self.mul(base, base)
         return result
 
-    def atom(self) -> tuple:
-        token = self.take()
-        if token == "x":
-            return {(1, 0): 1}, 1
-        if token == "y":
-            return {(0, 1): 1}, 1
+    def atom(self, token: str) -> tuple:
+        """A number or "(" sum ")": the atoms other than x and y."""
         if token == "(":
             self.nesting += 1
             if self.nesting > MAX_NESTING:
                 self.fail(f"parentheses nest deeper than {MAX_NESTING}")
             value = self.sum()
-            if self.peek() != ")":
+            if self.tokens[-1] != ")":
                 self.expected("')'")
-            self.take()
+            self.tokens.pop()
             self.nesting -= 1
             return value
         if _NUMBER.fullmatch(token):
@@ -238,8 +251,8 @@ class _Parser:
             c, den = c // g, den // g
             if c.bit_length() + den.bit_length() > MAX_BITS:
                 self.fail(f"a literal exceeds {MAX_BITS} bits")
-            return {(0, 0): c} if c else {}, den
-        self.pos -= 1
+            return (c, den, 0, 0) if c else ({}, 1)
+        self.tokens.append(token)
         self.expected("x, y, a number or '('")
 
     def charge(self, degree: int, products: int) -> None:
@@ -251,15 +264,17 @@ class _Parser:
             self.fail(f"expansion exceeds {MAX_TERMS} term products")
 
     def mul(self, p: tuple, q: tuple) -> tuple:
-        (pn, pd), (qn, qd) = p, q
-        if len(pn) == len(qn) == 1:  # two terms, such as 2/3 and x: one term product
-            ((a1, b1), c1), = pn.items()
-            ((a2, b2), c2), = qn.items()
+        if len(p) == 4 and len(q) == 4:  # such as 2/3 and x: one term product
+            (c1, d1, a1, b1), (c2, d2, a2, b2) = p, q
             self.charge(a1 + b1 + a2 + b2, 1)
-            if (abs(c1).bit_length() + pd.bit_length() + abs(c2).bit_length()
-                    + qd.bit_length() > MAX_BITS):  # a term in lowest terms: exact
+            if (abs(c1).bit_length() + d1.bit_length() + abs(c2).bit_length()
+                    + d2.bit_length() > MAX_BITS):  # a term in lowest terms: exact
                 self.fail(f"coefficients exceed {MAX_BITS} bits")
-            return _reduced({(a1 + a2, b1 + b2): c1 * c2}, pd * qd)
+            c, d = c1 * c2, d1 * d2
+            g = gcd(c, d)
+            return c // g, d // g, a1 + a2, b1 + b2
+        p, q = _terms(p), _terms(q)
+        (pn, pd), (qn, qd) = p, q
         self.charge(_degree(p) + _degree(q), len(pn) * len(qn))
         if (_bits(p, False) + _bits(q, False) > MAX_BITS
                 and _bits(p, True) + _bits(q, True) > MAX_BITS):
@@ -351,8 +366,9 @@ class CurveGerm:
 
         None when the germ is squarefree, else as {(a, b): int}, primitive
         and positive at its first term in print order.  Decided by exact gcds
-        over Z[x][y] (bivariate.repeated_factor); for a squarefree germ the
-        first image modulo a prime is in practice the whole proof.
+        over Z[x][y] (bivariate.repeated_factor): when some y^b has the
+        coefficient c or c x, the first image modulo a prime is the proof of
+        a squarefree germ, and no content is taken.
         """
         factor = bivariate.repeated_factor(bivariate.from_dict(self.nums))
         return None if factor == bivariate.ONE else bivariate.to_dict(factor)

@@ -1,8 +1,10 @@
 """The exact gcd over Z[x][y] and the repeated factor, against sympy as an oracle."""
 
 import inspect
+import re
 import sys
 import time
+from collections import Counter
 
 import pytest
 import sympy
@@ -286,3 +288,78 @@ def test_repeated_factor_takes_the_image_of_p_y_from_the_image_of_p(monkeypatch)
     monkeypatch.setattr(bivariate._Residues, "columns", watched)
     assert associated(as_poly(bivariate.repeated_factor(p)), Poly("y**2 - x**3 - 3*x", x, y))
     assert packed and py not in packed
+
+
+# -- the first image: the whole proof for a squarefree germ --------------------
+
+# a squarefree germ of each family of the benchmark's germ-rational corpus, and a tacnode
+ONE_IMAGE = [
+    "y^2 + 1/4*x^9",  # a binomial y^a - c x^b
+    "x^2 + 4/3*y^10",  # ... with x and y exchanged
+    "y*(y - 3/2*x)*(y - 2*x)*(y - 12*x)",  # distinct lines
+    "(y - 2*x - x^2)*(y - 2*x + 3*x^2)*(y - 2*x - 5/2*x^2)",  # smooth branches, one tangent
+    "y - 3/2*x",  # a branch of a weighted union
+    "x*y*(x + y)",  # a row of the threshold table
+    "(y^2 - 2*x^2)^2 - x^7",  # a conjugate tacnode
+]
+
+
+def _count_calls(monkeypatch, *names):
+    calls = Counter()
+    for name in names:
+        def counted(*args, _name=name, _call=getattr(bivariate, name)):
+            calls[_name] += 1
+            return _call(*args)
+
+        monkeypatch.setattr(bivariate, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("text", ONE_IMAGE)
+def test_a_squarefree_germ_is_certified_by_one_image(monkeypatch, text):
+    # counts, not time: one gcd modulo the first prime, and no content is
+    # taken; a germ of degree 1 in y has no square factor in y, and needs none
+    germ = CurveGerm(text)
+    calls = _count_calls(monkeypatch, "_gcd_mod", "gcd_z", "primitive")
+    assert germ.is_squarefree
+    assert calls == ({"_gcd_mod": 1} if max(b for _, b in germ.nums) > 1 else {})
+
+
+@pytest.mark.parametrize("text, factor", [
+    ("x^2*y + x^3", "x"),  # x^2 divides the content
+    ("(x-1)^2*y", "x - 1"),  # so does (x - 1)^2, and lc_y vanishes at x = 1
+    ("(x+y)^2*(x-y)", "x + y"),  # the image gcd has degree 1
+    ("6*(x+y)^2*(x-y)", "x + y"),  # ... and the integer content 6 is divided out
+    # a column -2x, so the content divides x, but lc_y = x - 1 vanishes at x = 1
+    ("(y - x)^2*((x - 1)*y^2 + 1)", "x - y"),
+])
+def test_a_germ_the_first_image_cannot_certify_is_rejected_by_name(text, factor):
+    with pytest.raises(NonSquarefreeError, match=f"has the repeated factor {re.escape(factor)}$"):
+        ensure_squarefree(CurveGerm(text))
+
+
+def _gcd_by_inverses(a, b, ell):
+    """Euclid over F_ell dividing by a monic remainder at each step: the reference."""
+    while b:
+        inv = pow(b[-1], -1, ell)
+        a = list(a)
+        while len(a) >= len(b):
+            c = a.pop() * inv % ell
+            s = len(a) - len(b) + 1
+            a[s:] = [(u - c * v) % ell for u, v in zip(a[s:], b)]
+            univariate.trim(a)
+        a, b = b, a
+    inv = pow(a[-1], -1, ell)
+    return [c * inv % ell for c in a]
+
+
+_residues = st.lists(st.integers(0, 2**61), min_size=1, max_size=6)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from([101, 2**61 - 1]), _residues, _residues, _residues)
+def test_gcd_mod_agrees_with_euclid_by_inverses(ell, f, g, h):
+    # a common factor f, so that the gcd often has a positive degree
+    a, b = (univariate.trim([c % ell for c in univariate.mul(f, k)]) for k in (g, h))
+    if a and b:
+        assert bivariate._gcd_mod(a, b, ell) == _gcd_by_inverses(a, b, ell)

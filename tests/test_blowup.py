@@ -525,6 +525,21 @@ def test_small_lines_over_a_number_field_take_no_gcd_and_no_inverse(monkeypatch)
     assert _line_clusters([{2: one}, {1: one, 2: one}], K) == {(K.zero, one): [0, 1]}
 
 
+def test_a_line_of_monomials_reads_its_one_cluster_off_the_orders(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a line of monomials took the general route")
+
+    monkeypatch.setattr(univariate, "from_dict", refuse)
+    monkeypatch.setattr(blowup, "_through", refuse)
+    K = NumberField((Fraction(-2), Fraction(0), Fraction(1)))
+    for field, c in [(Q, 3), (K, K.gen)]:
+        zero = field.zero, field.one
+        assert _line_clusters([{0: c}, {1: c}], field) == {}  # one object through v = 0, simply
+        assert _line_clusters([{0: c}, {0: c}], field) == {}
+        assert _line_clusters([{2: c}], field) == {zero: [0]}  # one object, twice
+        assert _line_clusters([{1: c}, {0: c}, {3: c}], field) == {zero: [0, 2]}
+
+
 # Germs whose tacnodal points are irrational: after one extension by a
 # quadratic split exactly, every later line over Q(sqrt 2) or Q(sqrt -2) is
 # resolved by gcds alone.  The lct and the tree are those of the corpus.

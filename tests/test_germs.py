@@ -275,6 +275,40 @@ def test_product_of_two_terms_is_one_term_product_under_the_same_limits():
         CurveGerm("9" * 300 + "*" + "9" * 300 + "*x")  # 997 bits each
 
 
+# Term products charged per text, pinned from the parser that built every
+# value as a dict: read a term at a time, MAX_TERMS admits the same texts.
+CHARGED_PRODUCTS = [
+    ("x", 0), ("x*y", 1), ("2*x*y", 2), ("x^7*y^3", 3), ("-x^2*y", 2), ("x^0*y", 1),
+    ("3*x^2*y^4", 4), ("7/12*x^2*y^4", 5), ("2/3*x^5*y", 4), ("y^2 - x^3", 2),
+    # powers of monomials: one product when the coefficient is 1, else square and multiply
+    ("x^2^3", 1), ("(x^2)^3", 2), ("(x*y)^5", 2), ("(2*x)^5", 4), ("(2/3*x*y^2)^3", 6),
+    # decimal and "/" literals: a division is one product, a decimal none
+    ("0.5*x", 1), ("x/3", 1), ("1.25*x^2/7", 3), ("3/4*x^2*y - 0.125*y^3", 6),
+    ("0.1*x + .5*y^2 - 2.*x*y", 5), ("0*x + y", 0),
+    # sums: every term of one factor times every term of the other
+    ("(x+y)^2", 4), ("(x+y)*(x-y)", 4), ("x*(x+y)", 2), ("(x+y)*x", 2), ("2*(x+y)^3", 14),
+    ("(3/7*x+y)^2", 6), ("(x+y+1)^8", 270), ("(x+y+1)^8 - 1", 270),
+    ("(y^2 - 2*x^2)^2 - x^7", 8),
+    ("x*y^5 - 7/12*x^2*y^4 - 26/9*x^3*y^3 + 539/144*x^4*y^2 - 55/36*x^5*y + 7/36*x^6", 24),
+]
+
+
+@pytest.mark.parametrize("text, products", CHARGED_PRODUCTS)
+def test_each_text_is_charged_its_term_products(text, products):
+    parser = _Parser(text)
+    parser.germ()
+    assert parser.products == products
+
+
+def test_max_terms_admits_as_many_eighth_powers_as_before():
+    # 270 products each: 185 copies charge 49 950, and the 186th goes over
+    parser = _Parser("+".join(["(x+y+1)^8 - 1"] * 185))
+    parser.germ()
+    assert parser.products == 49_950
+    with pytest.raises(InvalidGermError, match=f"expansion exceeds {MAX_TERMS} term products$"):
+        CurveGerm("+".join(["(x+y+1)^8 - 1"] * 186))
+
+
 # -- the parser against sympy's parse_expr as an oracle (tests only) ---------
 
 _ORACLE = standard_transformations + (convert_xor, rationalize)  # "0.1" is 1/10
