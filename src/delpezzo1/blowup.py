@@ -7,7 +7,10 @@ sum w_i f_i fails to be simple normal crossing, tracking for each
 exceptional divisor E its discrepancy k_E over the smooth surface and the
 order m_E of the total transform.  The log canonical threshold is then
 
-    lct = min( min_i 1/w_i , min_E (k_E + 1)/m_E ).
+    lct = min( min_i 1/w_i , min_E (k_E + 1)/m_E ),
+
+the candidates compared as integer pairs by cross-multiplication, and one
+Fraction made of the least.
 
 Curves and exceptional divisors are one kind of object (f, k, m): a branch
 of weight w enters as (f, 0, w).  Blowing up a point makes the divisor with
@@ -21,17 +24,19 @@ Q[t]/(g) (numberfield.NumberField).  Over Q an object is a primitive dict
 of ints, a curve being its polynomial up to a constant, and the gcds that
 find its clusters run in Z[v]; only the cluster keys are Fractions.  Over
 Q[t]/(g) the shift y -> y + theta to a cluster's point is integer
-arithmetic too: every coefficient and every power of theta as integer
-numerators over one denominator, integer convolutions, and one reduction
-modulo g per new coefficient.  Each object's multiplicity is computed once
-per blowup, for the SNC test, its strict transforms and the chart-2
-origin, which only the objects without a y^mu term pass through.  Points
-on one exceptional line are enumerated as Galois orbits: each irreducible factor
-of the restriction of the transform to the line is one cluster, blown up
-once on behalf of all its conjugate points, which carry identical (k, m)
-data.  A cluster of degree >= 2 gets a field only when it needs a blowup:
-K.extend gives Q[t]/(g) over Q, at the point t, and over a NumberField a
-tower.
+arithmetic too: every coefficient as integer numerators over one
+denominator, every power of theta as the unreduced convolution power of
+theta's numerators, and one reduction modulo g per new coefficient, so
+that the shift at theta = t, the point of a field just built over Q,
+multiplies no element.  Each object's multiplicity is computed once per
+blowup, for the SNC test, its strict transforms and the chart-2 origin,
+which only the objects without a y^mu term pass through; the SNC test
+forms no product with a zero factor.  Points on one exceptional line are
+enumerated as Galois orbits: each irreducible factor of the restriction of
+the transform to the line is one cluster, blown up once on behalf of all
+its conjugate points, which carry identical (k, m) data.  A cluster of
+degree >= 2 gets a field only when it needs a blowup: K.extend gives
+Q[t]/(g) over Q, at the point t, and over a NumberField a tower.
 
 A cluster is keyed by the coefficient tuple of its monic factor over K,
 constant term first, so the point v = r is (-r, 1).  The clusters of a line
@@ -39,12 +44,15 @@ are blown up in (degree, coefficients) order, as Fractions and the elements
 of a number field are ordered.  On every line the points that need a
 blowup, those through two objects or through one object twice, are found
 by gcds over K (_line_clusters), or on a small line by cheaper exact
-routes: a quadratic's discriminant, and no key for a linear restriction
-that no other restriction could meet.  Only their squarefree part goes to
-K.factor: sympy factors a line only when it holds three or more such
-points over Q, conjugates counted, or two or more over a NumberField.
-This module never imports sympy; numberfield does, to factor a line or to
-build a tower.
+routes: a quadratic's discriminant, a quadratic repeated part taken as
+squarefree unless its discriminant vanishes, no key for a linear
+restriction that no other restriction could meet, and no division on a
+line that meets one object, which every cluster is through.  Only their
+squarefree part goes to K.factor, which over Q splits an integral
+quadratic by its integer discriminant: sympy factors a line only when it
+holds three or more such points over Q, conjugates counted, or two or
+more over a NumberField.  This module never imports sympy; numberfield
+does, to factor a line or to build a tower.
 """
 
 from __future__ import annotations
@@ -74,17 +82,22 @@ class _Rationals:
 
     @staticmethod
     def factor(p: univariate.Dense) -> list[tuple]:
-        """The monic factors of a squarefree p of degree >= 2, by sympy from degree 3 on."""
+        """The monic factors of a squarefree p of degree >= 2, by sympy from degree 3 on.
+
+        a v^2 + b v + c splits when its discriminant n/d is a square; for an
+        integral p, as the engine's are, d = 1 and the test is in integers.
+        """
         if len(p) > 3:
             from .numberfield import factor_rational
 
             return factor_rational(p)
-        c, b, a = p  # a v^2 + b v + c splits when its discriminant is a square
+        c, b, a = p
         disc = b * b - 4 * a * c
-        root = Fraction(math.isqrt(abs(disc.numerator)), math.isqrt(disc.denominator))
-        if root * root != disc:  # always so for disc < 0
+        n, d = disc.numerator, disc.denominator
+        r, s = math.isqrt(max(n, 0)), math.isqrt(d)
+        if r * r != n or s * s != d:  # always so for n < 0
             return [(Fraction(c, a), Fraction(b, a), Q.one)]
-        return [((b + root) / (2 * a), Q.one), ((b - root) / (2 * a), Q.one)]
+        return [(Fraction(b * s + r, 2 * a * s), Q.one), (Fraction(b * s - r, 2 * a * s), Q.one)]
 
     @staticmethod
     def extend(p: tuple) -> tuple[Any, NumberField, None]:
@@ -202,10 +215,12 @@ def _shift_y(d: PolyDict, theta: Any, K: Field) -> PolyDict:
     """Substitute y -> y + theta over K.
 
     Over Q, theta = a/q: f(x, y + a/q) q^deg_y, primitive.  Over a
-    NumberField every coefficient (int, Fraction or element) and every
-    power of theta is taken to integer numerators over one common
-    denominator; each new coefficient is then a sum of integer
-    convolutions, reduced modulo g once (Cohen 1993, section 4.2).
+    NumberField every coefficient (int, Fraction or element) is taken to
+    integer numerators over one common denominator, and theta^i to the
+    integer convolution power of theta's numerators, not reduced; each new
+    coefficient is then a sum of integer convolutions, reduced modulo g
+    once by K.reduce (Cohen 1993, section 4.2).  At theta = t, the point
+    of a field just built over Q, the powers are the monomials t^i.
     """
     if not theta:
         return dict(d)
@@ -220,28 +235,35 @@ def _shift_y(d: PolyDict, theta: Any, K: Field) -> PolyDict:
             for j, r in enumerate(rows[b]):
                 out[a, j] = out.get((a, j), 0) + r * c
         return _primitive({k: c for k, c in out.items() if c})
-    powers = [K.one]
+    terms = [(s, x) for s, x in enumerate(theta.nums) if x]  # theta = terms/tden
+    tden, step = theta.den, terms[-1][0]
+    powers = [{0: 1}]  # theta^i as the terms of its integer numerator over tden^i
     for _ in range(top):
-        powers.append(powers[-1] * theta)
-    pden = math.lcm(*(e.den for e in powers))
-    pnums = [[x * (pden // e.den) for x in e.nums] for e in powers]
-    coeffs = {key: (c.nums, c.den) if hasattr(c, "nums") else ((c.numerator,), c.denominator)
-              for key, c in d.items()}  # an element holds nums over den
+        power: dict = {}
+        for s, x in powers[-1].items():
+            for r, y in terms:
+                power[s + r] = power.get(s + r, 0) + x * y
+        powers.append(power)
+    scales = [tden ** (top - i) for i in range(top + 1)]  # all over tden^top
+    coeffs = {key: ((c.numerator,), c.denominator) if isinstance(c, (int, Fraction))
+              else (c.nums, c.den) for key, c in d.items()}  # an element holds nums over den
     cden = math.lcm(*(den for _, den in coeffs.values()))
-    width = 2 * K.degree - 1
+    n = K.degree
     sums: dict = {}
     for (a, b), (nums, den) in coeffs.items():
         scale = cden // den
         for j in range(b + 1):
-            acc = sums.setdefault((a, j), [0] * width)
-            power = pnums[b - j]
-            w = math.comb(b, j) * scale
+            acc = sums.get((a, j))
+            if acc is None:
+                acc = sums[a, j] = [0] * (n + (top - j) * step)
+            power = powers[b - j].items()
+            w = math.comb(b, j) * scale * scales[b - j]
             for i, x in enumerate(nums):
                 if x:
                     x *= w
-                    for s, y in enumerate(power, i):
-                        acc[s] += x * y
-    den = cden * pden
+                    for s, y in power:
+                        acc[i + s] += x * y
+    den = cden * tden**top
     return {key: c for key, p in sums.items() if (c := K.reduce(p, den))}
 
 
@@ -284,7 +306,8 @@ def _line_clusters(lines: list[dict[int, Any]], K: Field) -> dict[tuple, list[in
     the squarefree part of gcd(P, P'), are factored.  A quadratic P has one
     when its discriminant vanishes; otherwise, over Q, the gcds run in Z[v]
     (bivariate.gcd_z).  An object is through a cluster when the cluster's
-    factor divides its restriction exactly.  When every restriction is a
+    factor divides its restriction exactly; a line of one object is through
+    each of its clusters, with no division.  When every restriction is a
     monomial, v = 0 is the only candidate, and the objects of positive order
     are through it.
     """
@@ -310,12 +333,19 @@ def _line_clusters(lines: list[dict[int, Any]], K: Field) -> dict[tuple, list[in
         else:
             gcd = bivariate.gcd_z if K is Q else univariate.gcd
             repeated = gcd(product, univariate.derivative(product))
-            part = gcd(repeated, univariate.derivative(repeated)) if len(repeated) > 2 else [1]
-            if len(part) > 1:  # the squarefree part of repeated: each point once
-                repeated = (univariate.exact_quotient(repeated, part) if K is Q
-                            else univariate.divide(repeated, part)[0])
-        # a linear restriction's factor among them is a key already
-        keys += [p for p in _factor_on_line(repeated, K) if p not in linear]
+            if len(repeated) == 3:  # a quadratic is squarefree unless it is a square
+                c, b, a = repeated
+                if not b * b - 4 * a * c:
+                    repeated = [b, 2 * a]
+            elif len(repeated) > 3:  # the squarefree part of repeated: each point once
+                part = gcd(repeated, univariate.derivative(repeated))
+                if len(part) > 1:
+                    repeated = (univariate.exact_quotient(repeated, part) if K is Q
+                                else univariate.divide(repeated, part)[0])
+        # a linear restriction's factor among them is a key already, and only such a factor
+        keys += [p for p in _factor_on_line(repeated, K) if len(p) > 2 or p not in linear]
+    if len(dense) == 1:  # one object: each cluster is a multiple point of it
+        return {p: [0] for p in keys}
     return {p: _through(p, dense, K) for p in keys}
 
 
@@ -336,7 +366,9 @@ def _is_snc(objects: list[Object], mults: list[int]) -> bool:
     True when the total multiplicity is at most 1, or equals 2 with two
     distinct tangent directions: one object whose tangent cone is a
     squarefree binary quadratic, or two smooth objects whose tangent lines
-    differ.
+    differ.  A field has no zero divisors, so a product with a zero factor
+    is known zero without forming it: an exceptional divisor's tangent line
+    is x = 0 or y = 0, and no product over K is then made.
     """
     mu = sum(mults)
     if mu <= 1:
@@ -345,9 +377,11 @@ def _is_snc(objects: list[Object], mults: list[int]) -> bool:
         forms = [_lowest_form(d, m) for (d, _, _), m in zip(objects, mults)]
         if len(forms) == 1:
             c, b, a = forms[0]
-            return bool(b * b - 4 * a * c)
+            return bool(b * b - 4 * a * c) if a and c else bool(b)
         (a1, b1), (a2, b2) = forms
-        return bool(a1 * b2 - a2 * b1)
+        if a1 and b1 and a2 and b2:
+            return bool(a1 * b2 - a2 * b1)
+        return bool(a1 and b2) != bool(a2 and b1)
     return False
 
 
@@ -371,9 +405,9 @@ def _centres(objects: list[Object], mults: list[int], k: int, m: int,
     """
     strict = [(_strict1(d, mu), k_i, m_i) for (d, k_i, m_i), mu in zip(objects, mults)]
     clusters = _line_clusters([_restrict1(d) for d, _, _ in strict], K)
-    for p in sorted(clusters, key=lambda p: (len(p), p)):
+    for p, indices in sorted(clusters.items(), key=lambda item: (len(item[0]), item[0])):
         theta, K2, conv = _cluster_point(p, K)
-        through = [strict[i] for i in clusters[p]]
+        through = [strict[i] for i in indices]
         if conv is not None:  # monic in y first: sympy's embedding slows as numbers grow
             through = [({key: conv(c) for key, c in _monic_in_y(d).items()}, k_i, m_i)
                        for d, k_i, m_i in through]
@@ -442,8 +476,9 @@ def blowup_tree(branches: Sequence[tuple[PolyDict, int]]) -> list[BlowupNode]:
 def lct_of_branches(branches: Sequence[tuple[PolyDict, int]]) -> Fraction:
     """Log canonical threshold of sum w_i f_i at the origin."""
     roots = blowup_tree(branches)  # validates the branches
-    best = min(Fraction(1, w) for _, w in branches)
+    num, den = 1, max(w for _, w in branches)  # the least (k + 1)/m, compared in integers
     for root in roots:
         for node in root.walk():
-            best = min(best, node.ratio)
-    return best
+            if (node.k + 1) * den < num * node.m:
+                num, den = node.k + 1, node.m
+    return Fraction(num, den)

@@ -12,7 +12,10 @@ recursive-descent parser that evaluates nothing; its grammar is
     atom    := "x" | "y" | NUMBER | "(" sum ")"
 
 NUMBER is an integer or a decimal literal, taken exactly ("0.1" is 1/10);
-INTEGER is a non-negative integer literal; "/" divides by a nonzero
+INTEGER is a non-negative integer literal; digits are ASCII 0-9 only ("²"
+and fullwidth digits are no number, though str.isdigit takes them); an
+integer literal and an exponent are read by str.isdigit and int on their
+one path, a decimal by its regular expression.  "/" divides by a nonzero
 constant only; powers are right-associative ("x^2^3" is x^8); "−" (the
 unicode minus) is read as "-" and whitespace is ignored.  Anything else
 (another name, a call, a negative or fractional exponent, a division by a
@@ -84,7 +87,6 @@ OTHER = "other"
 
 _NUMBER = re.compile(r"[0-9]+\.?[0-9]*|\.[0-9]+")
 _TOKEN = re.compile(_NUMBER.pattern + r"|\*\*|\S")
-_INTEGER = re.compile(r"[0-9]+")
 
 # A value is a term (c, d, a, b), c/d x^a y^b with c != 0 < d in lowest
 # terms, or a polynomial (nums, den) of no term or of two or more: a dict
@@ -201,13 +203,14 @@ class _Parser:
         exponents = []
         while tokens[-1] in ("^", "**"):
             tokens.pop()
-            if not _INTEGER.fullmatch(tokens[-1]):
+            token = tokens[-1]
+            if not (token.isdigit() and token.isascii()):  # str.isdigit alone takes "²"
                 self.expected("a non-negative integer exponent")
-            token = tokens.pop()
-            digits = token.lstrip("0") or "0"  # int() counts leading zeros to its digit limit
+            tokens.pop()
+            digits = token.lstrip("0")  # int() counts leading zeros to its digit limit
             if len(digits) > len(str(MAX_DEGREE)):  # before int() converts it
                 self.fail(f"exponent {brief(token)} exceeds {MAX_DEGREE}")
-            exponents.append(int(digits))
+            exponents.append(int(digits or "0"))
         n = 1
         for e in reversed(exponents):  # right-associative: a^b^c = a^(b^c)
             n = e**n  # at most 999**MAX_DEGREE, a small integer
@@ -230,6 +233,12 @@ class _Parser:
 
     def atom(self, token: str) -> tuple:
         """A number or "(" sum ")": the atoms other than x and y."""
+        if token.isdigit() and token.isascii():  # an integer literal, over den = 1
+            digits = token.lstrip("0")  # the value's, as for an exponent
+            if len(digits) > MAX_BITS or (c := int(digits or "0")).bit_length() >= MAX_BITS:
+                # den = 1 counts one bit, as for a decimal
+                self.fail(f"a literal exceeds {MAX_BITS} bits")
+            return (c, 1, 0, 0) if c else ({}, 1)
         if token == "(":
             self.nesting += 1
             if self.nesting > MAX_NESTING:
@@ -240,10 +249,10 @@ class _Parser:
             self.tokens.pop()
             self.nesting -= 1
             return value
-        if _NUMBER.fullmatch(token):
+        if _NUMBER.fullmatch(token):  # a decimal literal
             whole, _, frac = token.partition(".")
             frac = frac.rstrip("0")
-            digits = (whole + frac).lstrip("0") or "0"  # the value's, as for an exponent
+            digits = (whole + frac).lstrip("0") or "0"
             if len(digits) + len(frac) > MAX_BITS:  # before int(): every digit left adds a bit
                 self.fail(f"a literal exceeds {MAX_BITS} bits")
             c, den = int(digits), 10 ** len(frac)

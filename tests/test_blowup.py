@@ -1,3 +1,4 @@
+import functools
 import math
 import time
 from fractions import Fraction
@@ -9,9 +10,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy import QQ, Poly, Symbol
 
-from delpezzo1 import blowup, numberfield, univariate
+from delpezzo1 import bivariate, blowup, numberfield, univariate
 from delpezzo1.blowup import (
     Q,
+    BlowupNode,
     _cluster_point,
     _factor_on_line,
     _line_clusters,
@@ -186,6 +188,61 @@ def test_terminal_shortcut_avoids_extension():
     assert lct_of_branches([(nd("y^2 - 2*x^4"), 1)]) == Fraction(3, 4)
 
 
+# -- the threshold's minimum, compared in integers, against Fractions -------
+
+
+def _ratios(branches, roots):
+    """The reference's candidates: each 1/w and each (k + 1)/m, as Fractions."""
+    return [Fraction(1, w) for _, w in branches] + [n.ratio for r in roots for n in r.walk()]
+
+
+def _pinned_roots(tree):
+    return [BlowupNode(k, m, _pinned_roots(children)) for k, m, children in tree]
+
+
+def test_lct_of_branches_is_the_fraction_minimum_over_the_corpus_trees(monkeypatch):
+    # each pinned tree stands in for the engine's, so that only the minimum runs
+    checked = 0
+    for line in LINES:
+        if line["kind"] not in ("lct_germ", "lct_weighted_germs") or "value" not in line:
+            continue
+        germs = [line["args"][0]] if line["kind"] == "lct_germ" else line["args"][0]
+        branches = [(CurveGerm(g).nums, 1) if isinstance(g, str) else (CurveGerm(g[0]).nums, g[1])
+                    for g in germs]
+        roots = _pinned_roots(line["tree"])
+        monkeypatch.setattr(blowup, "blowup_tree", lambda _, roots=roots: roots)
+        value = lct_of_branches(branches)
+        assert value == min(_ratios(branches, roots)) == Fraction(line["value"]), line
+        assert type(value) is Fraction
+        checked += 1
+    assert checked > 300
+
+
+_COPRIME = ["x", "y", "y - x", "y + 2*x", "y - x^2", "y + x^2", "y^2 - x^3", "y^2 - 2*x^4",
+            "x^2 - y^5", "y - x^3"]
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(st.sampled_from(_COPRIME), min_size=1, max_size=4, unique=True),
+       st.lists(st.integers(1, 4), min_size=4, max_size=4))
+def test_lct_of_branches_is_the_fraction_minimum_of_weighted_unions(germs, weights):
+    branches = [(nd(g), w) for g, w in zip(germs, weights)]
+    assert lct_of_branches(branches) == min(_ratios(branches, blowup_tree(branches)))
+
+
+@pytest.mark.parametrize("branches, value", [
+    ([("x", 2), ("y", 2)], Fraction(1, 2)),  # 1/w twice, no blowup
+    ([("x", 2), ("y", 1), ("y - x", 1)], Fraction(1, 2)),  # 1/w and 2/m
+    ([("x", 3), ("y", 2), ("y - x", 1)], Fraction(1, 3)),
+    ([("y^2 - x^3", 1)], Fraction(5, 6)),  # (k + 1)/m = 1 twice above the least
+])
+def test_lct_of_branches_keeps_the_value_of_a_tie(branches, value):
+    branches = [(nd(g), w) for g, w in branches]
+    ratios = _ratios(branches, blowup_tree(branches))
+    assert lct_of_branches(branches) == min(ratios) == value
+    assert len(set(ratios)) < len(ratios)
+
+
 def test_extend_tower_finds_exact_root():
     # over K = Q[t]/(t^2 - 2), T^2 + t has a root theta in a field L of
     # degree 4, an engine NumberField again, into which K maps
@@ -343,6 +400,67 @@ def test_shift_y_over_a_number_field_agrees_with_element_arithmetic(K, data):
     shifted = _shift_y(d, theta, K)
     assert shifted == _shifted_by_elements(d, theta, K)
     assert all(type(c) is Element for c in shifted.values())
+
+
+# fields of degree 2 to 4: t^4 - 2, and (t^4 - 10 t^2 + 1) at t -> 2t, whose
+# modulus t^4 - 5/2 t^2 + 1/16 has denominators
+_QUARTICS = [NumberField((Fraction(-2), Fraction(0), Fraction(0), Fraction(0), Fraction(1))),
+             NumberField((Fraction(1, 16), Fraction(0), Fraction(-5, 2), Fraction(0),
+                          Fraction(1)))]
+
+
+@functools.cache
+def _tower_shifts():
+    """(d, theta, K) of every shift over a tower that the two cusp-product fixtures make."""
+    calls, shift = [], blowup._shift_y
+
+    def recorded(d, theta, K):
+        if K is not Q and K.degree > 2:
+            calls.append((d, theta, K))
+        return shift(d, theta, K)
+
+    blowup._shift_y = recorded
+    try:
+        for text in (CUSP_PRODUCT, CONJUGATE_CUSPS):
+            germ_blowup_tree(text)
+    finally:
+        blowup._shift_y = shift
+    return calls
+
+
+def test_shift_y_over_the_corpus_towers_agrees_with_element_arithmetic():
+    calls = _tower_shifts()
+    assert {K.degree for _, _, K in calls} == {4}
+    for d, theta, K in calls:
+        shifted = _shift_y(d, theta, K)
+        if theta:
+            assert shifted == _shifted_by_elements(d, theta, K)
+        else:
+            assert shifted == d and shifted is not d
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_shift_y_at_zero_at_t_and_anywhere_agrees_with_element_arithmetic(data):
+    K = data.draw(st.sampled_from(_SHIFT_FIELDS + _QUARTICS + [K for _, _, K in _tower_shifts()]))
+
+    def element():
+        den = data.draw(st.integers(1, 6))
+        return Element(K, [Fraction(data.draw(st.integers(-9, 9)), den) for _ in range(K.degree)])
+
+    kinds = [lambda: data.draw(st.integers(-9, 9)), lambda: data.draw(_scalar), element]
+    keys = data.draw(st.sets(st.tuples(st.integers(0, 3), st.integers(0, 5)), min_size=1,
+                             max_size=6))
+    d = {key: c for key in keys if (c := data.draw(st.sampled_from(kinds))())}
+    assume(d)
+    theta = data.draw(st.sampled_from([K.zero, K.gen, K.gen * -3, "random"]))
+    theta = element() if theta == "random" else theta
+    shifted = _shift_y(d, theta, K)
+    if theta:
+        assert shifted == _shifted_by_elements(d, theta, K)
+        assert all(type(c) is Element for c in shifted.values())
+    else:
+        assert shifted == d and shifted is not d
 
 
 @settings(deadline=None, max_examples=150)
@@ -538,6 +656,73 @@ def test_a_line_of_monomials_reads_its_one_cluster_off_the_orders(monkeypatch):
         assert _line_clusters([{0: c}, {0: c}], field) == {}
         assert _line_clusters([{2: c}], field) == {zero: [0]}  # one object, twice
         assert _line_clusters([{1: c}, {0: c}, {3: c}], field) == {zero: [0, 2]}
+
+
+# -- a quadratic repeated part, and a quadratic over Q, in integers ----------
+
+
+def _engine_line(expr, K):
+    """An integer polynomial in V as the engine holds a restriction: ints over Q, else elements."""
+    coeffs = [int(c) for c in reversed(Poly(expr, V).all_coeffs())]
+    return {b: c if K is Q else K.one * c for b, c in enumerate(coeffs) if c}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "Q(sqrt 2)", "Q(i)"])
+@pytest.mark.parametrize("restrictions", [
+    ["(V - 1)**3"],  # gcd(P, P') = (v - 1)^2: discriminant zero
+    ["(2*V - 3)**3*(V + 5)"],
+    ["(V**2 - 2)**2"],  # discriminant 8, not a square over Q
+    ["(V**2 + 1)**2"],  # discriminant -4
+    ["(V**2 - 1)**2"],  # discriminant 4: two rational points
+    ["(3*V**2 - V - 1)**2*(V + 2)"],
+    ["(V**2 - 2)*(V + 1)", "V**2 - 2"],  # the repeated part of the product of two objects
+    ["(V - 4)**2", "(V - 4)*(V**2 + 1)", "V + 7"],
+], ids=lambda r: " & ".join(r))
+def test_a_quadratic_repeated_part_is_squarefree_unless_its_discriminant_vanishes(
+        monkeypatch, field, restrictions):
+    # one gcd finds the repeated part; a quadratic one takes no second gcd
+    K, calls = field[0], []
+    gcd_name, module = ("gcd_z", bivariate) if K is Q else ("gcd", univariate)
+    gcd = getattr(module, gcd_name)
+
+    def counted(p, q):
+        calls.append(len(p))
+        return gcd(p, q)
+
+    def squarefree_only(p, factor=K.factor):  # the precondition of K.factor
+        assert _poly(p, K).is_sqf, p
+        return factor(p)
+
+    monkeypatch.setattr(module, gcd_name, counted)
+    if K is Q:
+        monkeypatch.setattr(blowup._Rationals, "factor", staticmethod(squarefree_only))
+    else:
+        monkeypatch.setattr(K, "factor", squarefree_only)
+    lines = [_engine_line(sympy.sympify(r, locals={"V": V}), K) for r in restrictions]
+    found = _line_clusters(lines, K)
+    _assert_keys_typed(found, K)
+    assert {_key_coeffs(p, K): t for p, t in found.items()} == _oracle_clusters(lines, K)
+    assert len(calls) == 1
+
+
+@settings(deadline=None, max_examples=200)
+@given(_nonzero, st.integers(-12, 12), st.integers(-12, 12).filter(bool))
+def test_an_integral_quadratic_splits_by_its_integer_discriminant(a, b, c):
+    # c + b v + a v^2 in ints, as the engine's lines over Q are: the keys are
+    # Fractions, and sympy's factor_list over Q is the oracle
+    assume(b * b - 4 * a * c)
+    keys = Q.factor([c, b, a])
+    _assert_keys_typed(keys, Q)
+    assert dict.fromkeys(map(_key_coeffs, keys), 1) == _sympy_factors({0: c, 1: b, 2: a})
+
+
+def test_integral_quadratic_cases():
+    assert Q.factor([2, -3, 1]) == [(-1, 1), (-2, 1)]  # a square discriminant, 1
+    assert Q.factor([-1, 0, 4]) == [(Fraction(1, 2), 1), (Fraction(-1, 2), 1)]
+    assert Q.factor([1, 1, 1]) == [(1, 1, 1)]  # discriminant -3
+    assert Q.factor([-2, 0, 6]) == [(Fraction(-1, 3), 0, 1)]  # 48, not a square
+    assert Q.factor([Fraction(-1, 4), 0, Fraction(1, 9)]) == [(Fraction(3, 2), 1),
+                                                             (Fraction(-3, 2), 1)]
 
 
 # Germs whose tacnodal points are irrational: after one extension by a

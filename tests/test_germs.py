@@ -24,6 +24,7 @@ from delpezzo1.errors import (
     NonSquarefreeError,
     NotAtOriginError,
     NotQuasihomogeneousError,
+    brief,
 )
 from delpezzo1.germs import (
     CUSP,
@@ -307,6 +308,144 @@ def test_max_terms_admits_as_many_eighth_powers_as_before():
     assert parser.products == 49_950
     with pytest.raises(InvalidGermError, match=f"expansion exceeds {MAX_TERMS} term products$"):
         CurveGerm("+".join(["(x+y+1)^8 - 1"] * 186))
+
+
+# -- integer literals and exponents against the decimal reading --------------
+#
+# The parser reads an integer literal and an exponent through str.isdigit
+# and str.isascii.  The reference below reads them as the parser did before,
+# by regular expressions over [0-9]: every integer literal through the
+# decimal path, and every exponent through the tower loop.  Both must give
+# the same value or error, and charge the same products.
+
+_DECIMAL = re.compile(r"[0-9]+\.?[0-9]*|\.[0-9]+")
+_DIGITS = re.compile(r"[0-9]+")
+
+
+class _DecimalParser(_Parser):
+    """The reference: literals and exponents read by regular expressions."""
+
+    def atom(self, token):
+        if not _DECIMAL.fullmatch(token):
+            return super().atom(token)
+        whole, _, frac = token.partition(".")
+        frac = frac.rstrip("0")
+        digits = (whole + frac).lstrip("0") or "0"
+        if len(digits) + len(frac) > MAX_BITS:
+            self.fail(f"a literal exceeds {MAX_BITS} bits")
+        c, den = int(digits), 10 ** len(frac)
+        g = math.gcd(c, den)
+        c, den = c // g, den // g
+        if c.bit_length() + den.bit_length() > MAX_BITS:
+            self.fail(f"a literal exceeds {MAX_BITS} bits")
+        return (c, den, 0, 0) if c else ({}, 1)
+
+    def power(self, base):
+        tokens, exponents = self.tokens, []
+        while tokens[-1] in ("^", "**"):
+            tokens.pop()
+            if not _DIGITS.fullmatch(tokens[-1]):
+                self.expected("a non-negative integer exponent")
+            token = tokens.pop()
+            digits = token.lstrip("0") or "0"
+            if len(digits) > len(str(MAX_DEGREE)):
+                self.fail(f"exponent {brief(token)} exceeds {MAX_DEGREE}")
+            exponents.append(int(digits))
+        n = 1
+        for e in reversed(exponents):
+            n = e**n
+            if n > MAX_DEGREE:
+                self.fail(f"exponent {n} exceeds {MAX_DEGREE}")
+        if n == 0:
+            return 1, 1, 0, 0
+        if base[0] == base[1] == 1:
+            a, b = base[2] * n, base[3] * n
+            self.charge(a + b, 1)
+            return 1, 1, a, b
+        result = None
+        while n:
+            if n & 1:
+                result = base if result is None else self.mul(result, base)
+            n >>= 1
+            if n:
+                base = self.mul(base, base)
+        return result
+
+
+def _reading(parser_class, text):
+    """The value or the error, and the products charged, of one parse."""
+    parser = parser_class(text)
+    try:
+        outcome = parser.germ()
+    except InvalidGermError as exc:
+        outcome = str(exc)
+    return outcome, parser.products
+
+
+_NON_ASCII_DIGITS = ["²", "³", "¹", "２", "１２", "٣", "३", "๓", "𝟐", "₂", "⁹"]
+_EDGE_LITERALS = (
+    ["x^" + d for d in _NON_ASCII_DIGITS] + [d + "*x" for d in _NON_ASCII_DIGITS]
+    + ["x + " + d for d in _NON_ASCII_DIGITS] + ["x^2" + d for d in _NON_ASCII_DIGITS]
+    + ["1" + d + "*x" for d in _NON_ASCII_DIGITS] + ["x²", "y^2 - x³", "(x+y)^２"]
+    + ["007*x", "0*x + y", "00*x + y", "0.50*x + y", "x/007", "007.0700*y", "000*x^2",
+       "0" * 400 + "3*x", "x - 0" * 3]
+    + [digit * n + "*x" for n in range(300, 311) for digit in "19"]
+    + ["1" + "0" * (n - 1) + "*x" for n in range(300, 311)]
+    + ["x + " + "0" * 7 + "9" * n for n in range(300, 311)]
+    + [f"{2**1023 - 1}*x", f"{2**1023}*x", f"{2**1023 - 1}*x*{2**1023 - 1}", f"x/{2**1023}"]
+    + ["x^0", "x^007", "x^2^3", "x^0^0", "x^00", "(x+y)^0 - 1 + x", "x^2^3^0",
+       f"x^{MAX_DEGREE - 1}", f"x^{MAX_DEGREE}", f"x^{MAX_DEGREE + 1}",
+       f"(x+y)^{MAX_DEGREE - 1}", f"(x+y)^{MAX_DEGREE}", f"(x+y)^{MAX_DEGREE + 1}",
+       f"y*x^{MAX_DEGREE}", "x^2^8", "x^2^9", "x^1^999", "x^999^0", "x^1000", "x^0001000",
+       "x^" + "0" * 400 + "2", "x^" + "1" * 100, "x**2**3", "(2*x)^3", "(x/3)^2^2", "2^3*x",
+       "(x + 1/2)^5 - 1/32", "x^", "x^-1", "x^1.5", "x^(2)", "x^.5", "x^2.", "x^ 2 ^ 3"])
+
+
+@pytest.mark.parametrize("text", _EDGE_LITERALS)
+def test_literals_and_exponents_read_as_the_decimal_reading(text):
+    assert _reading(_Parser, text) == _reading(_DecimalParser, text)
+
+
+def test_non_ascii_digits_are_no_number():
+    assert "²".isdigit() and "２".isdigit() and "٣".isdigit()
+    for digit in _NON_ASCII_DIGITS:
+        for text in (digit + "*x", "x^" + digit, "x + " + digit):
+            with pytest.raises(InvalidGermError):
+                CurveGerm(text)
+
+
+_literal = st.one_of(
+    st.integers(0, 10**6).map(str),
+    st.tuples(st.integers(0, 3), st.integers(0, 999)).map(lambda t: "0" * t[0] + str(t[1])),
+    st.integers(300, 310).map(lambda n: "9" * n),
+    st.sampled_from(["0", "00", "1.5", "0.25", "2.", ".5"] + _NON_ASCII_DIGITS[:4]),
+)
+_exponents = st.lists(st.one_of(st.integers(0, 9).map(str), st.sampled_from(
+    ["007", "00", "256", "257", "0256", "1000"])), max_size=3)
+
+
+@st.composite
+def _literal_texts(draw):
+    """Sums of products of literals, x, y and groups, each maybe raised to a tower of exponents."""
+    def factor(depth):
+        choice = draw(st.integers(0, 3 if depth < 2 else 2))
+        base = (draw(_literal), "x", "y", None)[choice]
+        if base is None:
+            base = "(" + product_sum(depth + 1) + ")"
+        return base + "".join("^" + e for e in draw(_exponents))
+
+    def product_sum(depth):
+        terms = ["*".join(factor(depth) for _ in range(draw(st.integers(1, 3))))
+                 for _ in range(draw(st.integers(1, 3)))]
+        return " + ".join(terms)
+
+    return product_sum(0)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_literal_texts())
+def test_random_literal_texts_read_as_the_decimal_reading(text):
+    assert _reading(_Parser, text) == _reading(_DecimalParser, text)
 
 
 # -- the parser against sympy's parse_expr as an oracle (tests only) ---------
