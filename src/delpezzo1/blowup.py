@@ -25,18 +25,19 @@ of ints, a curve being its polynomial up to a constant, and the gcds that
 find its clusters run in Z[v]; only the cluster keys are Fractions.  Over
 Q[t]/(g) the shift y -> y + theta to a cluster's point is integer
 arithmetic too: every coefficient as integer numerators over one
-denominator, every power of theta as the unreduced convolution power of
-theta's numerators, and one reduction modulo g per new coefficient, so
-that the shift at theta = t, the point of a field just built over Q,
-multiplies no element.  Each object's multiplicity is computed once per
-blowup, for the SNC test, its strict transforms and the chart-2 origin,
-which only the objects without a y^mu term pass through; the SNC test
-forms no product with a zero factor.  Points on one exceptional line are
-enumerated as Galois orbits: each irreducible factor of the restriction of
-the transform to the line is one cluster, blown up once on behalf of all
-its conjugate points, which carry identical (k, m) data.  A cluster of
-degree >= 2 gets a field only when it needs a blowup: K.extend gives
-Q[t]/(g) over Q, at the point t, and over a NumberField a tower.
+denominator, every power of theta as the convolution power of theta's
+numerators, reduced modulo g only once its degree reaches g's, and one
+reduction modulo g per new coefficient, so that the shift at theta = t,
+the point of a field just built over Q, multiplies no element.  Each
+object's multiplicity is computed once per blowup, for the SNC test, its
+strict transforms and the chart-2 origin, which only the objects without
+a y^mu term pass through; the SNC test forms no product with a zero
+factor.  Points on one exceptional line are enumerated as Galois orbits:
+each irreducible factor of the restriction of the transform to the line
+is one cluster, blown up once on behalf of all its conjugate points,
+which carry identical (k, m) data.  A cluster of degree >= 2 gets a field
+only when it needs a blowup: K.extend gives Q[t]/(g) over Q, at the
+point t, and over a NumberField a tower.
 
 A cluster is keyed by the coefficient tuple of its monic factor over K,
 constant term first, so the point v = r is (-r, 1).  The clusters of a line
@@ -53,6 +54,21 @@ quadratic by its integer discriminant: sympy factors a line only when it
 holds three or more such points over Q, conjugates counted, or two or
 more over a NumberField.  This module never imports sympy; numberfield
 does, to factor a line or to build a tower.
+
+A toric centre is one object f, first, whose Newton polygon is a single
+edge from y^p to x^q, every other term on or above it, with at most one
+exceptional divisor on each axis besides it: the centre of a cusp, a
+tacnode's branch pair or an A_k point.  Its blowups form a chain that runs
+Euclid's algorithm on (p, q) (Casas-Alvero, Singularities of Plane Curves,
+2000, ch. 3 and 5), and _chain makes it in one integer loop, node for
+node as the generic step would: for p < q the next centre is the origin
+of chart 1, where f has the edge (p, q - p) and the new divisor is x = 0,
+for q < p that of chart 2, with (p - q, q) and the new divisor y = 0, and
+every other point of the divisor is SNC.  f is moved by its strict
+transforms, and no coefficient is computed.  At p = q the edge
+c y^p + c' x^p is squarefree, and the chain ends in SNC or in one leaf;
+only an edge that holds inner terms there goes back to the generic step,
+as [f, divisors oldest first], the order the generic step keeps.
 """
 
 from __future__ import annotations
@@ -61,6 +77,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
+from itertools import accumulate
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence, TypeAlias
 
 from . import bivariate, univariate
@@ -217,10 +234,11 @@ def _shift_y(d: PolyDict, theta: Any, K: Field) -> PolyDict:
     Over Q, theta = a/q: f(x, y + a/q) q^deg_y, primitive.  Over a
     NumberField every coefficient (int, Fraction or element) is taken to
     integer numerators over one common denominator, and theta^i to the
-    integer convolution power of theta's numerators, not reduced; each new
-    coefficient is then a sum of integer convolutions, reduced modulo g
-    once by K.reduce (Cohen 1993, section 4.2).  At theta = t, the point
-    of a field just built over Q, the powers are the monomials t^i.
+    integer convolution of theta^(i-1) and theta's numerators, reduced
+    modulo g by K.fold once its degree reaches g's; each new coefficient
+    is then a sum of integer convolutions, reduced modulo g once (Cohen
+    1993, section 4.2).  At theta = t, the point of a field just built over
+    Q, the powers below t^n are the monomials t^i.
     """
     if not theta:
         return dict(d)
@@ -235,27 +253,33 @@ def _shift_y(d: PolyDict, theta: Any, K: Field) -> PolyDict:
             for j, r in enumerate(rows[b]):
                 out[a, j] = out.get((a, j), 0) + r * c
         return _primitive({k: c for k, c in out.items() if c})
-    terms = [(s, x) for s, x in enumerate(theta.nums) if x]  # theta = terms/tden
-    tden, step = theta.den, terms[-1][0]
-    powers = [{0: 1}]  # theta^i as the terms of its integer numerator over tden^i
-    for _ in range(top):
+    n = K.degree
+    terms = [(s, x) for s, x in enumerate(theta.nums) if x]  # theta = terms/theta.den
+    powers, dens = [{0: 1}], [1]  # theta^i as the terms of an integer numerator over dens[i]
+    for i in range(top):
         power: dict = {}
-        for s, x in powers[-1].items():
+        for s, x in powers[i].items():
             for r, y in terms:
                 power[s + r] = power.get(s + r, 0) + x * y
+        den = dens[i] * theta.den
+        if len(power) > 1 and max(power) >= n:  # reducing a monomial would make it denser
+            folded, den = K.fold([power.get(s, 0) for s in range(max(power) + 1)], den)
+            power = {s: x for s, x in enumerate(folded) if x}
         powers.append(power)
-    scales = [tden ** (top - i) for i in range(top + 1)]  # all over tden^top
+        dens.append(den)
+    tden = dens[-1]  # each of dens divides the next: every power over tden
+    scales = [tden // den for den in dens]
+    reach = list(accumulate(map(max, powers), max))  # the degree of theta^0 .. theta^i
     coeffs = {key: ((c.numerator,), c.denominator) if isinstance(c, (int, Fraction))
               else (c.nums, c.den) for key, c in d.items()}  # an element holds nums over den
     cden = math.lcm(*(den for _, den in coeffs.values()))
-    n = K.degree
     sums: dict = {}
     for (a, b), (nums, den) in coeffs.items():
         scale = cden // den
         for j in range(b + 1):
             acc = sums.get((a, j))
             if acc is None:
-                acc = sums[a, j] = [0] * (n + (top - j) * step)
+                acc = sums[a, j] = [0] * (n + reach[top - j])
             power = powers[b - j].items()
             w = math.comb(b, j) * scale * scales[b - j]
             for i, x in enumerate(nums):
@@ -263,7 +287,7 @@ def _shift_y(d: PolyDict, theta: Any, K: Field) -> PolyDict:
                     x *= w
                     for s, y in power:
                         acc[i + s] += x * y
-    den = cden * tden**top
+    den = cden * tden
     return {key: c for key, p in sums.items() if (c := K.reduce(p, den))}
 
 
@@ -424,6 +448,18 @@ def _centres(objects: list[Object], mults: list[int], k: int, m: int,
 def _resolve(objects: list[Object], K: Field, depth: int) -> BlowupNode | None:
     """Blow up the origin if needed; return the node, or None when already SNC.
 
+    A toric centre resolves in one integer loop (_chain), any other by the
+    generic step.
+    """
+    edge = _toric(objects)
+    if edge is not None:
+        return _chain(objects, *edge, K, depth)
+    return _step(objects, K, depth)
+
+
+def _step(objects: list[Object], K: Field, depth: int) -> BlowupNode | None:
+    """The generic step: blow up the origin if needed, then resolve each centre on the new divisor.
+
     Every object passes through the origin, and its multiplicity there is
     computed once.  The new divisor has k = 1 + sum k_i and
     m = sum m_i mult(f_i), as mult(f_i) = 1 for an exceptional divisor,
@@ -442,6 +478,68 @@ def _resolve(objects: list[Object], K: Field, depth: int) -> BlowupNode | None:
         if child is not None:
             node.children.append(child)
     return node
+
+
+_X_AXIS, _Y_AXIS = (1, 0), (0, 1)  # the keys of the divisors x = 0 and y = 0
+
+
+def _toric(objects: list[Object]) -> tuple[int, int] | None:
+    """The Newton edge (p, q) of a toric centre, or None.
+
+    A toric centre is one object f, first, whose Newton polygon is the one
+    edge from y^p to x^q, every other term on or above it, followed by at
+    most one divisor on each axis, x = 0 and y = 0.
+    """
+    axes = [next(iter(d)) for d, _, _ in objects[1:] if len(d) == 1]
+    if (len(axes) != len(objects) - 1 or len(set(axes)) != len(axes)
+            or not set(axes) <= {_X_AXIS, _Y_AXIS}):
+        return None
+    f = objects[0][0]
+    p = min((b for a, b in f if not a), default=0)
+    q = min((a for a, b in f if not b), default=0)
+    if not p or not q or any(a * p + b * q < p * q for a, b in f):
+        return None
+    return p, q
+
+
+def _chain(objects: list[Object], p: int, q: int, K: Field, depth: int) -> BlowupNode | None:
+    """Resolve a toric centre of edge (p, q) by Euclid's algorithm, node for node.
+
+    Each node is the one the generic step would make, and it has one child
+    at most, the origin of chart 1 for p < q or of chart 2 for q < p: every
+    other point of its divisor is SNC (see the module docstring).
+    """
+    (f, k_f, m_f), *divisors = objects
+    one = 1 if K is Q else K.one
+    chain: list[BlowupNode] = []
+    while True:
+        if p == q and any(a and b and a + b == p for a, b in f):
+            node = _step([(f, k_f, m_f), *divisors], K, depth)
+            if node is not None:
+                chain.append(node)
+            break
+        # the SNC test: total multiplicity mu <= 1, or mu = 2 with f smooth and
+        # transverse to the one divisor, or f alone with two tangents (p = q = 2)
+        mu = min(p, q) + len(divisors)
+        tangent = _Y_AXIS if p < q else _X_AXIS if q < p else None  # of a smooth f
+        if mu <= 1 or mu == 2 and (p == q or divisors and divisors[0][0].keys() != {tangent}):
+            break
+        if depth >= DEPTH_CAP:
+            raise DepthExceededError(f"blowup tree exceeded depth {DEPTH_CAP}")
+        node = BlowupNode(1 + k_f + sum(k for _, k, _ in divisors),
+                          m_f * min(p, q) + sum(m for _, _, m in divisors), points=K.degree)
+        chain.append(node)
+        if p == q:
+            break
+        if p < q:
+            f, q, axis = _strict1(f, p), q - p, _X_AXIS
+        else:
+            f, p, axis = _strict2(f, q), p - q, _Y_AXIS
+        divisors = [e for e in divisors if axis not in e[0]] + [({axis: one}, node.k, node.m)]
+        depth += 1
+    for parent, child in zip(chain, chain[1:]):
+        parent.children.append(child)
+    return chain[0] if chain else None
 
 
 def _validated(branches: Sequence[tuple[PolyDict, int]]) -> list[Object]:

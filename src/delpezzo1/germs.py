@@ -370,6 +370,17 @@ class CurveGerm:
         return multiplicity(self.nums)
 
     @cached_property
+    def is_squarefree(self) -> bool:
+        """Has the germ no repeated factor, that is, is gcd(f, f_x, f_y) constant?
+
+        Decided once, with the factor itself (repeated_factor), under the one
+        lock of this property.
+        """
+        factor = bivariate.repeated_factor(bivariate.from_dict(self.nums))
+        self._repeated_factor = None if factor == bivariate.ONE else bivariate.to_dict(factor)
+        return self._repeated_factor is None
+
+    @property
     def repeated_factor(self) -> dict | None:
         """The product of the irreducible factors that divide the germ more than once.
 
@@ -379,13 +390,7 @@ class CurveGerm:
         coefficient c or c x, the first image modulo a prime is the proof of
         a squarefree germ, and no content is taken.
         """
-        factor = bivariate.repeated_factor(bivariate.from_dict(self.nums))
-        return None if factor == bivariate.ONE else bivariate.to_dict(factor)
-
-    @cached_property
-    def is_squarefree(self) -> bool:
-        """Has the germ no repeated factor, that is, is gcd(f, f_x, f_y) constant?"""
-        return self.repeated_factor is None
+        return None if self.is_squarefree else self._repeated_factor
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, CurveGerm) and (self.nums, self.den) == (other.nums, other.den)
