@@ -25,19 +25,18 @@ of ints, a curve being its polynomial up to a constant, and the gcds that
 find its clusters run in Z[v]; only the cluster keys are Fractions.  Over
 Q[t]/(g) the shift y -> y + theta to a cluster's point is integer
 arithmetic too: every coefficient as integer numerators over one
-denominator, every power of theta as the convolution power of theta's
-numerators, reduced modulo g only once its degree reaches g's, and one
-reduction modulo g per new coefficient, so that the shift at theta = t,
-the point of a field just built over Q, multiplies no element.  Each
-object's multiplicity is computed once per blowup, for the SNC test, its
-strict transforms and the chart-2 origin, which only the objects without
-a y^mu term pass through; the SNC test forms no product with a zero
-factor.  Points on one exceptional line are enumerated as Galois orbits:
-each irreducible factor of the restriction of the transform to the line
-is one cluster, blown up once on behalf of all its conjugate points,
-which carry identical (k, m) data.  A cluster of degree >= 2 gets a field
-only when it needs a blowup: K.extend gives Q[t]/(g) over Q, at the
-point t, and over a NumberField a tower.
+denominator, every power of theta as the unreduced convolution power of
+theta's numerators, and one reduction modulo g per new coefficient, so
+that the shift at theta = t, the point of a field just built over Q,
+multiplies no element.  Each object's multiplicity is computed once per
+blowup, for the SNC test, its strict transforms and the chart-2 origin,
+which only the objects without a y^mu term pass through; the SNC test
+forms no product with a zero factor.  Points on one exceptional line are
+enumerated as Galois orbits: each irreducible factor of the restriction of
+the transform to the line is one cluster, blown up once on behalf of all
+its conjugate points, which carry identical (k, m) data.  A cluster of
+degree >= 2 gets a field only when it needs a blowup: K.extend gives
+Q[t]/(g) over Q, at the point t, and over a NumberField a tower.
 
 A cluster is keyed by the coefficient tuple of its monic factor over K,
 constant term first, so the point v = r is (-r, 1).  The clusters of a line
@@ -61,7 +60,9 @@ exceptional divisor on each axis besides it: the centre of a cusp, a
 tacnode's branch pair or an A_k point.  Its blowups form a chain that runs
 Euclid's algorithm on (p, q) (Casas-Alvero, Singularities of Plane Curves,
 2000, ch. 3 and 5), and _chain makes it in one integer loop, node for
-node as the generic step would: for p < q the next centre is the origin
+node as the generic step would, by that step's own SNC test (_is_snc, f
+of multiplicity min(p, q) and each divisor 1) and node rule with its
+DEPTH_CAP check (_node): for p < q the next centre is the origin
 of chart 1, where f has the edge (p, q - p) and the new divisor is x = 0,
 for q < p that of chart 2, with (p - q, q) and the new divisor y = 0, and
 every other point of the divisor is SNC.  f is moved by its strict
@@ -77,7 +78,6 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence, TypeAlias
 
 from . import bivariate, univariate
@@ -234,11 +234,10 @@ def _shift_y(d: PolyDict, theta: Any, K: Field) -> PolyDict:
     Over Q, theta = a/q: f(x, y + a/q) q^deg_y, primitive.  Over a
     NumberField every coefficient (int, Fraction or element) is taken to
     integer numerators over one common denominator, and theta^i to the
-    integer convolution of theta^(i-1) and theta's numerators, reduced
-    modulo g by K.fold once its degree reaches g's; each new coefficient
-    is then a sum of integer convolutions, reduced modulo g once (Cohen
-    1993, section 4.2).  At theta = t, the point of a field just built over
-    Q, the powers below t^n are the monomials t^i.
+    integer convolution power of theta's numerators, not reduced; each new
+    coefficient is then a sum of integer convolutions, reduced modulo g
+    once by K.reduce (Cohen 1993, section 4.2).  At theta = t, the point
+    of a field just built over Q, the powers are the monomials t^i.
     """
     if not theta:
         return dict(d)
@@ -253,33 +252,27 @@ def _shift_y(d: PolyDict, theta: Any, K: Field) -> PolyDict:
             for j, r in enumerate(rows[b]):
                 out[a, j] = out.get((a, j), 0) + r * c
         return _primitive({k: c for k, c in out.items() if c})
-    n = K.degree
-    terms = [(s, x) for s, x in enumerate(theta.nums) if x]  # theta = terms/theta.den
-    powers, dens = [{0: 1}], [1]  # theta^i as the terms of an integer numerator over dens[i]
-    for i in range(top):
+    terms = [(s, x) for s, x in enumerate(theta.nums) if x]  # theta = terms/tden
+    tden, step = theta.den, terms[-1][0]
+    powers = [{0: 1}]  # theta^i as the terms of its integer numerator over tden^i
+    for _ in range(top):
         power: dict = {}
-        for s, x in powers[i].items():
+        for s, x in powers[-1].items():
             for r, y in terms:
                 power[s + r] = power.get(s + r, 0) + x * y
-        den = dens[i] * theta.den
-        if len(power) > 1 and max(power) >= n:  # reducing a monomial would make it denser
-            folded, den = K.fold([power.get(s, 0) for s in range(max(power) + 1)], den)
-            power = {s: x for s, x in enumerate(folded) if x}
         powers.append(power)
-        dens.append(den)
-    tden = dens[-1]  # each of dens divides the next: every power over tden
-    scales = [tden // den for den in dens]
-    reach = list(accumulate(map(max, powers), max))  # the degree of theta^0 .. theta^i
+    scales = [tden ** (top - i) for i in range(top + 1)]  # all over tden^top
     coeffs = {key: ((c.numerator,), c.denominator) if isinstance(c, (int, Fraction))
               else (c.nums, c.den) for key, c in d.items()}  # an element holds nums over den
     cden = math.lcm(*(den for _, den in coeffs.values()))
+    n = K.degree
     sums: dict = {}
     for (a, b), (nums, den) in coeffs.items():
         scale = cden // den
         for j in range(b + 1):
             acc = sums.get((a, j))
             if acc is None:
-                acc = sums[a, j] = [0] * (n + reach[top - j])
+                acc = sums[a, j] = [0] * (n + (top - j) * step)
             power = powers[b - j].items()
             w = math.comb(b, j) * scale * scales[b - j]
             for i, x in enumerate(nums):
@@ -287,7 +280,7 @@ def _shift_y(d: PolyDict, theta: Any, K: Field) -> PolyDict:
                     x *= w
                     for s, y in power:
                         acc[i + s] += x * y
-    den = cden * tden
+    den = cden * tden**top
     return {key: c for key, p in sums.items() if (c := K.reduce(p, den))}
 
 
@@ -461,23 +454,32 @@ def _step(objects: list[Object], K: Field, depth: int) -> BlowupNode | None:
     """The generic step: blow up the origin if needed, then resolve each centre on the new divisor.
 
     Every object passes through the origin, and its multiplicity there is
-    computed once.  The new divisor has k = 1 + sum k_i and
-    m = sum m_i mult(f_i), as mult(f_i) = 1 for an exceptional divisor,
-    which is smooth.
+    computed once.
     """
     mults = [multiplicity(d) for d, _, _ in objects]
     if _is_snc(objects, mults):
         return None
-    if depth >= DEPTH_CAP:
-        raise DepthExceededError(f"blowup tree exceeded depth {DEPTH_CAP}")
-    node = BlowupNode(1 + sum(k for _, k, _ in objects),
-                      sum(m * mu for (_, _, m), mu in zip(objects, mults)),
-                      points=K.degree)
+    node = _node(objects, mults, K, depth)
     for sub, K2 in _centres(objects, mults, node.k, node.m, K):
         child = _resolve(sub, K2, depth + 1)
         if child is not None:
             node.children.append(child)
     return node
+
+
+def _node(objects: list[Object], mults: list[int], K: Field, depth: int) -> BlowupNode:
+    """The blowup of a centre that is not SNC, within DEPTH_CAP, with no children yet.
+
+    The new divisor has k = 1 + sum k_i and m = sum m_i mult(f_i), as
+    mult(f_i) = 1 for an exceptional divisor, which is smooth.
+    """
+    if depth >= DEPTH_CAP:
+        raise DepthExceededError(f"blowup tree exceeded depth {DEPTH_CAP}")
+    k, m = 1, 0
+    for (_, k_i, m_i), mu in zip(objects, mults):
+        k += k_i
+        m += m_i * mu
+    return BlowupNode(k, m, points=K.degree)
 
 
 _X_AXIS, _Y_AXIS = (1, 0), (0, 1)  # the keys of the divisors x = 0 and y = 0
@@ -505,29 +507,24 @@ def _toric(objects: list[Object]) -> tuple[int, int] | None:
 def _chain(objects: list[Object], p: int, q: int, K: Field, depth: int) -> BlowupNode | None:
     """Resolve a toric centre of edge (p, q) by Euclid's algorithm, node for node.
 
-    Each node is the one the generic step would make, and it has one child
-    at most, the origin of chart 1 for p < q or of chart 2 for q < p: every
-    other point of its divisor is SNC (see the module docstring).
+    Each node is the one the generic step would make, after its SNC test,
+    and it has one child at most, the origin of chart 1 for p < q or of
+    chart 2 for q < p: every other point of its divisor is SNC (see the
+    module docstring).  f has multiplicity min(p, q), a divisor 1.
     """
-    (f, k_f, m_f), *divisors = objects
     one = 1 if K is Q else K.one
     chain: list[BlowupNode] = []
     while True:
-        if p == q and any(a and b and a + b == p for a, b in f):
-            node = _step([(f, k_f, m_f), *divisors], K, depth)
+        (f, k_f, m_f), *divisors = objects
+        if p == q and any(a and b and a + b == p for a, b in f):  # inner terms
+            node = _step(objects, K, depth)
             if node is not None:
                 chain.append(node)
             break
-        # the SNC test: total multiplicity mu <= 1, or mu = 2 with f smooth and
-        # transverse to the one divisor, or f alone with two tangents (p = q = 2)
-        mu = min(p, q) + len(divisors)
-        tangent = _Y_AXIS if p < q else _X_AXIS if q < p else None  # of a smooth f
-        if mu <= 1 or mu == 2 and (p == q or divisors and divisors[0][0].keys() != {tangent}):
+        mults = [min(p, q)] + [1] * len(divisors)
+        if _is_snc(objects, mults):
             break
-        if depth >= DEPTH_CAP:
-            raise DepthExceededError(f"blowup tree exceeded depth {DEPTH_CAP}")
-        node = BlowupNode(1 + k_f + sum(k for _, k, _ in divisors),
-                          m_f * min(p, q) + sum(m for _, _, m in divisors), points=K.degree)
+        node = _node(objects, mults, K, depth)
         chain.append(node)
         if p == q:
             break
@@ -535,7 +532,8 @@ def _chain(objects: list[Object], p: int, q: int, K: Field, depth: int) -> Blowu
             f, q, axis = _strict1(f, p), q - p, _X_AXIS
         else:
             f, p, axis = _strict2(f, q), p - q, _Y_AXIS
-        divisors = [e for e in divisors if axis not in e[0]] + [({axis: one}, node.k, node.m)]
+        objects = [(f, k_f, m_f), *(e for e in divisors if axis not in e[0]),
+                   ({axis: one}, node.k, node.m)]
         depth += 1
     for parent, child in zip(chain, chain[1:]):
         parent.children.append(child)

@@ -13,12 +13,10 @@ inverse solves the integer linear system of multiplication by the
 numerators, fraction-free.  NumberField.reduce makes an element of any
 integer polynomial in t over a denominator, so that the blowup engine
 can sum many integer products, as in its shift y -> y + theta, and reduce
-once; NumberField.fold reduces such a polynomial modulo g without the
-gcd, as the shift does to a power of theta.  Elements mix with ints and
-Fractions on either side, as univariate's polynomials need, a zero is
-falsy, equal elements have one form and so one hash, and they are
-ordered as sympy orders its own: by the coefficients, highest power
-first, without leading zeros.
+once.  Elements mix with ints and Fractions on either
+side, as univariate's polynomials need, a zero is falsy, equal elements
+have one form and so one hash, and they are ordered as sympy orders its
+own: by the coefficients, highest power first, without leading zeros.
 
 A cluster of degree >= 2 over Q[t]/(g) gets a tower, a NumberField again
 (NumberField.extend).  sympy is imported here only, to build towers and to
@@ -60,11 +58,6 @@ class NumberField:
         """The element p/den for a list p of n or more integers and den > 0, reduced modulo g.
 
         p is consumed.
-        """
-        return _reduced(self, *self.fold(p, den))
-
-    def fold(self, p: list, den: int) -> tuple[list, int]:
-        """p/den modulo g as n integers over a denominator, not in lowest terms; p is consumed.
 
         t^i is t^(i-n) (t^n - g) = -t^(i-n) low/low_den: when low_den does not
         divide the leading numerator, all of p and den are first multiplied by it.
@@ -80,7 +73,7 @@ class NumberField:
                     c //= D
                 for j in range(n):
                     p[i - n + j] -= c * low[j]
-        return p, den
+        return _reduced(self, p, den)
 
     @cached_property
     def sympy_field(self) -> Any:

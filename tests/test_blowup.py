@@ -1,6 +1,7 @@
 import functools
 import math
 import time
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 
@@ -455,8 +456,8 @@ def test_shift_y_at_zero_at_t_and_anywhere_agrees_with_element_arithmetic(data):
                              max_size=6))
     d = {key: c for key in keys if (c := data.draw(st.sampled_from(kinds))())}
     assume(d)
-    # the dense theta = 1/3 - 2t + 5/7 t^2 + t^3, whose powers are reduced
-    # modulo g once their degree reaches the field's
+    # the dense theta = 1/3 - 2t + 5/7 t^2 + t^3, whose powers in a quartic
+    # field pass the field's degree before the one reduction of each sum
     dense = Element(K, [Fraction(1, 3), Fraction(-2), Fraction(5, 7), Fraction(1)])
     theta = data.draw(st.sampled_from([K.zero, K.gen, K.gen * -3, dense, "random"]))
     theta = element() if theta == "random" else theta
@@ -794,6 +795,37 @@ def test_objects_over_a_number_field_hold_elements_only(monkeypatch):
     for line in tacnodes:
         assert entry(line["kind"], line["args"])["value"] == line["value"]
     assert len(tacnodes) == 72 and len(fields) > 2 * len(tacnodes)
+
+    # again with the toric chain on: the objects a chain over a NumberField
+    # is given, and every list it tests for SNC, its {axis: one} divisors and
+    # strict transforms of f among them; a list handed back to the generic
+    # step is tested for SNC there first
+    monkeypatch.undo()
+    chain, is_snc, seen, running = blowup._chain, blowup._is_snc, Counter(), []
+
+    def elements_only(where, objects):
+        assert all(type(c) is Element for d, _, _ in objects for c in d.values())
+        seen[where] += 1
+
+    def chained(objects, p, q, K, depth):
+        running.append(K)
+        try:
+            if isinstance(K, NumberField):
+                elements_only("chain", objects)
+            return chain(objects, p, q, K, depth)
+        finally:
+            running.pop()
+
+    def tested(objects, mults):
+        if running and isinstance(running[-1], NumberField):
+            elements_only("snc", objects)
+        return is_snc(objects, mults)
+
+    monkeypatch.setattr(blowup, "_chain", chained)
+    monkeypatch.setattr(blowup, "_is_snc", tested)
+    for line in tacnodes:
+        assert entry(line["kind"], line["args"])["value"] == line["value"]
+    assert seen["chain"] >= len(tacnodes) and seen["snc"] > seen["chain"], seen
 
 
 def test_objects_enter_a_tower_monic_in_y(monkeypatch):
